@@ -4,6 +4,7 @@ gain metrics against the population baseline, replication, and run export."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import time
 from dataclasses import dataclass, field
@@ -16,8 +17,8 @@ from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
 from .policy import (Allocation, AllocationProblem, PolicyState,
-                     loss_coefficients, pb_allocate, solve_knapsack,
-                     update_bounds, window_width)
+                     loss_coefficients, own_inflow, pb_allocate,
+                     solve_knapsack, update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
@@ -96,6 +97,9 @@ def run_instance(inst: Instance) -> RunResult:
     period in sharing mode), per-agent estimate + knapsack solve with
     windowed bounds, epidemic step with realized efficiencies, next-period
     sharing quantities from the stepped state, then Bernoulli prior updates.
+    What the loop reads of the network's agent structure is static and is
+    built once here: each node's own-agent inflow for the knapsack policies,
+    and the agent coupling of the rate matrix when sharing is on.
     """
     t_start = time.perf_counter()
     cfg = inst.config
@@ -105,6 +109,9 @@ def run_instance(inst: Instance) -> RunResult:
     horizon = cfg.horizon
     pol_name = cfg.policy
     agent_nodes = [np.flatnonzero(inst.agent_of == a) for a in range(k)]
+    knapsack = pol_name in ("ts", "gy", "ma")
+    inflow = own_inflow(net, agent_nodes) if knapsack else None
+    coupling = shmod.agent_coupling(net, inst.agent_of, k) if cfg.sharing else None
 
     pol = PolicyState(n=n, horizon=horizon,
                       window=window_width(inst.populations, net, horizon))
@@ -140,15 +147,16 @@ def run_instance(inst: Instance) -> RunResult:
         elif pol_name == "gy":
             theta_hat = polmod.gy_estimate(pol.a, pol.b)
         elif pol_name == "ma":
-            theta_hat = polmod.ma_estimate(pol.obs_history)
+            theta_hat = polmod.ma_estimate(pol.obs_sum, pol.obs_count)
         else:
             theta_hat = np.zeros(n)
         theta_hat_tr[row] = theta_hat
 
-        if pol_name in ("ts", "gy", "ma"):
+        if knapsack:
             for a in range(k):
                 idx = agent_nodes[a]
-                losses = loss_coefficients(state, inst.params, net, idx, theta_hat)
+                losses = loss_coefficients(state, inst.params, net, idx, theta_hat,
+                                           inflow)
                 prob = AllocationProblem(losses=losses, costs=inst.costs[idx],
                                          budget=float(b_eff[a]), bounds=bounds[idx])
                 x[idx] = solve_knapsack(prob).x
@@ -164,8 +172,8 @@ def run_instance(inst: Instance) -> RunResult:
         new_state = step_vaccinated(state, inst.params, net, x, theta_t)
 
         if cfg.sharing:
-            plan = shmod.plan_sharing(new_state, inst.params, net, inst.agent_of,
-                                      b_conf, inst.capacities)
+            plan = shmod.plan_sharing(new_state, inst.params, coupling, b_conf,
+                                      inst.capacities)
             ratios_tr[row] = plan.ratios
             b_eff = plan.budgets_out
 
@@ -228,7 +236,7 @@ def replicate(config: ScenarioConfig, n: int, seeds=None) -> dict:
     """Run n independently seeded instances and aggregate.
 
     When the configured policy is not PB, a paired PB run is executed per
-    seed on the identical instance so gains isolate the policy.
+    seed on the same instance, built once, so gains isolate the policy.
     """
     if n < 1:
         raise ValueError("replication count must be >= 1")
@@ -243,11 +251,14 @@ def replicate(config: ScenarioConfig, n: int, seeds=None) -> dict:
     per_seed = []
     for sd in seeds:
         cfg = config.replace(seed=int(sd))
-        res = run(cfg)
+        inst = build_instance(cfg)
+        res = run_instance(inst)
         entry = {"seed": int(sd),
                  "final_totals": res.global_totals[-1].tolist()}
         if config.policy not in ("pb", "none"):
-            base = run(cfg.replace(policy="pb"))
+            # build_instance never reads the policy
+            base = run_instance(dataclasses.replace(
+                inst, config=cfg.replace(policy="pb")))
             rep = gains(res, base)
             entry["world_cumulative_gain_pct"] = rep.world_cumulative_pct
             entry["world_last_period_gain_pct"] = rep.world_last_period_pct

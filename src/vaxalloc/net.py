@@ -67,8 +67,7 @@ class FlowMatrix:
     """
 
     def __init__(self, ground: sp.spmatrix, air: sp.spmatrix,
-                 populations: np.ndarray,
-                 neighborhoods: list[np.ndarray] | None = None):
+                 populations: np.ndarray):
         populations = np.asarray(populations, dtype=float)
         if populations.sum() <= 0:
             raise ValueError("total population is zero")
@@ -86,12 +85,6 @@ class FlowMatrix:
         self.rates = (sp.diags(inv) @ flows).tocsr()
         self.rate_row_sum = (outflow > 0).astype(float)
         self.rho = float(flows.sum() / populations.sum())
-        if neighborhoods is None:
-            neighborhoods = [
-                flows.indices[flows.indptr[i]:flows.indptr[i + 1]].copy()
-                for i in range(n)
-            ]
-        self.neighborhoods = neighborhoods
 
     def inflow(self) -> np.ndarray:
         """Total flow entering each node (column sums of the flow matrix)."""
@@ -223,11 +216,10 @@ def air_flows(assignment: np.ndarray, airports: list[AirportRecord],
 
 
 def combine_and_rate(ground: sp.spmatrix, air: sp.spmatrix,
-                     nodes: list[NodeRecord],
-                     neighborhoods: list[np.ndarray] | None = None) -> FlowMatrix:
+                     nodes: list[NodeRecord]) -> FlowMatrix:
     """Combine flow components into a FlowMatrix with rates and rho."""
     _, _, pop = _as_arrays(nodes)
-    return FlowMatrix(ground, air, pop, neighborhoods=neighborhoods)
+    return FlowMatrix(ground, air, pop)
 
 
 def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
@@ -238,12 +230,7 @@ def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
     ground = radiation_flows(nodes, nbrs, alpha)
     mu, _ = assign_airports(nodes, airports, planar=planar)
     air = air_flows(mu, airports, air_table, nodes)
-    air_csr = air.tocsr()
-    combined = [
-        np.union1d(nbrs[i], air_csr.indices[air_csr.indptr[i]:air_csr.indptr[i + 1]])
-        for i in range(len(nodes))
-    ]
-    return combine_and_rate(ground, air, nodes, neighborhoods=combined)
+    return combine_and_rate(ground, air, nodes)
 
 
 def synth_world(n_nodes: int, n_agents: int, *,
@@ -369,18 +356,20 @@ def write_air_flows(table: AirFlowTable, path) -> None:
 
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:
-    """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar."""
-    ground = net.ground.tocsr()
-    air = net.air.tocsr()
-    rates = net.rates
+    """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar,
+    one row per flow entry in (i, j) order."""
+    coo = net.flows.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    i, j = coo.row[order], coo.col[order]
+
+    def at(mat):
+        return map(repr, np.asarray(mat.tocsr()[i, j], dtype=float).ravel().tolist())
+
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["i", "j", "f_ground", "f_air", "f_total", "p"])
-        coo = net.flows.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            i, j = int(coo.row[k]), int(coo.col[k])
-            w.writerow([i, j, repr(float(ground[i, j])), repr(float(air[i, j])),
-                        repr(float(coo.data[k])), repr(float(rates[i, j]))])
+        if coo.nnz:  # scipy returns a sparse matrix for empty index arrays
+            w.writerows(zip(i.tolist(), j.tolist(), at(net.ground), at(net.air),
+                            map(repr, coo.data[order].tolist()), at(net.rates)))
     with open(rho_path, "w", encoding="utf-8") as fh:
         fh.write(repr(net.rho) + "\n")

@@ -35,8 +35,8 @@ class PolicyState:
 
     ``alloc_csum[t]`` holds cumulative allocations through period t
     (1-indexed periods; row 0 is all zeros) so windowed bound sums are two
-    lookups. Observation history only records periods with a positive
-    allocation.
+    lookups. ``obs_sum`` and ``obs_count`` accumulate the observed
+    efficiencies of periods with a positive allocation, in period order.
     """
 
     n: int
@@ -44,7 +44,8 @@ class PolicyState:
     window: np.ndarray  # per-node m_i
     a: np.ndarray = field(init=False)
     b: np.ndarray = field(init=False)
-    obs_history: list[list[float]] = field(init=False)
+    obs_sum: np.ndarray = field(init=False)
+    obs_count: np.ndarray = field(init=False)
     alloc_csum: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -53,7 +54,8 @@ class PolicyState:
             raise ValueError("window widths must be >= 1")
         self.a = np.ones(self.n, dtype=np.int64)
         self.b = np.ones(self.n, dtype=np.int64)
-        self.obs_history = [[] for _ in range(self.n)]
+        self.obs_sum = np.zeros(self.n)
+        self.obs_count = np.zeros(self.n, dtype=np.int64)
         self.alloc_csum = np.zeros((self.horizon + 1, self.n))
 
     def record_allocation(self, t: int, x: np.ndarray) -> None:
@@ -84,24 +86,36 @@ class Allocation:
     x: np.ndarray
 
 
+def own_inflow(net: FlowMatrix, agent_nodes) -> np.ndarray:
+    """Per node i of agent k, the rate flowing into i from k's own rows:
+    sum over j in V_k of p_ji. ``agent_nodes`` holds one index array per
+    agent."""
+    out = np.zeros(net.n)
+    for idx in agent_nodes:
+        idx = np.asarray(idx, dtype=int)
+        col_in = np.asarray(net.rates[idx, :].sum(axis=0)).ravel()
+        out[idx] = col_in[idx]
+    return out
+
+
 def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatrix,
-                      agent_nodes: np.ndarray, theta_hat: np.ndarray) -> np.ndarray:
+                      agent_nodes: np.ndarray, theta_hat: np.ndarray,
+                      inflow: np.ndarray) -> np.ndarray:
     """Coefficient of each agent node's allocation in the one-period-ahead
     susceptible objective, assuming other agents allocate nothing.
 
     l_i = theta_i * S_i * (-(1 - beta_i I_i) + rho * sum_j p_ij
-          - rho * sum over same-agent rows j with i in N_j of p_ji).
+          - rho * sum over same-agent rows j with i in N_j of p_ji),
+    where the last sum is ``inflow`` (see ``own_inflow``).
     """
     agent_nodes = np.asarray(agent_nodes, dtype=int)
-    rows = net.rates[agent_nodes, :]
-    col_in = np.asarray(rows.sum(axis=0)).ravel()  # sum_{j in V_k} p_ji over cols i
     s = state.s[agent_nodes]
     beta = params.beta[agent_nodes]
     inf = state.i[agent_nodes]
     out_sum = net.rate_row_sum[agent_nodes]
     th = np.asarray(theta_hat, dtype=float)[agent_nodes]
     return th * s * (-(1.0 - beta * inf) + net.rho * out_sum
-                     - net.rho * col_in[agent_nodes])
+                     - net.rho * inflow[agent_nodes])
 
 
 def solve_knapsack(problem: AllocationProblem) -> Allocation:
@@ -139,13 +153,12 @@ def gy_estimate(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-def ma_estimate(obs_history: list[list[float]]) -> np.ndarray:
+def ma_estimate(obs_sum: np.ndarray, obs_count: np.ndarray) -> np.ndarray:
     """Running mean of observed efficiencies; 0.5 for unobserved nodes to
     match the uniform-prior mean used by TS/GY."""
-    out = np.empty(len(obs_history))
-    for node, hist in enumerate(obs_history):
-        out[node] = sum(hist) / len(hist) if hist else 0.5
-    return out
+    obs_count = np.asarray(obs_count)
+    seen = obs_count > 0
+    return np.where(seen, obs_sum / np.where(seen, obs_count, 1), 0.5)
 
 
 def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray) -> Allocation:
@@ -217,8 +230,8 @@ def observe_and_update(pol: PolicyState, x: np.ndarray, theta_obs: np.ndarray,
     failure = active & ~(u < theta_obs)
     pol.a[success] += 1
     pol.b[failure] += 1
-    for node in np.flatnonzero(active):
-        pol.obs_history[node].append(float(theta_obs[node]))
+    pol.obs_sum[active] += theta_obs[active]
+    pol.obs_count[active] += 1
 
 
 def write_allocation_trace(path, rows) -> None:

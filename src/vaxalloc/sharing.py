@@ -30,21 +30,60 @@ class SharingPlan:
     budgets_out: np.ndarray       # per-agent effective budgets
 
 
-def infection_split(state: CompartmentState, params: EpiParams, net: FlowMatrix,
-                    agent_of: np.ndarray) -> InfectionSplit:
-    """Split each node's next-period infection pressure into same-agent and
-    cross-agent mobility sources."""
+@dataclass
+class AgentCoupling:
+    """The rate matrix's entries split once into same-agent and cross-agent
+    (row, col, data) arrays, in CSR order, for a fixed node partition.
+
+    The per-period sharing quantities are gathers over these arrays plus
+    ``np.bincount``, which adds in input order as ``np.add.at`` does, so they
+    match a per-period COO rebuild bit for bit.
+    """
+
+    n: int
+    n_agents: int
+    agent_of: np.ndarray
+    rho: float
+    same_row: np.ndarray
+    same_col: np.ndarray
+    same_data: np.ndarray
+    cross_row: np.ndarray
+    cross_col: np.ndarray
+    cross_data: np.ndarray
+    cross_rho_data: np.ndarray  # rho * cross_data
+    cross_key: np.ndarray       # agent_of[col] * n_agents + agent_of[row]
+
+
+def agent_coupling(net: FlowMatrix, agent_of: np.ndarray,
+                   n_agents: int) -> AgentCoupling:
+    """Build the static coupling of ``net`` under the partition ``agent_of``."""
     agent_of = np.asarray(agent_of, dtype=int)
     coo = net.rates.tocoo()
-    same = agent_of[coo.row] == agent_of[coo.col]
+    row, col = coo.row.astype(np.intp), coo.col.astype(np.intp)
+    same = agent_of[row] == agent_of[col]
+    cross = ~same
+    cross_data = coo.data[cross]
+    cross_row, cross_col = row[cross], col[cross]
+    return AgentCoupling(
+        n=net.n, n_agents=n_agents, agent_of=agent_of, rho=net.rho,
+        same_row=row[same], same_col=col[same], same_data=coo.data[same],
+        cross_row=cross_row, cross_col=cross_col, cross_data=cross_data,
+        cross_rho_data=net.rho * cross_data,
+        cross_key=agent_of[cross_col] * n_agents + agent_of[cross_row])
+
+
+def infection_split(state: CompartmentState, params: EpiParams,
+                    coupling: AgentCoupling) -> InfectionSplit:
+    """Split each node's next-period infection pressure into same-agent and
+    cross-agent mobility sources."""
+    c = coupling
     inf = state.i
-    contrib = coo.data * inf[coo.col]
-    mob_same = np.zeros(net.n)
-    mob_cross = np.zeros(net.n)
-    np.add.at(mob_same, coo.row[same], contrib[same])
-    np.add.at(mob_cross, coo.row[~same], contrib[~same])
-    internal = inf + params.beta * state.s * inf - params.gamma * inf + net.rho * mob_same
-    external = net.rho * mob_cross
+    mob_same = np.bincount(c.same_row, weights=c.same_data * inf[c.same_col],
+                           minlength=c.n)
+    mob_cross = np.bincount(c.cross_row, weights=c.cross_data * inf[c.cross_col],
+                            minlength=c.n)
+    internal = inf + params.beta * state.s * inf - params.gamma * inf + c.rho * mob_same
+    external = c.rho * mob_cross
     return InfectionSplit(internal=internal, external=external)
 
 
@@ -59,17 +98,15 @@ def sharing_ratios(split: InfectionSplit, agent_of: np.ndarray,
     return np.where(total > 0, external / np.where(total > 0, total, 1.0), 0.0)
 
 
-def infected_flow_matrix(state: CompartmentState, net: FlowMatrix,
-                         agent_of: np.ndarray, n_agents: int) -> np.ndarray:
+def infected_flow_matrix(state: CompartmentState,
+                         coupling: AgentCoupling) -> np.ndarray:
     """M[k', k] = rho * sum over i in V_k, j in N_i with owner k' of
-    p_ij * I_j; the diagonal is zero by construction."""
-    agent_of = np.asarray(agent_of, dtype=int)
-    coo = net.rates.tocoo()
-    contrib = net.rho * coo.data * state.i[coo.col]
-    mat = np.zeros((n_agents, n_agents))
-    np.add.at(mat, (agent_of[coo.col], agent_of[coo.row]), contrib)
-    np.fill_diagonal(mat, 0.0)
-    return mat
+    p_ij * I_j; the diagonal is zero, as only cross-agent entries add."""
+    c = coupling
+    k = c.n_agents
+    flat = np.bincount(c.cross_key, weights=c.cross_rho_data * state.i[c.cross_col],
+                       minlength=k * k)
+    return flat.reshape(k, k)
 
 
 def redistribute(budgets: np.ndarray, ratios: np.ndarray,
@@ -100,14 +137,13 @@ def redistribute(budgets: np.ndarray, ratios: np.ndarray,
     return out
 
 
-def plan_sharing(state: CompartmentState, params: EpiParams, net: FlowMatrix,
-                 agent_of: np.ndarray, budgets: np.ndarray,
+def plan_sharing(state: CompartmentState, params: EpiParams,
+                 coupling: AgentCoupling, budgets: np.ndarray,
                  capacities: np.ndarray) -> SharingPlan:
     """Full sharing computation for one period from a state snapshot."""
-    n_agents = budgets.shape[0]
-    split = infection_split(state, params, net, agent_of)
-    ratios = sharing_ratios(split, agent_of, n_agents)
-    flows = infected_flow_matrix(state, net, agent_of, n_agents)
+    split = infection_split(state, params, coupling)
+    ratios = sharing_ratios(split, coupling.agent_of, coupling.n_agents)
+    flows = infected_flow_matrix(state, coupling)
     budgets_out = redistribute(budgets, ratios, flows, capacities)
     return SharingPlan(ratios=ratios, infected_flows=flows, budgets_out=budgets_out)
 

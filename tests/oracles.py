@@ -3,10 +3,13 @@
 These deliberately avoid the library's vectorized/closed-form paths: the
 objective is evaluated term by term from its printed definition, and the
 knapsack optimum is found by dynamic programming over the full 0.01 grid.
+The explicit per-period and per-edge paths that faster library code replaced
+are kept here as the references it must match exactly.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -69,3 +72,80 @@ def nearest_airport_bruteforce(node_xy, airport_ids, airport_xy):
         if best_d is None or d < best_d - 1e-12:
             best_id, best_d = aid, d
     return best_id
+
+
+# ---------------------------------------------------------------------------
+# explicit per-period paths that the static agent coupling replaced
+
+
+def infection_split_add_at(state, params, net, agent_of):
+    """(internal, external) infection pressure per node, rebuilding the COO
+    form of the rates and scattering with np.add.at."""
+    agent_of = np.asarray(agent_of, dtype=int)
+    coo = net.rates.tocoo()
+    same = agent_of[coo.row] == agent_of[coo.col]
+    inf = state.i
+    contrib = coo.data * inf[coo.col]
+    mob_same = np.zeros(net.n)
+    mob_cross = np.zeros(net.n)
+    np.add.at(mob_same, coo.row[same], contrib[same])
+    np.add.at(mob_cross, coo.row[~same], contrib[~same])
+    internal = inf + params.beta * state.s * inf - params.gamma * inf + net.rho * mob_same
+    external = net.rho * mob_cross
+    return internal, external
+
+
+def infected_flow_matrix_add_at(state, net, agent_of, n_agents):
+    """M[k', k] over all rate entries with np.add.at, diagonal zeroed after."""
+    agent_of = np.asarray(agent_of, dtype=int)
+    coo = net.rates.tocoo()
+    contrib = net.rho * coo.data * state.i[coo.col]
+    mat = np.zeros((n_agents, n_agents))
+    np.add.at(mat, (agent_of[coo.col], agent_of[coo.row]), contrib)
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+def loss_coefficients_per_call(state, params, net, agent_nodes, theta_hat):
+    """Loss coefficients with the own-agent column inflow sliced from the
+    CSR rates on every call."""
+    agent_nodes = np.asarray(agent_nodes, dtype=int)
+    rows = net.rates[agent_nodes, :]
+    col_in = np.asarray(rows.sum(axis=0)).ravel()
+    s = state.s[agent_nodes]
+    beta = params.beta[agent_nodes]
+    inf = state.i[agent_nodes]
+    out_sum = net.rate_row_sum[agent_nodes]
+    th = np.asarray(theta_hat, dtype=float)[agent_nodes]
+    return th * s * (-(1.0 - beta * inf) + net.rho * out_sum
+                     - net.rho * col_in[agent_nodes])
+
+
+def ma_estimate_lists(obs_history):
+    """Running mean from per-node lists of observations, added left to
+    right; 0.5 when empty."""
+    out = np.empty(len(obs_history))
+    for node, hist in enumerate(obs_history):
+        total = 0.0
+        for v in hist:
+            total += v
+        out[node] = total / len(hist) if hist else 0.5
+    return out
+
+
+def export_network_per_edge(net, edges_path, rho_path):
+    """Edge list written one CSR lookup per edge."""
+    ground = net.ground.tocsr()
+    air = net.air.tocsr()
+    rates = net.rates
+    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "f_ground", "f_air", "f_total", "p"])
+        coo = net.flows.tocoo()
+        order = np.lexsort((coo.col, coo.row))
+        for k in order:
+            i, j = int(coo.row[k]), int(coo.col[k])
+            w.writerow([i, j, repr(float(ground[i, j])), repr(float(air[i, j])),
+                        repr(float(coo.data[k])), repr(float(rates[i, j]))])
+    with open(rho_path, "w", encoding="utf-8") as fh:
+        fh.write(repr(net.rho) + "\n")

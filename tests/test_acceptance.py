@@ -13,7 +13,8 @@ from vaxalloc.epi import CompartmentState, EpiParams, step, step_vaccinated
 from vaxalloc.harness import export, gains, run
 from vaxalloc.net import FlowMatrix, build_network, synth_world
 from vaxalloc.policy import (AllocationProblem, PolicyState, loss_coefficients,
-                             observe_and_update, solve_knapsack, ts_sample)
+                             observe_and_update, own_inflow, solve_knapsack,
+                             ts_sample)
 from vaxalloc.scenario import ScenarioConfig
 from vaxalloc.sharing import redistribute
 
@@ -91,7 +92,8 @@ def test_criterion_3_objective_equivalence():
         if agent_nodes.size == 0:
             agent_nodes = np.array([0])
         theta = rng.uniform(0.2, 0.95, n)
-        l = loss_coefficients(state, params, net, agent_nodes, theta)
+        l = loss_coefficients(state, params, net, agent_nodes, theta,
+                              own_inflow(net, [agent_nodes]))
         p_dense = net.rates.toarray()
         const = direct_objective(s, i, params.beta, net.rho, p_dense,
                                  agent_nodes, theta, np.zeros(n))

@@ -4,11 +4,16 @@ import json
 import numpy as np
 import pytest
 
+from vaxalloc import harness
+from vaxalloc import sharing as shmod
 from vaxalloc.epi import step
 from vaxalloc.harness import (GainReport, RunResult, export, export_gains,
                               gains, import_result, replicate, run,
                               run_instance)
 from vaxalloc.scenario import ScenarioConfig, build_instance
+
+from oracles import (infected_flow_matrix_add_at, infection_split_add_at,
+                     loss_coefficients_per_call)
 
 
 def small_config(**kwargs):
@@ -102,6 +107,31 @@ class TestGains:
             gains(a, b)
 
 
+def test_coupled_run_matches_add_at_path(monkeypatch):
+    """A ts run with sharing on equals the same run made with the explicit
+    per-period sharing and loss paths swapped in."""
+    cfg = ScenarioConfig(n_nodes=150, n_agents=4, horizon=20, seed=3,
+                         policy="ts", sharing=True, initial_infected=0.005)
+    inst = build_instance(cfg)
+    fast = run_instance(inst)
+    net, agent_of = inst.network, inst.agent_of
+    monkeypatch.setattr(
+        shmod, "infection_split",
+        lambda state, params, coupling: shmod.InfectionSplit(
+            *infection_split_add_at(state, params, net, agent_of)))
+    monkeypatch.setattr(
+        shmod, "infected_flow_matrix",
+        lambda state, coupling: infected_flow_matrix_add_at(
+            state, net, agent_of, cfg.n_agents))
+    monkeypatch.setattr(
+        harness, "loss_coefficients",
+        lambda state, params, net, idx, theta, inflow:
+            loss_coefficients_per_call(state, params, net, idx, theta))
+    slow = run_instance(inst)
+    assert np.any(fast.sharing_ratios > 0)
+    assert fast.equals(slow)
+
+
 class TestReplicate:
     def test_single_replication_matches_run(self):
         cfg = small_config(policy="pb")
@@ -118,6 +148,32 @@ class TestReplicate:
         assert set(a) == set(b)
         assert "world_cumulative_gain_pct_mean" in a
         assert a["final_totals_mean"] != b["final_totals_mean"]
+
+    def test_builds_each_instance_once(self, monkeypatch):
+        calls = []
+
+        def counting(cfg):
+            calls.append(cfg.seed)
+            return build_instance(cfg)
+        monkeypatch.setattr(harness, "build_instance", counting)
+        replicate(small_config(policy="ts", horizon=3), 3)
+        assert calls == [11, 12, 13]
+
+    def test_summary_matches_separate_runs(self):
+        cfg = small_config(policy="ts", sharing=True, horizon=6)
+        out = replicate(cfg, 2, seeds=[5, 6])
+        finals, world = [], []
+        for sd, entry in zip([5, 6], out["runs"]):
+            res = run(cfg.replace(seed=sd))
+            rep = gains(res, run(cfg.replace(seed=sd, policy="pb")))
+            assert entry == {"seed": sd,
+                             "final_totals": res.global_totals[-1].tolist(),
+                             "world_cumulative_gain_pct": rep.world_cumulative_pct,
+                             "world_last_period_gain_pct": rep.world_last_period_pct}
+            finals.append(res.global_totals[-1])
+            world.append(rep.world_cumulative_pct)
+        assert out["final_totals_mean"] == np.array(finals).mean(axis=0).tolist()
+        assert out["world_cumulative_gain_pct_mean"] == float(np.mean(world))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
                           combine_and_rate, ground_neighborhoods,
                           radiation_flows, synth_world)
 
-from oracles import nearest_airport_bruteforce
+from oracles import export_network_per_edge, nearest_airport_bruteforce
 
 
 def planar_node(i, x, y, pop, agent=0):
@@ -198,11 +198,14 @@ class TestNetworkInvariants:
         assert corr > 0.99
 
     def test_flows_within_neighborhoods(self):
-        netm = build_synth_net(seed=13)
+        nodes, airports, table = synth_world(100, 3, seed=13)
+        nbrs = net.ground_neighborhoods(nodes, 100, planar=True)
+        mu, _ = net.assign_airports(nodes, airports, planar=True)
+        air = net.air_flows(mu, airports, table, nodes).tocsr()
+        netm = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
         coo = netm.flows.tocoo()
-        nbr_sets = [set(v.tolist()) for v in netm.neighborhoods]
         for i, j in zip(coo.row, coo.col):
-            assert j in nbr_sets[i]
+            assert j in nbrs[i] or air[i, j] > 0
             assert i != j
 
     def test_neighborhoods_are_ground_air_union(self):
@@ -212,10 +215,12 @@ class TestNetworkInvariants:
         air = net.air_flows(mu, airports, table, nodes).tocsr()
         netm = net.build_network(nodes, airports, table, D=100, alpha=0.11,
                                  planar=True)
+        flows = netm.flows
         for i in range(len(nodes)):
             air_nbrs = set(air.indices[air.indptr[i]:air.indptr[i + 1]].tolist())
             expect = set(nbrs[i].tolist()) | air_nbrs
-            assert set(netm.neighborhoods[i].tolist()) == expect
+            row = flows.indices[flows.indptr[i]:flows.indptr[i + 1]]
+            assert set(row.tolist()) == expect
 
 
 def build_synth_net(seed=0, n=100, k=3):
@@ -268,3 +273,18 @@ class TestFileRoundTrips:
         assert rho == netm.rho
         header = (tmp_path / "edges.csv").read_text().splitlines()[0]
         assert header == "i,j,f_ground,f_air,f_total,p"
+
+    @pytest.mark.parametrize("seed,n,air_fraction", [(4, 30, 0.005), (5, 120, 0.005),
+                                                    (6, 1, 0.0)])
+    def test_network_export_matches_per_edge_writer(self, tmp_path, seed, n,
+                                                    air_fraction):
+        nodes, airports, table = synth_world(n, 1, seed=seed,
+                                             air_fraction=air_fraction)
+        netm = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
+        net.export_network(netm, tmp_path / "edges.csv", tmp_path / "rho.txt")
+        export_network_per_edge(netm, tmp_path / "ref_edges.csv",
+                                tmp_path / "ref_rho.txt")
+        assert (tmp_path / "edges.csv").read_bytes() == \
+            (tmp_path / "ref_edges.csv").read_bytes()
+        assert (tmp_path / "rho.txt").read_bytes() == \
+            (tmp_path / "ref_rho.txt").read_bytes()

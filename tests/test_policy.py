@@ -6,11 +6,12 @@ from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix
 from vaxalloc.policy import (Allocation, AllocationProblem, BetaPrior,
                              PolicyState, gy_estimate, loss_coefficients,
-                             ma_estimate, observe_and_update, pb_allocate,
-                             solve_knapsack, ts_sample, update_bounds,
-                             window_width)
+                             ma_estimate, observe_and_update, own_inflow,
+                             pb_allocate, solve_knapsack, ts_sample,
+                             update_bounds, window_width)
 
-from oracles import direct_objective, grid_knapsack_optimum
+from oracles import (direct_objective, grid_knapsack_optimum,
+                     loss_coefficients_per_call, ma_estimate_lists)
 
 
 def random_net(n, rng, density=0.4):
@@ -34,7 +35,8 @@ class TestLossCoefficients:
         st = random_state(4, rng)
         p = EpiParams(beta=np.full(4, 0.3), gamma=np.full(4, 0.1),
                       cfr=np.full(4, 0.01))
-        l = loss_coefficients(st, p, net, np.arange(4), np.zeros(4))
+        l = loss_coefficients(st, p, net, np.arange(4), np.zeros(4),
+                              own_inflow(net, [np.arange(4)]))
         assert np.all(l == 0.0)
 
     def test_isolated_node_hand_value(self):
@@ -44,7 +46,8 @@ class TestLossCoefficients:
                               r=np.array([0.0]), d=np.array([0.0]), t=0)
         p = EpiParams(beta=np.array([0.5]), gamma=np.array([0.1]),
                       cfr=np.array([0.01]))
-        l = loss_coefficients(st, p, net, np.array([0]), np.array([1.0]))
+        l = loss_coefficients(st, p, net, np.array([0]), np.array([1.0]),
+                              own_inflow(net, [np.array([0])]))
         assert l[0] == pytest.approx(-0.855, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -60,7 +63,8 @@ class TestLossCoefficients:
         if agent_nodes.size == 0:
             agent_nodes = np.array([0])
         theta = rng.uniform(0.3, 0.9, n)
-        l = loss_coefficients(st, p, net, agent_nodes, theta)
+        l = loss_coefficients(st, p, net, agent_nodes, theta,
+                              own_inflow(net, [agent_nodes]))
         p_dense = net.rates.toarray()
         x0 = np.zeros(n)
         const = direct_objective(st.s, st.i, p.beta, net.rho, p_dense,
@@ -72,6 +76,24 @@ class TestLossCoefficients:
                                       agent_nodes, theta, x)
             linear = float(l @ x[agent_nodes])
             assert direct - const == pytest.approx(linear, rel=1e-9, abs=1e-12)
+
+    def test_own_inflow_matches_per_call_slice(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            net = random_net(n, rng, density=float(rng.uniform(0.1, 0.9)))
+            st = random_state(n, rng)
+            p = EpiParams(beta=rng.uniform(0.2, 0.5, n),
+                          gamma=rng.uniform(0.1, 0.2, n), cfr=np.full(n, 0.01))
+            k = int(rng.integers(1, 5))
+            agent_of = rng.integers(0, k, n)
+            agent_nodes = [np.flatnonzero(agent_of == a) for a in range(k)]
+            inflow = own_inflow(net, agent_nodes)
+            theta = rng.uniform(0.0, 1.0, n)
+            for idx in agent_nodes:
+                got = loss_coefficients(st, p, net, idx, theta, inflow)
+                want = loss_coefficients_per_call(st, p, net, idx, theta)
+                assert np.array_equal(got, want)
 
 
 class TestKnapsack:
@@ -156,14 +178,29 @@ class TestEstimators:
         assert gy_estimate(np.array([8]), np.array([4]))[0] == pytest.approx(8 / 12)
 
     def test_ma_running_mean(self):
-        est = ma_estimate([[0.6, 0.8], []])
+        est = ma_estimate(np.array([0.6 + 0.8, 0.0]), np.array([2, 0]))
         assert est[0] == pytest.approx(0.7)
         assert est[1] == 0.5
+
+    def test_ma_running_sums_match_lists(self):
+        rng = np.random.default_rng(8)
+        n = 6
+        pol = PolicyState(n=n, horizon=50, window=np.ones(n, dtype=int))
+        hist = [[] for _ in range(n)]
+        for _ in range(50):
+            x = rng.uniform(0, 1, n) * (rng.random(n) < 0.5)
+            theta = rng.uniform(0.3, 0.95, n)
+            observe_and_update(pol, x, theta, rng)
+            for node in np.flatnonzero(x > 0):
+                hist[node].append(float(theta[node]))
+            assert np.array_equal(ma_estimate(pol.obs_sum, pol.obs_count),
+                                  ma_estimate_lists(hist))
 
     def test_ma_converges(self):
         rng = np.random.default_rng(7)
         hist = list(rng.uniform(0.5, 0.9, 50))
-        assert abs(ma_estimate([hist])[0] - 0.7) < 0.05
+        assert abs(ma_estimate(np.array([sum(hist)]),
+                               np.array([len(hist)]))[0] - 0.7) < 0.05
 
 
 class TestPbAllocate:
@@ -249,8 +286,8 @@ class TestObserveAndUpdate:
         observe_and_update(pol, np.array([0.0, 0.3]), np.array([0.9, 0.9]),
                            np.random.default_rng(1))
         assert pol.a[0] == 1 and pol.b[0] == 1
-        assert pol.obs_history[0] == []
-        assert pol.obs_history[1] == [0.9]
+        assert pol.obs_count[0] == 0 and pol.obs_sum[0] == 0.0
+        assert pol.obs_count[1] == 1 and pol.obs_sum[1] == 0.9
 
     def test_success_frequency(self):
         pol = PolicyState(n=1, horizon=20_000, window=np.array([1]))

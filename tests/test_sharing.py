@@ -3,10 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from vaxalloc.epi import CompartmentState, EpiParams
-from vaxalloc.net import FlowMatrix
-from vaxalloc.sharing import (infected_flow_matrix, infection_split,
-                              plan_sharing, redistribute, sharing_ratios,
-                              write_sharing_trace)
+from vaxalloc.net import FlowMatrix, build_network, synth_world
+from vaxalloc.sharing import (agent_coupling, infected_flow_matrix,
+                              infection_split, plan_sharing, redistribute,
+                              sharing_ratios, write_sharing_trace)
+
+from oracles import infected_flow_matrix_add_at, infection_split_add_at
 
 
 def two_node_net(rho_target=0.11):
@@ -32,8 +34,8 @@ def make_params(n, beta=0.3, gamma=0.1):
 class TestInfectionSplit:
     def test_single_agent_no_external(self):
         net = two_node_net()
-        split = infection_split(make_state([0.1, 0.2]), make_params(2), net,
-                                np.array([0, 0]))
+        split = infection_split(make_state([0.1, 0.2]), make_params(2),
+                                agent_coupling(net, np.array([0, 0]), 1))
         assert np.all(split.external == 0.0)
         assert np.all(split.internal > 0.0)
 
@@ -42,7 +44,7 @@ class TestInfectionSplit:
                          np.array([1000.0, 1000.0]))
         st = make_state([0.1, 0.2])
         p = make_params(2)
-        split = infection_split(st, p, net, np.array([0, 1]))
+        split = infection_split(st, p, agent_coupling(net, np.array([0, 1]), 2))
         assert np.all(split.external == 0.0)
         expect = st.i + p.beta * st.s * st.i - p.gamma * st.i
         assert np.allclose(split.internal, expect, atol=1e-15)
@@ -50,8 +52,8 @@ class TestInfectionSplit:
     def test_cross_agent_hand_value(self):
         net = two_node_net(rho_target=0.11)
         assert net.rho == pytest.approx(0.11)
-        split = infection_split(make_state([0.1, 0.2]), make_params(2), net,
-                                np.array([0, 1]))
+        split = infection_split(make_state([0.1, 0.2]), make_params(2),
+                                agent_coupling(net, np.array([0, 1]), 2))
         assert split.external[0] == pytest.approx(0.11 * 0.2, abs=1e-12)
         assert split.external[1] == pytest.approx(0.11 * 0.1, abs=1e-12)
 
@@ -84,8 +86,8 @@ class TestSharingRatios:
 class TestInfectedFlowMatrix:
     def test_no_infections(self):
         net = two_node_net()
-        mat = infected_flow_matrix(make_state([0.0, 0.0]), net,
-                                   np.array([0, 1]), 2)
+        mat = infected_flow_matrix(make_state([0.0, 0.0]),
+                                   agent_coupling(net, np.array([0, 1]), 2))
         assert np.all(mat == 0.0)
 
     def test_single_cross_edge_hand_value(self):
@@ -94,8 +96,8 @@ class TestInfectedFlowMatrix:
         ground = sp.csr_matrix(np.array([[0.0, flow], [0.0, 0.0]]))
         net = FlowMatrix(ground, sp.csr_matrix((2, 2)), pops)
         assert net.rho == pytest.approx(0.11)
-        mat = infected_flow_matrix(make_state([0.0, 0.3]), net,
-                                   np.array([0, 1]), 2)
+        mat = infected_flow_matrix(make_state([0.0, 0.3]),
+                                   agent_coupling(net, np.array([0, 1]), 2))
         # node 0 (agent 0) sees agent 1's infections: M[1, 0]
         assert mat[1, 0] == pytest.approx(0.033, abs=1e-12)
         assert mat[0, 1] == 0.0
@@ -107,8 +109,8 @@ class TestInfectedFlowMatrix:
         np.fill_diagonal(dense, 0.0)
         net = FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix((n, n)),
                          rng.uniform(500, 2000, n))
-        mat = infected_flow_matrix(make_state(rng.uniform(0, 0.2, n)), net,
-                                   rng.integers(0, 3, n), 3)
+        mat = infected_flow_matrix(make_state(rng.uniform(0, 0.2, n)),
+                                   agent_coupling(net, rng.integers(0, 3, n), 3))
         assert np.all(np.diag(mat) == 0.0)
 
 
@@ -168,9 +170,9 @@ class TestRedistribute:
 
 def test_plan_sharing_end_to_end():
     net = two_node_net(rho_target=0.11)
-    plan = plan_sharing(make_state([0.1, 0.2]), make_params(2), net,
-                        np.array([0, 1]), np.array([10.0, 10.0]),
-                        np.array([0.3, 0.3]))
+    plan = plan_sharing(make_state([0.1, 0.2]), make_params(2),
+                        agent_coupling(net, np.array([0, 1]), 2),
+                        np.array([10.0, 10.0]), np.array([0.3, 0.3]))
     assert plan.infected_flows[0, 0] == 0.0
     assert plan.budgets_out.sum() == pytest.approx(20.0, rel=1e-9)
     assert np.all(plan.ratios >= 0) and np.all(plan.ratios <= 1)
@@ -182,3 +184,40 @@ def test_sharing_trace_export(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,agent_id,ratio,budget_in,budget_out,budget_effective"
     assert lines[1] == "1,0,0.2,10.0,2.0,8.0"
+
+
+class TestCouplingMatchesAddAt:
+    """The static coupling against the per-period np.add.at path, exactly."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            n = int(rng.integers(2, 40))
+            dense = rng.uniform(0, 100, (n, n)) * (rng.random((n, n)) < 0.6)
+            np.fill_diagonal(dense, 0.0)
+            air = rng.uniform(0, 5, (n, n)) * (rng.random((n, n)) < 0.3)
+            np.fill_diagonal(air, 0.0)
+            net = FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix(air),
+                             rng.uniform(500, 5000, n))
+            k = int(rng.integers(1, 6))
+            yield net, rng.integers(0, k, n), k, rng
+        nodes, airports, table = synth_world(150, 4, seed=32)
+        net = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
+        yield net, np.array([nd.agent_id for nd in nodes]), 4, rng
+
+    def test_infection_split_bitwise(self):
+        for net, agent_of, k, rng in self.cases():
+            st = make_state(rng.uniform(0, 0.2, net.n), rng.uniform(0.5, 0.8, net.n))
+            p = EpiParams(beta=rng.uniform(0.2, 0.5, net.n),
+                          gamma=rng.uniform(0.1, 0.2, net.n), cfr=np.full(net.n, 0.01))
+            split = infection_split(st, p, agent_coupling(net, agent_of, k))
+            internal, external = infection_split_add_at(st, p, net, agent_of)
+            assert np.array_equal(split.internal, internal)
+            assert np.array_equal(split.external, external)
+
+    def test_infected_flow_matrix_bitwise(self):
+        for net, agent_of, k, rng in self.cases():
+            st = make_state(rng.uniform(0, 0.2, net.n))
+            mat = infected_flow_matrix(st, agent_coupling(net, agent_of, k))
+            assert np.array_equal(mat, infected_flow_matrix_add_at(st, net, agent_of, k))
