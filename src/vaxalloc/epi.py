@@ -18,7 +18,8 @@ STABILITY_BAND = 1e-9
 
 
 class EpidemicInstabilityError(RuntimeError):
-    """A compartment proportion left [0, 1] beyond the tolerance band."""
+    """A compartment proportion left [0, 1] beyond the tolerance band or
+    stopped being finite."""
 
     def __init__(self, period: int, node: int, value: float):
         super().__init__(
@@ -99,14 +100,18 @@ def step_vaccinated(state: CompartmentState, params: EpiParams, net: FlowMatrix,
     sv = s * keep
     rv = r + s * vx
 
-    s1 = (s - new_inf) * keep + rho * (p @ sv - rs * sv)
-    i1 = i + new_inf * keep - params.gamma * i + rho * (p @ i - rs * i)
-    r1 = rv + (1.0 - params.cfr) * params.gamma * i + rho * (p @ rv - rs * rv)
+    # one product for the three mobility terms: csr_matvecs adds each
+    # column in csr_matvec's row order, so each equals its own p @ v exactly
+    p_sv, p_i, p_rv = (p @ np.column_stack((sv, i, rv))).T
+
+    s1 = (s - new_inf) * keep + rho * (p_sv - rs * sv)
+    i1 = i + new_inf * keep - params.gamma * i + rho * (p_i - rs * i)
+    r1 = rv + (1.0 - params.cfr) * params.gamma * i + rho * (p_rv - rs * rv)
     d1 = 1.0 - s1 - i1 - r1
 
     t1 = state.t + 1
     for arr in (s1, i1, r1, d1):
-        bad = (arr < -STABILITY_BAND) | (arr > 1.0 + STABILITY_BAND)
+        bad = ~np.isfinite(arr) | (arr < -STABILITY_BAND) | (arr > 1.0 + STABILITY_BAND)
         if np.any(bad):
             node = int(np.flatnonzero(bad)[0])
             raise EpidemicInstabilityError(t1, node, float(arr[node]))

@@ -53,8 +53,9 @@ class AirFlowTable:
         for (a, b), g in self.entries.items():
             if a == b:
                 raise ValueError(f"air flow self-loop at airport {a}")
-            if g < 0:
-                raise ValueError(f"negative air flow {a}->{b}")
+            if not (math.isfinite(g) and g >= 0):
+                raise ValueError(f"air flow {a}->{b} must be finite and "
+                                 f"nonnegative, got {g!r}")
 
 
 class FlowMatrix:
@@ -182,37 +183,41 @@ def air_flows(assignment: np.ndarray, airports: list[AirportRecord],
 
     Each positive table entry g between airports a and b yields, for every
     node i in polygon a and j in polygon b, a flow
-    g * (P_i + P_j) / (P_a + P_b).
+    g * (P_i + P_j) / (P_a + P_b). Entries naming an airport without nodes
+    are skipped. The CSR arrays are written one source airport at a time:
+    every node of polygon a has the same row pattern, the nodes of the
+    polygons a sends to, in ascending order.
     """
     _, _, pop = _as_arrays(nodes)
     n = len(nodes)
-    members: dict[int, np.ndarray] = {}
-    polygon_pop: dict[int, float] = {}
-    for aid in np.unique(assignment):
-        idx = np.flatnonzero(assignment == aid)
-        members[int(aid)] = idx
-        polygon_pop[int(aid)] = float(pop[idx].sum())
-    for node_idx, aid in enumerate(assignment):
-        if polygon_pop.get(int(aid), 0.0) <= 0:
-            raise ValueError(
-                f"node {node_idx} assigned to airport {aid} with zero polygon population")
-    rows, cols, vals = [], [], []
-    for (a, b), g in air_table.entries.items():
-        if g <= 0:
-            continue
-        src = members.get(a)
-        dst = members.get(b)
-        if src is None or dst is None or len(src) == 0 or len(dst) == 0:
-            continue
-        denom = polygon_pop[a] + polygon_pop[b]
-        block = g * (pop[src][:, None] + pop[dst][None, :]) / denom
-        rr, cc = np.meshgrid(src, dst, indexing="ij")
-        rows.extend(rr.ravel().tolist())
-        cols.extend(cc.ravel().tolist())
-        vals.extend(block.ravel().tolist())
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    mat.sum_duplicates()
-    return mat
+    # one slot per airport that has nodes, in ascending id order
+    aids, cell = np.unique(np.asarray(assignment), return_inverse=True)
+    members = [np.flatnonzero(cell == k) for k in range(len(aids))]
+    polygon_pop = np.array([float(pop[idx].sum()) for idx in members])
+    empty = polygon_pop[cell] <= 0
+    if np.any(empty):
+        node_idx = int(np.flatnonzero(empty)[0])
+        raise ValueError(f"node {node_idx} assigned to airport "
+                         f"{aids[cell[node_idx]]} with zero polygon population")
+    slot = {int(aid): k for k, aid in enumerate(aids)}
+    g = np.zeros((len(aids), len(aids)))
+    for (a, b), flow in air_table.entries.items():
+        if flow > 0 and a in slot and b in slot:
+            g[slot[a], slot[b]] = flow
+    sends = g > 0
+    indptr = np.concatenate(([0], np.cumsum((sends @ np.bincount(cell))[cell])))
+    data = np.empty(indptr[-1])
+    # int32 as scipy picks for a COO -> CSR build of this shape; the CSR
+    # constructor widens both index arrays if nnz needs int64
+    indices = np.empty(indptr[-1], dtype=np.int32 if n <= np.iinfo(np.int32).max
+                       else np.int64)
+    for a, src in enumerate(members):
+        dst = np.flatnonzero(sends[a, cell])
+        pos = indptr[src][:, None] + np.arange(len(dst))
+        data[pos] = (g[a, cell[dst]] * (pop[src][:, None] + pop[dst][None, :])
+                     / (polygon_pop[a] + polygon_pop[cell[dst]]))
+        indices[pos] = dst
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def combine_and_rate(ground: sp.spmatrix, air: sp.spmatrix,

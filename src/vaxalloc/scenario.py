@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,41 @@ class EfficiencyModel:
             raise ValueError("uncertainty level must be in [0, 0.5]")
 
 
+# name: smallest allowed value
+_INT_FIELDS = {"n_nodes": 1, "n_agents": 1, "horizon": 1, "seed": 0}
+# name: (low, high, low excluded)
+_REAL_FIELDS = {
+    "grid_spacing_km": (0.0, math.inf, True),
+    "ground_range_km": (0.0, math.inf, True),
+    "commute_fraction": (0.0, 1.0, False),
+    "pop_median": (0.0, math.inf, True),
+    "pop_sigma": (0.0, math.inf, False),
+    "airport_density": (0.0, math.inf, False),
+    "air_fraction": (0.0, math.inf, False),
+    "case_fatality": (0.0, 1.0, False),
+    "initial_infected": (0.0, 1.0, False),
+    "capacity_median": (0.0, math.inf, True),
+    "capacity_sigma": (0.0, math.inf, False),
+    "epsilon": (0.0, 0.5, False),
+    "budget_multiplier": (0.0, math.inf, True),
+}
+_RANGE_FIELDS = {
+    "beta_range": (0.0, math.inf, False),
+    "gamma_range": (0.0, 1.0, False),
+}
+
+
+def _check_real(name: str, value, low: float, high: float, low_open: bool) -> None:
+    """A finite real number in [low, high], or (low, high] if low_open."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value > high or value < low or (low_open and value == low):
+        interval = f"{'(' if low_open else '['}{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
+
+
 @dataclass
 class ScenarioConfig:
     """Everything needed to reproduce a run; serialized as JSON key-values."""
@@ -90,16 +126,35 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.budget_multiplier <= 0:
-            raise ValueError("budget multiplier must be positive")
+        for name, low in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        for name, bounds in _REAL_FIELDS.items():
+            _check_real(name, getattr(self, name), *bounds)
+        for name, bounds in _RANGE_FIELDS.items():
+            pair = getattr(self, name)
+            try:
+                lo, hi = pair
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must be a [low, high] pair, got {pair!r}") from None
+            _check_real(name, lo, *bounds)
+            _check_real(name, hi, *bounds)
+            if lo > hi:
+                raise ValueError(f"{name} must be ordered low <= high, got {pair!r}")
         if self.policy not in POLICIES:
             raise ValueError(f"policy must be one of {POLICIES}")
-        if not 0 <= self.epsilon <= 0.5:
-            raise ValueError("uncertainty level must be in [0, 0.5]")
-        if self.capacities is not None and len(self.capacities) != self.n_agents:
-            raise ValueError("capacities list must have one entry per agent")
+        if not isinstance(self.sharing, bool):
+            raise ValueError(f"sharing must be true or false, got {self.sharing!r}")
+        if self.capacities is not None:
+            if not isinstance(self.capacities, (list, tuple)):
+                raise ValueError(f"capacities must be a list, got {self.capacities!r}")
+            if len(self.capacities) != self.n_agents:
+                raise ValueError("capacities list must have one entry per agent")
+            for cap in self.capacities:
+                _check_real("capacities", cap, 0.0, 1.0, True)
         self.beta_range = tuple(self.beta_range)
         self.gamma_range = tuple(self.gamma_range)
 

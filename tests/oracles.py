@@ -3,8 +3,8 @@
 These deliberately avoid the library's vectorized/closed-form paths: the
 objective is evaluated term by term from its printed definition, and the
 knapsack optimum is found by dynamic programming over the full 0.01 grid.
-The explicit per-period and per-edge paths that faster library code replaced
-are kept here as the references it must match exactly.
+The explicit per-period, per-edge and per-entry paths that faster library
+code replaced are kept here as the references it must match exactly.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import csv
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def direct_objective(s, i, beta, rho, p_dense, agent_nodes, theta, x):
@@ -149,3 +150,67 @@ def export_network_per_edge(net, edges_path, rho_path):
                         repr(float(coo.data[k])), repr(float(rates[i, j]))])
     with open(rho_path, "w", encoding="utf-8") as fh:
         fh.write(repr(net.rho) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# explicit world-build and epidemic-step paths that faster code replaced
+
+
+def air_flows_lists(assignment, airports, air_table, nodes):
+    """Air flows built as Python lists of COO entries, one table entry at a
+    time, then converted and summed by scipy."""
+    pop = np.array([nd.population for nd in nodes], dtype=float)
+    n = len(nodes)
+    members = {}
+    polygon_pop = {}
+    for aid in np.unique(assignment):
+        idx = np.flatnonzero(assignment == aid)
+        members[int(aid)] = idx
+        polygon_pop[int(aid)] = float(pop[idx].sum())
+    for node_idx, aid in enumerate(assignment):
+        if polygon_pop.get(int(aid), 0.0) <= 0:
+            raise ValueError(
+                f"node {node_idx} assigned to airport {aid} with zero polygon population")
+    rows, cols, vals = [], [], []
+    for (a, b), g in air_table.entries.items():
+        if g <= 0:
+            continue
+        src = members.get(a)
+        dst = members.get(b)
+        if src is None or dst is None or len(src) == 0 or len(dst) == 0:
+            continue
+        denom = polygon_pop[a] + polygon_pop[b]
+        block = g * (pop[src][:, None] + pop[dst][None, :]) / denom
+        rr, cc = np.meshgrid(src, dst, indexing="ij")
+        rows.extend(rr.ravel().tolist())
+        cols.extend(cc.ravel().tolist())
+        vals.extend(block.ravel().tolist())
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat.sum_duplicates()
+    return mat
+
+
+def step_vaccinated_three_products(state, params, net, x, theta_obs):
+    """The vaccinated SIRD update with one sparse product per mobility term
+    (p @ sv, p @ i, p @ rv). Returns (s, i, r, d) after the same clipping and
+    rescaling as the library step; the stability band is not checked."""
+    s, i, r = state.s, state.i, state.r
+    p, rs, rho = net.rates, net.rate_row_sum, net.rho
+    vx = theta_obs * x
+    keep = 1.0 - vx
+    new_inf = params.beta * s * i
+    sv = s * keep
+    rv = r + s * vx
+    s1 = (s - new_inf) * keep + rho * (p @ sv - rs * sv)
+    i1 = i + new_inf * keep - params.gamma * i + rho * (p @ i - rs * i)
+    r1 = rv + (1.0 - params.cfr) * params.gamma * i + rho * (p @ rv - rs * rv)
+    s1, i1, r1 = (np.clip(v, 0.0, 1.0) for v in (s1, i1, r1))
+    d1 = 1.0 - s1 - i1 - r1
+    neg = d1 < 0.0
+    if np.any(neg):
+        scale = 1.0 / (s1[neg] + i1[neg] + r1[neg])
+        s1[neg] *= scale
+        i1[neg] *= scale
+        r1[neg] *= scale
+        d1[neg] = 1.0 - s1[neg] - i1[neg] - r1[neg]
+    return s1, i1, r1, d1

@@ -110,3 +110,23 @@ def test_replicate_writes_summary(tmp_path, config_file, capsys):
 def test_missing_run_directory(tmp_path):
     assert main(["gains", "--run", str(tmp_path / "nope"),
                  "--baseline", str(tmp_path / "nope2")]) == 1
+
+
+@pytest.mark.parametrize("key,value", [
+    ("horizon", "10"),
+    ("beta_range", [float("nan"), 0.5]),
+    ("initial_infected", 1.5),
+    ("initial_infected", float("nan")),
+    ("capacities", [0.0, 2.0]),
+])
+def test_simulate_bad_config_exits_1(tmp_path, capsys, key, value):
+    cfg = ScenarioConfig(n_nodes=40, n_agents=2, horizon=6, seed=11).to_dict()
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
+    assert not (tmp_path / "run").exists()

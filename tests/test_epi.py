@@ -6,6 +6,8 @@ from vaxalloc.epi import (CompartmentState, EpidemicInstabilityError, EpiParams,
                           step, step_vaccinated, write_states)
 from vaxalloc.net import FlowMatrix, NodeRecord, build_network, synth_world
 
+from oracles import step_vaccinated_three_products
+
 
 def isolated_net(n=1):
     return FlowMatrix(sp.csr_matrix((n, n)), sp.csr_matrix((n, n)),
@@ -98,6 +100,42 @@ class TestStepVaccinated:
                             np.array([0.5]), np.array([np.nan]))
 
 
+class TestFusedMobilityProducts:
+    """One product over the stacked (sv, i, rv) columns against one product
+    per column, exactly."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(51)
+        for _ in range(25):
+            n = int(rng.integers(1, 120))
+            ground = rng.uniform(0, 50, (n, n)) * (rng.random((n, n)) < 0.5)
+            air = rng.uniform(0, 5, (n, n)) * (rng.random((n, n)) < 0.3)
+            np.fill_diagonal(ground, 0.0)
+            np.fill_diagonal(air, 0.0)
+            yield FlowMatrix(sp.csr_matrix(ground), sp.csr_matrix(air),
+                             rng.uniform(500, 5000, n)), rng
+        nodes, airports, table = synth_world(150, 4, seed=52)
+        yield build_network(nodes, airports, table, D=100, alpha=0.11,
+                            planar=True), rng
+
+    def test_matches_three_products(self):
+        for netm, rng in self.cases():
+            n = netm.n
+            s = rng.uniform(0.5, 0.95, n)
+            i = rng.uniform(0.0, 0.05, n)
+            r = rng.uniform(0.0, 1.0 - s - i)
+            st = CompartmentState(s=s, i=i, r=r, d=1.0 - s - i - r, t=3)
+            p = EpiParams(beta=rng.uniform(0.2, 0.5, n), gamma=rng.uniform(0.1, 0.2, n),
+                          cfr=np.full(n, 0.01))
+            x = rng.uniform(0, 1, n) * (rng.random(n) < 0.5)
+            theta = rng.uniform(0.5, 0.9, n)
+            out = step_vaccinated(st, p, netm, x, theta)
+            want = step_vaccinated_three_products(st, p, netm, x, theta)
+            for got, ref in zip((out.s, out.i, out.r, out.d), want):
+                assert np.array_equal(got, ref)
+
+
 class TestInvariants:
     def run_horizon(self, seed=0, periods=30, vaccinate=False):
         nodes, airports, table = synth_world(80, 3, seed=seed)
@@ -162,6 +200,13 @@ class TestStabilityGuard:
             step(st, p, isolated_net())
         assert exc.value.period == 1
         assert exc.value.node == 0
+
+    def test_non_finite_compartment_raises(self):
+        st = state([0.9, 0.9], [0.05, np.nan])
+        with pytest.raises(EpidemicInstabilityError) as exc:
+            step(st, params(2), isolated_net(2))
+        assert exc.value.node == 1
+        assert np.isnan(exc.value.value)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
                           combine_and_rate, ground_neighborhoods,
                           radiation_flows, synth_world)
 
-from oracles import export_network_per_edge, nearest_airport_bruteforce
+from vaxalloc.cli import main
+
+from oracles import (air_flows_lists, export_network_per_edge,
+                     nearest_airport_bruteforce)
 
 
 def planar_node(i, x, y, pop, agent=0):
@@ -133,6 +137,102 @@ class TestAirFlows:
         f = air_flows(mu, airports, AirFlowTable({(0, 1): 500.0}), nodes)
         assert f[0, 2] == pytest.approx(500 * 2600 / 3000)
         assert f[1, 2] == pytest.approx(500 * 2400 / 3000)
+
+
+def assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestAirFlowsMatchLists:
+    """The per-airport CSR build against the list-of-entries path, exactly."""
+
+    @staticmethod
+    def check(nodes, airports, table, planar=True):
+        mu, _ = assign_airports(nodes, airports, planar=planar)
+        assert_same_csr(air_flows(mu, airports, table, nodes),
+                        air_flows_lists(mu, airports, table, nodes))
+
+    def test_random_synthetic_worlds(self):
+        rng = np.random.default_rng(41)
+        for seed in range(25):
+            n = int(rng.integers(2, 160))
+            nodes, airports, table = synth_world(
+                n, int(rng.integers(1, 6)), seed=seed,
+                pop_sigma=float(rng.uniform(0.1, 1.5)),
+                airport_density=float(rng.uniform(0.02, 0.3)))
+            # drop some entries and zero others, so rows differ in pattern
+            entries = {k: (0.0 if rng.random() < 0.2 else g)
+                       for k, g in table.entries.items() if rng.random() < 0.8}
+            self.check(nodes, airports, AirFlowTable(entries))
+
+    def test_entries_naming_airports_without_nodes(self):
+        nodes = [planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6)]
+        # airport 2 lies far away and gets no nodes; 9 is not an airport
+        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
+                    AirportRecord(2, 5000, 5000)]
+        table = AirFlowTable({(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
+                              (2, 1): 7.0, (1, 9): 3.0, (9, 0): 4.0})
+        self.check(nodes, airports, table)
+
+    def test_single_airport_empty_table(self):
+        nodes = [planar_node(i, 30.0 * i, 0, 500.0) for i in range(4)]
+        self.check(nodes, [AirportRecord(3, 0, 0)], AirFlowTable({}))
+
+    def test_one_node_world(self):
+        nodes, airports, table = synth_world(1, 1, seed=2)
+        self.check(nodes, airports, table)
+
+    def test_great_circle_coordinates(self):
+        rng = np.random.default_rng(43)
+        nodes = [NodeRecord(i, float(rng.uniform(-60, 60)),
+                            float(rng.uniform(-180, 180)),
+                            float(rng.uniform(1e3, 1e5)), int(i % 3))
+                 for i in range(120)]
+        airports = [AirportRecord(a, float(rng.uniform(-60, 60)),
+                                  float(rng.uniform(-180, 180)))
+                    for a in range(8)]
+        table = AirFlowTable({(a, b): float(rng.uniform(10, 1000))
+                              for a in range(8) for b in range(8)
+                              if a != b and rng.random() < 0.6})
+        self.check(nodes, airports, table, planar=False)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_build_net_export_matches_list_path(self, tmp_path, monkeypatch, planar):
+        src = tmp_path / "src"
+        assert main(["build-net", "--synthetic", "--n-nodes", "90", "--n-agents",
+                     "3", "--seed", "5", "--out", str(src)]) == 0
+        args = ["build-net", "--nodes", str(src / "nodes.csv"),
+                "--airports", str(src / "airports.csv"),
+                "--flights", str(src / "airflows.csv")]
+        args += ["--planar"] if planar else ["--ground-range-km", "3000"]
+        assert main(args + ["--out", str(tmp_path / "fast")]) == 0
+        monkeypatch.setattr(net, "air_flows", air_flows_lists)
+        assert main(args + ["--out", str(tmp_path / "ref")]) == 0
+        for name in ("edges.csv", "rho.txt"):
+            assert (tmp_path / "fast" / name).read_bytes() == \
+                (tmp_path / "ref" / name).read_bytes()
+
+    def test_peak_memory_within_three_times_result(self):
+        nodes, airports, table = synth_world(1000, 5, seed=44)
+        mu, _ = assign_airports(nodes, airports, planar=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mat = air_flows(mu, airports, table, nodes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        result = mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        assert mat.nnz > 500_000
+        assert peak <= 3 * result
+
+    def test_non_finite_table_entry_rejected(self):
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                AirFlowTable({(0, 1): bad})
 
 
 class TestCombineAndRate:
