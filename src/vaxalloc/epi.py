@@ -7,7 +7,6 @@ every t+1 value is computed from the full t snapshot.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,14 +59,6 @@ class CompartmentState:
         self.i = np.asarray(self.i, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
         self.d = np.asarray(self.d, dtype=float)
-
-    def validate(self, tol: float = 1e-12) -> None:
-        total = self.s + self.i + self.r + self.d
-        if np.any(np.abs(total - 1.0) > tol):
-            raise ValueError("compartment proportions do not sum to 1")
-        for arr in (self.s, self.i, self.r, self.d):
-            if np.any((arr < -tol) | (arr > 1 + tol)):
-                raise ValueError("compartment proportion outside [0, 1]")
 
 
 def step(state: CompartmentState, params: EpiParams, net: FlowMatrix) -> CompartmentState:
@@ -128,14 +119,3 @@ def step_vaccinated(state: CompartmentState, params: EpiParams, net: FlowMatrix,
         r1[neg] *= scale
         d1[neg] = 1.0 - s1[neg] - i1[neg] - r1[neg]
     return CompartmentState(s=s1, i=i1, r=r1, d=d1, t=t1)
-
-
-def write_states(states: list[CompartmentState], path) -> None:
-    """Snapshot export: rows t,node_id,s,i,r,d."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "node_id", "s", "i", "r", "d"])
-        for st in states:
-            for node in range(st.s.shape[0]):
-                w.writerow([st.t, node, repr(float(st.s[node])), repr(float(st.i[node])),
-                            repr(float(st.r[node])), repr(float(st.d[node]))])

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
 _SCHEMA = 1
+_BLOCK_ROWS = 1 << 14
 
 
 @dataclass
@@ -283,13 +286,20 @@ def replicate(config: ScenarioConfig, n: int, seeds=None) -> dict:
 
 # ---------------------------------------------------------------------------
 # export / import
+#
+# Tables are written and read a column at a time. A float is written as the
+# repr of the Python float, which reads back to the same bits, and every line
+# ends in "\r\n" as csv.writer ends it.
 
-def _write_matrix_csv(path, header, t_index, matrix):
+def _floats(arr) -> list:
+    return np.asarray(arr, dtype=float).tolist()
+
+
+def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for ti, row in zip(t_index, matrix):
-            w.writerow([ti] + [repr(float(v)) for v in row])
+        w.writerows(rows)
 
 
 def export(result: RunResult, directory, overwrite: bool = False) -> None:
@@ -311,123 +321,160 @@ def export(result: RunResult, directory, overwrite: bool = False) -> None:
     horizon = result.horizon
     k = result.n_agents
     n = result.populations.shape[0]
+    agent_of = np.asarray(result.agent_of, dtype=np.int64).tolist()
+    periods = range(1, horizon + 1)
 
-    with open(directory / "nodes.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "population", "agent_id"])
-        for i in range(n):
-            w.writerow([i, repr(float(result.populations[i])),
-                        int(result.agent_of[i])])
+    _write_table(directory / "nodes.csv", ["node_id", "population", "agent_id"],
+                 zip(range(n), map(repr, _floats(result.populations)), agent_of))
 
-    _write_matrix_csv(directory / "global.csv", ["t", "S", "I", "R", "D"],
-                      range(horizon + 1), result.global_totals)
+    _write_table(directory / "global.csv", ["t", "S", "I", "R", "D"],
+                 ([t, *map(repr, row)]
+                  for t, row in enumerate(_floats(result.global_totals))))
 
-    with open(directory / "agents.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent_id", "S", "I", "R", "D", "budget",
-                    "budget_effective"])
-        for t in range(horizon + 1):
-            for a in range(k):
-                budget = repr(float(result.budgets[t - 1, a])) if t >= 1 else ""
-                beff = repr(float(result.budgets_effective[t - 1, a])) if t >= 1 else ""
-                w.writerow([t, a] + [repr(float(v)) for v in result.agent_totals[t, a]]
-                           + [budget, beff])
+    totals = _floats(result.agent_totals)
+    budgets, beffs = ([[""] * k] + [list(map(repr, row)) for row in _floats(arr)]
+                      for arr in (result.budgets, result.budgets_effective))
+    _write_table(directory / "agents.csv",
+                 ["t", "agent_id", "S", "I", "R", "D", "budget", "budget_effective"],
+                 ([t, a, *map(repr, totals[t][a]), budgets[t][a], beffs[t][a]]
+                  for t in range(horizon + 1) for a in range(k)))
 
+    prefix = [f"{a},{i}," for i, a in enumerate(agent_of)]
+    cols = (result.allocations, result.theta_hat, result.theta_obs, result.bounds)
     with open(directory / "allocations.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent_id", "node_id", "x", "theta_hat", "theta_obs",
-                    "bound"])
-        for t in range(1, horizon + 1):
-            row = t - 1
-            for i in range(n):
-                w.writerow([t, int(result.agent_of[i]), i,
-                            repr(float(result.allocations[row, i])),
-                            repr(float(result.theta_hat[row, i])),
-                            repr(float(result.theta_obs[row, i])),
-                            repr(float(result.bounds[row, i]))])
+        fh.write("t,agent_id,node_id,x,theta_hat,theta_obs,bound\r\n")
+        for t in periods:
+            # one period of Python floats at a time: whole columns would hold
+            # 32 bytes per value
+            rows = [_floats(col[t - 1]) for col in cols]
+            fh.write("".join([f"{t},{p}{x!r},{h!r},{o!r},{b!r}\r\n"
+                              for p, x, h, o, b in zip(prefix, *rows)]))
 
-    with open(directory / "sharing.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent_id", "ratio", "budget_in", "budget_out",
-                    "budget_effective"])
-        for t in range(1, horizon + 1):
-            row = t - 1
-            for a in range(k):
-                ratio = float(result.sharing_ratios[row, a])
-                b_in = float(result.budgets[row, a])
-                w.writerow([t, a, repr(ratio), repr(b_in),
-                            repr(b_in * ratio),
-                            repr(float(result.budgets_effective[row, a]))])
+    _write_table(directory / "sharing.csv",
+                 ["t", "agent_id", "ratio", "budget_in", "budget_out",
+                  "budget_effective"],
+                 ([t, a, repr(ratio), repr(b_in), repr(b_in * ratio), repr(b_eff)]
+                  for t, rs, bs, es in zip(periods, _floats(result.sharing_ratios),
+                                           _floats(result.budgets),
+                                           _floats(result.budgets_effective))
+                  for a, ratio, b_in, b_eff in zip(range(k), rs, bs, es)))
 
-    with open(directory / "priors.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "a", "b"])
-        for i in range(n):
-            w.writerow([i, int(result.priors_a[i]), int(result.priors_b[i])])
+    _write_table(directory / "priors.csv", ["node_id", "a", "b"],
+                 zip(range(n), *(np.asarray(p, dtype=np.int64).tolist()
+                                 for p in (result.priors_a, result.priors_b))))
+
+
+def _integers(path, name, values, lo, hi) -> np.ndarray:
+    """``values`` as int64, each checked to be an integer in [lo, hi]."""
+    bad = ~((values >= lo) & (values <= hi) & (values == np.floor(values)))
+    if bad.any():
+        raise ValueError(f"{path}: {name} = {values[bad][0]:g} is not an integer "
+                         f"in {lo}..{hi}")
+    return values.astype(np.int64)
+
+
+def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
+    """The float ``columns`` of a CSV table, each scattered into an array over
+    the grid of its ``ids``, given as (name, lo, hi). Each id must be an
+    integer in its range and each grid cell must have exactly one row, in any
+    order. Fields in ``blank_as_nan`` read an empty field as NaN. Every fault
+    raises ValueError naming the file."""
+    names = [name for name, _, _ in ids] + list(columns)
+    shape = [hi - lo + 1 for _, lo, hi in ids]
+    out = np.empty((len(columns), int(np.prod(shape))))
+    counts = np.zeros(out.shape[1], dtype=np.int64)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        missing = [c for c in names if c not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
+        converters = {header.index(c): lambda s: float(s or "nan")
+                      for c in blank_as_nan}
+        line = 2
+        # parsed a block of rows at a time, so the text table is never held
+        # in memory beside the arrays it fills
+        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # blank lines
+                    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                                      usecols=[header.index(c) for c in names],
+                                      converters=converters or None)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc} (row 0 is line {line})") from None
+            line += len(lines)
+            cell = np.zeros(data.shape[0], dtype=np.int64)
+            for col, (name, lo, hi), size in zip(data.T, ids, shape):
+                cell = cell * size + _integers(path, name, col, lo, hi) - lo
+            out[:, cell] = data[:, len(ids):].T
+            np.add.at(counts, cell, 1)
+    wrong = np.flatnonzero(counts != 1)
+    if wrong.size:
+        where = ", ".join(f"{name}={int(c) + lo}" for (name, lo, _), c
+                          in zip(ids, np.unravel_index(wrong[0], shape)))
+        raise ValueError(f"{path}: the row for {where} appears "
+                         f"{counts[wrong[0]]} times, not once")
+    return list(out.reshape(len(columns), *shape))
 
 
 def import_result(directory) -> RunResult:
-    """Rebuild a RunResult from an exported directory."""
+    """Rebuild a RunResult from an exported directory.
+
+    Rows may come in any order. A wrong schema, a missing column, a field
+    that does not parse, an id out of range or a missing or repeated row
+    raises ValueError naming the file.
+    """
     directory = Path(directory)
-    with open(directory / "manifest.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    config = manifest["config"]
-    horizon = int(config["horizon"])
-    k = int(config["n_agents"])
+    path = directory / "manifest.json"
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema != _SCHEMA:
+        raise ValueError(f"{path}: schema {schema!r} is not {_SCHEMA}")
+    config = manifest.get("config")
+    try:
+        horizon, k, n = (int(config[key]) for key in ("horizon", "n_agents", "n_nodes"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: the config needs integer horizon, n_agents "
+                         f"and n_nodes ({exc})") from None
+    periods = [("t", 1, horizon)]
+    nodes = [("node_id", 0, n - 1)]
 
-    with open(directory / "nodes.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    n = len(rows)
-    populations = np.array([float(r["population"]) for r in rows])
-    agent_of = np.array([int(r["agent_id"]) for r in rows], dtype=int)
+    path = directory / "nodes.csv"
+    populations, agents = _read_table(path, nodes, ["population", "agent_id"])
+    agent_of = _integers(path, "agent_id", agents, 0, k - 1)
 
-    global_totals = np.zeros((horizon + 1, 4))
-    with open(directory / "global.csv", newline="", encoding="utf-8") as fh:
-        for r in csv.DictReader(fh):
-            t = int(r["t"])
-            global_totals[t] = [float(r[c]) for c in ("S", "I", "R", "D")]
+    global_totals = np.stack(_read_table(directory / "global.csv", [("t", 0, horizon)],
+                                         ["S", "I", "R", "D"]), axis=-1)
 
-    agent_totals = np.zeros((horizon + 1, k, 4))
-    budgets = np.zeros((horizon, k))
-    budgets_eff = np.zeros((horizon, k))
-    with open(directory / "agents.csv", newline="", encoding="utf-8") as fh:
-        for r in csv.DictReader(fh):
-            t, a = int(r["t"]), int(r["agent_id"])
-            agent_totals[t, a] = [float(r[c]) for c in ("S", "I", "R", "D")]
-            if t >= 1:
-                budgets[t - 1, a] = float(r["budget"])
-                budgets_eff[t - 1, a] = float(r["budget_effective"])
+    path = directory / "agents.csv"
+    *totals, budgets, budgets_eff = _read_table(
+        path, [("t", 0, horizon), ("agent_id", 0, k - 1)],
+        ["S", "I", "R", "D", "budget", "budget_effective"],
+        blank_as_nan=("budget", "budget_effective"))
+    if np.isnan(budgets[1:]).any() or np.isnan(budgets_eff[1:]).any():
+        raise ValueError(f"{path}: a budget after t = 0 is empty or NaN")
 
-    allocations = np.zeros((horizon, n))
-    theta_hat = np.zeros((horizon, n))
-    theta_obs = np.zeros((horizon, n))
-    bounds = np.zeros((horizon, n))
-    with open(directory / "allocations.csv", newline="", encoding="utf-8") as fh:
-        for r in csv.DictReader(fh):
-            t, i = int(r["t"]) - 1, int(r["node_id"])
-            allocations[t, i] = float(r["x"])
-            theta_hat[t, i] = float(r["theta_hat"])
-            theta_obs[t, i] = float(r["theta_obs"])
-            bounds[t, i] = float(r["bound"])
+    allocations, theta_hat, theta_obs, bounds = _read_table(
+        directory / "allocations.csv", periods + nodes,
+        ["x", "theta_hat", "theta_obs", "bound"])
+    ratios, = _read_table(directory / "sharing.csv",
+                          periods + [("agent_id", 0, k - 1)], ["ratio"])
 
-    ratios = np.zeros((horizon, k))
-    with open(directory / "sharing.csv", newline="", encoding="utf-8") as fh:
-        for r in csv.DictReader(fh):
-            ratios[int(r["t"]) - 1, int(r["agent_id"])] = float(r["ratio"])
-
-    priors_a = np.zeros(n, dtype=np.int64)
-    priors_b = np.zeros(n, dtype=np.int64)
-    with open(directory / "priors.csv", newline="", encoding="utf-8") as fh:
-        for r in csv.DictReader(fh):
-            priors_a[int(r["node_id"])] = int(r["a"])
-            priors_b[int(r["node_id"])] = int(r["b"])
+    path = directory / "priors.csv"
+    priors_a, priors_b = (_integers(path, name, col, 0, 2 ** 53) for name, col in
+                          zip("ab", _read_table(path, nodes, ["a", "b"])))
 
     return RunResult(
         config=config, populations=populations, agent_of=agent_of,
-        global_totals=global_totals, agent_totals=agent_totals,
-        budgets=budgets, budgets_effective=budgets_eff, allocations=allocations,
-        theta_hat=theta_hat, theta_obs=theta_obs, bounds=bounds,
-        sharing_ratios=ratios, priors_a=priors_a, priors_b=priors_b)
+        global_totals=global_totals, agent_totals=np.stack(totals, axis=-1),
+        budgets=budgets[1:], budgets_effective=budgets_eff[1:],
+        allocations=allocations, theta_hat=theta_hat, theta_obs=theta_obs,
+        bounds=bounds, sharing_ratios=ratios, priors_a=priors_a,
+        priors_b=priors_b)
 
 
 def export_gains(report: GainReport, path) -> None:

@@ -220,13 +220,6 @@ def air_flows(assignment: np.ndarray, airports: list[AirportRecord],
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def combine_and_rate(ground: sp.spmatrix, air: sp.spmatrix,
-                     nodes: list[NodeRecord]) -> FlowMatrix:
-    """Combine flow components into a FlowMatrix with rates and rho."""
-    _, _, pop = _as_arrays(nodes)
-    return FlowMatrix(ground, air, pop)
-
-
 def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
                   air_table: AirFlowTable, D: float, alpha: float,
                   planar: bool = False) -> FlowMatrix:
@@ -235,7 +228,7 @@ def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
     ground = radiation_flows(nodes, nbrs, alpha)
     mu, _ = assign_airports(nodes, airports, planar=planar)
     air = air_flows(mu, airports, air_table, nodes)
-    return combine_and_rate(ground, air, nodes)
+    return FlowMatrix(ground, air, _as_arrays(nodes)[2])
 
 
 def synth_world(n_nodes: int, n_agents: int, *,

@@ -8,7 +8,6 @@ minimize the same one-period-ahead loss through the greedy fractional knapsack.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -232,12 +231,3 @@ def observe_and_update(pol: PolicyState, x: np.ndarray, theta_obs: np.ndarray,
     pol.b[failure] += 1
     pol.obs_sum[active] += theta_obs[active]
     pol.obs_count[active] += 1
-
-
-def write_allocation_trace(path, rows) -> None:
-    """Trace export: t,agent_id,node_id,x,theta_hat,theta_obs,bound."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent_id", "node_id", "x", "theta_hat", "theta_obs", "bound"])
-        for row in rows:
-            w.writerow(row)

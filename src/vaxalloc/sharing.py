@@ -8,7 +8,6 @@ vaccination capacity. Transfers always sum to zero.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,13 +145,3 @@ def plan_sharing(state: CompartmentState, params: EpiParams,
     flows = infected_flow_matrix(state, coupling)
     budgets_out = redistribute(budgets, ratios, flows, capacities)
     return SharingPlan(ratios=ratios, infected_flows=flows, budgets_out=budgets_out)
-
-
-def write_sharing_trace(path, rows) -> None:
-    """Trace export: t,agent_id,ratio,budget_in,budget_out,budget_effective."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "agent_id", "ratio", "budget_in", "budget_out",
-                    "budget_effective"])
-        for row in rows:
-            w.writerow(row)

@@ -10,10 +10,14 @@ code replaced are kept here as the references it must match exactly.
 from __future__ import annotations
 
 import csv
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from vaxalloc.harness import _SCHEMA, RunResult
 
 
 def direct_objective(s, i, beta, rho, p_dense, agent_nodes, theta, x):
@@ -214,3 +218,125 @@ def step_vaccinated_three_products(state, params, net, x, theta_obs):
         r1[neg] *= scale
         d1[neg] = 1.0 - s1[neg] - i1[neg] - r1[neg]
     return s1, i1, r1, d1
+
+
+def export_rows(result, directory):
+    """Run export one csv row and one numpy-scalar lookup per cell: the
+    row-by-row writer that the column-wise harness.export must match byte for
+    byte."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump({"schema": _SCHEMA, "config": result.config}, fh, indent=2,
+                  sort_keys=True)
+        fh.write("\n")
+    horizon = result.horizon
+    k = result.n_agents
+    n = result.populations.shape[0]
+
+    def table(name, header):
+        fh = open(directory / name, "w", newline="", encoding="utf-8")
+        w = csv.writer(fh)
+        w.writerow(header)
+        return fh, w
+
+    fh, w = table("nodes.csv", ["node_id", "population", "agent_id"])
+    with fh:
+        for i in range(n):
+            w.writerow([i, repr(float(result.populations[i])),
+                        int(result.agent_of[i])])
+    fh, w = table("global.csv", ["t", "S", "I", "R", "D"])
+    with fh:
+        for ti, row in zip(range(horizon + 1), result.global_totals):
+            w.writerow([ti] + [repr(float(v)) for v in row])
+    fh, w = table("agents.csv", ["t", "agent_id", "S", "I", "R", "D", "budget",
+                                 "budget_effective"])
+    with fh:
+        for t in range(horizon + 1):
+            for a in range(k):
+                budget = repr(float(result.budgets[t - 1, a])) if t >= 1 else ""
+                beff = (repr(float(result.budgets_effective[t - 1, a]))
+                        if t >= 1 else "")
+                w.writerow([t, a] + [repr(float(v)) for v in result.agent_totals[t, a]]
+                           + [budget, beff])
+    fh, w = table("allocations.csv", ["t", "agent_id", "node_id", "x",
+                                      "theta_hat", "theta_obs", "bound"])
+    with fh:
+        for t in range(1, horizon + 1):
+            row = t - 1
+            for i in range(n):
+                w.writerow([t, int(result.agent_of[i]), i,
+                            repr(float(result.allocations[row, i])),
+                            repr(float(result.theta_hat[row, i])),
+                            repr(float(result.theta_obs[row, i])),
+                            repr(float(result.bounds[row, i]))])
+    fh, w = table("sharing.csv", ["t", "agent_id", "ratio", "budget_in",
+                                  "budget_out", "budget_effective"])
+    with fh:
+        for t in range(1, horizon + 1):
+            row = t - 1
+            for a in range(k):
+                ratio = float(result.sharing_ratios[row, a])
+                b_in = float(result.budgets[row, a])
+                w.writerow([t, a, repr(ratio), repr(b_in), repr(b_in * ratio),
+                            repr(float(result.budgets_effective[row, a]))])
+    fh, w = table("priors.csv", ["node_id", "a", "b"])
+    with fh:
+        for i in range(n):
+            w.writerow([i, int(result.priors_a[i]), int(result.priors_b[i])])
+
+
+def import_result_rows(directory):
+    """Run import through csv.DictReader and float() per field, one row at a
+    time: the reader that the column-wise harness.import_result must match
+    bit for bit and dtype for dtype. It checks nothing."""
+    directory = Path(directory)
+    with open(directory / "manifest.json", encoding="utf-8") as fh:
+        config = json.load(fh)["config"]
+    horizon = int(config["horizon"])
+    k = int(config["n_agents"])
+
+    def rows(name):
+        with open(directory / name, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    nodes = rows("nodes.csv")
+    n = len(nodes)
+    populations = np.array([float(r["population"]) for r in nodes])
+    agent_of = np.array([int(r["agent_id"]) for r in nodes], dtype=int)
+    global_totals = np.zeros((horizon + 1, 4))
+    for r in rows("global.csv"):
+        global_totals[int(r["t"])] = [float(r[c]) for c in ("S", "I", "R", "D")]
+    agent_totals = np.zeros((horizon + 1, k, 4))
+    budgets = np.zeros((horizon, k))
+    budgets_eff = np.zeros((horizon, k))
+    for r in rows("agents.csv"):
+        t, a = int(r["t"]), int(r["agent_id"])
+        agent_totals[t, a] = [float(r[c]) for c in ("S", "I", "R", "D")]
+        if t >= 1:
+            budgets[t - 1, a] = float(r["budget"])
+            budgets_eff[t - 1, a] = float(r["budget_effective"])
+    allocations = np.zeros((horizon, n))
+    theta_hat = np.zeros((horizon, n))
+    theta_obs = np.zeros((horizon, n))
+    bounds = np.zeros((horizon, n))
+    for r in rows("allocations.csv"):
+        t, i = int(r["t"]) - 1, int(r["node_id"])
+        allocations[t, i] = float(r["x"])
+        theta_hat[t, i] = float(r["theta_hat"])
+        theta_obs[t, i] = float(r["theta_obs"])
+        bounds[t, i] = float(r["bound"])
+    ratios = np.zeros((horizon, k))
+    for r in rows("sharing.csv"):
+        ratios[int(r["t"]) - 1, int(r["agent_id"])] = float(r["ratio"])
+    priors_a = np.zeros(n, dtype=np.int64)
+    priors_b = np.zeros(n, dtype=np.int64)
+    for r in rows("priors.csv"):
+        priors_a[int(r["node_id"])] = int(r["a"])
+        priors_b[int(r["node_id"])] = int(r["b"])
+    return RunResult(
+        config=config, populations=populations, agent_of=agent_of,
+        global_totals=global_totals, agent_totals=agent_totals,
+        budgets=budgets, budgets_effective=budgets_eff, allocations=allocations,
+        theta_hat=theta_hat, theta_obs=theta_obs, bounds=bounds,
+        sharing_ratios=ratios, priors_a=priors_a, priors_b=priors_b)

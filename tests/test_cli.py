@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -130,3 +131,63 @@ def test_simulate_bad_config_exits_1(tmp_path, capsys, key, value):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert key in err
     assert not (tmp_path / "run").exists()
+
+
+def _edit_lines(path, edit):
+    lines = path.read_text().split("\n")
+    edit(lines)
+    path.write_text("\n".join(lines))
+
+
+def _set_field(path, line, column, value):
+    def edit(lines):
+        fields = lines[line].split(",")
+        fields[column] = value
+        lines[line] = ",".join(fields)
+    _edit_lines(path, edit)
+
+
+def _cut_in_half(path):
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _edit_manifest(path, edit):
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+BAD_RUNS = {
+    "schema": ("manifest.json",
+               lambda p: _edit_manifest(p, lambda m: m.update(schema=99))),
+    "config lacks n_nodes": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].pop("n_nodes"))),
+    "node out of range": ("allocations.csv", lambda p: _set_field(p, 1, 2, "40")),
+    "period 0": ("allocations.csv", lambda p: _set_field(p, 1, 0, "0")),
+    "cut in half": ("allocations.csv", _cut_in_half),
+    "row missing": ("allocations.csv", lambda p: _edit_lines(p, lambda ls: ls.pop(-2))),
+    "row twice": ("allocations.csv",
+                  lambda p: _edit_lines(p, lambda ls: ls.insert(1, ls[1]))),
+    "column missing": ("allocations.csv", lambda p: _set_field(p, 0, 5, "obs")),
+    "field unparsable": ("allocations.csv", lambda p: _set_field(p, 1, 3, "abc")),
+    "agent out of range": ("nodes.csv", lambda p: _set_field(p, 1, 2, "2")),
+    "budget empty": ("agents.csv", lambda p: _set_field(p, 3, 6, "")),
+    "prior not an integer": ("priors.csv", lambda p: _set_field(p, 1, 1, "2.5")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_gains_bad_run_directory_exits_1(tmp_path, config_file, capsys, case):
+    good = tmp_path / "good"
+    assert main(["simulate", "--config", str(config_file), "--policy", "pb",
+                 "--out", str(good)]) == 0
+    bad = tmp_path / "bad"
+    shutil.copytree(good, bad)
+    name, corrupt = BAD_RUNS[case]
+    corrupt(bad / name)
+    capsys.readouterr()
+    assert main(["gains", "--run", str(bad), "--baseline", str(good)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert name in err

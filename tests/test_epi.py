@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from vaxalloc.epi import (CompartmentState, EpidemicInstabilityError, EpiParams,
-                          step, step_vaccinated, write_states)
+                          step, step_vaccinated)
 from vaxalloc.net import FlowMatrix, NodeRecord, build_network, synth_world
 
 from oracles import step_vaccinated_three_products
@@ -216,14 +216,3 @@ class TestStabilityGuard:
             EpiParams(beta=np.array([0.1]), gamma=np.array([1.5]),
                       cfr=np.array([0.01]))
 
-
-def test_state_export(tmp_path):
-    st0 = state([0.99, 0.98], [0.01, 0.02])
-    st1 = step(st0, params(2), two_node_net())
-    write_states([st0, st1], tmp_path / "states.csv")
-    lines = (tmp_path / "states.csv").read_text().splitlines()
-    assert lines[0] == "t,node_id,s,i,r,d"
-    assert len(lines) == 5
-    t, node, s, i, r, d = lines[3].split(",")
-    assert (t, node) == ("1", "0")
-    assert float(s) == st1.s[0]

@@ -1,8 +1,15 @@
+import csv
 import dataclasses
 import json
+import random
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vaxalloc import harness
 from vaxalloc import sharing as shmod
@@ -12,8 +19,8 @@ from vaxalloc.harness import (GainReport, RunResult, export, export_gains,
                               run_instance)
 from vaxalloc.scenario import ScenarioConfig, build_instance
 
-from oracles import (infected_flow_matrix_add_at, infection_split_add_at,
-                     loss_coefficients_per_call)
+from oracles import (export_rows, import_result_rows, infected_flow_matrix_add_at,
+                     infection_split_add_at, loss_coefficients_per_call)
 
 
 def small_config(**kwargs):
@@ -225,3 +232,130 @@ class TestExport:
         assert lines[0] == "region,cumulative_gain_pct,last_period_gain_pct"
         assert lines[1].startswith("world,1.1,")
         assert len(lines) == 4
+
+    def test_sharing_csv_header_and_row(self, tmp_path):
+        res = hand_made_result(1, 1, 1, [0.0])
+        res.sharing_ratios[:] = 0.2
+        res.budgets[:] = 10.0
+        res.budgets_effective[:] = 8.0
+        export(res, tmp_path / "out")
+        lines = (tmp_path / "out" / "sharing.csv").read_text().splitlines()
+        assert lines[0] == "t,agent_id,ratio,budget_in,budget_out,budget_effective"
+        assert lines[1] == "1,0,0.2,10.0,2.0,8.0"
+
+    def test_global_csv_rows_parse_to_totals(self, tmp_path):
+        res = run(small_config(policy="ts", sharing=True))
+        export(res, tmp_path / "out")
+        with open(tmp_path / "out" / "global.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["t", "S", "I", "R", "D"]
+        assert [int(r[0]) for r in rows[1:]] == list(range(res.horizon + 1))
+        parsed = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
+        assert np.array_equal(parsed, res.global_totals)
+
+
+RESULT_ARRAYS = ("populations", "agent_of", "global_totals", "agent_totals",
+                 "budgets", "budgets_effective", "allocations", "theta_hat",
+                 "theta_obs", "bounds", "sharing_ratios", "priors_a", "priors_b")
+RUN_FILES = ("manifest.json", "nodes.csv", "global.csv", "agents.csv",
+             "allocations.csv", "sharing.csv", "priors.csv")
+
+
+def hand_made_result(n, horizon, k, values):
+    """A RunResult whose float arrays cycle through ``values``."""
+    vals = np.asarray(values, dtype=float)
+
+    def floats(*shape):
+        return np.resize(vals, shape).copy()
+    return RunResult(
+        config={"horizon": horizon, "n_agents": k, "n_nodes": n},
+        populations=floats(n), agent_of=np.arange(n) % k,
+        global_totals=floats(horizon + 1, 4),
+        agent_totals=floats(horizon + 1, k, 4), budgets=floats(horizon, k),
+        budgets_effective=floats(horizon, k), allocations=floats(horizon, n),
+        theta_hat=floats(horizon, n)[::-1].copy(), theta_obs=floats(horizon, n),
+        bounds=floats(horizon, n), sharing_ratios=floats(horizon, k),
+        priors_a=np.arange(1, n + 1, dtype=np.int64),
+        priors_b=np.arange(n, 0, -1).astype(np.int64))
+
+
+def assert_bit_equal(a, b):
+    assert a.config == b.config
+    for name in RESULT_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert x.shape == y.shape, name
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+
+
+def assert_same_files(a, b):
+    assert sorted(p.name for p in Path(a).iterdir()) == sorted(RUN_FILES)
+    for name in RUN_FILES:
+        assert (Path(a) / name).read_bytes() == (Path(b) / name).read_bytes(), name
+
+
+class TestColumnWiseIO:
+    """export and import_result against the row-by-row writer and reader in
+    tests/oracles.py: byte-equal files, bit-equal arrays with equal dtypes."""
+
+    def check(self, res, tmp_path):
+        export(res, tmp_path / "cols")
+        export_rows(res, tmp_path / "rows")
+        assert_same_files(tmp_path / "cols", tmp_path / "rows")
+        back = import_result(tmp_path / "cols")
+        assert_bit_equal(back, import_result_rows(tmp_path / "cols"))
+        assert_bit_equal(back, res)
+
+    @pytest.mark.parametrize("sharing", [False, True])
+    @pytest.mark.parametrize("policy", ["ts", "gy", "ma", "pb"])
+    def test_runs(self, tmp_path, policy, sharing):
+        self.check(run(small_config(policy=policy, sharing=sharing)), tmp_path)
+
+    def test_one_node_world(self, tmp_path):
+        self.check(run(ScenarioConfig(n_nodes=1, n_agents=1, horizon=3,
+                                      sharing=True)), tmp_path)
+
+    def test_one_period_one_agent(self, tmp_path):
+        self.check(run(small_config(n_agents=1, horizon=1, sharing=True)), tmp_path)
+
+    def test_extreme_values(self, tmp_path):
+        res = hand_made_result(5, 3, 2, [-0.0, 5e-324, 1e-300, 9.999e-05, 1e16,
+                                         1.7976931348623157e308, 0.1, 1e-05])
+        self.check(res, tmp_path)
+        assert "-0.0" in (tmp_path / "cols" / "allocations.csv").read_text()
+
+    def test_shuffled_rows_import_equal(self, tmp_path):
+        res = run(small_config(policy="ts", sharing=True))
+        export(res, tmp_path / "out")
+        path = tmp_path / "out" / "allocations.csv"
+        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+        random.Random(5).shuffle(rows)
+        path.write_bytes(b"\r\n".join([header, *rows, b""]))
+        assert_bit_equal(import_result(tmp_path / "out"), res)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), n=st.integers(1, 20), horizon=st.integers(1, 5),
+       k=st.integers(1, 4))
+def test_export_import_round_trip(data, n, horizon, k):
+    def floats(*shape):
+        return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+            allow_nan=False, allow_infinity=False)))
+    res = RunResult(
+        config={"horizon": horizon, "n_agents": k, "n_nodes": n, "seed": 0},
+        populations=floats(n),
+        agent_of=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1))),
+        global_totals=floats(horizon + 1, 4), agent_totals=floats(horizon + 1, k, 4),
+        budgets=floats(horizon, k), budgets_effective=floats(horizon, k),
+        allocations=floats(horizon, n), theta_hat=floats(horizon, n),
+        theta_obs=floats(horizon, n), bounds=floats(horizon, n),
+        sharing_ratios=floats(horizon, k),
+        priors_a=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 10 ** 6))),
+        priors_b=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 10 ** 6))))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first", Path(tmp) / "second"
+        export(res, first)
+        back = import_result(first)
+        assert_bit_equal(back, res)
+        export(back, second)
+        assert_same_files(first, second)

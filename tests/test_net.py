@@ -6,8 +6,8 @@ import pytest
 
 from vaxalloc import net
 from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
-                          air_flows, assign_airports, build_network,
-                          combine_and_rate, ground_neighborhoods,
+                          FlowMatrix, air_flows, assign_airports,
+                          build_network, ground_neighborhoods,
                           radiation_flows, synth_world)
 
 from vaxalloc.cli import main
@@ -18,6 +18,10 @@ from oracles import (air_flows_lists, export_network_per_edge,
 
 def planar_node(i, x, y, pop, agent=0):
     return NodeRecord(id=i, lat=y, lon=x, population=pop, agent_id=agent)
+
+
+def flow_matrix(ground, air, nodes):
+    return FlowMatrix(ground, air, np.array([nd.population for nd in nodes], float))
 
 
 class TestGroundNeighborhoods:
@@ -241,7 +245,7 @@ class TestCombineAndRate:
         import scipy.sparse as sp
         ground = sp.csr_matrix(np.array([[0.0, f01], [f10, 0.0]]))
         air = sp.csr_matrix((2, 2))
-        return combine_and_rate(ground, air, nodes)
+        return flow_matrix(ground, air, nodes)
 
     def test_single_neighbor_rate_one(self):
         netm = self.two_node_net()
@@ -251,7 +255,7 @@ class TestCombineAndRate:
         nodes = [planar_node(i, 50 * i, 0, 500) for i in range(3)]
         import scipy.sparse as sp
         ground = sp.csr_matrix(np.array([[0.0, 30.0, 10.0], [0, 0, 0], [0, 0, 0]]))
-        netm = combine_and_rate(ground, sp.csr_matrix((3, 3)), nodes)
+        netm = flow_matrix(ground, sp.csr_matrix((3, 3)), nodes)
         assert netm.rates[0, 1] == pytest.approx(0.75)
         assert netm.rates[0, 2] == pytest.approx(0.25)
 
@@ -259,7 +263,7 @@ class TestCombineAndRate:
         nodes = [planar_node(0, 0, 0, 500), planar_node(1, 50, 0, 500)]
         import scipy.sparse as sp
         ground = sp.csr_matrix(np.array([[0.0, 100.0], [10.0, 0.0]]))
-        netm = combine_and_rate(ground, sp.csr_matrix((2, 2)), nodes)
+        netm = flow_matrix(ground, sp.csr_matrix((2, 2)), nodes)
         assert netm.rho == pytest.approx(0.11)
 
     def test_zero_outflow_row_empty(self):

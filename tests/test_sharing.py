@@ -6,7 +6,7 @@ from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix, build_network, synth_world
 from vaxalloc.sharing import (agent_coupling, infected_flow_matrix,
                               infection_split, plan_sharing, redistribute,
-                              sharing_ratios, write_sharing_trace)
+                              sharing_ratios)
 
 from oracles import infected_flow_matrix_add_at, infection_split_add_at
 
@@ -176,14 +176,6 @@ def test_plan_sharing_end_to_end():
     assert plan.infected_flows[0, 0] == 0.0
     assert plan.budgets_out.sum() == pytest.approx(20.0, rel=1e-9)
     assert np.all(plan.ratios >= 0) and np.all(plan.ratios <= 1)
-
-
-def test_sharing_trace_export(tmp_path):
-    path = tmp_path / "sharing.csv"
-    write_sharing_trace(path, [[1, 0, 0.2, 10.0, 2.0, 8.0]])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,agent_id,ratio,budget_in,budget_out,budget_effective"
-    assert lines[1] == "1,0,0.2,10.0,2.0,8.0"
 
 
 class TestCouplingMatchesAddAt:
