@@ -7,7 +7,7 @@ from .net import (AirFlowTable, AirportRecord, FlowMatrix, NodeRecord,
                   build_network, synth_world)
 from .policy import Allocation, AllocationProblem, PolicyState, solve_knapsack
 from .scenario import Instance, ScenarioConfig, build_instance
-from .sharing import SharingPlan, agent_coupling, plan_sharing, redistribute
+from .sharing import SharingPlan, plan_sharing, redistribute
 
 __version__ = "0.1.0"
 
@@ -15,7 +15,7 @@ __all__ = [
     "AirFlowTable", "AirportRecord", "Allocation", "AllocationProblem",
     "CompartmentState", "EpiParams", "EpidemicInstabilityError", "FlowMatrix",
     "GainReport", "Instance", "NodeRecord", "PolicyState", "RunResult",
-    "ScenarioConfig", "SharingPlan", "agent_coupling", "build_instance",
+    "ScenarioConfig", "SharingPlan", "build_instance",
     "build_network", "export", "gains", "import_result", "plan_sharing",
     "redistribute", "replicate", "run", "solve_knapsack", "step",
     "step_vaccinated", "synth_world",

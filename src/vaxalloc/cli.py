@@ -18,13 +18,21 @@ from .policy import POLICIES
 from .scenario import ScenarioConfig
 
 
+# build-net flags that set the ScenarioConfig field of the same name
+_NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "airport_density",
+               "ground_range_km", "commute_fraction")
+
+
 def _cmd_build_net(args) -> int:
+    cfg = ScenarioConfig(**{name: getattr(args, name) for name in _NET_FIELDS})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.synthetic:
         nodes, airports, table = net.synth_world(
-            args.n_nodes, args.n_agents, grid_spacing_km=args.grid_spacing_km,
-            airport_density=args.airport_density, seed=args.seed)
+            cfg.n_nodes, cfg.n_agents, grid_spacing_km=cfg.grid_spacing_km,
+            pop_median=cfg.pop_median, pop_sigma=cfg.pop_sigma,
+            airport_density=cfg.airport_density, air_fraction=cfg.air_fraction,
+            seed=args.seed)
         planar = True
         net.write_nodes(nodes, out / "nodes.csv")
         net.write_airports(airports, out / "airports.csv")
@@ -37,8 +45,8 @@ def _cmd_build_net(args) -> int:
         airports = net.read_airports(args.airports)
         table = net.read_air_flows(args.flights)
         planar = args.planar
-    network = net.build_network(nodes, airports, table, D=args.ground_range_km,
-                                alpha=args.commute_fraction, planar=planar)
+    network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
+                                alpha=cfg.commute_fraction, planar=planar)
     net.export_network(network, out / "edges.csv", out / "rho.txt")
     print(f"network: {network.n} nodes, {network.flows.nnz} edges, "
           f"rho={network.rho:.6g}")
@@ -111,13 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--airports")
     b.add_argument("--flights")
     b.add_argument("--synthetic", action="store_true")
-    b.add_argument("--n-nodes", type=int, default=200)
-    b.add_argument("--n-agents", type=int, default=5)
-    b.add_argument("--grid-spacing-km", type=float, default=50.0)
-    b.add_argument("--airport-density", type=float, default=0.05)
+    defaults = ScenarioConfig()
+    for name in _NET_FIELDS:
+        value = getattr(defaults, name)
+        b.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--ground-range-km", type=float, default=100.0)
-    b.add_argument("--commute-fraction", type=float, default=0.11)
     b.add_argument("--planar", action="store_true",
                    help="treat coordinates as planar km instead of degrees")
     b.add_argument("--out", required=True)

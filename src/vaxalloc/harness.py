@@ -7,6 +7,9 @@ import csv
 import dataclasses
 import itertools
 import json
+import os
+import shutil
+import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -100,9 +103,7 @@ def run_instance(inst: Instance) -> RunResult:
     period in sharing mode), per-agent estimate + knapsack solve with
     windowed bounds, epidemic step with realized efficiencies, next-period
     sharing quantities from the stepped state, then Bernoulli prior updates.
-    What the loop reads of the network's agent structure is static and is
-    built once here: each node's own-agent inflow for the knapsack policies,
-    and the agent coupling of the rate matrix when sharing is on.
+    Own-agent inflows for the knapsack policies are built once, up front.
     """
     t_start = time.perf_counter()
     cfg = inst.config
@@ -114,7 +115,6 @@ def run_instance(inst: Instance) -> RunResult:
     agent_nodes = [np.flatnonzero(inst.agent_of == a) for a in range(k)]
     knapsack = pol_name in ("ts", "gy", "ma")
     inflow = own_inflow(net, agent_nodes) if knapsack else None
-    coupling = shmod.agent_coupling(net, inst.agent_of, k) if cfg.sharing else None
 
     pol = PolicyState(n=n, horizon=horizon,
                       window=window_width(inst.populations, net, horizon))
@@ -175,8 +175,8 @@ def run_instance(inst: Instance) -> RunResult:
         new_state = step_vaccinated(state, inst.params, net, x, theta_t)
 
         if cfg.sharing:
-            plan = shmod.plan_sharing(new_state, inst.params, coupling, b_conf,
-                                      inst.capacities)
+            plan = shmod.plan_sharing(new_state, inst.params, net, inst.agent_of,
+                                      b_conf, inst.capacities)
             ratios_tr[row] = plan.ratios
             b_eff = plan.budgets_out
 
@@ -305,14 +305,29 @@ def _write_table(path, header, rows) -> None:
 def export(result: RunResult, directory, overwrite: bool = False) -> None:
     """Write the run to a directory of delimited tables plus a manifest.
 
-    Refuses to touch a non-empty directory unless ``overwrite`` is set.
+    Refuses to touch a non-empty directory unless ``overwrite`` is set. The
+    files go to a temporary sibling directory, renamed into place once
+    complete, so a failed export leaves the target as it was.
     """
     directory = Path(directory)
     if directory.exists() and any(directory.iterdir()) and not overwrite:
         raise FileExistsError(
             f"{directory}: directory not empty; pass overwrite to replace")
-    directory.mkdir(parents=True, exist_ok=True)
+    directory.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
+    try:
+        (work / "new").mkdir()
+        _write_run(result, work / "new")
+    except BaseException:
+        shutil.rmtree(work)
+        raise
+    if directory.exists():
+        os.replace(directory, work / "old")
+    os.replace(work / "new", directory)
+    shutil.rmtree(work)
 
+
+def _write_run(result: RunResult, directory: Path) -> None:
     manifest = {"schema": _SCHEMA, "config": result.config}
     with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -417,12 +432,23 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     return list(out.reshape(len(columns), *shape))
 
 
+def _matches(path, name, got, want, source) -> None:
+    """Raise ValueError naming the file unless the (t, id) grid ``got``
+    equals ``want``, NaN matching NaN."""
+    bad = np.flatnonzero(~((got == want) | (np.isnan(got) & np.isnan(want))))
+    if bad.size:
+        t, i = divmod(int(bad[0]), got.shape[1])
+        raise ValueError(f"{path}: {name} of t = {t + 1}, id {i} is {got[t, i]!r}, "
+                         f"not as in {source}")
+
+
 def import_result(directory) -> RunResult:
     """Rebuild a RunResult from an exported directory.
 
     Rows may come in any order. A wrong schema, a missing column, a field
-    that does not parse, an id out of range or a missing or repeated row
-    raises ValueError naming the file.
+    that does not parse, an id out of range, a missing or repeated row, or a
+    column that disagrees with the table it repeats raises ValueError naming
+    the file.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -458,11 +484,19 @@ def import_result(directory) -> RunResult:
     if np.isnan(budgets[1:]).any() or np.isnan(budgets_eff[1:]).any():
         raise ValueError(f"{path}: a budget after t = 0 is empty or NaN")
 
-    allocations, theta_hat, theta_obs, bounds = _read_table(
-        directory / "allocations.csv", periods + nodes,
-        ["x", "theta_hat", "theta_obs", "bound"])
-    ratios, = _read_table(directory / "sharing.csv",
-                          periods + [("agent_id", 0, k - 1)], ["ratio"])
+    path = directory / "allocations.csv"
+    alloc_agents, allocations, theta_hat, theta_obs, bounds = _read_table(
+        path, periods + nodes, ["agent_id", "x", "theta_hat", "theta_obs", "bound"])
+    _matches(path, "agent_id", alloc_agents, agent_of, "nodes.csv")
+
+    path = directory / "sharing.csv"
+    ratios, b_in, b_out, b_eff = _read_table(
+        path, periods + [("agent_id", 0, k - 1)],
+        ["ratio", "budget_in", "budget_out", "budget_effective"])
+    _matches(path, "budget_in", b_in, budgets[1:], "agents.csv")
+    _matches(path, "budget_effective", b_eff, budgets_eff[1:], "agents.csv")
+    with np.errstate(all="ignore"):  # as the export's Python product, no warning
+        _matches(path, "budget_out", b_out, b_in * ratios, "budget_in * ratio")
 
     path = directory / "priors.csv"
     priors_a, priors_b = (_integers(path, name, col, 0, 2 ** 53) for name, col in

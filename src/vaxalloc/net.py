@@ -32,8 +32,10 @@ class NodeRecord:
     airport_id: int | None = None
 
     def __post_init__(self):
-        if self.population <= 0:
-            raise ValueError(f"node {self.id}: population must be positive")
+        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
+            raise ValueError(f"node {self.id}: coordinates must be finite")
+        if not (math.isfinite(self.population) and self.population > 0):
+            raise ValueError(f"node {self.id}: population must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,10 @@ class AirportRecord:
     id: int
     lat: float
     lon: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
+            raise ValueError(f"airport {self.id}: coordinates must be finite")
 
 
 @dataclass
@@ -300,13 +306,16 @@ def synth_world(n_nodes: int, n_agents: int, *,
 
 
 def read_nodes(path) -> list[NodeRecord]:
-    """Node file: header id,lat,lon,population,agent_id."""
+    """Node file: header id,lat,lon,population,agent_id; each id once."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             out.append(NodeRecord(
                 id=int(row["id"]), lat=float(row["lat"]), lon=float(row["lon"]),
                 population=float(row["population"]), agent_id=int(row["agent_id"])))
+    ids, counts = np.unique([nd.id for nd in out], return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"{path}: node id {ids[counts > 1][0]} appears more than once")
     return out
 
 

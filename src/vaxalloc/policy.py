@@ -17,15 +17,10 @@ from .net import FlowMatrix
 
 POLICIES = ("ts", "gy", "ma", "pb", "none")
 
-
-@dataclass
-class BetaPrior:
-    a: int = 1
-    b: int = 1
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("Beta counts must be >= 1")
+# A knapsack take at or below DUST, or a remainder at or below DUST times
+# the budget, is rounding left over from the spend: funding it would count a
+# full Bernoulli trial for a node that was given nothing.
+DUST = 1e-12
 
 
 @dataclass
@@ -120,7 +115,8 @@ def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatri
 def solve_knapsack(problem: AllocationProblem) -> Allocation:
     """Greedy fractional knapsack: fund nodes by increasing loss-to-cost ratio
     (ties broken by ascending index) while the loss is negative and budget
-    remains; the last funded node gets the fractional remainder."""
+    remains; the last funded node gets the fractional remainder. Takes and
+    remainders within ``DUST`` are not funded."""
     l, c, ub = problem.losses, problem.costs, problem.bounds
     n = l.shape[0]
     x = np.zeros(n)
@@ -131,11 +127,11 @@ def solve_knapsack(problem: AllocationProblem) -> Allocation:
     remaining = float(problem.budget)
     for idx in order:
         take = min(ub[idx], remaining / c[idx])
-        if take <= 0:
+        if take <= DUST:
             continue
         x[idx] = take
         remaining -= take * c[idx]
-        if remaining <= 0:
+        if remaining <= DUST * problem.budget:
             break
     return Allocation(x=x)
 

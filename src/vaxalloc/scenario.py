@@ -8,7 +8,7 @@ import dataclasses
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,17 +33,6 @@ STREAM_TRIALS = 12
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Counter-style deterministic substream of the master seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *path)))
-
-
-@dataclass
-class AgentConfig:
-    agent_id: int
-    capacity: float
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.capacity <= 1:
-            raise ValueError("capacity must be in (0, 1]")
 
 
 @dataclass
@@ -243,7 +232,6 @@ class Instance:
     """A fully generated problem instance, ready to simulate."""
 
     config: ScenarioConfig
-    nodes: list
     populations: np.ndarray
     agent_of: np.ndarray
     network: FlowMatrix
@@ -295,7 +283,7 @@ def build_instance(config: ScenarioConfig) -> Instance:
     eff = EfficiencyModel(mean_rates=theta, epsilon=config.epsilon)
 
     return Instance(
-        config=config, nodes=nodes, populations=populations, agent_of=agent_of,
+        config=config, populations=populations, agent_of=agent_of,
         network=network, params=params, initial=initial, capacities=caps,
         base_budgets=budgets(caps, populations, agent_of, config.budget_multiplier),
         costs=populations.copy(), efficiency=eff)

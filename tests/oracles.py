@@ -80,7 +80,10 @@ def nearest_airport_bruteforce(node_xy, airport_ids, airport_xy):
 
 
 # ---------------------------------------------------------------------------
-# explicit per-period paths that the static agent coupling replaced
+# explicit per-period paths that the one-product sharing split and the static
+# own-agent inflow replaced. The split must match infection_split_add_at bit
+# for bit; the infected-flow matrix adds its entries in another order and
+# matches infected_flow_matrix_add_at to a few ulps.
 
 
 def infection_split_add_at(state, params, net, agent_of):

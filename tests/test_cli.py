@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from vaxalloc.cli import main
+from vaxalloc.cli import build_parser, main
 from vaxalloc.scenario import ScenarioConfig
 
 
@@ -38,6 +38,45 @@ def test_build_net_from_files(tmp_path):
                "--planar", "--out", str(out)])
     assert rc == 0
     assert (src / "edges.csv").read_bytes() == (out / "edges.csv").read_bytes()
+
+
+BAD_NET_INPUTS = {
+    "repeated node": ("nodes.csv",
+                      lambda p: _edit_lines(p, lambda ls: ls.insert(2, ls[1]))),
+    "NaN latitude": ("nodes.csv", lambda p: _set_field(p, 1, 1, "nan")),
+    "infinite longitude": ("nodes.csv", lambda p: _set_field(p, 2, 2, "inf")),
+    "NaN population": ("nodes.csv", lambda p: _set_field(p, 3, 3, "nan")),
+    "infinite population": ("nodes.csv", lambda p: _set_field(p, 3, 3, "inf")),
+    "NaN airport latitude": ("airports.csv", lambda p: _set_field(p, 1, 1, "nan")),
+    "infinite airport longitude": ("airports.csv",
+                                   lambda p: _set_field(p, 1, 2, "-inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NET_INPUTS))
+def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
+    src = tmp_path / "src"
+    assert main(["build-net", "--synthetic", "--n-nodes", "30", "--n-agents", "2",
+                 "--out", str(src)]) == 0
+    name, corrupt = BAD_NET_INPUTS[case]
+    corrupt(src / name)
+    capsys.readouterr()
+    out = tmp_path / "rebuilt"
+    rc = main(["build-net", "--nodes", str(src / "nodes.csv"),
+               "--airports", str(src / "airports.csv"),
+               "--flights", str(src / "airflows.csv"), "--planar", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (out / "edges.csv").exists()
+
+
+def test_build_net_defaults_follow_scenario_config():
+    args = build_parser().parse_args(["build-net", "--out", "x"])
+    defaults = ScenarioConfig()
+    for name in ("n_nodes", "n_agents", "grid_spacing_km", "airport_density",
+                 "ground_range_km", "commute_fraction"):
+        assert getattr(args, name) == getattr(defaults, name)
 
 
 def test_build_net_missing_inputs(tmp_path, capsys):
@@ -174,6 +213,12 @@ BAD_RUNS = {
     "agent out of range": ("nodes.csv", lambda p: _set_field(p, 1, 2, "2")),
     "budget empty": ("agents.csv", lambda p: _set_field(p, 3, 6, "")),
     "prior not an integer": ("priors.csv", lambda p: _set_field(p, 1, 1, "2.5")),
+    "allocation agent out of range": ("allocations.csv",
+                                      lambda p: _set_field(p, 1, 1, "7")),
+    "allocation agent not the node's": ("allocations.csv",
+                                        lambda p: _set_field(p, 1, 1, "1")),
+    "budget_out not budget_in * ratio": ("sharing.csv",
+                                         lambda p: _set_field(p, 1, 4, "-1e9")),
 }
 
 

@@ -116,20 +116,17 @@ class TestGains:
 
 def test_coupled_run_matches_add_at_path(monkeypatch):
     """A ts run with sharing on equals the same run made with the explicit
-    per-period sharing and loss paths swapped in."""
+    per-period split and loss paths swapped in. With the explicit
+    infected-flow matrix, which adds in another order, swapped in as well,
+    it funds the same nodes and learns the same Beta counts."""
     cfg = ScenarioConfig(n_nodes=150, n_agents=4, horizon=20, seed=3,
                          policy="ts", sharing=True, initial_infected=0.005)
     inst = build_instance(cfg)
     fast = run_instance(inst)
-    net, agent_of = inst.network, inst.agent_of
     monkeypatch.setattr(
         shmod, "infection_split",
-        lambda state, params, coupling: shmod.InfectionSplit(
-            *infection_split_add_at(state, params, net, agent_of)))
-    monkeypatch.setattr(
-        shmod, "infected_flow_matrix",
-        lambda state, coupling: infected_flow_matrix_add_at(
-            state, net, agent_of, cfg.n_agents))
+        lambda state, params, net, agent_of, inflows: infection_split_add_at(
+            state, params, net, agent_of))
     monkeypatch.setattr(
         harness, "loss_coefficients",
         lambda state, params, net, idx, theta, inflow:
@@ -137,6 +134,34 @@ def test_coupled_run_matches_add_at_path(monkeypatch):
     slow = run_instance(inst)
     assert np.any(fast.sharing_ratios > 0)
     assert fast.equals(slow)
+
+    states = []
+    agent_inflows = shmod.agent_inflows
+
+    def recording(state, *args):
+        states.append(state)
+        return agent_inflows(state, *args)
+    monkeypatch.setattr(shmod, "agent_inflows", recording)
+    monkeypatch.setattr(
+        shmod, "infected_flow_matrix",
+        lambda net, agent_of, inflows: infected_flow_matrix_add_at(
+            states[-1], net, agent_of, cfg.n_agents))
+    explicit = run_instance(inst)
+    assert len(states) == cfg.horizon
+    assert np.array_equal(fast.allocations > 0, explicit.allocations > 0)
+    assert np.array_equal(fast.priors_a, explicit.priors_a)
+    assert np.array_equal(fast.priors_b, explicit.priors_b)
+    np.testing.assert_allclose(explicit.agent_totals, fast.agent_totals,
+                               rtol=1e-12, atol=0)
+
+
+def test_run_funds_no_dust():
+    """The rounding a knapsack spend leaves is never funded; a run that did
+    would count a Bernoulli trial for a node given nothing."""
+    res = run(ScenarioConfig(n_nodes=200, policy="ts", sharing=True, seed=901))
+    x = res.allocations
+    assert np.any(x > 0)
+    assert not np.any((x > 0) & (x < 1e-12))
 
 
 class TestReplicate:
@@ -205,6 +230,31 @@ class TestExport:
             export(res, out)
         export(res, out, overwrite=True)
         assert (out / "manifest.json").exists()
+
+    def test_failed_export_leaves_no_partial_directory(self, tmp_path):
+        res = run(small_config(policy="pb", horizon=2))
+        out = tmp_path / "out"
+        with pytest.raises(TypeError):
+            export(dataclasses.replace(res, priors_a=None), out)
+        assert list(tmp_path.iterdir()) == []
+        export(res, out)
+        assert res.equals(import_result(out))
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_failed_overwrite_keeps_old_run(self, tmp_path):
+        old = run(small_config(policy="pb", horizon=2))
+        out = tmp_path / "out"
+        export(old, out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        new = run(small_config(policy="ts", horizon=3))
+        with pytest.raises(TypeError):
+            export(dataclasses.replace(new, priors_a=None), out, overwrite=True)
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        (out / "stale.txt").write_text("x")
+        export(new, out, overwrite=True)
+        assert new.equals(import_result(out))
+        assert not (out / "stale.txt").exists()
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_exports_byte_identical(self, tmp_path):
         cfg = small_config(policy="ts", seed=42)

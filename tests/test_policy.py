@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix
-from vaxalloc.policy import (Allocation, AllocationProblem, BetaPrior,
+from vaxalloc.policy import (DUST, Allocation, AllocationProblem,
                              PolicyState, gy_estimate, loss_coefficients,
                              ma_estimate, observe_and_update, own_inflow,
                              pb_allocate, solve_knapsack, ts_sample,
@@ -151,6 +153,22 @@ class TestKnapsack:
         assert np.all(out.x >= 0)
         assert np.all(out.x <= prob.bounds + 1e-12)
         assert float(out.x @ prob.costs) <= prob.budget * (1 + 1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1.0, 1e5), st.floats(0.0, 1.0), st.booleans()),
+                    min_size=2, max_size=10))
+    def test_no_dust_when_budget_is_a_sum_of_costs(self, nodes):
+        """The budget is the float sum of the spends on the flagged nodes,
+        which the greedy funds first; the rounding left after paying them
+        is not handed to the next node."""
+        costs, bounds, first = (np.array(col) for col in zip(*nodes))
+        budget = 0.0
+        for c, u in zip(costs[first], bounds[first]):
+            budget += c * u
+        prob = AllocationProblem(losses=-costs * np.where(first, 2.0, 1.0),
+                                 costs=costs, budget=budget, bounds=bounds)
+        x = solve_knapsack(prob).x
+        assert not np.any((x > 0) & (x <= DUST))
 
 
 class TestEstimators:
@@ -330,10 +348,10 @@ def test_ts_learns_the_better_node():
     assert np.mean(funded) > 0.9
 
 
-def test_beta_prior_validation():
-    with pytest.raises(ValueError):
-        BetaPrior(a=0, b=1)
-    assert BetaPrior().a == 1
+def test_policy_state_starts_at_uniform_prior():
+    pol = PolicyState(n=3, horizon=2, window=np.ones(3, dtype=int))
+    assert pol.a.dtype == pol.b.dtype == np.int64
+    assert np.all(pol.a == 1) and np.all(pol.b == 1)
 
 
 def test_problem_validation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vaxalloc.scenario import (AgentConfig, EfficiencyModel, ScenarioConfig,
+from vaxalloc.scenario import (EfficiencyModel, ScenarioConfig,
                                budgets, build_instance,
                                capacity_to_mean_efficiency, draw_mean_rates,
                                draw_realized_rates, stream)
@@ -115,9 +115,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({"n_nodes": 10, "bogus": 1})
 
-    def test_agent_config_capacity_range(self):
-        with pytest.raises(ValueError):
-            AgentConfig(agent_id=0, capacity=0.0, nodes=np.array([0]))
+    def test_capacities_in_half_open_unit_interval(self):
+        for caps in ([0.0, 0.5], [0.5, 1.5]):
+            with pytest.raises(ValueError, match="capacities"):
+                ScenarioConfig(n_agents=2, capacities=caps)
+        assert ScenarioConfig(n_agents=2, capacities=[0.5, 1.0]).capacities == [0.5, 1.0]
 
     def test_efficiency_model_validation(self):
         with pytest.raises(ValueError):

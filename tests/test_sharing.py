@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix, build_network, synth_world
-from vaxalloc.sharing import (agent_coupling, infected_flow_matrix,
+from vaxalloc.sharing import (agent_inflows, infected_flow_matrix,
                               infection_split, plan_sharing, redistribute,
                               sharing_ratios)
 
@@ -31,63 +31,64 @@ def make_params(n, beta=0.3, gamma=0.1):
                      cfr=np.full(n, 0.01))
 
 
+def split_of(state, params, net, agent_of, k):
+    return infection_split(state, params, net, agent_of,
+                           agent_inflows(state, net, agent_of, k))
+
+
+def flows_of(state, net, agent_of, k):
+    return infected_flow_matrix(net, agent_of, agent_inflows(state, net, agent_of, k))
+
+
 class TestInfectionSplit:
     def test_single_agent_no_external(self):
         net = two_node_net()
-        split = infection_split(make_state([0.1, 0.2]), make_params(2),
-                                agent_coupling(net, np.array([0, 0]), 1))
-        assert np.all(split.external == 0.0)
-        assert np.all(split.internal > 0.0)
+        internal, external = split_of(make_state([0.1, 0.2]), make_params(2), net,
+                                      np.array([0, 0]), 1)
+        assert np.all(external == 0.0)
+        assert np.all(internal > 0.0)
 
     def test_no_mobility_local_terms_only(self):
         net = FlowMatrix(sp.csr_matrix((2, 2)), sp.csr_matrix((2, 2)),
                          np.array([1000.0, 1000.0]))
         st = make_state([0.1, 0.2])
         p = make_params(2)
-        split = infection_split(st, p, agent_coupling(net, np.array([0, 1]), 2))
-        assert np.all(split.external == 0.0)
+        internal, external = split_of(st, p, net, np.array([0, 1]), 2)
+        assert np.all(external == 0.0)
         expect = st.i + p.beta * st.s * st.i - p.gamma * st.i
-        assert np.allclose(split.internal, expect, atol=1e-15)
+        assert np.allclose(internal, expect, atol=1e-15)
 
     def test_cross_agent_hand_value(self):
         net = two_node_net(rho_target=0.11)
         assert net.rho == pytest.approx(0.11)
-        split = infection_split(make_state([0.1, 0.2]), make_params(2),
-                                agent_coupling(net, np.array([0, 1]), 2))
-        assert split.external[0] == pytest.approx(0.11 * 0.2, abs=1e-12)
-        assert split.external[1] == pytest.approx(0.11 * 0.1, abs=1e-12)
+        internal, external = split_of(make_state([0.1, 0.2]), make_params(2), net,
+                                      np.array([0, 1]), 2)
+        assert external[0] == pytest.approx(0.11 * 0.2, abs=1e-12)
+        assert external[1] == pytest.approx(0.11 * 0.1, abs=1e-12)
 
 
 class TestSharingRatios:
-    def split(self, internal, external):
-        from vaxalloc.sharing import InfectionSplit
-        return InfectionSplit(internal=np.asarray(internal, dtype=float),
-                              external=np.asarray(external, dtype=float))
-
     def test_zero_external(self):
-        r = sharing_ratios(self.split([0.1, 0.2], [0.0, 0.0]),
-                           np.array([0, 0]), 1)
+        r = sharing_ratios([0.1, 0.2], [0.0, 0.0], np.array([0, 0]), 1)
         assert r[0] == 0.0
 
     def test_ratio_arithmetic(self):
-        r = sharing_ratios(self.split([0.08], [0.02]), np.array([0]), 1)
+        r = sharing_ratios([0.08], [0.02], np.array([0]), 1)
         assert r[0] == pytest.approx(0.2)
 
     def test_all_external_boundary(self):
-        r = sharing_ratios(self.split([0.0], [0.05]), np.array([0]), 1)
+        r = sharing_ratios([0.0], [0.05], np.array([0]), 1)
         assert r[0] == 1.0
 
     def test_no_infections_defined_as_zero(self):
-        r = sharing_ratios(self.split([0.0, 0.0], [0.0, 0.0]),
-                           np.array([0, 1]), 2)
+        r = sharing_ratios([0.0, 0.0], [0.0, 0.0], np.array([0, 1]), 2)
         assert np.all(r == 0.0)
 
 
 class TestInfectedFlowMatrix:
     def test_no_infections(self):
         net = two_node_net()
-        mat = infected_flow_matrix(make_state([0.0, 0.0]),
-                                   agent_coupling(net, np.array([0, 1]), 2))
+        mat = flows_of(make_state([0.0, 0.0]), net, np.array([0, 1]), 2)
         assert np.all(mat == 0.0)
 
     def test_single_cross_edge_hand_value(self):
@@ -96,8 +97,7 @@ class TestInfectedFlowMatrix:
         ground = sp.csr_matrix(np.array([[0.0, flow], [0.0, 0.0]]))
         net = FlowMatrix(ground, sp.csr_matrix((2, 2)), pops)
         assert net.rho == pytest.approx(0.11)
-        mat = infected_flow_matrix(make_state([0.0, 0.3]),
-                                   agent_coupling(net, np.array([0, 1]), 2))
+        mat = flows_of(make_state([0.0, 0.3]), net, np.array([0, 1]), 2)
         # node 0 (agent 0) sees agent 1's infections: M[1, 0]
         assert mat[1, 0] == pytest.approx(0.033, abs=1e-12)
         assert mat[0, 1] == 0.0
@@ -109,8 +109,8 @@ class TestInfectedFlowMatrix:
         np.fill_diagonal(dense, 0.0)
         net = FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix((n, n)),
                          rng.uniform(500, 2000, n))
-        mat = infected_flow_matrix(make_state(rng.uniform(0, 0.2, n)),
-                                   agent_coupling(net, rng.integers(0, 3, n), 3))
+        mat = flows_of(make_state(rng.uniform(0, 0.2, n)), net,
+                       rng.integers(0, 3, n), 3)
         assert np.all(np.diag(mat) == 0.0)
 
 
@@ -170,16 +170,18 @@ class TestRedistribute:
 
 def test_plan_sharing_end_to_end():
     net = two_node_net(rho_target=0.11)
-    plan = plan_sharing(make_state([0.1, 0.2]), make_params(2),
-                        agent_coupling(net, np.array([0, 1]), 2),
-                        np.array([10.0, 10.0]), np.array([0.3, 0.3]))
+    plan = plan_sharing(make_state([0.1, 0.2]), make_params(2), net,
+                        np.array([0, 1]), np.array([10.0, 10.0]),
+                        np.array([0.3, 0.3]))
     assert plan.infected_flows[0, 0] == 0.0
     assert plan.budgets_out.sum() == pytest.approx(20.0, rel=1e-9)
     assert np.all(plan.ratios >= 0) and np.all(plan.ratios <= 1)
 
 
 class TestCouplingMatchesAddAt:
-    """The static coupling against the per-period np.add.at path, exactly."""
+    """The one-product split against the per-period np.add.at path: the
+    split exactly; the infected-flow matrix, which adds its entries in
+    another order, to a few ulps."""
 
     @staticmethod
     def cases():
@@ -203,13 +205,16 @@ class TestCouplingMatchesAddAt:
             st = make_state(rng.uniform(0, 0.2, net.n), rng.uniform(0.5, 0.8, net.n))
             p = EpiParams(beta=rng.uniform(0.2, 0.5, net.n),
                           gamma=rng.uniform(0.1, 0.2, net.n), cfr=np.full(net.n, 0.01))
-            split = infection_split(st, p, agent_coupling(net, agent_of, k))
+            internal, external = split_of(st, p, net, agent_of, k)
             internal, external = infection_split_add_at(st, p, net, agent_of)
-            assert np.array_equal(split.internal, internal)
-            assert np.array_equal(split.external, external)
+            assert np.array_equal(internal, internal)
+            assert np.array_equal(external, external)
 
-    def test_infected_flow_matrix_bitwise(self):
+    def test_infected_flow_matrix_close(self):
         for net, agent_of, k, rng in self.cases():
             st = make_state(rng.uniform(0, 0.2, net.n))
-            mat = infected_flow_matrix(st, agent_coupling(net, agent_of, k))
-            assert np.array_equal(mat, infected_flow_matrix_add_at(st, net, agent_of, k))
+            mat = flows_of(st, net, agent_of, k)
+            np.testing.assert_allclose(
+                mat, infected_flow_matrix_add_at(st, net, agent_of, k),
+                rtol=1e-13, atol=0)
+            assert np.all(np.diag(mat) == 0.0)
