@@ -119,9 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--airports")
     b.add_argument("--flights")
     b.add_argument("--synthetic", action="store_true")
-    defaults = ScenarioConfig()
     for name in _NET_FIELDS:
-        value = getattr(defaults, name)
+        value = getattr(ScenarioConfig, name)
         b.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--planar", action="store_true",

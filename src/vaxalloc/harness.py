@@ -103,7 +103,6 @@ def run_instance(inst: Instance) -> RunResult:
     period in sharing mode), per-agent estimate + knapsack solve with
     windowed bounds, epidemic step with realized efficiencies, next-period
     sharing quantities from the stepped state, then Bernoulli prior updates.
-    Own-agent inflows for the knapsack policies are built once, up front.
     """
     t_start = time.perf_counter()
     cfg = inst.config
@@ -318,13 +317,16 @@ def export(result: RunResult, directory, overwrite: bool = False) -> None:
     try:
         (work / "new").mkdir()
         _write_run(result, work / "new")
-    except BaseException:
+        if directory.exists():
+            os.replace(directory, work / "old")
+        try:
+            os.replace(work / "new", directory)
+        except BaseException:
+            if (work / "old").exists():
+                os.replace(work / "old", directory)
+            raise
+    finally:
         shutil.rmtree(work)
-        raise
-    if directory.exists():
-        os.replace(directory, work / "old")
-    os.replace(work / "new", directory)
-    shutil.rmtree(work)
 
 
 def _write_run(result: RunResult, directory: Path) -> None:
@@ -433,8 +435,7 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
 
 
 def _matches(path, name, got, want, source) -> None:
-    """Raise ValueError naming the file unless the (t, id) grid ``got``
-    equals ``want``, NaN matching NaN."""
+    """Raise ValueError naming the file unless ``got`` equals ``want``, NaN == NaN."""
     bad = np.flatnonzero(~((got == want) | (np.isnan(got) & np.isnan(want))))
     if bad.size:
         t, i = divmod(int(bad[0]), got.shape[1])

@@ -62,8 +62,8 @@ def sharing_ratios(internal: np.ndarray, external: np.ndarray, agent_of: np.ndar
 def infected_flow_matrix(net: FlowMatrix, agent_of: np.ndarray,
                          inflows: np.ndarray) -> np.ndarray:
     """M[k', k] = rho * sum over i in V_k, j in N_i with owner k' of
-    p_ij * I_j, from the per-agent column sums of ``agent_inflows``; the
-    diagonal is zero, as only cross-agent entries add."""
+    p_ij * I_j, from the per-agent column sums of ``agent_inflows``; those
+    include same-agent flow, so the diagonal is set to zero explicitly."""
     k = inflows.shape[1] // 2
     into = np.zeros((k, k))  # into[k, k']: agent k' infections reaching V_k
     np.add.at(into, agent_of, inflows[:, :k])

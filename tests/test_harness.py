@@ -256,6 +256,24 @@ class TestExport:
         assert not (out / "stale.txt").exists()
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_failed_rename_restores_old_run(self, tmp_path, monkeypatch):
+        old = run(small_config(policy="pb", horizon=2))
+        out = tmp_path / "out"
+        export(old, out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        real_replace = harness.os.replace
+
+        def replace(src, dst):
+            if Path(src).name == "new":
+                raise OSError("rename refused")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(harness.os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            export(run(small_config(policy="ts", horizon=3)), out, overwrite=True)
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_exports_byte_identical(self, tmp_path):
         cfg = small_config(policy="ts", seed=42)
         export(run(cfg), tmp_path / "a")

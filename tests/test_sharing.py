@@ -205,10 +205,10 @@ class TestCouplingMatchesAddAt:
             st = make_state(rng.uniform(0, 0.2, net.n), rng.uniform(0.5, 0.8, net.n))
             p = EpiParams(beta=rng.uniform(0.2, 0.5, net.n),
                           gamma=rng.uniform(0.1, 0.2, net.n), cfr=np.full(net.n, 0.01))
-            internal, external = split_of(st, p, net, agent_of, k)
-            internal, external = infection_split_add_at(st, p, net, agent_of)
-            assert np.array_equal(internal, internal)
-            assert np.array_equal(external, external)
+            fast_in, fast_ex = split_of(st, p, net, agent_of, k)
+            ref_in, ref_ex = infection_split_add_at(st, p, net, agent_of)
+            assert np.array_equal(fast_in, ref_in)
+            assert np.array_equal(fast_ex, ref_ex)
 
     def test_infected_flow_matrix_close(self):
         for net, agent_of, k, rng in self.cases():
