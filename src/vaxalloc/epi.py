@@ -81,7 +81,6 @@ def step_vaccinated(state: CompartmentState, params: EpiParams, net: FlowMatrix,
             raise ValueError("realized efficiency must be in [0, 1] where allocated")
 
     s, i, r = state.s, state.i, state.r
-    p = net.rates
     rs = net.rate_row_sum
     rho = net.rho
     vx = theta_obs * x
@@ -91,9 +90,8 @@ def step_vaccinated(state: CompartmentState, params: EpiParams, net: FlowMatrix,
     sv = s * keep
     rv = r + s * vx
 
-    # one product for the three mobility terms: csr_matvecs adds each
-    # column in csr_matvec's row order, so each equals its own p @ v exactly
-    p_sv, p_i, p_rv = (p @ np.column_stack((sv, i, rv))).T
+    # the three mobility terms rates @ (sv, i, rv) as one product
+    p_sv, p_i, p_rv = net.rates_dot(np.column_stack((sv, i, rv))).T
 
     s1 = (s - new_inf) * keep + rho * (p_sv - rs * sv)
     i1 = i + new_inf * keep - params.gamma * i + rho * (p_i - rs * i)

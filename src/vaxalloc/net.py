@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,14 +67,24 @@ class AirFlowTable:
 
 class FlowMatrix:
     """Combined mobility flows, row-stochastic rates and the global
-    flow-to-population ratio.
+    flow-to-population ratio, held factored.
 
-    Rows of ``rates`` sum to 1 for nodes with outflow and are empty for
-    nodes without; ``rate_row_sum`` is 1.0/0.0 accordingly, which lets the
+    The ground flows are a sparse matrix. The air flows are kept at airport
+    level: node i, in the polygon of airport slot a = ``cell[i]``, sends
+    A_ij = g_ab (P_i + P_j) / (PP_a + PP_b) to node j of slot b, where PP
+    are the polygon populations. With H_ab = g_ab / (PP_a + PP_b) and Z the
+    node-to-slot membership, A V = P * (H Z^T V)[cell] + (H Z^T (P * V))[cell],
+    and A^T factors the same way with H^T. So ``rates_dot`` and
+    ``rates_t_dot`` cost O(n + ground nnz + m^2) per column, for m slots.
+
+    ``air``, ``flows`` and ``rates`` are the explicit n x n matrices,
+    assembled on first access and cached; a run never reads them. Rows of
+    ``rates`` sum to 1 for nodes with outflow and are empty for nodes
+    without; ``rate_row_sum`` is 1.0/0.0 accordingly, which lets the
     epidemic step write mobility terms as ``rates @ u - rate_row_sum * u``.
     """
 
-    def __init__(self, ground: sp.spmatrix, air: sp.spmatrix,
+    def __init__(self, ground: sp.spmatrix, cell: np.ndarray, g: np.ndarray,
                  populations: np.ndarray):
         populations = np.asarray(populations, dtype=float)
         if populations.sum() <= 0:
@@ -82,20 +93,75 @@ class FlowMatrix:
         self.n = n
         self.populations = populations
         self.ground = sp.csr_matrix(ground, shape=(n, n))
-        self.air = sp.csr_matrix(air, shape=(n, n))
-        flows = (self.ground + self.air).tocsr()
-        flows.eliminate_zeros()
-        self.flows = flows
-        outflow = np.asarray(flows.sum(axis=1)).ravel()
+        self.cell = np.asarray(cell, dtype=np.intp)
+        self.g = np.asarray(g, dtype=float)
+        _, polygon_pop = _slots(self.cell, populations, self.g.shape[0])
+        empty = polygon_pop[self.cell] <= 0
+        if np.any(empty):
+            raise ValueError(f"node {int(np.flatnonzero(empty)[0])} lies in an "
+                             "airport polygon of zero population")
+        denom = polygon_pop[:, None] + polygon_pop[None, :]
+        # a pair of slots without nodes has no flow to carry
+        self.h = np.divide(self.g, denom, out=np.zeros_like(self.g), where=denom > 0)
+        outflow = (np.asarray(self.ground.sum(axis=1)).ravel()
+                   + self._air_dot(self.h, np.ones((n, 1)))[:, 0])
         self.outflow = outflow
-        inv = np.where(outflow > 0, 1.0 / np.where(outflow > 0, outflow, 1.0), 0.0)
-        self.rates = (sp.diags(inv) @ flows).tocsr()
+        # a row without outflow holds only zeros, so any divisor leaves it 0;
+        # dividing, not multiplying by 1 / outflow, keeps a subnormal
+        # outflow from giving infinite rates
+        self._divisor = np.where(outflow > 0, outflow, 1.0)[:, None]
         self.rate_row_sum = (outflow > 0).astype(float)
-        self.rho = float(flows.sum() / populations.sum())
+        self.rho = float(outflow.sum() / populations.sum())
+
+    def _air_dot(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """A @ v for h = H, A.T @ v for h = H.T; v is n x c."""
+        c = v.shape[1]
+        pop = self.populations[:, None]
+        by_slot = np.stack([np.bincount(self.cell, weights=col, minlength=h.shape[0])
+                            for col in np.hstack((v, pop * v)).T], axis=1)
+        w = h @ by_slot
+        return pop * w[self.cell, :c] + w[self.cell, c:]
+
+    def rates_dot(self, v: np.ndarray) -> np.ndarray:
+        """``rates @ v`` for an n x c array v."""
+        v = np.asarray(v, dtype=float)
+        return (self.ground @ v + self._air_dot(self.h, v)) / self._divisor
+
+    def rates_t_dot(self, u: np.ndarray) -> np.ndarray:
+        """``rates.T @ u`` for an n x c array u."""
+        u = np.asarray(u, dtype=float) / self._divisor
+        return self.ground.T @ u + self._air_dot(self.h.T, u)
 
     def inflow(self) -> np.ndarray:
         """Total flow entering each node (column sums of the flow matrix)."""
-        return np.asarray(self.flows.sum(axis=0)).ravel()
+        return (np.asarray(self.ground.sum(axis=0)).ravel()
+                + self._air_dot(self.h.T, np.ones((self.n, 1)))[:, 0])
+
+    @cached_property
+    def air(self) -> sp.csr_matrix:
+        return air_flows(self.cell, self.g, self.populations)
+
+    @cached_property
+    def flows(self) -> sp.csr_matrix:
+        flows = (self.ground + self.air).tocsr()
+        flows.eliminate_zeros()
+        return flows
+
+    @cached_property
+    def rates(self) -> sp.csr_matrix:
+        # one sparse product, so the assembly holds no array of nnz floats
+        # beyond the three matrices
+        inv = np.where(self.outflow > 0, 1.0 / self._divisor[:, 0], 0.0)
+        return (sp.diags(inv) @ self.flows).tocsr()
+
+
+def _slots(cell: np.ndarray, populations: np.ndarray,
+           m: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """Ascending node indices of each of the m airport slots, and each slot's
+    population summed over them in that order."""
+    order = np.argsort(cell, kind="stable")
+    members = np.split(order, np.searchsorted(cell[order], np.arange(1, m)))
+    return members, np.array([float(populations[idx].sum()) for idx in members])
 
 
 def _as_arrays(nodes: list[NodeRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,35 +249,32 @@ def assign_airports(nodes: list[NodeRecord], airports: list[AirportRecord],
     return mu, polygon_pop
 
 
-def air_flows(assignment: np.ndarray, airports: list[AirportRecord],
-              air_table: AirFlowTable, nodes: list[NodeRecord]) -> sp.csr_matrix:
-    """Distribute airport-to-airport flows onto node pairs.
-
-    Each positive table entry g between airports a and b yields, for every
-    node i in polygon a and j in polygon b, a flow
-    g * (P_i + P_j) / (P_a + P_b). Entries naming an airport without nodes
-    are skipped. The CSR arrays are written one source airport at a time:
-    every node of polygon a has the same row pattern, the nodes of the
-    polygons a sends to, in ascending order.
-    """
-    _, _, pop = _as_arrays(nodes)
-    n = len(nodes)
-    # one slot per airport that has nodes, in ascending id order
+def air_factors(assignment: np.ndarray,
+                air_table: AirFlowTable) -> tuple[np.ndarray, np.ndarray]:
+    """Airport-level factors of the air flows: each node's slot among the
+    airports that have nodes, in ascending id order, and the m x m slot
+    flows g. Entries naming an airport without nodes are skipped."""
     aids, cell = np.unique(np.asarray(assignment), return_inverse=True)
-    members = [np.flatnonzero(cell == k) for k in range(len(aids))]
-    polygon_pop = np.array([float(pop[idx].sum()) for idx in members])
-    empty = polygon_pop[cell] <= 0
-    if np.any(empty):
-        node_idx = int(np.flatnonzero(empty)[0])
-        raise ValueError(f"node {node_idx} assigned to airport "
-                         f"{aids[cell[node_idx]]} with zero polygon population")
     slot = {int(aid): k for k, aid in enumerate(aids)}
     g = np.zeros((len(aids), len(aids)))
     for (a, b), flow in air_table.entries.items():
         if flow > 0 and a in slot and b in slot:
             g[slot[a], slot[b]] = flow
+    return cell, g
+
+
+def air_flows(cell: np.ndarray, g: np.ndarray,
+              populations: np.ndarray) -> sp.csr_matrix:
+    """The explicit air flow matrix of the factors: for every node i of slot
+    a and j of slot b, a flow g_ab * (P_i + P_j) / (PP_a + PP_b). The CSR
+    arrays are written one source slot at a time: every node of slot a has
+    the same row pattern, the nodes of the slots a sends to, in ascending
+    order."""
+    pop = np.asarray(populations, dtype=float)
+    n, m = pop.shape[0], g.shape[0]
+    members, polygon_pop = _slots(cell, pop, m)
     sends = g > 0
-    indptr = np.concatenate(([0], np.cumsum((sends @ np.bincount(cell))[cell])))
+    indptr = np.concatenate(([0], np.cumsum((sends @ np.bincount(cell, minlength=m))[cell])))
     data = np.empty(indptr[-1])
     # int32 as scipy picks for a COO -> CSR build of this shape; the CSR
     # constructor widens both index arrays if nnz needs int64
@@ -229,12 +292,13 @@ def air_flows(assignment: np.ndarray, airports: list[AirportRecord],
 def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
                   air_table: AirFlowTable, D: float, alpha: float,
                   planar: bool = False) -> FlowMatrix:
-    """End-to-end network build: neighborhoods, ground + air flows, rates."""
+    """End-to-end network build: neighborhoods, ground flows, airport
+    assignment and the air factors."""
     nbrs = ground_neighborhoods(nodes, D, planar=planar)
     ground = radiation_flows(nodes, nbrs, alpha)
     mu, _ = assign_airports(nodes, airports, planar=planar)
-    air = air_flows(mu, airports, air_table, nodes)
-    return FlowMatrix(ground, air, _as_arrays(nodes)[2])
+    cell, g = air_factors(mu, air_table)
+    return FlowMatrix(ground, cell, g, _as_arrays(nodes)[2])
 
 
 def synth_world(n_nodes: int, n_agents: int, *,
@@ -306,16 +370,18 @@ def synth_world(n_nodes: int, n_agents: int, *,
 
 
 def read_nodes(path) -> list[NodeRecord]:
-    """Node file: header id,lat,lon,population,agent_id; each id once."""
+    """Node file: header id,lat,lon,population,agent_id, ids 0..n-1 in row
+    order, since the network names each node by its row."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             out.append(NodeRecord(
                 id=int(row["id"]), lat=float(row["lat"]), lon=float(row["lon"]),
                 population=float(row["population"]), agent_id=int(row["agent_id"])))
-    ids, counts = np.unique([nd.id for nd in out], return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(f"{path}: node id {ids[counts > 1][0]} appears more than once")
+    for pos, nd in enumerate(out):
+        if nd.id != pos:
+            raise ValueError(f"{path}: data row {pos + 1} has node id {nd.id}; "
+                             "ids must be 0..n-1 in row order")
     return out
 
 
@@ -329,11 +395,15 @@ def write_nodes(nodes: list[NodeRecord], path) -> None:
 
 
 def read_airports(path) -> list[AirportRecord]:
+    """Airport file: header id,lat,lon; each id once."""
     out = []
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             out.append(AirportRecord(id=int(row["id"]), lat=float(row["lat"]),
                                      lon=float(row["lon"])))
+    ids, counts = np.unique([a.id for a in out], return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"{path}: airport id {ids[counts > 1][0]} appears more than once")
     return out
 
 

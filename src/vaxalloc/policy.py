@@ -84,11 +84,13 @@ def own_inflow(net: FlowMatrix, agent_nodes) -> np.ndarray:
     """Per node i of agent k, the rate flowing into i from k's own rows:
     sum over j in V_k of p_ji. ``agent_nodes`` holds one index array per
     agent."""
+    own = np.zeros((net.n, len(agent_nodes)))
+    for a, idx in enumerate(agent_nodes):
+        own[idx, a] = 1.0
+    col_in = net.rates_t_dot(own)
     out = np.zeros(net.n)
-    for idx in agent_nodes:
-        idx = np.asarray(idx, dtype=int)
-        col_in = np.asarray(net.rates[idx, :].sum(axis=0)).ravel()
-        out[idx] = col_in[idx]
+    for a, idx in enumerate(agent_nodes):
+        out[idx] = col_in[idx, a]
     return out
 
 

@@ -26,12 +26,9 @@ class SharingPlan:
 def agent_inflows(state: CompartmentState, net: FlowMatrix, agent_of: np.ndarray,
                   n_agents: int) -> np.ndarray:
     """Y = rates @ [Z * I, (1 - Z) * I], Z the n x K agent membership mask:
-    Y[i, k] sums p_ij I_j over j in V_k, and Y[i, K + k] over j outside V_k.
-    ``csr_matvecs`` adds each column in row order, as ``np.add.at`` over the
-    COO entries does, so each node's own-agent and cross-agent sums match
-    that scatter bit for bit."""
+    Y[i, k] sums p_ij I_j over j in V_k, and Y[i, K + k] over j outside V_k."""
     own = np.asarray(agent_of)[:, None] == np.arange(n_agents)
-    return net.rates @ (state.i[:, None] * np.hstack((own, ~own)))
+    return net.rates_dot(state.i[:, None] * np.hstack((own, ~own)))
 
 
 def infection_split(state: CompartmentState, params: EpiParams, net: FlowMatrix,

@@ -4,7 +4,8 @@ These deliberately avoid the library's vectorized/closed-form paths: the
 objective is evaluated term by term from its printed definition, and the
 knapsack optimum is found by dynamic programming over the full 0.01 grid.
 The explicit per-period, per-edge and per-entry paths that faster library
-code replaced are kept here as the references it must match exactly.
+code replaced are kept here as the references it must match, exactly or,
+where it adds in another order, to a stated tolerance.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def nearest_airport_bruteforce(node_xy, airport_ids, airport_xy):
 
 # ---------------------------------------------------------------------------
 # explicit per-period paths that the one-product sharing split and the static
-# own-agent inflow replaced. The split must match infection_split_add_at bit
-# for bit; the infected-flow matrix adds its entries in another order and
-# matches infected_flow_matrix_add_at to a few ulps.
+# own-agent inflow replaced. They read the explicit rates, which the factored
+# products stand for; both add in another order, so the split and the
+# infected-flow matrix match infection_split_add_at and
+# infected_flow_matrix_add_at to a few ulps, and the loss coefficients
+# match loss_coefficients_per_call to a few ulps.
 
 
 def infection_split_add_at(state, params, net, agent_of):
@@ -160,34 +163,30 @@ def export_network_per_edge(net, edges_path, rho_path):
 
 
 # ---------------------------------------------------------------------------
-# explicit world-build and epidemic-step paths that faster code replaced
+# explicit world-build and epidemic-step paths that faster code replaced. The
+# CSR air build must match air_flows_lists exactly; the step's factored
+# product adds in another order than the three explicit products, and
+# matches them to an absolute tolerance on the proportions.
 
 
-def air_flows_lists(assignment, airports, air_table, nodes):
-    """Air flows built as Python lists of COO entries, one table entry at a
-    time, then converted and summed by scipy."""
-    pop = np.array([nd.population for nd in nodes], dtype=float)
-    n = len(nodes)
+def air_flows_lists(cell, g, populations):
+    """Air flows built as Python lists of COO entries, one nonzero slot pair
+    at a time, then converted and summed by scipy."""
+    pop = np.asarray(populations, dtype=float)
+    n = len(pop)
     members = {}
     polygon_pop = {}
-    for aid in np.unique(assignment):
-        idx = np.flatnonzero(assignment == aid)
-        members[int(aid)] = idx
-        polygon_pop[int(aid)] = float(pop[idx].sum())
-    for node_idx, aid in enumerate(assignment):
-        if polygon_pop.get(int(aid), 0.0) <= 0:
-            raise ValueError(
-                f"node {node_idx} assigned to airport {aid} with zero polygon population")
+    for a in range(g.shape[0]):
+        idx = np.flatnonzero(cell == a)
+        members[a] = idx
+        polygon_pop[a] = float(pop[idx].sum())
     rows, cols, vals = [], [], []
-    for (a, b), g in air_table.entries.items():
-        if g <= 0:
-            continue
-        src = members.get(a)
-        dst = members.get(b)
-        if src is None or dst is None or len(src) == 0 or len(dst) == 0:
+    for a, b in zip(*np.nonzero(g > 0)):
+        src, dst = members[a], members[b]
+        if len(src) == 0 or len(dst) == 0:
             continue
         denom = polygon_pop[a] + polygon_pop[b]
-        block = g * (pop[src][:, None] + pop[dst][None, :]) / denom
+        block = g[a, b] * (pop[src][:, None] + pop[dst][None, :]) / denom
         rr, cc = np.meshgrid(src, dst, indexing="ij")
         rows.extend(rr.ravel().tolist())
         cols.extend(cc.ravel().tolist())

@@ -81,7 +81,7 @@ def test_criterion_3_objective_equivalence():
         n = int(rng.integers(3, 21))
         dense = rng.uniform(0, 150, (n, n)) * (rng.random((n, n)) < 0.5)
         np.fill_diagonal(dense, 0.0)
-        net = FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix((n, n)),
+        net = FlowMatrix(sp.csr_matrix(dense), np.zeros(n, int), np.zeros((1, 1)),
                          rng.uniform(500, 5000, n))
         s = rng.uniform(0.4, 0.95, n)
         i = rng.uniform(0.0, 0.05, n)

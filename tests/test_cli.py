@@ -50,6 +50,9 @@ BAD_NET_INPUTS = {
     "NaN airport latitude": ("airports.csv", lambda p: _set_field(p, 1, 1, "nan")),
     "infinite airport longitude": ("airports.csv",
                                    lambda p: _set_field(p, 1, 2, "-inf")),
+    "node ids from 100": ("nodes.csv", lambda p: _renumber(p, 100)),
+    "repeated airport": ("airports.csv",
+                         lambda p: _edit_lines(p, lambda ls: ls.insert(2, "0,9999.0,9999.0"))),
 }
 
 
@@ -176,6 +179,14 @@ def _edit_lines(path, edit):
     lines = path.read_text().split("\n")
     edit(lines)
     path.write_text("\n".join(lines))
+
+
+def _renumber(path, first):
+    def edit(lines):
+        for k in range(1, len(lines)):
+            if lines[k].strip():
+                lines[k] = f"{first + k - 1}," + lines[k].split(",", 1)[1]
+    _edit_lines(path, edit)
 
 
 def _set_field(path, line, column, value):

@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from vaxalloc.epi import (CompartmentState, EpidemicInstabilityError, EpiParams,
                           step, step_vaccinated)
 from vaxalloc.net import FlowMatrix, NodeRecord, build_network, synth_world
 
 from oracles import step_vaccinated_three_products
+from worlds import random_airport_net
 
 
 def isolated_net(n=1):
-    return FlowMatrix(sp.csr_matrix((n, n)), sp.csr_matrix((n, n)),
+    return FlowMatrix(sp.csr_matrix((n, n)), np.zeros(n, int), np.zeros((1, 1)),
                       np.full(n, 1000.0))
 
 
 def two_node_net(f01=100.0, f10=100.0, pops=(1000.0, 1000.0)):
     ground = sp.csr_matrix(np.array([[0.0, f01], [f10, 0.0]]))
-    return FlowMatrix(ground, sp.csr_matrix((2, 2)), np.asarray(pops))
+    return FlowMatrix(ground, np.zeros(2, int), np.zeros((1, 1)), np.asarray(pops))
 
 
 def params(n, beta=0.5, gamma=0.1, cfr=0.01):
@@ -101,20 +104,18 @@ class TestStepVaccinated:
 
 
 class TestFusedMobilityProducts:
-    """One product over the stacked (sv, i, rv) columns against one product
-    per column, exactly."""
+    """The step's one factored product over the stacked (sv, i, rv) columns
+    against one explicit sparse product per column. The two add in another
+    order, so proportions agree to PROPORTION_TOL."""
+
+    PROPORTION_TOL = 1e-15
 
     @staticmethod
     def cases():
         rng = np.random.default_rng(51)
         for _ in range(25):
             n = int(rng.integers(1, 120))
-            ground = rng.uniform(0, 50, (n, n)) * (rng.random((n, n)) < 0.5)
-            air = rng.uniform(0, 5, (n, n)) * (rng.random((n, n)) < 0.3)
-            np.fill_diagonal(ground, 0.0)
-            np.fill_diagonal(air, 0.0)
-            yield FlowMatrix(sp.csr_matrix(ground), sp.csr_matrix(air),
-                             rng.uniform(500, 5000, n)), rng
+            yield random_airport_net(rng, n, rho=float(rng.uniform(0.05, 0.5))), rng
         nodes, airports, table = synth_world(150, 4, seed=52)
         yield build_network(nodes, airports, table, D=100, alpha=0.11,
                             planar=True), rng
@@ -133,7 +134,8 @@ class TestFusedMobilityProducts:
             out = step_vaccinated(st, p, netm, x, theta)
             want = step_vaccinated_three_products(st, p, netm, x, theta)
             for got, ref in zip((out.s, out.i, out.r, out.d), want):
-                assert np.array_equal(got, ref)
+                np.testing.assert_allclose(got, ref, rtol=0,
+                                           atol=self.PROPORTION_TOL)
 
 
 class TestInvariants:
@@ -155,6 +157,21 @@ class TestInvariants:
                 st = step(st, p, netm)
             out.append(st)
         return out
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=hst.integers(0, 2**32 - 1), n=hst.integers(1, 60),
+           rho=hst.floats(0.0, 0.5), beta=hst.floats(0.0, 0.5),
+           gamma=hst.floats(0.0, 0.5))
+    def test_closure_on_random_airport_worlds(self, seed, n, rho, beta, gamma):
+        rng = np.random.default_rng(seed)
+        netm = random_airport_net(rng, n, rho=rho)
+        s, i, r, d = rng.dirichlet(np.ones(4), n).T
+        x = rng.uniform(0, 1, n) * (rng.random(n) < 0.5)
+        theta = rng.uniform(0, 1, n)
+        out = step_vaccinated(state(s, i, r, d), params(n, beta, gamma), netm, x, theta)
+        assert np.all(np.abs(out.s + out.i + out.r + out.d - 1.0) <= 1e-12)
+        for arr in (out.s, out.i, out.r, out.d):
+            assert np.all((arr >= 0.0) & (arr <= 1.0))
 
     def test_closure_every_period(self):
         for st in self.run_horizon(vaccinate=True):

@@ -6,7 +6,7 @@ import pytest
 
 from vaxalloc import net
 from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
-                          FlowMatrix, air_flows, assign_airports,
+                          FlowMatrix, air_factors, air_flows, assign_airports,
                           build_network, ground_neighborhoods,
                           radiation_flows, synth_world)
 
@@ -14,14 +14,26 @@ from vaxalloc.cli import main
 
 from oracles import (air_flows_lists, export_network_per_edge,
                      nearest_airport_bruteforce)
+from worlds import random_airport_net
 
 
 def planar_node(i, x, y, pop, agent=0):
     return NodeRecord(id=i, lat=y, lon=x, population=pop, agent_id=agent)
 
 
-def flow_matrix(ground, air, nodes):
-    return FlowMatrix(ground, air, np.array([nd.population for nd in nodes], float))
+def populations(nodes):
+    return np.array([nd.population for nd in nodes], float)
+
+
+def flow_matrix(ground, nodes):
+    """A FlowMatrix with ground flows only."""
+    return FlowMatrix(ground, np.zeros(len(nodes), int), np.zeros((1, 1)),
+                      populations(nodes))
+
+
+def explicit_air(nodes, airports, table, planar=True):
+    mu, _ = assign_airports(nodes, airports, planar=planar)
+    return air_flows(*air_factors(mu, table), populations(nodes))
 
 
 class TestGroundNeighborhoods:
@@ -121,15 +133,13 @@ class TestAirFlows:
     def test_empty_table(self):
         nodes = [planar_node(0, 0, 0, 100), planar_node(1, 500, 0, 100)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        mu, _ = assign_airports(nodes, airports, planar=True)
-        f = air_flows(mu, airports, AirFlowTable({}), nodes)
+        f = explicit_air(nodes, airports, AirFlowTable({}))
         assert f.nnz == 0
 
     def test_single_node_polygons(self):
         nodes = [planar_node(0, 0, 0, 700), planar_node(1, 500, 0, 1300)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        mu, _ = assign_airports(nodes, airports, planar=True)
-        f = air_flows(mu, airports, AirFlowTable({(0, 1): 1000.0}), nodes)
+        f = explicit_air(nodes, airports, AirFlowTable({(0, 1): 1000.0}))
         assert f[0, 1] == pytest.approx(1000.0)
         assert f[1, 0] == 0.0
 
@@ -137,8 +147,7 @@ class TestAirFlows:
         nodes = [planar_node(0, 0, 0, 600), planar_node(1, 10, 0, 400),
                  planar_node(2, 500, 0, 2000)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        mu, _ = assign_airports(nodes, airports, planar=True)
-        f = air_flows(mu, airports, AirFlowTable({(0, 1): 500.0}), nodes)
+        f = explicit_air(nodes, airports, AirFlowTable({(0, 1): 500.0}))
         assert f[0, 2] == pytest.approx(500 * 2600 / 3000)
         assert f[1, 2] == pytest.approx(500 * 2400 / 3000)
 
@@ -156,8 +165,10 @@ class TestAirFlowsMatchLists:
     @staticmethod
     def check(nodes, airports, table, planar=True):
         mu, _ = assign_airports(nodes, airports, planar=planar)
-        assert_same_csr(air_flows(mu, airports, table, nodes),
-                        air_flows_lists(mu, airports, table, nodes))
+        cell, g = air_factors(mu, table)
+        pop = populations(nodes)
+        assert_same_csr(air_flows(cell, g, pop), air_flows_lists(cell, g, pop))
+        return cell, g
 
     def test_random_synthetic_worlds(self):
         rng = np.random.default_rng(41)
@@ -179,7 +190,9 @@ class TestAirFlowsMatchLists:
                     AirportRecord(2, 5000, 5000)]
         table = AirFlowTable({(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
                               (2, 1): 7.0, (1, 9): 3.0, (9, 0): 4.0})
-        self.check(nodes, airports, table)
+        cell, g = self.check(nodes, airports, table)
+        assert cell.tolist() == [0, 0, 0, 1, 1, 1]
+        assert g.tolist() == [[0.0, 30.0], [20.0, 0.0]]
 
     def test_single_airport_empty_table(self):
         nodes = [planar_node(i, 30.0 * i, 0, 500.0) for i in range(4)]
@@ -222,10 +235,12 @@ class TestAirFlowsMatchLists:
     def test_peak_memory_within_three_times_result(self):
         nodes, airports, table = synth_world(1000, 5, seed=44)
         mu, _ = assign_airports(nodes, airports, planar=True)
+        cell, g = air_factors(mu, table)
+        pop = populations(nodes)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            mat = air_flows(mu, airports, table, nodes)
+            mat = air_flows(cell, g, pop)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -239,13 +254,85 @@ class TestAirFlowsMatchLists:
                 AirFlowTable({(0, 1): bad})
 
 
+class TestFactoredProducts:
+    """The factored products, row sums, column sums and rho against the
+    explicit matrices they stand for. The two add in another order."""
+
+    @staticmethod
+    def check(netm, seed=0):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.1, 1.0, (netm.n, 3))
+        u = rng.uniform(0.1, 1.0, (netm.n, 4))
+        np.testing.assert_allclose(netm.rates_dot(v), netm.rates @ v, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(netm.rates_t_dot(u), netm.rates.T @ u,
+                                   rtol=1e-13, atol=0)
+        outflow = np.asarray(netm.flows.sum(axis=1)).ravel()
+        assert np.array_equal(netm.rate_row_sum, (outflow > 0).astype(float))
+        np.testing.assert_allclose(netm.outflow, outflow, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(netm.inflow(), np.asarray(netm.flows.sum(axis=0)).ravel(),
+                                   rtol=1e-13, atol=0)
+        assert netm.rho == pytest.approx(netm.flows.sum() / netm.populations.sum(),
+                                         rel=1e-13, abs=0)
+
+    def test_random_airport_worlds(self):
+        rng = np.random.default_rng(61)
+        for seed in range(30):
+            n = int(rng.integers(1, 80))
+            self.check(random_airport_net(rng, n, float(rng.uniform(0, 0.6))), seed)
+
+    def test_synthetic_worlds(self):
+        for seed, n in ((62, 200), (63, 1000)):
+            self.check(build_synth_net(seed=seed, n=n, k=4), seed)
+
+    def test_single_airport_no_air(self):
+        nodes = [planar_node(i, 30.0 * i, 0, 500.0 + i) for i in range(5)]
+        netm = build_network(nodes, [AirportRecord(3, 0, 0)], AirFlowTable({}),
+                             D=40, alpha=0.11, planar=True)
+        assert netm.g.shape == (1, 1) and netm.air.nnz == 0
+        self.check(netm)
+
+    def test_airport_without_nodes(self):
+        nodes = [planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6)]
+        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
+                    AirportRecord(2, 5000, 5000)]
+        table = AirFlowTable({(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0, (2, 1): 7.0})
+        self.check(build_network(nodes, airports, table, D=15, alpha=0.11, planar=True))
+
+    def test_nodes_with_zero_outflow(self):
+        # no ground range; airport 1 sends nothing, so its nodes have no outflow
+        nodes = [planar_node(i, 100.0 * i, 0, 100.0 + i) for i in range(6)]
+        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
+        netm = build_network(nodes, airports, AirFlowTable({(0, 1): 40.0}),
+                             D=1, alpha=0.11, planar=True)
+        assert netm.rate_row_sum.tolist() == [1, 1, 1, 0, 0, 0]
+        self.check(netm)
+
+    def test_one_node_world(self):
+        nodes, airports, table = synth_world(1, 1, seed=2)
+        self.check(build_network(nodes, airports, table, D=100, alpha=0.11,
+                                 planar=True))
+
+    def test_great_circle_coordinates(self):
+        rng = np.random.default_rng(64)
+        nodes = [NodeRecord(i, float(rng.uniform(-60, 60)),
+                            float(rng.uniform(-180, 180)),
+                            float(rng.uniform(1e3, 1e5)), int(i % 3))
+                 for i in range(150)]
+        airports = [AirportRecord(a, float(rng.uniform(-60, 60)),
+                                  float(rng.uniform(-180, 180)))
+                    for a in range(9)]
+        table = AirFlowTable({(a, b): float(rng.uniform(10, 1000))
+                              for a in range(9) for b in range(9)
+                              if a != b and rng.random() < 0.6})
+        self.check(build_network(nodes, airports, table, D=1500, alpha=0.11))
+
+
 class TestCombineAndRate:
     def two_node_net(self, f01=30.0, f10=10.0):
         nodes = [planar_node(0, 0, 0, 500), planar_node(1, 50, 0, 500)]
         import scipy.sparse as sp
         ground = sp.csr_matrix(np.array([[0.0, f01], [f10, 0.0]]))
-        air = sp.csr_matrix((2, 2))
-        return flow_matrix(ground, air, nodes)
+        return flow_matrix(ground, nodes)
 
     def test_single_neighbor_rate_one(self):
         netm = self.two_node_net()
@@ -255,7 +342,7 @@ class TestCombineAndRate:
         nodes = [planar_node(i, 50 * i, 0, 500) for i in range(3)]
         import scipy.sparse as sp
         ground = sp.csr_matrix(np.array([[0.0, 30.0, 10.0], [0, 0, 0], [0, 0, 0]]))
-        netm = flow_matrix(ground, sp.csr_matrix((3, 3)), nodes)
+        netm = flow_matrix(ground, nodes)
         assert netm.rates[0, 1] == pytest.approx(0.75)
         assert netm.rates[0, 2] == pytest.approx(0.25)
 
@@ -263,7 +350,7 @@ class TestCombineAndRate:
         nodes = [planar_node(0, 0, 0, 500), planar_node(1, 50, 0, 500)]
         import scipy.sparse as sp
         ground = sp.csr_matrix(np.array([[0.0, 100.0], [10.0, 0.0]]))
-        netm = flow_matrix(ground, sp.csr_matrix((2, 2)), nodes)
+        netm = flow_matrix(ground, nodes)
         assert netm.rho == pytest.approx(0.11)
 
     def test_zero_outflow_row_empty(self):
@@ -274,8 +361,8 @@ class TestCombineAndRate:
     def test_zero_population_errors(self):
         import scipy.sparse as sp
         with pytest.raises(ValueError, match="population"):
-            net.FlowMatrix(sp.csr_matrix((1, 1)), sp.csr_matrix((1, 1)),
-                           np.array([0.0]))
+            net.FlowMatrix(sp.csr_matrix((1, 1)), np.zeros(1, int),
+                           np.zeros((1, 1)), np.array([0.0]))
 
 
 class TestNetworkInvariants:
@@ -304,8 +391,7 @@ class TestNetworkInvariants:
     def test_flows_within_neighborhoods(self):
         nodes, airports, table = synth_world(100, 3, seed=13)
         nbrs = net.ground_neighborhoods(nodes, 100, planar=True)
-        mu, _ = net.assign_airports(nodes, airports, planar=True)
-        air = net.air_flows(mu, airports, table, nodes).tocsr()
+        air = explicit_air(nodes, airports, table)
         netm = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
         coo = netm.flows.tocoo()
         for i, j in zip(coo.row, coo.col):
@@ -315,8 +401,7 @@ class TestNetworkInvariants:
     def test_neighborhoods_are_ground_air_union(self):
         nodes, airports, table = synth_world(80, 2, seed=14)
         nbrs = net.ground_neighborhoods(nodes, 100, planar=True)
-        mu, _ = net.assign_airports(nodes, airports, planar=True)
-        air = net.air_flows(mu, airports, table, nodes).tocsr()
+        air = explicit_air(nodes, airports, table)
         netm = net.build_network(nodes, airports, table, D=100, alpha=0.11,
                                  planar=True)
         flows = netm.flows

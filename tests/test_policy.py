@@ -20,7 +20,7 @@ def random_net(n, rng, density=0.4):
     dense = rng.uniform(0, 200, (n, n)) * (rng.random((n, n)) < density)
     np.fill_diagonal(dense, 0.0)
     pops = rng.uniform(500, 5000, n)
-    return FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix((n, n)), pops)
+    return FlowMatrix(sp.csr_matrix(dense), np.zeros(n, int), np.zeros((1, 1)), pops)
 
 
 def random_state(n, rng):
@@ -42,7 +42,7 @@ class TestLossCoefficients:
         assert np.all(l == 0.0)
 
     def test_isolated_node_hand_value(self):
-        net = FlowMatrix(sp.csr_matrix((1, 1)), sp.csr_matrix((1, 1)),
+        net = FlowMatrix(sp.csr_matrix((1, 1)), np.zeros(1, int), np.zeros((1, 1)),
                          np.array([1000.0]))
         st = CompartmentState(s=np.array([0.9]), i=np.array([0.1]),
                               r=np.array([0.0]), d=np.array([0.0]), t=0)
@@ -275,7 +275,7 @@ class TestBounds:
 class TestWindowWidth:
     def make_net(self, inflow0):
         flows = np.array([[0.0, 0.0], [inflow0, 0.0]])
-        return FlowMatrix(sp.csr_matrix(flows), sp.csr_matrix((2, 2)),
+        return FlowMatrix(sp.csr_matrix(flows), np.zeros(2, int), np.zeros((1, 1)),
                           np.array([1000.0, 1000.0]))
 
     def test_ceiling(self):

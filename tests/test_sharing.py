@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix, build_network, synth_world
@@ -9,6 +11,7 @@ from vaxalloc.sharing import (agent_inflows, infected_flow_matrix,
                               sharing_ratios)
 
 from oracles import infected_flow_matrix_add_at, infection_split_add_at
+from worlds import random_airport_net
 
 
 def two_node_net(rho_target=0.11):
@@ -16,7 +19,7 @@ def two_node_net(rho_target=0.11):
     pops = np.array([1000.0, 1000.0])
     flow = rho_target * pops.sum() / 2.0
     ground = sp.csr_matrix(np.array([[0.0, flow], [flow, 0.0]]))
-    return FlowMatrix(ground, sp.csr_matrix((2, 2)), pops)
+    return FlowMatrix(ground, np.zeros(2, int), np.zeros((1, 1)), pops)
 
 
 def make_state(i_vals, s_vals=None):
@@ -49,7 +52,7 @@ class TestInfectionSplit:
         assert np.all(internal > 0.0)
 
     def test_no_mobility_local_terms_only(self):
-        net = FlowMatrix(sp.csr_matrix((2, 2)), sp.csr_matrix((2, 2)),
+        net = FlowMatrix(sp.csr_matrix((2, 2)), np.zeros(2, int), np.zeros((1, 1)),
                          np.array([1000.0, 1000.0]))
         st = make_state([0.1, 0.2])
         p = make_params(2)
@@ -95,7 +98,7 @@ class TestInfectedFlowMatrix:
         pops = np.array([1000.0, 1000.0])
         flow = 0.11 * pops.sum()  # one directed edge carrying all flow
         ground = sp.csr_matrix(np.array([[0.0, flow], [0.0, 0.0]]))
-        net = FlowMatrix(ground, sp.csr_matrix((2, 2)), pops)
+        net = FlowMatrix(ground, np.zeros(2, int), np.zeros((1, 1)), pops)
         assert net.rho == pytest.approx(0.11)
         mat = flows_of(make_state([0.0, 0.3]), net, np.array([0, 1]), 2)
         # node 0 (agent 0) sees agent 1's infections: M[1, 0]
@@ -107,7 +110,7 @@ class TestInfectedFlowMatrix:
         n = 12
         dense = rng.uniform(0, 100, (n, n))
         np.fill_diagonal(dense, 0.0)
-        net = FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix((n, n)),
+        net = FlowMatrix(sp.csr_matrix(dense), np.zeros(n, int), np.zeros((1, 1)),
                          rng.uniform(500, 2000, n))
         mat = flows_of(make_state(rng.uniform(0, 0.2, n)), net,
                        rng.integers(0, 3, n), 3)
@@ -141,6 +144,21 @@ class TestRedistribute:
             out = redistribute(b, r, flows, caps)
             assert out.sum() == pytest.approx(b.sum(), rel=1e-9)
             assert np.all(out >= -1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hst.integers(1, 6).flatmap(lambda k: hst.tuples(
+        hst.lists(hst.floats(0.0, 1e6), min_size=k, max_size=k),
+        hst.lists(hst.floats(0.0, 1.0), min_size=k, max_size=k),
+        hst.lists(hst.floats(0.0, 1.0), min_size=k * k, max_size=k * k),
+        hst.lists(hst.floats(1e-3, 1.0), min_size=k, max_size=k))))
+    def test_budget_balance_property(self, drawn):
+        b, r, flows, caps = (np.array(v) for v in drawn)
+        k = len(b)
+        flows = flows.reshape(k, k)
+        np.fill_diagonal(flows, 0.0)
+        out = redistribute(b, r, flows, caps)
+        assert out.sum() == pytest.approx(b.sum(), rel=1e-12, abs=0)
+        assert np.all(out >= 0.0)
 
     def test_degenerate_offer_retained(self):
         # agent 0 offers but nobody's infections flow into it
@@ -179,21 +197,16 @@ def test_plan_sharing_end_to_end():
 
 
 class TestCouplingMatchesAddAt:
-    """The one-product split against the per-period np.add.at path: the
-    split exactly; the infected-flow matrix, which adds its entries in
-    another order, to a few ulps."""
+    """The factored one-product split and infected-flow matrix against the
+    per-period np.add.at path over the explicit rates. Both add in another
+    order, so they agree to a few ulps."""
 
     @staticmethod
     def cases():
         rng = np.random.default_rng(31)
         for _ in range(25):
             n = int(rng.integers(2, 40))
-            dense = rng.uniform(0, 100, (n, n)) * (rng.random((n, n)) < 0.6)
-            np.fill_diagonal(dense, 0.0)
-            air = rng.uniform(0, 5, (n, n)) * (rng.random((n, n)) < 0.3)
-            np.fill_diagonal(air, 0.0)
-            net = FlowMatrix(sp.csr_matrix(dense), sp.csr_matrix(air),
-                             rng.uniform(500, 5000, n))
+            net = random_airport_net(rng, n, ground_density=0.6)
             k = int(rng.integers(1, 6))
             yield net, rng.integers(0, k, n), k, rng
         nodes, airports, table = synth_world(150, 4, seed=32)
@@ -207,8 +220,8 @@ class TestCouplingMatchesAddAt:
                           gamma=rng.uniform(0.1, 0.2, net.n), cfr=np.full(net.n, 0.01))
             fast_in, fast_ex = split_of(st, p, net, agent_of, k)
             ref_in, ref_ex = infection_split_add_at(st, p, net, agent_of)
-            assert np.array_equal(fast_in, ref_in)
-            assert np.array_equal(fast_ex, ref_ex)
+            np.testing.assert_allclose(fast_in, ref_in, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(fast_ex, ref_ex, rtol=1e-13, atol=0)
 
     def test_infected_flow_matrix_close(self):
         for net, agent_of, k, rng in self.cases():
