@@ -19,8 +19,8 @@ from .scenario import ScenarioConfig
 
 
 # build-net flags that set the ScenarioConfig field of the same name
-_NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "airport_density",
-               "ground_range_km", "commute_fraction")
+_NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigma",
+               "airport_density", "air_fraction", "ground_range_km", "commute_fraction")
 
 
 def _cmd_build_net(args) -> int:

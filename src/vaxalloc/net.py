@@ -10,6 +10,7 @@ into transition rates and summarized by a global flow-to-population ratio.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -18,6 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 
 EARTH_RADIUS_KM = 6371.0
+# distances assign_airports computes at a time: a row block of nodes against
+# every airport
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,6 @@ class NodeRecord:
     lon: float
     population: float
     agent_id: int
-    airport_id: int | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
@@ -150,9 +153,17 @@ class FlowMatrix:
     @cached_property
     def rates(self) -> sp.csr_matrix:
         # one sparse product, so the assembly holds no array of nnz floats
-        # beyond the three matrices
-        inv = np.where(self.outflow > 0, 1.0 / self._divisor[:, 0], 0.0)
-        return (sp.diags(inv) @ self.flows).tocsr()
+        # beyond the three matrices. A row whose 1 / outflow overflows (a
+        # subnormal outflow) is divided by its outflow instead.
+        with np.errstate(over="ignore"):
+            inv = np.where(self.outflow > 0, 1.0 / self._divisor[:, 0], 0.0)
+        huge = np.isinf(inv)
+        rates = (sp.diags(np.where(huge, 1.0, inv)) @ self.flows).tocsr()
+        if np.any(huge):
+            row = np.repeat(np.arange(self.n), np.diff(rates.indptr))
+            at = huge[row]
+            rates.data[at] /= self.outflow[row[at]]
+        return rates
 
 
 def _slots(cell: np.ndarray, populations: np.ndarray,
@@ -171,15 +182,12 @@ def _as_arrays(nodes: list[NodeRecord]) -> tuple[np.ndarray, np.ndarray, np.ndar
     return lat, lon, pop
 
 
-def cross_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
-    """Distance matrix (len(lat1) x len(lat2)) in km.
+def pair_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
+    """Distance in km between (lat1, lon1) and (lat2, lon2), elementwise
+    with numpy broadcasting.
 
     Great-circle by default; plain Euclidean when coordinates are planar km.
     """
-    lat1 = np.asarray(lat1, dtype=float)[:, None]
-    lon1 = np.asarray(lon1, dtype=float)[:, None]
-    lat2 = np.asarray(lat2, dtype=float)[None, :]
-    lon2 = np.asarray(lon2, dtype=float)[None, :]
     if planar:
         return np.hypot(lat1 - lat2, lon1 - lon2)
     p1, p2 = np.radians(lat1), np.radians(lat2)
@@ -189,17 +197,74 @@ def cross_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
+def cross_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
+    """Distance matrix (len(lat1) x len(lat2)) in km."""
+    return pair_distances(np.asarray(lat1, dtype=float)[:, None],
+                          np.asarray(lon1, dtype=float)[:, None],
+                          np.asarray(lat2, dtype=float)[None, :],
+                          np.asarray(lon2, dtype=float)[None, :], planar=planar)
+
+
+def _close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered index pairs (i, j), i != j, among them every pair of points
+    (rows) within ``radius`` of each other in each coordinate: the pairs in
+    the same or in adjacent cells of a grid whose side is at least the
+    radius."""
+    dim = points.shape[1]
+    lo = points.min(axis=0)
+    # at most 2**20 cells a side, so that a cell's key fits in an int64
+    side = max(radius, float((points.max(axis=0) - lo).max()) * 2.0 ** -20)
+    weight = (2 ** 20 + 3) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    key = (np.floor((points - lo) / side).astype(np.int64) + 1) @ weight
+    order = np.argsort(key, kind="stable")
+    cell, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    found_i, found_j = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=dim):
+        target = cell + int(np.dot(offset, weight))
+        at = np.minimum(np.searchsorted(cell, target), len(cell) - 1)
+        a = np.flatnonzero(cell[at] == target)
+        b = at[a]
+        # every member of cell a against every member of cell b
+        size = count[a] * count[b]
+        pair = np.repeat(np.arange(len(a)), size)
+        t = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        found_i.append(order[start[a][pair] + t // count[b][pair]])
+        found_j.append(order[start[b][pair] + t % count[b][pair]])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    return i[i != j], j[i != j]
+
+
 def ground_neighborhoods(nodes: list[NodeRecord], D: float,
                          planar: bool = False) -> list[np.ndarray]:
-    """Index sets of nodes within distance D km, self excluded."""
+    """Index sets of nodes within distance D km, self excluded, ascending.
+
+    A grid of cells finds the candidate pairs within a slightly enlarged
+    radius: on the coordinates for planar worlds, on unit-sphere points and
+    the chord 2 sin(D / 2R) for great-circle ones. A candidate is kept if
+    ``pair_distances`` puts it within D, so a pair at exactly D is decided
+    by the same arithmetic as an n x n distance matrix would decide it.
+    """
     if not nodes:
         raise ValueError("no nodes")
-    if D <= 0:
+    if not D > 0:
         raise ValueError("distance threshold must be positive")
     lat, lon, _ = _as_arrays(nodes)
-    dist = cross_distances(lat, lon, lat, lon, planar=planar)
-    np.fill_diagonal(dist, np.inf)
-    return [np.flatnonzero(dist[i] <= D) for i in range(len(nodes))]
+    if planar:
+        points = np.column_stack((lat, lon))
+        radius = D * (1.0 + 1e-6)
+    else:
+        phi, lmb = np.radians(lat), np.radians(lon)
+        points = np.column_stack((np.cos(phi) * np.cos(lmb), np.cos(phi) * np.sin(lmb),
+                                  np.sin(phi)))
+        chord = 2.0 * math.sin(min(D / (2.0 * EARTH_RADIUS_KM), math.pi / 2.0))
+        # the points carry the rounding of the angles, which grows with them
+        angle = max(1.0, float(np.abs(phi).max()), float(np.abs(lmb).max()))
+        radius = chord * (1.0 + 1e-6) + 1e-9 * angle
+    rows, cols = _close_pairs(points, radius)
+    keep = pair_distances(lat[rows], lon[rows], lat[cols], lon[cols], planar=planar) <= D
+    rows, cols = rows[keep], cols[keep]
+    order = np.lexsort((cols, rows))
+    return np.split(cols[order], np.searchsorted(rows[order], np.arange(1, len(nodes))))
 
 
 def radiation_flows(nodes: list[NodeRecord],
@@ -215,16 +280,22 @@ def radiation_flows(nodes: list[NodeRecord],
         raise ValueError("commute fraction must be in [0, 1]")
     _, _, pop = _as_arrays(nodes)
     n = len(nodes)
-    rows, cols, vals = [], [], []
-    for i, nbr in enumerate(neighborhoods):
-        if len(nbr) == 0:
-            continue
-        s = pop[nbr].sum()
-        f = alpha * pop[i] ** 2 * pop[nbr] / (s * (pop[nbr] + s))
-        rows.extend([i] * len(nbr))
-        cols.extend(nbr.tolist())
-        vals.extend(f.tolist())
-    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    counts = np.array([len(nbr) for nbr in neighborhoods], dtype=np.intp)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    indices = np.concatenate([np.empty(0, dtype=np.intp), *neighborhoods])
+    # S_i, summed row by row of a (nodes x k) gather for each degree k: numpy
+    # sums a row in the same pairwise order as the 1-D pop[nbr].sum()
+    s = np.zeros(n)
+    for k in np.unique(counts[counts > 0]):
+        at = np.flatnonzero(counts == k)
+        s[at] = pop[indices[indptr[at][:, None] + np.arange(k)]].sum(axis=1)
+    rows = np.repeat(np.arange(n), counts)
+    # float_power squares with pow, as the scalar P_i ** 2 does; the array
+    # x ** 2 is x * x, which now and then differs from it in the last bit
+    src, dst, s_src = (alpha * np.float_power(pop, 2))[rows], pop[indices], s[rows]
+    # scipy stores the indices as int32 when they fit, as for a COO build
+    mat = sp.csr_matrix((src * dst / (s_src * (dst + s_src)), indices, indptr),
+                        shape=(n, n))
     mat.eliminate_zeros()
     return mat
 
@@ -239,14 +310,16 @@ def assign_airports(nodes: list[NodeRecord], airports: list[AirportRecord],
     nlat, nlon, pop = _as_arrays(nodes)
     alat = np.array([a.lat for a in airports], dtype=float)
     alon = np.array([a.lon for a in airports], dtype=float)
-    dist = cross_distances(nlat, nlon, alat, alon, planar=planar)
-    nearest = dist.argmin(axis=1)  # argmin takes the first of ties: lowest id
+    nearest = np.empty(len(nodes), dtype=np.intp)
+    step = max(1, _BLOCK // len(airports))
+    for lo in range(0, len(nodes), step):
+        block = slice(lo, lo + step)
+        dist = cross_distances(nlat[block], nlon[block], alat, alon, planar=planar)
+        nearest[block] = dist.argmin(axis=1)  # the first of ties: lowest id
     ids = np.array([a.id for a in airports], dtype=int)
-    mu = ids[nearest]
-    polygon_pop = {a.id: 0.0 for a in airports}
-    for node_idx, aid in enumerate(mu):
-        polygon_pop[int(aid)] += pop[node_idx]
-    return mu, polygon_pop
+    # bincount adds each polygon's populations in node order, from 0.0
+    polygon_pop = np.bincount(nearest, weights=pop, minlength=len(airports))
+    return ids[nearest], dict(zip(ids.tolist(), polygon_pop.tolist()))
 
 
 def air_factors(assignment: np.ndarray,
@@ -341,27 +414,24 @@ def synth_world(n_nodes: int, n_agents: int, *,
     entries: dict[tuple[int, int], float] = {}
     if n_airports > 1:
         mu, polygon_pop = assign_airports(nodes, airports, planar=True)
-        polygon_size = {a.id: int(np.sum(mu == a.id)) for a in airports}
-        alat = np.array([a.lat for a in airports])
-        alon = np.array([a.lon for a in airports])
-        dist = cross_distances(alat, alon, alat, alon, planar=True)
-        raw = {}
-        node_total = 0.0  # node-level flow each raw unit of g fans out to
-        for a in range(n_airports):
-            for b in range(n_airports):
-                if a == b:
-                    continue
-                d = max(dist[a, b], grid_spacing_km)
-                g = polygon_pop[a] * polygon_pop[b] / d ** 2
-                raw[(a, b)] = g
-                node_total += g * (polygon_size[b] * polygon_pop[a]
-                                   + polygon_size[a] * polygon_pop[b]) \
-                    / (polygon_pop[a] + polygon_pop[b])
+        pp = np.array([polygon_pop[a.id] for a in airports])
+        size = np.bincount(mu, minlength=n_airports)
+        dist = cross_distances(ys[site_idx], xs[site_idx], ys[site_idx], xs[site_idx],
+                               planar=True)
+        # float_power squares with pow, as a scalar d ** 2 does
+        raw = pp[:, None] * pp[None, :] / np.float_power(np.maximum(dist, grid_spacing_km), 2)
+        # node-level flow each raw unit of g fans out to
+        fan = raw * (size[None, :] * pp[:, None] + size[:, None] * pp[None, :]) \
+            / (pp[:, None] + pp[None, :])
+        off = ~np.eye(n_airports, dtype=bool)
+        # cumsum adds in (a, b) order, one pair after another
+        node_total = np.cumsum(fan[off])[-1]
         if node_total > 0:
             # calibrate so the distributed node-level air flow totals
             # air_fraction of world population per period
             scale = air_fraction * pops.sum() / node_total
-            entries = {k: float(v * scale) for k, v in raw.items()}
+            pairs = zip(*(idx.tolist() for idx in np.nonzero(off)))
+            entries = dict(zip(pairs, (raw[off] * scale).tolist()))
     return nodes, airports, AirFlowTable(entries)
 
 

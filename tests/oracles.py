@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from vaxalloc.harness import _SCHEMA, RunResult
+from vaxalloc.net import cross_distances
 
 
 def direct_objective(s, i, beta, rho, p_dense, agent_nodes, theta, x):
@@ -164,9 +165,10 @@ def export_network_per_edge(net, edges_path, rho_path):
 
 # ---------------------------------------------------------------------------
 # explicit world-build and epidemic-step paths that faster code replaced. The
-# CSR air build must match air_flows_lists exactly; the step's factored
-# product adds in another order than the three explicit products, and
-# matches them to an absolute tolerance on the proportions.
+# world build must match air_flows_lists, ground_neighborhoods_dense,
+# radiation_flows_lists and gravity_entries_loops exactly; the step's
+# factored product adds in another order than the three explicit products,
+# and matches them to an absolute tolerance on the proportions.
 
 
 def air_flows_lists(cell, g, populations):
@@ -194,6 +196,68 @@ def air_flows_lists(cell, g, populations):
     mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
     mat.sum_duplicates()
     return mat
+
+
+def ground_neighborhoods_dense(nodes, D, planar=False):
+    """Neighbour sets read off the full n x n distance matrix."""
+    lat = np.array([nd.lat for nd in nodes], dtype=float)
+    lon = np.array([nd.lon for nd in nodes], dtype=float)
+    dist = cross_distances(lat, lon, lat, lon, planar=planar)
+    np.fill_diagonal(dist, np.inf)
+    return [np.flatnonzero(dist[i] <= D) for i in range(len(nodes))]
+
+
+def radiation_flows_lists(nodes, neighborhoods, alpha):
+    """Radiation flows built as Python lists of COO entries, one node at a
+    time, with the neighbourhood sum pop[nbr].sum() and the scalar square
+    pop[i] ** 2."""
+    pop = np.array([nd.population for nd in nodes], dtype=float)
+    n = len(nodes)
+    rows, cols, vals = [], [], []
+    for i, nbr in enumerate(neighborhoods):
+        if len(nbr) == 0:
+            continue
+        s = pop[nbr].sum()
+        f = alpha * pop[i] ** 2 * pop[nbr] / (s * (pop[nbr] + s))
+        rows.extend([i] * len(nbr))
+        cols.extend(nbr.tolist())
+        vals.extend(f.tolist())
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat.eliminate_zeros()
+    return mat
+
+
+def gravity_entries_loops(nodes, airports, grid_spacing_km, air_fraction):
+    """synth_world's air table from an n x m nearest-airport matrix, a
+    running sum of polygon populations per airport and a double loop over
+    airport pairs with scalar squares. Airport ids must be 0..m-1."""
+    nlat = np.array([nd.lat for nd in nodes], dtype=float)
+    nlon = np.array([nd.lon for nd in nodes], dtype=float)
+    alat = np.array([a.lat for a in airports], dtype=float)
+    alon = np.array([a.lon for a in airports], dtype=float)
+    mu = cross_distances(nlat, nlon, alat, alon, planar=True).argmin(axis=1)
+    polygon_pop = {a.id: 0.0 for a in airports}
+    for node, aid in enumerate(mu):
+        polygon_pop[int(aid)] += nodes[node].population
+    polygon_size = {a.id: int(np.sum(mu == a.id)) for a in airports}
+    dist = cross_distances(alat, alon, alat, alon, planar=True)
+    m = len(airports)
+    raw = {}
+    node_total = 0.0
+    for a in range(m):
+        for b in range(m):
+            if a == b:
+                continue
+            d = max(dist[a, b], grid_spacing_km)
+            g = polygon_pop[a] * polygon_pop[b] / d ** 2
+            raw[(a, b)] = g
+            node_total += g * (polygon_size[b] * polygon_pop[a]
+                               + polygon_size[a] * polygon_pop[b]) \
+                / (polygon_pop[a] + polygon_pop[b])
+    if m < 2 or not node_total > 0:
+        return {}
+    scale = air_fraction * np.array([nd.population for nd in nodes]).sum() / node_total
+    return {k: float(v * scale) for k, v in raw.items()}
 
 
 def step_vaccinated_three_products(state, params, net, x, theta_obs):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import shutil
 
 import pytest
@@ -77,9 +79,55 @@ def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
 def test_build_net_defaults_follow_scenario_config():
     args = build_parser().parse_args(["build-net", "--out", "x"])
     defaults = ScenarioConfig()
-    for name in ("n_nodes", "n_agents", "grid_spacing_km", "airport_density",
-                 "ground_range_km", "commute_fraction"):
+    for name in ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigma",
+                 "airport_density", "air_fraction", "ground_range_km",
+                 "commute_fraction"):
         assert getattr(args, name) == getattr(defaults, name)
+
+
+def _edges(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_build_net_world_flags(tmp_path):
+    base = ["build-net", "--synthetic", "--n-nodes", "60", "--n-agents", "2"]
+    assert main(base + ["--out", str(tmp_path / "air")]) == 0
+    assert any(float(e["f_air"]) > 0 for e in _edges(tmp_path / "air" / "edges.csv"))
+    assert main(base + ["--air-fraction", "0", "--pop-median", "500", "--pop-sigma", "0",
+                        "--out", str(tmp_path / "flat")]) == 0
+    edges = _edges(tmp_path / "flat" / "edges.csv")
+    assert edges and all(float(e["f_air"]) == 0.0 for e in edges)
+    with open(tmp_path / "flat" / "nodes.csv", newline="") as fh:
+        pops = {float(r["population"]) for r in csv.DictReader(fh)}
+    assert len(pops) == 1 and pops.pop() == pytest.approx(500.0)
+
+
+def test_build_net_bad_pop_sigma_exits_1(tmp_path, capsys):
+    out = tmp_path / "net"
+    assert main(["build-net", "--synthetic", "--pop-sigma", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pop_sigma" in err
+    assert not out.exists()
+
+
+def test_build_net_subnormal_outflow(tmp_path):
+    # one airport, so every flow is a ground flow of about 1e-320: each
+    # node's outflow is subnormal and its reciprocal overflows
+    out = tmp_path / "net"
+    assert main(["build-net", "--synthetic", "--n-nodes", "30", "--n-agents", "2",
+                 "--commute-fraction", "1e-320", "--airport-density", "0.04",
+                 "--out", str(out)]) == 0
+    edges = _edges(out / "edges.csv")
+    assert edges
+    row_sums = {}
+    for e in edges:
+        p = float(e["p"])
+        assert math.isfinite(p) and p > 0
+        row_sums[e["i"]] = row_sums.get(e["i"], 0.0) + p
+    for total in row_sums.values():
+        assert total == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
 def test_build_net_missing_inputs(tmp_path, capsys):

@@ -13,7 +13,8 @@ from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
 from vaxalloc.cli import main
 
 from oracles import (air_flows_lists, export_network_per_edge,
-                     nearest_airport_bruteforce)
+                     gravity_entries_loops, ground_neighborhoods_dense,
+                     nearest_airport_bruteforce, radiation_flows_lists)
 from worlds import random_airport_net
 
 
@@ -127,6 +128,221 @@ class TestAssignAirports:
         assert len(mu) == 60
         total = sum(nd.population for nd in nodes)
         assert sum(pops.values()) == pytest.approx(total)
+
+
+def assert_same_sets(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+def squares_disagree(x):
+    """Where the array square x * x and the scalar square pow(x, 2) differ."""
+    x = np.asarray(x, dtype=float)
+    return x * x != np.float_power(x, 2)
+
+
+def random_planar_nodes(rng, n, side):
+    xy = rng.uniform(0, side, (n, 2))
+    # a few nodes on top of others: pairs at distance 0
+    dup = rng.random(n) < 0.05
+    xy[dup] = xy[rng.integers(0, n, int(dup.sum()))]
+    return [planar_node(i, float(x), float(y), float(rng.lognormal(9, 1)))
+            for i, (x, y) in enumerate(xy)]
+
+
+def random_sphere_nodes(rng, n, lat_span=90.0):
+    return [NodeRecord(i, float(rng.uniform(-lat_span, lat_span)),
+                       float(rng.uniform(-200, 200)), float(rng.lognormal(9, 1)), 0)
+            for i in range(n)]
+
+
+class TestNeighborhoodsMatchDense:
+    """The grid-cell neighbour sets against the n x n distance matrix."""
+
+    def test_random_planar_worlds(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            n = int(rng.integers(1, 300))
+            nodes = random_planar_nodes(rng, n, float(rng.choice([10.0, 1000.0, 1e6])))
+            side = max(max(nd.lat for nd in nodes), max(nd.lon for nd in nodes), 1.0)
+            D = float(side * rng.uniform(0.001, 0.5))
+            assert_same_sets(ground_neighborhoods(nodes, D, planar=True),
+                             ground_neighborhoods_dense(nodes, D, planar=True))
+
+    # node 0 of the 20-column grid lies at (0, 0); node k at distance
+    # exactly D from it
+    @pytest.mark.parametrize("D,k", [(100.0, 2), (150.0, 3), (math.hypot(50.0, 50.0), 21)])
+    def test_grid_pairs_at_exactly_d(self, D, k):
+        nodes, _, _ = synth_world(400, 3, seed=72)
+        for d in (D, math.nextafter(D, 0.0)):
+            got = ground_neighborhoods(nodes, d, planar=True)
+            assert_same_sets(got, ground_neighborhoods_dense(nodes, d, planar=True))
+            assert (k in got[0]) == (d == D)
+
+    def test_random_great_circle_worlds(self):
+        rng = np.random.default_rng(73)
+        for trial in range(30):
+            n = int(rng.integers(2, 250))
+            nodes = random_sphere_nodes(rng, n, float(rng.choice([1.0, 30.0, 90.0])))
+            D = float(rng.choice([1.0, 50.0, 500.0, 5000.0, 25000.0]))
+            assert_same_sets(ground_neighborhoods(nodes, D),
+                             ground_neighborhoods_dense(nodes, D))
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_d_at_a_pair_distance(self, planar):
+        # D is the distance of one pair, or a float next to it: the search
+        # must let the pair through and the exact distance decide it
+        rng = np.random.default_rng(74)
+        for trial in range(40):
+            if planar:
+                nodes = random_planar_nodes(rng, 60, float(rng.choice([1.0, 1000.0])))
+            else:
+                nodes = random_sphere_nodes(rng, 60, float(rng.choice([0.01, 1.0, 60.0])))
+            lat = np.array([nd.lat for nd in nodes])
+            lon = np.array([nd.lon for nd in nodes])
+            i, j = rng.choice(60, 2, replace=False)
+            d = float(net.pair_distances(lat[i], lon[i], lat[j], lon[j], planar=planar))
+            for D in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+                if D <= 0:
+                    continue
+                got = ground_neighborhoods(nodes, D, planar=planar)
+                assert_same_sets(got, ground_neighborhoods_dense(nodes, D, planar=planar))
+                assert (j in got[i]) == (d <= D)
+
+    def test_clustered_great_circle_nodes(self):
+        # nodes within 1e-9 to 1e-5 degrees of a point: chords so short
+        # that the rounding of the unit-sphere points is a large share of them
+        rng = np.random.default_rng(75)
+        for trial in range(100):
+            c = rng.uniform(-80, 80, 2)
+            span = 10.0 ** rng.uniform(-9, -5)
+            nodes = [NodeRecord(i, float(c[0] + rng.uniform(-span, span)),
+                                float(c[1] + rng.uniform(-span, span)), 1.0, 0)
+                     for i in range(30)]
+            i, j = rng.choice(30, 2, replace=False)
+            D = float(net.pair_distances(nodes[i].lat, nodes[i].lon,
+                                         nodes[j].lat, nodes[j].lon))
+            if D > 0:
+                assert_same_sets(ground_neighborhoods(nodes, D),
+                                 ground_neighborhoods_dense(nodes, D))
+
+    def test_infinite_threshold_excludes_self(self):
+        # the n x n matrix filled its diagonal with inf, which inf <= inf kept
+        nodes = [planar_node(i, 3.0 * i, 4.0 * i, 1.0) for i in range(3)]
+        assert [v.tolist() for v in ground_neighborhoods(nodes, math.inf, planar=True)] \
+            == [[1, 2], [0, 2], [0, 1]]
+
+    def test_threshold_must_be_positive(self):
+        nodes = [planar_node(0, 0, 0, 1.0)]
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="positive"):
+                ground_neighborhoods(nodes, bad, planar=True)
+
+
+def test_build_network_holds_no_n_by_n_array():
+    # an n x n float64 matrix at n = 3000 alone is 72 MB
+    nodes, airports, table = synth_world(3000, 5, seed=76)
+    tracemalloc.start()
+    try:
+        netm = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert netm.ground.nnz > 30_000
+    assert peak < 25e6
+
+
+class TestRadiationFlowsMatchLists:
+    """The CSR-direct radiation flows against the list path, bit for bit."""
+
+    @staticmethod
+    def check(nodes, D, alpha=0.11, planar=True):
+        nbrs = ground_neighborhoods_dense(nodes, D, planar=planar)
+        got = radiation_flows(nodes, nbrs, alpha)
+        assert_same_csr(got, radiation_flows_lists(nodes, nbrs, alpha))
+        return got
+
+    def test_populations_whose_squares_disagree(self):
+        rng = np.random.default_rng(81)
+        pool = rng.lognormal(9, 1.5, 200_000)
+        odd = pool[squares_disagree(pool)]
+        assert len(odd) > 50
+        nodes, _, _ = synth_world(144, 2, seed=81)
+        pops = rng.lognormal(9, 1.5, 144)
+        pops[::2] = odd[:72]
+        nodes = [planar_node(nd.id, nd.lon, nd.lat, float(p)) for nd, p in zip(nodes, pops)]
+        # degrees from 0 to past 128, so every pairwise-sum block size shows
+        for D in (40.0, 100.0, 150.0, 400.0, 700.0):
+            self.check(nodes, D)
+
+    def test_random_worlds(self):
+        rng = np.random.default_rng(82)
+        for _ in range(20):
+            n = int(rng.integers(1, 200))
+            nodes = random_planar_nodes(rng, n, 1000.0)
+            self.check(nodes, float(rng.uniform(1, 400)), float(rng.uniform(0, 1)))
+
+    def test_zero_alpha_and_no_neighbours(self):
+        nodes, _, _ = synth_world(50, 2, seed=83)
+        assert self.check(nodes, 100.0, alpha=0.0).nnz == 0
+        assert self.check(nodes, 1.0).nnz == 0
+
+    def test_great_circle_world(self):
+        nodes = random_sphere_nodes(np.random.default_rng(84), 200, 20.0)
+        self.check(nodes, 800.0, planar=False)
+
+
+class TestAssignAirportsMatchesBruteforce:
+    """Blocked nearest-airport search against exhaustive comparison, with
+    exact ties on an integer grid."""
+
+    def test_ties_and_blocks(self, monkeypatch):
+        rng = np.random.default_rng(91)
+        nodes = [planar_node(i, float(x), float(y), float(rng.lognormal(5, 1)))
+                 for i, (x, y) in enumerate(rng.integers(0, 20, (300, 2)))]
+        ids = rng.permutation(100)[:12]
+        sites = rng.integers(0, 20, (12, 2))
+        sites[5] = sites[2]  # two airports on one site: a tie everywhere
+        airports = [AirportRecord(int(a), float(y), float(x))
+                    for a, (x, y) in zip(ids, sites)]
+        want = [nearest_airport_bruteforce((nd.lon, nd.lat), ids.tolist(),
+                                           [(a.lon, a.lat) for a in airports])
+                for nd in nodes]
+        expect_pop = {int(a): 0.0 for a in ids}
+        for nd, aid in zip(nodes, want):
+            expect_pop[aid] += nd.population
+        for block in (1 << 18, 7, 12):
+            monkeypatch.setattr(net, "_BLOCK", block)
+            mu, pops = assign_airports(nodes, airports, planar=True)
+            assert mu.tolist() == want
+            assert pops == expect_pop
+            assert list(pops) == sorted(expect_pop)
+
+
+class TestSynthWorldGravity:
+    """The vectorized gravity table against the per-pair loop, entry by
+    entry and in order."""
+
+    @pytest.mark.parametrize("n,spacing,density,seed", [
+        (200, 50.0, 0.05, 0), (500, 50.0, 0.1, 1), (1000, 50.0, 0.05, 2),
+        (120, 10.0, 0.3, 3)])
+    def test_matches_loops(self, n, spacing, density, seed):
+        nodes, airports, table = synth_world(n, 3, seed=seed, grid_spacing_km=spacing,
+                                             airport_density=density)
+        want = gravity_entries_loops(nodes, airports, spacing, 0.005)
+        assert list(table.entries.items()) == list(want.items())
+
+    def test_world_where_squares_disagree(self):
+        nodes, airports, table = synth_world(225, 3, seed=0, grid_spacing_km=96.3,
+                                             airport_density=0.2)
+        alat = np.array([a.lat for a in airports])
+        alon = np.array([a.lon for a in airports])
+        d = np.maximum(net.cross_distances(alat, alon, alat, alon, planar=True), 96.3)
+        assert np.any(squares_disagree(d))
+        want = gravity_entries_loops(nodes, airports, 96.3, 0.005)
+        assert list(table.entries.items()) == list(want.items())
 
 
 class TestAirFlows:

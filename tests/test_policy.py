@@ -155,6 +155,26 @@ class TestKnapsack:
         assert float(out.x @ prob.costs) <= prob.budget * (1 + 1e-9)
 
     @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-5.0, 1.0), st.integers(1, 7), st.integers(0, 100)),
+                    min_size=2, max_size=6),
+           st.floats(0.0, 1.0))
+    def test_matches_grid_oracle_property(self, nodes, frac):
+        """test_matches_grid_oracle's problems, drawn by hypothesis: integer
+        costs, bounds on the 0.01 grid and a budget in [0.5, 0.8 sum(costs)],
+        with the same objective and slack bounds."""
+        losses, costs, steps = (np.array(col, dtype=float) for col in zip(*nodes))
+        step = 0.01
+        bounds = steps * step
+        budget = 0.5 + frac * (0.8 * costs.sum() - 0.5)
+        prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
+                                 bounds=bounds)
+        obj = float(losses @ solve_knapsack(prob).x)
+        grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
+        slack = step * np.abs(losses).max()
+        assert obj <= grid_opt + 1e-12
+        assert grid_opt - obj <= slack + 1e-12
+
+    @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(1.0, 1e5), st.floats(0.0, 1.0), st.booleans()),
                     min_size=2, max_size=10))
     def test_no_dust_when_budget_is_a_sum_of_costs(self, nodes):
