@@ -43,7 +43,7 @@ def _cmd_build_net(args) -> int:
                              "unless --synthetic is given")
         nodes = net.read_nodes(args.nodes)
         airports = net.read_airports(args.airports)
-        table = net.read_air_flows(args.flights)
+        table = net.read_air_flows(args.flights, airports)
         planar = args.planar
     network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
                                 alpha=cfg.commute_fraction, planar=planar)
@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     except EpidemicInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FileExistsError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -214,9 +214,7 @@ def gains(result: RunResult, baseline: RunResult) -> GainReport:
         raise ValueError("runs differ beyond the policy; gains are undefined")
 
     def _pct(policy_sum, baseline_sum):
-        policy_sum = np.asarray(policy_sum, dtype=float)
-        baseline_sum = np.asarray(baseline_sum, dtype=float)
-        out = np.zeros_like(baseline_sum)
+        out = np.zeros(baseline_sum.shape)
         pos = baseline_sum != 0
         out[pos] = 100.0 * (1.0 - policy_sum[pos] / baseline_sum[pos])
         return out
@@ -234,29 +232,22 @@ def gains(result: RunResult, baseline: RunResult) -> GainReport:
                       world_last_period_pct=world_last)
 
 
-def replicate(config: ScenarioConfig, n: int, seeds=None) -> dict:
-    """Run n independently seeded instances and aggregate.
+def replicate(config: ScenarioConfig, n: int) -> dict:
+    """Run n instances seeded ``config.seed + i`` and aggregate.
 
     When the configured policy is not PB, a paired PB run is executed per
     seed on the same instance, built once, so gains isolate the policy.
     """
     if n < 1:
         raise ValueError("replication count must be >= 1")
-    if seeds is None:
-        seeds = [config.seed + i for i in range(n)]
-    seeds = list(seeds)
-    if len(seeds) != n:
-        raise ValueError("need one seed per replication")
+    seeds = list(range(config.seed, config.seed + n))
 
-    finals = []
-    gains_world = []
-    per_seed = []
+    finals, gains_world, per_seed = [], [], []
     for sd in seeds:
-        cfg = config.replace(seed=int(sd))
+        cfg = config.replace(seed=sd)
         inst = build_instance(cfg)
         res = run_instance(inst)
-        entry = {"seed": int(sd),
-                 "final_totals": res.global_totals[-1].tolist()}
+        entry = {"seed": sd, "final_totals": res.global_totals[-1].tolist()}
         if config.policy not in ("pb", "none"):
             # build_instance never reads the policy
             base = run_instance(dataclasses.replace(
@@ -272,7 +263,7 @@ def replicate(config: ScenarioConfig, n: int, seeds=None) -> dict:
     out = {
         "policy": config.policy,
         "n": n,
-        "seeds": [int(s) for s in seeds],
+        "seeds": seeds,
         "final_totals_mean": finals.mean(axis=0).tolist(),
         "final_totals_std": finals.std(axis=0).tolist(),
         "runs": per_seed,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -53,19 +53,33 @@ class AirportRecord:
             raise ValueError(f"airport {self.id}: coordinates must be finite")
 
 
-@dataclass
+@dataclass(eq=False)
 class AirFlowTable:
-    """Directed airport-to-airport flows, persons per period."""
+    """Directed airport-to-airport flows, persons per period: ``g[a, b]``
+    flows from airport ``ids[a]`` to airport ``ids[b]``, ids ascending."""
 
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    ids: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        for (a, b), g in self.entries.items():
-            if a == b:
-                raise ValueError(f"air flow self-loop at airport {a}")
-            if not (math.isfinite(g) and g >= 0):
-                raise ValueError(f"air flow {a}->{b} must be finite and "
-                                 f"nonnegative, got {g!r}")
+        self.ids = np.asarray(self.ids, dtype=int)
+        self.g = np.asarray(self.g, dtype=float)
+        if (self.g.shape != (len(self.ids),) * 2 or np.any(np.diff(self.ids) <= 0)
+                or np.any(np.diag(self.g) != 0)):
+            raise ValueError("air flows need an m x m table, zero on the diagonal, "
+                             "over m ascending airport ids")
+        bad = np.argwhere(~(np.isfinite(self.g) & (self.g >= 0)))
+        if bad.size:
+            a, b = bad[0]
+            raise ValueError(f"air flow {self.ids[a]}->{self.ids[b]} must be finite "
+                             f"and nonnegative, got {float(self.g[a, b])!r}")
+
+    @property
+    def entries(self) -> dict[tuple[int, int], float]:
+        """Every off-diagonal flow by (origin, destination), for the writers."""
+        a, b = np.nonzero(~np.eye(len(self.ids), dtype=bool))
+        return dict(zip(zip(self.ids[a].tolist(), self.ids[b].tolist()),
+                        self.g[a, b].tolist()))
 
 
 class FlowMatrix:
@@ -301,9 +315,10 @@ def radiation_flows(nodes: list[NodeRecord],
 
 
 def assign_airports(nodes: list[NodeRecord], airports: list[AirportRecord],
-                    planar: bool = False) -> tuple[np.ndarray, dict[int, float]]:
+                    planar: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Assign each node to its nearest airport; ties go to the lowest
-    airport id. Returns (assigned airport ids, polygon populations)."""
+    airport id. Returns each node's position among the airports sorted by
+    id, and the population of each of their polygons."""
     if not airports:
         raise ValueError("at least one airport required")
     airports = sorted(airports, key=lambda a: a.id)
@@ -316,24 +331,8 @@ def assign_airports(nodes: list[NodeRecord], airports: list[AirportRecord],
         block = slice(lo, lo + step)
         dist = cross_distances(nlat[block], nlon[block], alat, alon, planar=planar)
         nearest[block] = dist.argmin(axis=1)  # the first of ties: lowest id
-    ids = np.array([a.id for a in airports], dtype=int)
     # bincount adds each polygon's populations in node order, from 0.0
-    polygon_pop = np.bincount(nearest, weights=pop, minlength=len(airports))
-    return ids[nearest], dict(zip(ids.tolist(), polygon_pop.tolist()))
-
-
-def air_factors(assignment: np.ndarray,
-                air_table: AirFlowTable) -> tuple[np.ndarray, np.ndarray]:
-    """Airport-level factors of the air flows: each node's slot among the
-    airports that have nodes, in ascending id order, and the m x m slot
-    flows g. Entries naming an airport without nodes are skipped."""
-    aids, cell = np.unique(np.asarray(assignment), return_inverse=True)
-    slot = {int(aid): k for k, aid in enumerate(aids)}
-    g = np.zeros((len(aids), len(aids)))
-    for (a, b), flow in air_table.entries.items():
-        if flow > 0 and a in slot and b in slot:
-            g[slot[a], slot[b]] = flow
-    return cell, g
+    return nearest, np.bincount(nearest, weights=pop, minlength=len(airports))
 
 
 def air_flows(cell: np.ndarray, g: np.ndarray,
@@ -366,12 +365,15 @@ def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
                   air_table: AirFlowTable, D: float, alpha: float,
                   planar: bool = False) -> FlowMatrix:
     """End-to-end network build: neighborhoods, ground flows, airport
-    assignment and the air factors."""
+    assignment and the flows between the airports that have nodes."""
+    if not np.array_equal(air_table.ids, sorted(a.id for a in airports)):
+        raise ValueError("the air table must list exactly the airports' ids")
     nbrs = ground_neighborhoods(nodes, D, planar=planar)
     ground = radiation_flows(nodes, nbrs, alpha)
-    mu, _ = assign_airports(nodes, airports, planar=planar)
-    cell, g = air_factors(mu, air_table)
-    return FlowMatrix(ground, cell, g, _as_arrays(nodes)[2])
+    nearest, _ = assign_airports(nodes, airports, planar=planar)
+    slots, cell = np.unique(nearest, return_inverse=True)
+    return FlowMatrix(ground, cell, air_table.g[np.ix_(slots, slots)],
+                      _as_arrays(nodes)[2])
 
 
 def synth_world(n_nodes: int, n_agents: int, *,
@@ -411,11 +413,10 @@ def synth_world(n_nodes: int, n_agents: int, *,
         AirportRecord(id=a, lat=float(ys[j]), lon=float(xs[j]))
         for a, j in enumerate(site_idx)
     ]
-    entries: dict[tuple[int, int], float] = {}
+    g = np.zeros((n_airports, n_airports))
     if n_airports > 1:
-        mu, polygon_pop = assign_airports(nodes, airports, planar=True)
-        pp = np.array([polygon_pop[a.id] for a in airports])
-        size = np.bincount(mu, minlength=n_airports)
+        nearest, pp = assign_airports(nodes, airports, planar=True)
+        size = np.bincount(nearest, minlength=n_airports)
         dist = cross_distances(ys[site_idx], xs[site_idx], ys[site_idx], xs[site_idx],
                                planar=True)
         # float_power squares with pow, as a scalar d ** 2 does
@@ -430,9 +431,8 @@ def synth_world(n_nodes: int, n_agents: int, *,
             # calibrate so the distributed node-level air flow totals
             # air_fraction of world population per period
             scale = air_fraction * pops.sum() / node_total
-            pairs = zip(*(idx.tolist() for idx in np.nonzero(off)))
-            entries = dict(zip(pairs, (raw[off] * scale).tolist()))
-    return nodes, airports, AirFlowTable(entries)
+            g[off] = raw[off] * scale
+    return nodes, airports, AirFlowTable(np.arange(n_airports), g)
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +485,27 @@ def write_airports(airports: list[AirportRecord], path) -> None:
             w.writerow([a.id, repr(a.lat), repr(a.lon)])
 
 
-def read_air_flows(path) -> AirFlowTable:
-    entries: dict[tuple[int, int], float] = {}
+def read_air_flows(path, airports: list[AirportRecord]) -> AirFlowTable:
+    """Flights file: header origin,destination,flow, each id an airport of
+    ``airports``; rows of the same pair add up in file order."""
+    ids = np.unique([a.id for a in airports])
+    pos = {aid: k for k, aid in enumerate(ids.tolist())}
+    g = np.zeros((len(ids), len(ids)))
     with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            key = (int(row["origin"]), int(row["destination"]))
-            entries[key] = entries.get(key, 0.0) + float(row["flow"])
-    return AirFlowTable(entries)
+            a, b = int(row["origin"]), int(row["destination"])
+            if a == b or a not in pos or b not in pos:
+                raise ValueError(f"{path}: air flow {a}->{b} must join two different "
+                                 "airports of the airport file")
+            g[pos[a], pos[b]] += float(row["flow"])
+    return AirFlowTable(ids, g)
 
 
 def write_air_flows(table: AirFlowTable, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["origin", "destination", "flow"])
-        for (a, b), g in sorted(table.entries.items()):
-            w.writerow([a, b, repr(g)])
+        w.writerows([a, b, repr(g)] for (a, b), g in table.entries.items())
 
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:

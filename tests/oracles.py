@@ -166,9 +166,24 @@ def export_network_per_edge(net, edges_path, rho_path):
 # ---------------------------------------------------------------------------
 # explicit world-build and epidemic-step paths that faster code replaced. The
 # world build must match air_flows_lists, ground_neighborhoods_dense,
-# radiation_flows_lists and gravity_entries_loops exactly; the step's
-# factored product adds in another order than the three explicit products,
-# and matches them to an absolute tolerance on the proportions.
+# radiation_flows_lists, air_factors_dict and gravity_entries_loops exactly;
+# the step's factored product adds in another order than the three explicit
+# products, and matches them to an absolute tolerance on the proportions.
+
+
+def air_factors_dict(assignment, entries):
+    """The air factors scattered from a dict of (origin, destination) id
+    entries: each node's slot among the airports that have nodes, in
+    ascending id order, and the slot-by-slot flows. ``assignment`` holds
+    each node's airport id; entries naming an airport without nodes are
+    skipped."""
+    aids, cell = np.unique(np.asarray(assignment), return_inverse=True)
+    slot = {int(aid): k for k, aid in enumerate(aids)}
+    g = np.zeros((len(aids), len(aids)))
+    for (a, b), flow in entries.items():
+        if flow > 0 and a in slot and b in slot:
+            g[slot[a], slot[b]] = flow
+    return cell, g
 
 
 def air_flows_lists(cell, g, populations):

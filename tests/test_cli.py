@@ -55,6 +55,16 @@ BAD_NET_INPUTS = {
     "node ids from 100": ("nodes.csv", lambda p: _renumber(p, 100)),
     "repeated airport": ("airports.csv",
                          lambda p: _edit_lines(p, lambda ls: ls.insert(2, "0,9999.0,9999.0"))),
+    "flight from an unknown airport": ("airflows.csv", lambda p: _edit_lines(
+        p, lambda ls: ls.insert(2, "99,0,5000.0"))),
+    "flight to an unknown airport": ("airflows.csv", lambda p: _edit_lines(
+        p, lambda ls: ls.insert(2, "1,99,5000.0"))),
+    "flight self-loop": ("airflows.csv",
+                         lambda p: _edit_lines(p, lambda ls: ls.insert(2, "1,1,0.0"))),
+    "NaN flow": ("airflows.csv", lambda p: _set_field(p, 1, 2, "nan")),
+    "infinite flow": ("airflows.csv", lambda p: _set_field(p, 2, 2, "inf")),
+    "negative flow summed": ("airflows.csv", lambda p: _edit_lines(
+        p, lambda ls: ls.insert(2, "0,1,-1e9"))),
 }
 
 
@@ -73,6 +83,8 @@ def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if case.startswith("flight"):
+        assert name in err
     assert not (out / "edges.csv").exists()
 
 
@@ -160,6 +172,41 @@ def test_simulate_overwrite_guard(tmp_path, config_file, capsys):
     assert main(args) == 1
     assert "overwrite" in capsys.readouterr().err
     assert main(args + ["--overwrite"]) == 0
+
+
+def test_simulate_out_is_a_file_exits_1(tmp_path, config_file, capsys):
+    out = tmp_path / "run"
+    out.write_text("x")
+    assert main(["simulate", "--config", str(config_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_text() == "x"
+
+
+def test_gains_out_is_a_directory_exits_1(tmp_path, config_file, capsys):
+    run_dir = tmp_path / "pb"
+    assert main(["simulate", "--config", str(config_file), "--policy", "pb",
+                 "--out", str(run_dir)]) == 0
+    out = tmp_path / "gains.csv"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(["gains", "--run", str(run_dir), "--baseline", str(run_dir),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,kind", [("[]", "list"), ("null", "NoneType"),
+                                       ('"x"', "str"), ("5", "int")])
+def test_simulate_config_not_an_object_exits_1(tmp_path, capsys, text, kind):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "JSON object" in err and kind in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_cli_overrides(tmp_path, config_file):

@@ -6,16 +6,16 @@ import pytest
 
 from vaxalloc import net
 from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
-                          FlowMatrix, air_factors, air_flows, assign_airports,
+                          FlowMatrix, air_flows, assign_airports,
                           build_network, ground_neighborhoods,
                           radiation_flows, synth_world)
 
 from vaxalloc.cli import main
 
-from oracles import (air_flows_lists, export_network_per_edge,
+from oracles import (air_factors_dict, air_flows_lists, export_network_per_edge,
                      gravity_entries_loops, ground_neighborhoods_dense,
                      nearest_airport_bruteforce, radiation_flows_lists)
-from worlds import random_airport_net
+from worlds import air_table, random_airport_net
 
 
 def planar_node(i, x, y, pop, agent=0):
@@ -33,8 +33,8 @@ def flow_matrix(ground, nodes):
 
 
 def explicit_air(nodes, airports, table, planar=True):
-    mu, _ = assign_airports(nodes, airports, planar=planar)
-    return air_flows(*air_factors(mu, table), populations(nodes))
+    """The explicit air flows of a network without ground flows."""
+    return build_network(nodes, airports, table, D=1.0, alpha=0.0, planar=planar).air
 
 
 class TestGroundNeighborhoods:
@@ -101,22 +101,22 @@ class TestRadiationFlows:
 class TestAssignAirports:
     def test_single_airport(self):
         nodes = [planar_node(0, 0, 0, 100), planar_node(1, 50, 0, 300)]
-        mu, pops = assign_airports(nodes, [AirportRecord(7, 0, 0)], planar=True)
-        assert mu.tolist() == [7, 7]
-        assert pops[7] == pytest.approx(400)
+        nearest, pops = assign_airports(nodes, [AirportRecord(7, 0, 0)], planar=True)
+        assert nearest.tolist() == [0, 0]
+        assert pops.tolist() == [400.0]
 
     def test_tie_goes_to_lowest_id(self):
         nodes = [planar_node(0, 50, 0, 100)]
         airports = [AirportRecord(3, 0, 100), AirportRecord(1, 0, 0)]
-        mu, _ = assign_airports(nodes, airports, planar=True)
-        assert mu[0] == 1
+        nearest, _ = assign_airports(nodes, airports, planar=True)
+        assert nearest.tolist() == [0]  # airport 1, the first by id
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(3)
         nodes = [planar_node(i, x, 0, 10) for i, x in enumerate((0.0, 40.0, 90.0, 200.0))]
         airports = [AirportRecord(0, 0.0, 10.0), AirportRecord(1, 0.0, 150.0)]
-        mu, _ = assign_airports(nodes, airports, planar=True)
-        for nd, got in zip(nodes, mu):
+        nearest, _ = assign_airports(nodes, airports, planar=True)
+        for nd, got in zip(nodes, nearest):
             want = nearest_airport_bruteforce(
                 (nd.lon, nd.lat), [a.id for a in airports],
                 [(a.lon, a.lat) for a in airports])
@@ -124,10 +124,10 @@ class TestAssignAirports:
 
     def test_partition_population(self):
         nodes, airports, _ = synth_world(60, 2, seed=5)
-        mu, pops = assign_airports(nodes, airports, planar=True)
-        assert len(mu) == 60
+        nearest, pops = assign_airports(nodes, airports, planar=True)
+        assert len(nearest) == 60 and len(pops) == len(airports)
         total = sum(nd.population for nd in nodes)
-        assert sum(pops.values()) == pytest.approx(total)
+        assert pops.sum() == pytest.approx(total)
 
 
 def assert_same_sets(got, want):
@@ -313,12 +313,12 @@ class TestAssignAirportsMatchesBruteforce:
         expect_pop = {int(a): 0.0 for a in ids}
         for nd, aid in zip(nodes, want):
             expect_pop[aid] += nd.population
+        by_id = np.sort(ids)
         for block in (1 << 18, 7, 12):
             monkeypatch.setattr(net, "_BLOCK", block)
-            mu, pops = assign_airports(nodes, airports, planar=True)
-            assert mu.tolist() == want
-            assert pops == expect_pop
-            assert list(pops) == sorted(expect_pop)
+            nearest, pops = assign_airports(nodes, airports, planar=True)
+            assert by_id[nearest].tolist() == want
+            assert pops.tolist() == [expect_pop[a] for a in by_id.tolist()]
 
 
 class TestSynthWorldGravity:
@@ -344,18 +344,35 @@ class TestSynthWorldGravity:
         want = gravity_entries_loops(nodes, airports, 96.3, 0.005)
         assert list(table.entries.items()) == list(want.items())
 
+    def test_no_air_lists_every_pair_as_zero(self):
+        nodes, airports, table = synth_world(300, 3, seed=4, air_fraction=0.0)
+        want = gravity_entries_loops(nodes, airports, 50.0, 0.0)
+        assert len(want) == 15 * 14 and set(want.values()) == {0.0}
+        assert list(table.entries.items()) == list(want.items())
+
+    def test_peak_memory(self):
+        # the m x m table at m = 500 is 2 MB; a dict of its 249,500 pairs
+        # took the peak to 54 MB
+        tracemalloc.start()
+        try:
+            synth_world(10_000, 5, seed=77)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
 
 class TestAirFlows:
     def test_empty_table(self):
         nodes = [planar_node(0, 0, 0, 100), planar_node(1, 500, 0, 100)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        f = explicit_air(nodes, airports, AirFlowTable({}))
+        f = explicit_air(nodes, airports, air_table(airports))
         assert f.nnz == 0
 
     def test_single_node_polygons(self):
         nodes = [planar_node(0, 0, 0, 700), planar_node(1, 500, 0, 1300)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        f = explicit_air(nodes, airports, AirFlowTable({(0, 1): 1000.0}))
+        f = explicit_air(nodes, airports, air_table(airports, {(0, 1): 1000.0}))
         assert f[0, 1] == pytest.approx(1000.0)
         assert f[1, 0] == 0.0
 
@@ -363,7 +380,7 @@ class TestAirFlows:
         nodes = [planar_node(0, 0, 0, 600), planar_node(1, 10, 0, 400),
                  planar_node(2, 500, 0, 2000)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        f = explicit_air(nodes, airports, AirFlowTable({(0, 1): 500.0}))
+        f = explicit_air(nodes, airports, air_table(airports, {(0, 1): 500.0}))
         assert f[0, 2] == pytest.approx(500 * 2600 / 3000)
         assert f[1, 2] == pytest.approx(500 * 2400 / 3000)
 
@@ -376,15 +393,22 @@ def assert_same_csr(got, want):
 
 
 class TestAirFlowsMatchLists:
-    """The per-airport CSR build against the list-of-entries path, exactly."""
+    """The slot flows build_network takes from the air table against the
+    dict scatter of air_factors_dict, and the per-airport CSR build against
+    the list-of-entries path, exactly."""
 
     @staticmethod
     def check(nodes, airports, table, planar=True):
-        mu, _ = assign_airports(nodes, airports, planar=planar)
-        cell, g = air_factors(mu, table)
+        netm = build_network(nodes, airports, table, D=1.0, alpha=0.11, planar=planar)
+        nearest, _ = assign_airports(nodes, airports, planar=planar)
+        want_cell, want_g = air_factors_dict(np.sort([a.id for a in airports])[nearest],
+                                             table.entries)
+        for got, want in ((netm.cell, want_cell), (netm.g, want_g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         pop = populations(nodes)
-        assert_same_csr(air_flows(cell, g, pop), air_flows_lists(cell, g, pop))
-        return cell, g
+        assert_same_csr(air_flows(netm.cell, netm.g, pop),
+                        air_flows_lists(want_cell, want_g, pop))
+        return netm.cell, netm.g
 
     def test_random_synthetic_worlds(self):
         rng = np.random.default_rng(41)
@@ -397,22 +421,23 @@ class TestAirFlowsMatchLists:
             # drop some entries and zero others, so rows differ in pattern
             entries = {k: (0.0 if rng.random() < 0.2 else g)
                        for k, g in table.entries.items() if rng.random() < 0.8}
-            self.check(nodes, airports, AirFlowTable(entries))
+            self.check(nodes, airports, air_table(airports, entries))
 
     def test_entries_naming_airports_without_nodes(self):
         nodes = [planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6)]
-        # airport 2 lies far away and gets no nodes; 9 is not an airport
+        # airport 2 lies far away and gets no nodes
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
                     AirportRecord(2, 5000, 5000)]
-        table = AirFlowTable({(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
-                              (2, 1): 7.0, (1, 9): 3.0, (9, 0): 4.0})
+        table = air_table(airports, {(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
+                                     (2, 1): 7.0})
         cell, g = self.check(nodes, airports, table)
         assert cell.tolist() == [0, 0, 0, 1, 1, 1]
         assert g.tolist() == [[0.0, 30.0], [20.0, 0.0]]
 
     def test_single_airport_empty_table(self):
         nodes = [planar_node(i, 30.0 * i, 0, 500.0) for i in range(4)]
-        self.check(nodes, [AirportRecord(3, 0, 0)], AirFlowTable({}))
+        airports = [AirportRecord(3, 0, 0)]
+        self.check(nodes, airports, air_table(airports))
 
     def test_one_node_world(self):
         nodes, airports, table = synth_world(1, 1, seed=2)
@@ -427,10 +452,25 @@ class TestAirFlowsMatchLists:
         airports = [AirportRecord(a, float(rng.uniform(-60, 60)),
                                   float(rng.uniform(-180, 180)))
                     for a in range(8)]
-        table = AirFlowTable({(a, b): float(rng.uniform(10, 1000))
-                              for a in range(8) for b in range(8)
-                              if a != b and rng.random() < 0.6})
+        table = air_table(airports, {(a, b): float(rng.uniform(10, 1000))
+                                     for a in range(8) for b in range(8)
+                                     if a != b and rng.random() < 0.6})
         self.check(nodes, airports, table, planar=False)
+
+    def test_shuffled_non_contiguous_ids(self):
+        rng = np.random.default_rng(45)
+        nodes = random_planar_nodes(rng, 150, 1000.0)
+        ids = rng.choice(1000, 13, replace=False)
+        # the airport of the middle id lies far away and gets no nodes
+        far = int(np.sort(ids)[6])
+        airports = [AirportRecord(int(a), 1e6, 1e6) if a == far else
+                    AirportRecord(int(a), float(rng.uniform(0, 1000)),
+                                  float(rng.uniform(0, 1000))) for a in ids]
+        table = air_table(airports, {(int(a), int(b)): float(rng.uniform(10, 1000))
+                                     for a in ids for b in ids
+                                     if a != b and rng.random() < 0.7})
+        cell, g = self.check(nodes, airports, table)
+        assert g.shape == (12, 12) and len(np.unique(cell)) == 12
 
     @pytest.mark.parametrize("planar", [True, False])
     def test_build_net_export_matches_list_path(self, tmp_path, monkeypatch, planar):
@@ -450,13 +490,12 @@ class TestAirFlowsMatchLists:
 
     def test_peak_memory_within_three_times_result(self):
         nodes, airports, table = synth_world(1000, 5, seed=44)
-        mu, _ = assign_airports(nodes, airports, planar=True)
-        cell, g = air_factors(mu, table)
+        netm = build_network(nodes, airports, table, D=1.0, alpha=0.11, planar=True)
         pop = populations(nodes)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            mat = air_flows(cell, g, pop)
+            mat = air_flows(netm.cell, netm.g, pop)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -464,10 +503,56 @@ class TestAirFlowsMatchLists:
         assert mat.nnz > 500_000
         assert peak <= 3 * result
 
+
+class TestAirFlowTable:
+    """The table's checks, on a hand-made table and at the flights file."""
+
     def test_non_finite_table_entry_rejected(self):
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="finite and nonnegative"):
-                AirFlowTable({(0, 1): bad})
+                AirFlowTable([0, 1], [[0.0, bad], [0.0, 0.0]])
+
+    def test_bad_shapes_and_loops_rejected(self):
+        for ids, g in (([0, 1], np.zeros((2, 3))), ([1, 0], np.zeros((2, 2))),
+                       ([0, 0], np.zeros((2, 2))), ([2, 4], [[0.0, 1.0], [0.0, 3.0]]),
+                       ([2, 4], [[0.0, 1.0], [0.0, np.nan]])):
+            with pytest.raises(ValueError, match="zero on the diagonal"):
+                AirFlowTable(ids, g)
+
+    def test_build_network_needs_the_airports_ids(self):
+        nodes = [planar_node(0, 0, 0, 100)]
+        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50)]
+        with pytest.raises(ValueError, match="airports' ids"):
+            build_network(nodes, airports, AirFlowTable([0, 2], np.zeros((2, 2))),
+                          D=1.0, alpha=0.11, planar=True)
+
+    @staticmethod
+    def read(tmp_path, rows, ids=(0, 3, 7)):
+        path = tmp_path / "flows.csv"
+        path.write_text("origin,destination,flow\n" + "".join(r + "\n" for r in rows))
+        return net.read_air_flows(path, [AirportRecord(a, 0.0, 0.0) for a in ids])
+
+    def test_repeated_rows_add_in_file_order(self, tmp_path):
+        table = self.read(tmp_path, ["7,0,0.1", "3,7,2.5", "7,0,0.2", "7,0,0.3",
+                                     "0,3,-1.0", "0,3,4.0"])
+        assert table.ids.tolist() == [0, 3, 7]
+        assert table.g[2, 0] == (0.0 + 0.1 + 0.2) + 0.3
+        assert table.entries == {(0, 3): 3.0, (0, 7): 0.0, (3, 0): 0.0,
+                                 (3, 7): 2.5, (7, 0): (0.1 + 0.2) + 0.3, (7, 3): 0.0}
+
+    @pytest.mark.parametrize("rows,match", [
+        (["3,3,0.0"], "3->3 must join two different airports of the airport file"),
+        (["1,3,5.0"], "1->3 must join two different airports of the airport file"),
+        (["3,99,5.0"], "3->99 must join two different airports of the airport file"),
+        (["0,3,nan"], "finite and nonnegative"),
+        (["0,3,inf"], "finite and nonnegative"),
+        (["0,3,2.0", "0,3,-3.0"], "finite and nonnegative"),
+    ])
+    def test_bad_flights_file_rejected(self, tmp_path, rows, match):
+        with pytest.raises(ValueError, match=match) as exc:
+            self.read(tmp_path, rows)
+        if "airport file" in match:
+            assert str(exc.value).startswith(str(tmp_path / "flows.csv"))
 
 
 class TestFactoredProducts:
@@ -502,7 +587,8 @@ class TestFactoredProducts:
 
     def test_single_airport_no_air(self):
         nodes = [planar_node(i, 30.0 * i, 0, 500.0 + i) for i in range(5)]
-        netm = build_network(nodes, [AirportRecord(3, 0, 0)], AirFlowTable({}),
+        airports = [AirportRecord(3, 0, 0)]
+        netm = build_network(nodes, airports, air_table(airports),
                              D=40, alpha=0.11, planar=True)
         assert netm.g.shape == (1, 1) and netm.air.nnz == 0
         self.check(netm)
@@ -511,14 +597,15 @@ class TestFactoredProducts:
         nodes = [planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
                     AirportRecord(2, 5000, 5000)]
-        table = AirFlowTable({(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0, (2, 1): 7.0})
+        table = air_table(airports, {(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
+                                     (2, 1): 7.0})
         self.check(build_network(nodes, airports, table, D=15, alpha=0.11, planar=True))
 
     def test_nodes_with_zero_outflow(self):
         # no ground range; airport 1 sends nothing, so its nodes have no outflow
         nodes = [planar_node(i, 100.0 * i, 0, 100.0 + i) for i in range(6)]
         airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
-        netm = build_network(nodes, airports, AirFlowTable({(0, 1): 40.0}),
+        netm = build_network(nodes, airports, air_table(airports, {(0, 1): 40.0}),
                              D=1, alpha=0.11, planar=True)
         assert netm.rate_row_sum.tolist() == [1, 1, 1, 0, 0, 0]
         self.check(netm)
@@ -537,9 +624,9 @@ class TestFactoredProducts:
         airports = [AirportRecord(a, float(rng.uniform(-60, 60)),
                                   float(rng.uniform(-180, 180)))
                     for a in range(9)]
-        table = AirFlowTable({(a, b): float(rng.uniform(10, 1000))
-                              for a in range(9) for b in range(9)
-                              if a != b and rng.random() < 0.6})
+        table = air_table(airports, {(a, b): float(rng.uniform(10, 1000))
+                                     for a in range(9) for b in range(9)
+                                     if a != b and rng.random() < 0.6})
         self.check(build_network(nodes, airports, table, D=1500, alpha=0.11))
 
 
@@ -669,7 +756,9 @@ class TestFileRoundTrips:
         net.write_airports(airports, tmp_path / "airports.csv")
         net.write_air_flows(table, tmp_path / "flows.csv")
         assert net.read_airports(tmp_path / "airports.csv") == airports
-        assert net.read_air_flows(tmp_path / "flows.csv").entries == table.entries
+        back = net.read_air_flows(tmp_path / "flows.csv", airports)
+        assert back.ids.tolist() == table.ids.tolist()
+        assert back.g.tobytes() == table.g.tobytes()
 
     def test_network_export(self, tmp_path):
         netm = build_synth_net(seed=4, n=30, k=2)

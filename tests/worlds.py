@@ -1,12 +1,12 @@
-"""Random airport worlds for tests: a FlowMatrix built straight from random
-ground flows and random airport-level factors."""
+"""Worlds for tests: a FlowMatrix built straight from random ground flows and
+random airport-level factors, and air tables written as dicts."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from vaxalloc.net import FlowMatrix
+from vaxalloc.net import AirFlowTable, FlowMatrix
 
 
 def random_airport_net(rng, n, ground_density=0.5, rho=None):
@@ -26,3 +26,14 @@ def random_airport_net(rng, n, ground_density=0.5, rho=None):
         return net
     scale = rho / net.rho
     return FlowMatrix(sp.csr_matrix(ground * scale), cell, g * scale, pops)
+
+
+def air_table(airports, entries=()):
+    """The AirFlowTable over the airports' ids that holds the
+    {(origin, destination): flow} entries and zero elsewhere."""
+    ids = sorted(a.id for a in airports)
+    pos = {aid: k for k, aid in enumerate(ids)}
+    g = np.zeros((len(ids), len(ids)))
+    for (a, b), flow in dict(entries).items():
+        g[pos[a], pos[b]] = flow
+    return AirFlowTable(ids, g)
