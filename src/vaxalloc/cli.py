@@ -69,6 +69,7 @@ def _load_config(args) -> ScenarioConfig:
 
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    harness.check_out_dir(args.out, args.overwrite)
     result = harness.run(cfg)
     harness.export(result, args.out, overwrite=args.overwrite)
     s, i, r, d = result.global_totals[-1]
@@ -81,8 +82,8 @@ def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
     if args.seed_base is not None:
         cfg = cfg.replace(seed=args.seed_base)
+    out = harness.check_out_dir(args.out, overwrite=True)  # refuses only a file
     summary = harness.replicate(cfg, args.n)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

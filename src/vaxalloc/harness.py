@@ -12,7 +12,7 @@ import shutil
 import tempfile
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +21,9 @@ from . import policy as polmod
 from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
-from .policy import (Allocation, AllocationProblem, PolicyState,
-                     loss_coefficients, own_inflow, pb_allocate,
-                     solve_knapsack, update_bounds, window_width)
+from .net import _reprs
+from .policy import (AllocationProblem, PolicyState, loss_coefficients, own_inflow,
+                     pb_allocate, solve_knapsack, update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
@@ -279,17 +279,24 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
 #
 # Tables are written and read a column at a time. A float is written as the
 # repr of the Python float, which reads back to the same bits, and every line
-# ends in "\r\n" as csv.writer ends it.
-
-def _floats(arr) -> list:
-    return np.asarray(arr, dtype=float).tolist()
-
+# ends in "\r\n" as csv.writer ends it; each distinct value of a column is
+# formatted once (net._reprs).
 
 def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def check_out_dir(directory, overwrite: bool = False) -> Path:
+    """Path(directory); OSError unless absent or a directory, empty unless ``overwrite``."""
+    directory = Path(directory)
+    # iterdir raises NotADirectoryError for a file, whatever overwrite says
+    if directory.exists() and any(directory.iterdir()) and not overwrite:
+        raise FileExistsError(
+            f"{directory}: directory not empty; pass overwrite to replace")
+    return directory
 
 
 def export(result: RunResult, directory, overwrite: bool = False) -> None:
@@ -299,10 +306,7 @@ def export(result: RunResult, directory, overwrite: bool = False) -> None:
     files go to a temporary sibling directory, renamed into place once
     complete, so a failed export leaves the target as it was.
     """
-    directory = Path(directory)
-    if directory.exists() and any(directory.iterdir()) and not overwrite:
-        raise FileExistsError(
-            f"{directory}: directory not empty; pass overwrite to replace")
+    directory = check_out_dir(directory, overwrite)
     directory.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
@@ -333,39 +337,38 @@ def _write_run(result: RunResult, directory: Path) -> None:
     periods = range(1, horizon + 1)
 
     _write_table(directory / "nodes.csv", ["node_id", "population", "agent_id"],
-                 zip(range(n), map(repr, _floats(result.populations)), agent_of))
+                 zip(range(n), _reprs(result.populations), agent_of))
 
+    totals = _reprs(result.global_totals)
     _write_table(directory / "global.csv", ["t", "S", "I", "R", "D"],
-                 ([t, *map(repr, row)]
-                  for t, row in enumerate(_floats(result.global_totals))))
+                 ([t, *totals[4 * t:4 * t + 4]] for t in range(horizon + 1)))
 
-    totals = _floats(result.agent_totals)
-    budgets, beffs = ([[""] * k] + [list(map(repr, row)) for row in _floats(arr)]
+    totals = _reprs(result.agent_totals)
+    budgets, beffs = ([""] * k + _reprs(arr)
                       for arr in (result.budgets, result.budgets_effective))
     _write_table(directory / "agents.csv",
                  ["t", "agent_id", "S", "I", "R", "D", "budget", "budget_effective"],
-                 ([t, a, *map(repr, totals[t][a]), budgets[t][a], beffs[t][a]]
-                  for t in range(horizon + 1) for a in range(k)))
+                 ([*divmod(c, k), *totals[4 * c:4 * c + 4], budgets[c], beffs[c]]
+                  for c in range((horizon + 1) * k)))
 
     prefix = [f"{a},{i}," for i, a in enumerate(agent_of)]
     cols = (result.allocations, result.theta_hat, result.theta_obs, result.bounds)
     with open(directory / "allocations.csv", "w", newline="", encoding="utf-8") as fh:
         fh.write("t,agent_id,node_id,x,theta_hat,theta_obs,bound\r\n")
         for t in periods:
-            # one period of Python floats at a time: whole columns would hold
-            # 32 bytes per value
-            rows = [_floats(col[t - 1]) for col in cols]
-            fh.write("".join([f"{t},{p}{x!r},{h!r},{o!r},{b!r}\r\n"
-                              for p, x, h, o, b in zip(prefix, *rows)]))
+            # one period at a time, so at most n strings per column are held
+            fh.write("".join([f"{t},{p}{x},{h},{o},{b}\r\n" for p, x, h, o, b
+                              in zip(prefix, *(_reprs(col[t - 1]) for col in cols))]))
 
+    with np.errstate(all="ignore"):  # as a Python float product, no warning
+        b_out = np.multiply(result.budgets, result.sharing_ratios, dtype=float)
     _write_table(directory / "sharing.csv",
                  ["t", "agent_id", "ratio", "budget_in", "budget_out",
                   "budget_effective"],
-                 ([t, a, repr(ratio), repr(b_in), repr(b_in * ratio), repr(b_eff)]
-                  for t, rs, bs, es in zip(periods, _floats(result.sharing_ratios),
-                                           _floats(result.budgets),
-                                           _floats(result.budgets_effective))
-                  for a, ratio, b_in, b_eff in zip(range(k), rs, bs, es)))
+                 ([t, a, *row] for (t, a), *row in zip(
+                     itertools.product(periods, range(k)),
+                     *map(_reprs, (result.sharing_ratios, result.budgets, b_out,
+                                   result.budgets_effective)))))
 
     _write_table(directory / "priors.csv", ["node_id", "a", "b"],
                  zip(range(n), *(np.asarray(p, dtype=np.int64).tolist()

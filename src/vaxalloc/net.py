@@ -22,6 +22,7 @@ EARTH_RADIUS_KM = 6371.0
 # distances assign_airports computes at a time: a row block of nodes against
 # every airport
 _BLOCK = 1 << 18
+_EDGE_ROWS = 1 << 10  # edges export_network formats at a time, ~100 bytes of text each
 
 
 @dataclass(frozen=True)
@@ -414,22 +415,24 @@ def synth_world(n_nodes: int, n_agents: int, *,
         for a, j in enumerate(site_idx)
     ]
     g = np.zeros((n_airports, n_airports))
-    if n_airports > 1:
+    if n_airports > 1 and air_fraction != 0:
         nearest, pp = assign_airports(nodes, airports, planar=True)
         size = np.bincount(nearest, minlength=n_airports)
         dist = cross_distances(ys[site_idx], xs[site_idx], ys[site_idx], xs[site_idx],
                                planar=True)
-        # float_power squares with pow, as a scalar d ** 2 does
-        raw = pp[:, None] * pp[None, :] / np.float_power(np.maximum(dist, grid_spacing_km), 2)
-        # node-level flow each raw unit of g fans out to
-        fan = raw * (size[None, :] * pp[:, None] + size[:, None] * pp[None, :]) \
-            / (pp[:, None] + pp[None, :])
         off = ~np.eye(n_airports, dtype=bool)
-        # cumsum adds in (a, b) order, one pair after another
-        node_total = np.cumsum(fan[off])[-1]
-        if node_total > 0:
-            # calibrate so the distributed node-level air flow totals
-            # air_fraction of world population per period
+        with np.errstate(all="ignore"):  # an overflow fails the check of the total
+            # float_power squares with pow, as a scalar d ** 2 does
+            raw = np.outer(pp, pp) / np.float_power(np.maximum(dist, grid_spacing_km), 2)
+            # node-level flow each raw unit of g fans out to
+            fan = raw * (size[None, :] * pp[:, None] + size[:, None] * pp[None, :]) \
+                / (pp[:, None] + pp[None, :])
+            # cumsum adds in (a, b) order, one pair after another
+            node_total = np.cumsum(fan[off])[-1]
+            if not (np.isfinite(node_total) and node_total > 0):
+                raise ValueError(f"the air table's gravity total is {float(node_total)!r},"
+                                 f" not positive and finite ({grid_spacing_km!r} km grid)")
+            # calibrate the node-level air flow total to air_fraction of world population
             scale = air_fraction * pops.sum() / node_total
             g[off] = raw[off] * scale
     return nodes, airports, AirFlowTable(np.arange(n_airports), g)
@@ -509,20 +512,36 @@ def write_air_flows(table: AirFlowTable, path) -> None:
 
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:
-    """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar,
-    one row per flow entry in (i, j) order."""
+    """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar, one
+    row per flow entry in (i, j) order, each line as csv.writer writes it."""
     coo = net.flows.tocoo()
     order = np.lexsort((coo.col, coo.row))
     i, j = coo.row[order], coo.col[order]
 
     def at(mat):
-        return map(repr, np.asarray(mat.tocsr()[i, j], dtype=float).ravel().tolist())
+        return np.asarray(mat.tocsr()[i, j], dtype=float).ravel()
 
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "f_ground", "f_air", "f_total", "p"])
+        fh.write("i,j,f_ground,f_air,f_total,p\r\n")
         if coo.nnz:  # scipy returns a sparse matrix for empty index arrays
-            w.writerows(zip(i.tolist(), j.tolist(), at(net.ground), at(net.air),
-                            map(repr, coo.data[order].tolist()), at(net.rates)))
+            cols = np.column_stack((at(net.ground), at(net.air), coo.data[order],
+                                    at(net.rates)))
+            for lo in range(0, coo.nnz, _EDGE_ROWS):
+                # one _reprs for the four columns: f_total is f_air on most edges
+                rows = slice(lo, lo + _EDGE_ROWS)
+                texts = _reprs(cols[rows])
+                fh.write("".join([f"{a},{b},{g},{r},{f},{p}\r\n" for a, b, g, r, f, p
+                                  in zip(i[rows].tolist(), j[rows].tolist(),
+                                         *(texts[c::4] for c in range(4)))]))
     with open(rho_path, "w", encoding="utf-8") as fh:
         fh.write(repr(net.rho) + "\n")
+
+
+def _reprs(arr) -> list[str]:
+    """``[repr(v) for v in arr.tolist()]`` for a float array, flattened, with
+    each distinct value formatted once. Values are told apart by their bits,
+    so 0.0 and -0.0 keep their own text."""
+    values = np.ascontiguousarray(arr, dtype=np.float64).ravel()
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()

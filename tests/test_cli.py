@@ -2,9 +2,11 @@ import csv
 import json
 import math
 import shutil
+import warnings
 
 import pytest
 
+from vaxalloc import harness
 from vaxalloc.cli import build_parser, main
 from vaxalloc.scenario import ScenarioConfig
 
@@ -142,6 +144,18 @@ def test_build_net_subnormal_outflow(tmp_path):
         assert total == pytest.approx(1.0, rel=1e-12, abs=0)
 
 
+def test_build_net_gravity_overflow_exits_1(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["build-net", "--synthetic", "--n-nodes", "100",
+                   "--grid-spacing-km", "1e160", "--out", str(tmp_path / "net")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "gravity total" in err
+    assert not (tmp_path / "net" / "edges.csv").exists()
+
+
 def test_build_net_missing_inputs(tmp_path, capsys):
     rc = main(["build-net", "--out", str(tmp_path / "x")])
     assert rc == 1
@@ -181,6 +195,37 @@ def test_simulate_out_is_a_file_exits_1(tmp_path, config_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert out.read_text() == "x"
+
+
+@pytest.mark.parametrize("command,occupied", [(["simulate"], "file"),
+                                              (["simulate"], "non-empty directory"),
+                                              (["replicate", "--n", "2"], "file")])
+def test_bad_out_exits_1_before_running(tmp_path, config_file, capsys, monkeypatch,
+                                        command, occupied):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before --out was checked")
+    monkeypatch.setattr(harness, "run", never)
+    monkeypatch.setattr(harness, "replicate", never)
+    out = tmp_path / "out"
+    if occupied == "file":
+        out.write_text("x")
+    else:
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+    assert main(command + ["--config", str(config_file), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (out if occupied == "file" else out / "keep.txt").read_text() == "x"
+
+
+def test_replicate_writes_into_non_empty_directory(tmp_path, config_file):
+    out = tmp_path / "batch"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    assert main(["replicate", "--config", str(config_file), "--policy", "pb",
+                 "--n", "1", "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["n"] == 1
+    assert (out / "keep.txt").read_text() == "x"
 
 
 def test_gains_out_is_a_directory_exits_1(tmp_path, config_file, capsys):

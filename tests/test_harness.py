@@ -3,6 +3,7 @@ import dataclasses
 import json
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,16 @@ class TestColumnWiseIO:
         self.check(res, tmp_path)
         assert "-0.0" in (tmp_path / "cols" / "allocations.csv").read_text()
 
+    def test_signed_zeros_with_repeats(self, tmp_path):
+        # five values over eight nodes: every period's column holds 0.0 and
+        # -0.0, each more than once, in a different arrangement
+        res = hand_made_result(8, 3, 2, [0.0, -0.0, 0.0, -0.0, 0.25])
+        self.check(res, tmp_path)
+        lines = (tmp_path / "cols" / "allocations.csv").read_text().splitlines()
+        for t in "123":
+            x = [line.split(",")[3] for line in lines[1:] if line.startswith(t + ",")]
+            assert x.count("0.0") > 1 and x.count("-0.0") > 1
+
     def test_shuffled_rows_import_equal(self, tmp_path):
         res = run(small_config(policy="ts", sharing=True))
         export(res, tmp_path / "out")
@@ -417,6 +428,20 @@ class TestColumnWiseIO:
         random.Random(5).shuffle(rows)
         path.write_bytes(b"\r\n".join([header, *rows, b""]))
         assert_bit_equal(import_result(tmp_path / "out"), res)
+
+
+def test_export_peak_memory(tmp_path):
+    # n = 3000, T = 104, 211 distinct values: writing one period at a time
+    # peaks at about 1 MB, while holding the four columns' strings for every
+    # period at once peaks at about 20 MB
+    res = hand_made_result(3000, 104, 5, np.random.default_rng(3).random(211))
+    tracemalloc.start()
+    try:
+        export(res, tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxalloc import net
 from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
@@ -743,6 +746,27 @@ class TestSynthWorld:
         with pytest.raises(ValueError, match="airports"):
             synth_world(5, 1, airport_density=2.0, seed=0)
 
+    @pytest.mark.parametrize("kwargs", [{"grid_spacing_km": 1e160},  # total 0.0
+                                        {"pop_median": 1e300}])      # total inf
+    def test_gravity_total_not_positive_and_finite_raises(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="gravity total") as exc:
+                synth_world(100, 2, seed=1, **kwargs)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("air_fraction", [-0.01, math.nan])
+    def test_negative_or_nan_air_fraction_raises(self, air_fraction):
+        with pytest.raises(ValueError):
+            synth_world(100, 2, seed=1, air_fraction=air_fraction)
+
+    def test_no_air_fraction_with_overflowing_gravity_is_all_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, airports, table = synth_world(100, 2, seed=1, grid_spacing_km=1e160,
+                                             air_fraction=0.0)
+        assert len(airports) == 5 and table.g.shape == (5, 5) and not table.g.any()
+
 
 class TestFileRoundTrips:
     def test_nodes(self, tmp_path):
@@ -768,6 +792,22 @@ class TestFileRoundTrips:
         header = (tmp_path / "edges.csv").read_text().splitlines()[0]
         assert header == "i,j,f_ground,f_air,f_total,p"
 
+    def test_network_export_signed_zeros_match_per_edge_writer(self, tmp_path):
+        netm = build_synth_net(seed=4, n=30, k=2)
+        netm.rates  # assembled from the true flows before they are edited
+        flows = netm.flows.copy()
+        # explicit zeros of both signs, each many times, in the f_total column
+        flows.data[::3] = 0.0
+        flows.data[1::3] = -0.0
+        netm.flows = flows
+        net.export_network(netm, tmp_path / "edges.csv", tmp_path / "rho.txt")
+        export_network_per_edge(netm, tmp_path / "ref_edges.csv",
+                                tmp_path / "ref_rho.txt")
+        edges = (tmp_path / "edges.csv").read_bytes()
+        assert edges == (tmp_path / "ref_edges.csv").read_bytes()
+        f_total = [line.split(b",")[4] for line in edges.split(b"\r\n")[1:-1]]
+        assert f_total.count(b"0.0") > 1 and f_total.count(b"-0.0") > 1
+
     @pytest.mark.parametrize("seed,n,air_fraction", [(4, 30, 0.005), (5, 120, 0.005),
                                                     (6, 1, 0.0)])
     def test_network_export_matches_per_edge_writer(self, tmp_path, seed, n,
@@ -782,3 +822,21 @@ class TestFileRoundTrips:
             (tmp_path / "ref_edges.csv").read_bytes()
         assert (tmp_path / "rho.txt").read_bytes() == \
             (tmp_path / "ref_rho.txt").read_bytes()
+
+
+# bit patterns a value-keyed dedupe would merge or mishandle: both zeros,
+# NaNs of both signs and other payloads, infinities, subnormals
+SPECIAL_BITS = [0x0, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000,
+                0x7FF0000000000001, 0x7FF8000000000123, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x1, 0x8000000000000001, 0x000FFFFFFFFFFFFF,
+                0x0010000000000000, 0x3FF0000000000000, 0x3FB999999999999A]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bits=st.lists(st.sampled_from(SPECIAL_BITS) | st.integers(0, 2 ** 64 - 1),
+                     max_size=60))
+def test_reprs_is_repr_of_each_value(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert net._reprs(values) == [repr(v) for v in values.tolist()]
+    assert net._reprs(values[::-1].reshape(-1, 1)) == \
+        [repr(v) for v in values[::-1].tolist()]
