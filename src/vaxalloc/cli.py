@@ -25,8 +25,6 @@ _NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigm
 
 def _cmd_build_net(args) -> int:
     cfg = ScenarioConfig(**{name: getattr(args, name) for name in _NET_FIELDS})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.synthetic:
         nodes, airports, table = net.synth_world(
             cfg.n_nodes, cfg.n_agents, grid_spacing_km=cfg.grid_spacing_km,
@@ -34,9 +32,6 @@ def _cmd_build_net(args) -> int:
             airport_density=cfg.airport_density, air_fraction=cfg.air_fraction,
             seed=args.seed)
         planar = True
-        net.write_nodes(nodes, out / "nodes.csv")
-        net.write_airports(airports, out / "airports.csv")
-        net.write_air_flows(table, out / "airflows.csv")
     else:
         if not (args.nodes and args.airports and args.flights):
             raise ValueError("--nodes, --airports and --flights are required "
@@ -47,6 +42,13 @@ def _cmd_build_net(args) -> int:
         planar = args.planar
     network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
                                 alpha=cfg.commute_fraction, planar=planar)
+    # made only now, so that a build that fails leaves no --out behind
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.synthetic:
+        net.write_nodes(nodes, out / "nodes.csv")
+        net.write_airports(airports, out / "airports.csv")
+        net.write_air_flows(table, out / "airflows.csv")
     net.export_network(network, out / "edges.csv", out / "rho.txt")
     print(f"network: {network.n} nodes, {network.flows.nnz} edges, "
           f"rho={network.rho:.6g}")

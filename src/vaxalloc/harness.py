@@ -14,6 +14,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .policy import (AllocationProblem, PolicyState, loss_coefficients, own_infl
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
-_SCHEMA = 1
-_BLOCK_ROWS = 1 << 14
+_SCHEMA = 2
+# the (T, n) traces, each written as <name>.npy
+_TRACES = ("allocations", "theta_hat", "theta_obs", "bounds")
 
 
 @dataclass
@@ -91,8 +93,9 @@ def _totals(state: CompartmentState, populations: np.ndarray,
     comps = np.stack([state.s, state.i, state.r, state.d], axis=1)
     weighted = comps * populations[:, None]
     glob = weighted.sum(axis=0)
-    per_agent = np.zeros((n_agents, 4))
-    np.add.at(per_agent, agent_of, weighted)
+    # bincount adds in node order, as np.add.at does, so the sums are the same
+    per_agent = np.stack([np.bincount(agent_of, weights=col, minlength=n_agents)
+                          for col in weighted.T], axis=1)
     return glob, per_agent
 
 
@@ -277,10 +280,11 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # export / import
 #
-# Tables are written and read a column at a time. A float is written as the
-# repr of the Python float, which reads back to the same bits, and every line
-# ends in "\r\n" as csv.writer ends it; each distinct value of a column is
-# formatted once (net._reprs).
+# The four (T, n) traces are .npy files of little-endian float64 in C order.
+# The other tables are CSV, written and read a column at a time. A float is
+# written as the repr of the Python float, which reads back to the same bits,
+# and every line ends in "\r\n" as csv.writer ends it; each distinct value of
+# a column is formatted once (net._reprs).
 
 def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -300,7 +304,8 @@ def check_out_dir(directory, overwrite: bool = False) -> Path:
 
 
 def export(result: RunResult, directory, overwrite: bool = False) -> None:
-    """Write the run to a directory of delimited tables plus a manifest.
+    """Write the run to a directory: a manifest, CSV tables and the four
+    (T, n) traces as .npy files.
 
     Refuses to touch a non-empty directory unless ``overwrite`` is set. The
     files go to a temporary sibling directory, renamed into place once
@@ -351,14 +356,10 @@ def _write_run(result: RunResult, directory: Path) -> None:
                  ([*divmod(c, k), *totals[4 * c:4 * c + 4], budgets[c], beffs[c]]
                   for c in range((horizon + 1) * k)))
 
-    prefix = [f"{a},{i}," for i, a in enumerate(agent_of)]
-    cols = (result.allocations, result.theta_hat, result.theta_obs, result.bounds)
-    with open(directory / "allocations.csv", "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,agent_id,node_id,x,theta_hat,theta_obs,bound\r\n")
-        for t in periods:
-            # one period at a time, so at most n strings per column are held
-            fh.write("".join([f"{t},{p}{x},{h},{o},{b}\r\n" for p, x, h, o, b
-                              in zip(prefix, *(_reprs(col[t - 1]) for col in cols))]))
+    for name in _TRACES:
+        np.save(directory / f"{name}.npy",
+                np.ascontiguousarray(getattr(result, name), dtype="<f8"),
+                allow_pickle=False)
 
     with np.errstate(all="ignore"):  # as a Python float product, no warning
         b_out = np.multiply(result.budgets, result.sharing_ratios, dtype=float)
@@ -392,8 +393,6 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     raises ValueError naming the file."""
     names = [name for name, _, _ in ids] + list(columns)
     shape = [hi - lo + 1 for _, lo, hi in ids]
-    out = np.empty((len(columns), int(np.prod(shape))))
-    counts = np.zeros(out.shape[1], dtype=np.int64)
     with open(path, newline="", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\r\n").split(",")
         missing = [c for c in names if c not in header]
@@ -401,24 +400,20 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
             raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
         converters = {header.index(c): lambda s: float(s or "nan")
                       for c in blank_as_nan}
-        line = 2
-        # parsed a block of rows at a time, so the text table is never held
-        # in memory beside the arrays it fills
-        while lines := list(itertools.islice(fh, _BLOCK_ROWS)):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # blank lines
-                    data = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
-                                      usecols=[header.index(c) for c in names],
-                                      converters=converters or None)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc} (row 0 is line {line})") from None
-            line += len(lines)
-            cell = np.zeros(data.shape[0], dtype=np.int64)
-            for col, (name, lo, hi), size in zip(data.T, ids, shape):
-                cell = cell * size + _integers(path, name, col, lo, hi) - lo
-            out[:, cell] = data[:, len(ids):].T
-            np.add.at(counts, cell, 1)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  usecols=[header.index(c) for c in names],
+                                  converters=converters or None)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc} (row 0 is line 2)") from None
+    cell = np.zeros(data.shape[0], dtype=np.int64)
+    for col, (name, lo, hi), size in zip(data.T, ids, shape):
+        cell = cell * size + _integers(path, name, col, lo, hi) - lo
+    out = np.empty((len(columns), int(np.prod(shape))))
+    out[:, cell] = data[:, len(ids):].T
+    counts = np.bincount(cell, minlength=out.shape[1])
     wrong = np.flatnonzero(counts != 1)
     if wrong.size:
         where = ", ".join(f"{name}={int(c) + lo}" for (name, lo, _), c
@@ -428,22 +423,48 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     return list(out.reshape(len(columns), *shape))
 
 
+def _read_trace(path, shape, upper) -> np.ndarray:
+    """The float64 array of ``shape`` in the .npy file at ``path``, each value
+    v with 0 <= v <= ``upper``, a number or an array of ``shape``. Any fault
+    raises ValueError naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            arr = np.lib.format.read_array(fh, allow_pickle=False)
+            trailing = fh.read(1)
+    except (ValueError, TypeError, SyntaxError, TokenError) as exc:
+        # what the .npy reader raises on a cut file, a bad header or an
+        # object array
+        raise ValueError(f"{path}: not a readable .npy array ({exc})") from None
+    if arr.dtype != np.dtype("<f8") or arr.shape != shape:
+        raise ValueError(f"{path}: {arr.dtype.str} of shape {arr.shape}, not <f8 "
+                         f"of shape {shape}")
+    if trailing:
+        raise ValueError(f"{path}: bytes follow the array")
+    bad = ~((arr >= 0) & (arr <= upper))  # NaN and infinities fail too
+    if bad.any():
+        t, i = np.argwhere(bad)[0]
+        raise ValueError(f"{path}: {float(arr[t, i])!r} of t = {t + 1}, node {i} is "
+                         f"not in [0, {upper if np.isscalar(upper) else 'its bound'}]")
+    return arr
+
+
 def _matches(path, name, got, want, source) -> None:
     """Raise ValueError naming the file unless ``got`` equals ``want``, NaN == NaN."""
     bad = np.flatnonzero(~((got == want) | (np.isnan(got) & np.isnan(want))))
     if bad.size:
         t, i = divmod(int(bad[0]), got.shape[1])
-        raise ValueError(f"{path}: {name} of t = {t + 1}, id {i} is {got[t, i]!r}, "
-                         f"not as in {source}")
+        raise ValueError(f"{path}: {name} of t = {t + 1}, id {i} is "
+                         f"{float(got[t, i])!r}, not as in {source}")
 
 
 def import_result(directory) -> RunResult:
     """Rebuild a RunResult from an exported directory.
 
     Rows may come in any order. A wrong schema, a missing column, a field
-    that does not parse, an id out of range, a missing or repeated row, or a
-    column that disagrees with the table it repeats raises ValueError naming
-    the file.
+    that does not parse, an id out of range, a missing or repeated row, a
+    column that disagrees with the table it repeats, or a trace that is not
+    a (T, n) float64 array with 0 <= x <= bound <= 1 and 0 <= theta <= 1
+    raises ValueError naming the file.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -453,6 +474,9 @@ def import_result(directory) -> RunResult:
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema == 1:
+        raise ValueError(f"{path}: schema 1 predates schema {_SCHEMA}, which holds "
+                         "the traces as .npy files; simulate the run again")
     if schema != _SCHEMA:
         raise ValueError(f"{path}: schema {schema!r} is not {_SCHEMA}")
     config = manifest.get("config")
@@ -461,7 +485,6 @@ def import_result(directory) -> RunResult:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: the config needs integer horizon, n_agents "
                          f"and n_nodes ({exc})") from None
-    periods = [("t", 1, horizon)]
     nodes = [("node_id", 0, n - 1)]
 
     path = directory / "nodes.csv"
@@ -479,14 +502,15 @@ def import_result(directory) -> RunResult:
     if np.isnan(budgets[1:]).any() or np.isnan(budgets_eff[1:]).any():
         raise ValueError(f"{path}: a budget after t = 0 is empty or NaN")
 
-    path = directory / "allocations.csv"
-    alloc_agents, allocations, theta_hat, theta_obs, bounds = _read_table(
-        path, periods + nodes, ["agent_id", "x", "theta_hat", "theta_obs", "bound"])
-    _matches(path, "agent_id", alloc_agents, agent_of, "nodes.csv")
+    shape = (horizon, n)
+    bounds = _read_trace(directory / "bounds.npy", shape, 1.0)
+    allocations = _read_trace(directory / "allocations.npy", shape, bounds)
+    theta_hat, theta_obs = (_read_trace(directory / f"{name}.npy", shape, 1.0)
+                            for name in ("theta_hat", "theta_obs"))
 
     path = directory / "sharing.csv"
     ratios, b_in, b_out, b_eff = _read_table(
-        path, periods + [("agent_id", 0, k - 1)],
+        path, [("t", 1, horizon), ("agent_id", 0, k - 1)],
         ["ratio", "budget_in", "budget_out", "budget_effective"])
     _matches(path, "budget_in", b_in, budgets[1:], "agents.csv")
     _matches(path, "budget_effective", b_eff, budgets_eff[1:], "agents.csv")

@@ -364,14 +364,18 @@ def air_flows(cell: np.ndarray, g: np.ndarray,
 
 def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
                   air_table: AirFlowTable, D: float, alpha: float,
-                  planar: bool = False) -> FlowMatrix:
+                  planar: bool = False,
+                  nearest: np.ndarray | None = None) -> FlowMatrix:
     """End-to-end network build: neighborhoods, ground flows, airport
-    assignment and the flows between the airports that have nodes."""
+    assignment and the flows between the airports that have nodes.
+    ``nearest``, if given, is the assignment that ``assign_airports`` returns
+    for these nodes and airports, and is not computed again."""
     if not np.array_equal(air_table.ids, sorted(a.id for a in airports)):
         raise ValueError("the air table must list exactly the airports' ids")
     nbrs = ground_neighborhoods(nodes, D, planar=planar)
     ground = radiation_flows(nodes, nbrs, alpha)
-    nearest, _ = assign_airports(nodes, airports, planar=planar)
+    if nearest is None:
+        nearest, _ = assign_airports(nodes, airports, planar=planar)
     slots, cell = np.unique(nearest, return_inverse=True)
     return FlowMatrix(ground, cell, air_table.g[np.ix_(slots, slots)],
                       _as_arrays(nodes)[2])
@@ -383,13 +387,17 @@ def synth_world(n_nodes: int, n_agents: int, *,
                 pop_sigma: float = 0.5,
                 airport_density: float = 0.05,
                 air_fraction: float = 0.005,
-                seed=0) -> tuple[list[NodeRecord], list[AirportRecord], AirFlowTable]:
-    """Deterministic synthetic world on a planar grid.
+                seed=0, with_assignment: bool = False) -> tuple:
+    """Deterministic synthetic world on a planar grid: nodes, airports and
+    air table.
 
     Log-normal node populations, contiguous agent regions (row-major index
     bands), airports sampled from node positions, and a gravity-style air
     table scaled so total air flow is ``air_fraction`` of total population.
-    Coordinates are planar km; pass ``planar=True`` downstream.
+    Coordinates are planar km; pass ``planar=True`` downstream. With
+    ``with_assignment`` a fourth item follows: the planar ``assign_airports``
+    assignment the gravity table was computed over, for ``build_network``,
+    or None when the table needed none (one airport, or no air flow).
     """
     if n_nodes < 1 or n_agents < 1:
         raise ValueError("node and agent counts must be >= 1")
@@ -415,6 +423,7 @@ def synth_world(n_nodes: int, n_agents: int, *,
         for a, j in enumerate(site_idx)
     ]
     g = np.zeros((n_airports, n_airports))
+    nearest = None
     if n_airports > 1 and air_fraction != 0:
         nearest, pp = assign_airports(nodes, airports, planar=True)
         size = np.bincount(nearest, minlength=n_airports)
@@ -435,7 +444,8 @@ def synth_world(n_nodes: int, n_agents: int, *,
             # calibrate the node-level air flow total to air_fraction of world population
             scale = air_fraction * pops.sum() / node_total
             g[off] = raw[off] * scale
-    return nodes, airports, AirFlowTable(np.arange(n_airports), g)
+    world = nodes, airports, AirFlowTable(np.arange(n_airports), g)
+    return (*world, nearest) if with_assignment else world
 
 
 # ---------------------------------------------------------------------------

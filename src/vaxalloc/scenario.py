@@ -247,15 +247,17 @@ class Instance:
 def build_instance(config: ScenarioConfig) -> Instance:
     """Generate world, epidemic parameters and vaccination data from a config."""
     seed = config.seed
-    nodes, airports, air_table = netmod.synth_world(
+    nodes, airports, air_table, nearest = netmod.synth_world(
         config.n_nodes, config.n_agents,
         grid_spacing_km=config.grid_spacing_km,
         pop_median=config.pop_median, pop_sigma=config.pop_sigma,
         airport_density=config.airport_density, air_fraction=config.air_fraction,
-        seed=np.random.SeedSequence(entropy=(seed, _STREAM_WORLD)))
+        seed=np.random.SeedSequence(entropy=(seed, _STREAM_WORLD)),
+        with_assignment=True)
     network = netmod.build_network(nodes, airports, air_table,
                                    D=config.ground_range_km,
-                                   alpha=config.commute_fraction, planar=True)
+                                   alpha=config.commute_fraction, planar=True,
+                                   nearest=nearest)
     populations = np.array([nd.population for nd in nodes])
     agent_of = np.array([nd.agent_id for nd in nodes], dtype=int)
     k = config.n_agents

@@ -62,8 +62,10 @@ def infected_flow_matrix(net: FlowMatrix, agent_of: np.ndarray,
     p_ij * I_j, from the per-agent column sums of ``agent_inflows``; those
     include same-agent flow, so the diagonal is set to zero explicitly."""
     k = inflows.shape[1] // 2
-    into = np.zeros((k, k))  # into[k, k']: agent k' infections reaching V_k
-    np.add.at(into, agent_of, inflows[:, :k])
+    # into[k, k']: agent k' infections reaching V_k; bincount adds in node
+    # order, as np.add.at does, so the sums are the same
+    into = np.stack([np.bincount(agent_of, weights=col, minlength=k)
+                     for col in inflows[:, :k].T], axis=1)
     mat = net.rho * into.T
     np.fill_diagonal(mat, 0.0)
     return mat

@@ -10,9 +10,11 @@ where it adds in another order, to a stated tolerance.
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +118,27 @@ def infected_flow_matrix_add_at(state, net, agent_of, n_agents):
     np.add.at(mat, (agent_of[coo.col], agent_of[coo.row]), contrib)
     np.fill_diagonal(mat, 0.0)
     return mat
+
+
+def infected_flow_matrix_scatter(net, agent_of, inflows):
+    """sharing.infected_flow_matrix with its per-agent sums scattered by
+    np.add.at, as before it called bincount; both add in node order."""
+    k = inflows.shape[1] // 2
+    into = np.zeros((k, k))
+    np.add.at(into, agent_of, inflows[:, :k])
+    mat = net.rho * into.T
+    np.fill_diagonal(mat, 0.0)
+    return mat
+
+
+def totals_add_at(state, populations, agent_of, n_agents):
+    """harness._totals with its per-agent sums scattered by np.add.at, as
+    before it called bincount; both add in node order."""
+    comps = np.stack([state.s, state.i, state.r, state.d], axis=1)
+    weighted = comps * populations[:, None]
+    per_agent = np.zeros((n_agents, 4))
+    np.add.at(per_agent, agent_of, weighted)
+    return weighted.sum(axis=0), per_agent
 
 
 def loss_coefficients_per_call(state, params, net, agent_nodes, theta_hat):
@@ -301,10 +324,30 @@ def step_vaccinated_three_products(state, params, net, x, theta_obs):
     return s1, i1, r1, d1
 
 
+def write_npy(path, arr):
+    """A float64 array as a .npy 1.0 file built by hand: the magic string,
+    the header length, the header dict padded with spaces to a multiple of 64
+    bytes with its newline, then the little-endian C-order values."""
+    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {arr.shape!r}, }}"
+    header += " " * (-(len(header) + 11) % 64) + "\n"
+    with open(path, "wb") as fh:
+        fh.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header))
+                 + header.encode("latin1") + arr.astype("<f8").tobytes())
+
+
+def read_npy(path):
+    """The array of a .npy 1.0 file of little-endian float64 in C order, read
+    by hand. It checks nothing."""
+    data = Path(path).read_bytes()
+    size = struct.unpack("<H", data[8:10])[0]
+    shape = ast.literal_eval(data[10:10 + size].decode("latin1"))["shape"]
+    return np.frombuffer(data[10 + size:], dtype="<f8").astype(float).reshape(shape)
+
+
 def export_rows(result, directory):
-    """Run export one csv row and one numpy-scalar lookup per cell: the
-    row-by-row writer that the column-wise harness.export must match byte for
-    byte."""
+    """Run export one csv row and one numpy-scalar lookup per cell, with the
+    traces through write_npy: the writer that harness.export must match byte
+    for byte."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
@@ -340,17 +383,8 @@ def export_rows(result, directory):
                         if t >= 1 else "")
                 w.writerow([t, a] + [repr(float(v)) for v in result.agent_totals[t, a]]
                            + [budget, beff])
-    fh, w = table("allocations.csv", ["t", "agent_id", "node_id", "x",
-                                      "theta_hat", "theta_obs", "bound"])
-    with fh:
-        for t in range(1, horizon + 1):
-            row = t - 1
-            for i in range(n):
-                w.writerow([t, int(result.agent_of[i]), i,
-                            repr(float(result.allocations[row, i])),
-                            repr(float(result.theta_hat[row, i])),
-                            repr(float(result.theta_obs[row, i])),
-                            repr(float(result.bounds[row, i]))])
+    for name in ("allocations", "theta_hat", "theta_obs", "bounds"):
+        write_npy(directory / f"{name}.npy", getattr(result, name))
     fh, w = table("sharing.csv", ["t", "agent_id", "ratio", "budget_in",
                                   "budget_out", "budget_effective"])
     with fh:
@@ -369,8 +403,9 @@ def export_rows(result, directory):
 
 def import_result_rows(directory):
     """Run import through csv.DictReader and float() per field, one row at a
-    time: the reader that the column-wise harness.import_result must match
-    bit for bit and dtype for dtype. It checks nothing."""
+    time, with the traces through read_npy: the reader that
+    harness.import_result must match bit for bit and dtype for dtype. It
+    checks nothing."""
     directory = Path(directory)
     with open(directory / "manifest.json", encoding="utf-8") as fh:
         config = json.load(fh)["config"]
@@ -397,16 +432,9 @@ def import_result_rows(directory):
         if t >= 1:
             budgets[t - 1, a] = float(r["budget"])
             budgets_eff[t - 1, a] = float(r["budget_effective"])
-    allocations = np.zeros((horizon, n))
-    theta_hat = np.zeros((horizon, n))
-    theta_obs = np.zeros((horizon, n))
-    bounds = np.zeros((horizon, n))
-    for r in rows("allocations.csv"):
-        t, i = int(r["t"]) - 1, int(r["node_id"])
-        allocations[t, i] = float(r["x"])
-        theta_hat[t, i] = float(r["theta_hat"])
-        theta_obs[t, i] = float(r["theta_obs"])
-        bounds[t, i] = float(r["bound"])
+    allocations, theta_hat, theta_obs, bounds = (
+        read_npy(directory / f"{name}.npy")
+        for name in ("allocations", "theta_hat", "theta_obs", "bounds"))
     ratios = np.zeros((horizon, k))
     for r in rows("sharing.csv"):
         ratios[int(r["t"]) - 1, int(r["agent_id"])] = float(r["ratio"])

@@ -4,6 +4,7 @@ import math
 import shutil
 import warnings
 
+import numpy as np
 import pytest
 
 from vaxalloc import harness
@@ -87,7 +88,7 @@ def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     if case.startswith("flight"):
         assert name in err
-    assert not (out / "edges.csv").exists()
+    assert not out.exists()
 
 
 def test_build_net_defaults_follow_scenario_config():
@@ -153,7 +154,7 @@ def test_build_net_gravity_overflow_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "gravity total" in err
-    assert not (tmp_path / "net" / "edges.csv").exists()
+    assert not (tmp_path / "net").exists()
 
 
 def test_build_net_missing_inputs(tmp_path, capsys):
@@ -348,28 +349,59 @@ def _edit_manifest(path, edit):
     path.write_text(json.dumps(manifest))
 
 
+def _edit_trace(path, edit):
+    arr = np.load(path)
+    np.save(path, edit(arr))
+
+
+def _set_value(path, value):
+    def edit(arr):
+        arr[0, 0] = value
+        return arr
+    _edit_trace(path, edit)
+
+
+def _as_npz(path):
+    arr = np.load(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, arr)
+
+
 BAD_RUNS = {
     "schema": ("manifest.json",
                lambda p: _edit_manifest(p, lambda m: m.update(schema=99))),
+    "schema 1": ("manifest.json",
+                 lambda p: _edit_manifest(p, lambda m: m.update(schema=1))),
     "config lacks n_nodes": ("manifest.json", lambda p: _edit_manifest(
         p, lambda m: m["config"].pop("n_nodes"))),
-    "node out of range": ("allocations.csv", lambda p: _set_field(p, 1, 2, "40")),
-    "period 0": ("allocations.csv", lambda p: _set_field(p, 1, 0, "0")),
-    "cut in half": ("allocations.csv", _cut_in_half),
-    "row missing": ("allocations.csv", lambda p: _edit_lines(p, lambda ls: ls.pop(-2))),
-    "row twice": ("allocations.csv",
+    "node out of range": ("priors.csv", lambda p: _set_field(p, 1, 0, "40")),
+    "period 0": ("sharing.csv", lambda p: _set_field(p, 1, 0, "0")),
+    "cut in half": ("sharing.csv", _cut_in_half),
+    "row missing": ("sharing.csv", lambda p: _edit_lines(p, lambda ls: ls.pop(-2))),
+    "row twice": ("sharing.csv",
                   lambda p: _edit_lines(p, lambda ls: ls.insert(1, ls[1]))),
-    "column missing": ("allocations.csv", lambda p: _set_field(p, 0, 5, "obs")),
-    "field unparsable": ("allocations.csv", lambda p: _set_field(p, 1, 3, "abc")),
+    "column missing": ("sharing.csv", lambda p: _set_field(p, 0, 5, "eff")),
+    "field unparsable": ("sharing.csv", lambda p: _set_field(p, 1, 3, "abc")),
     "agent out of range": ("nodes.csv", lambda p: _set_field(p, 1, 2, "2")),
     "budget empty": ("agents.csv", lambda p: _set_field(p, 3, 6, "")),
     "prior not an integer": ("priors.csv", lambda p: _set_field(p, 1, 1, "2.5")),
-    "allocation agent out of range": ("allocations.csv",
-                                      lambda p: _set_field(p, 1, 1, "7")),
-    "allocation agent not the node's": ("allocations.csv",
-                                        lambda p: _set_field(p, 1, 1, "1")),
     "budget_out not budget_in * ratio": ("sharing.csv",
                                          lambda p: _set_field(p, 1, 4, "-1e9")),
+    "trace missing": ("theta_obs.npy", lambda p: p.unlink()),
+    "trace cut in half": ("allocations.npy", _cut_in_half),
+    "trace float32": ("theta_hat.npy",
+                      lambda p: _edit_trace(p, lambda a: a.astype(np.float32))),
+    "trace shape": ("bounds.npy", lambda p: _edit_trace(p, lambda a: a[:, :-1])),
+    "trace NaN": ("theta_obs.npy", lambda p: _set_value(p, np.nan)),
+    "trace negative": ("theta_hat.npy", lambda p: _set_value(p, -1e-300)),
+    "x over its bound": ("allocations.npy", lambda p: _set_value(
+        p, np.nextafter(np.load(p.parent / "bounds.npy")[0, 0], np.inf))),
+    "bound over 1": ("bounds.npy", lambda p: _set_value(p, 1.5)),
+    "trace an object array": ("allocations.npy", lambda p: np.save(
+        p, np.array([{"x": 1.0}], dtype=object), allow_pickle=True)),
+    "trace an .npz archive": ("theta_hat.npy", _as_npz),
+    "trace with bytes after it": ("bounds.npy",
+                                  lambda p: p.write_bytes(p.read_bytes() + b"\0" * 8)),
 }
 
 

@@ -15,14 +15,15 @@ from hypothesis.extra import numpy as hnp
 from vaxalloc import harness
 from vaxalloc import net as netmod
 from vaxalloc import sharing as shmod
-from vaxalloc.epi import step
+from vaxalloc.epi import CompartmentState, step
 from vaxalloc.harness import (GainReport, RunResult, export, export_gains,
                               gains, import_result, replicate, run,
                               run_instance)
 from vaxalloc.scenario import ScenarioConfig, build_instance
 
 from oracles import (export_rows, import_result_rows, infected_flow_matrix_add_at,
-                     infection_split_add_at, loss_coefficients_per_call)
+                     infection_split_add_at, loss_coefficients_per_call,
+                     totals_add_at)
 
 
 def small_config(**kwargs):
@@ -152,6 +153,22 @@ def test_coupled_run_matches_add_at_path(monkeypatch):
     explicit = run_instance(inst)
     assert len(states) == cfg.horizon
     assert_same_learning(fast, explicit)
+
+
+def test_totals_match_add_at():
+    """The per-agent totals sum by bincount, bit for bit as np.add.at sums
+    them, over magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        n = int(rng.integers(1, 3001))
+        k = int(rng.integers(1, 8))
+        s, i, r, d, pop = 10.0 ** rng.uniform(-150, 150, (5, n))
+        state = CompartmentState(s=s, i=i, r=r, d=d, t=0)
+        agent_of = rng.integers(0, k, n)
+        got = harness._totals(state, pop, agent_of, k)
+        want = totals_add_at(state, pop, agent_of, k)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def assert_same_learning(fast, explicit):
@@ -343,24 +360,27 @@ class TestExport:
 RESULT_ARRAYS = ("populations", "agent_of", "global_totals", "agent_totals",
                  "budgets", "budgets_effective", "allocations", "theta_hat",
                  "theta_obs", "bounds", "sharing_ratios", "priors_a", "priors_b")
-RUN_FILES = ("manifest.json", "nodes.csv", "global.csv", "agents.csv",
-             "allocations.csv", "sharing.csv", "priors.csv")
+CSV_FILES = ("nodes.csv", "global.csv", "agents.csv", "sharing.csv", "priors.csv")
+RUN_FILES = ("manifest.json", *CSV_FILES, "allocations.npy", "theta_hat.npy",
+             "theta_obs.npy", "bounds.npy")
 
 
-def hand_made_result(n, horizon, k, values):
-    """A RunResult whose float arrays cycle through ``values``."""
-    vals = np.asarray(values, dtype=float)
-
-    def floats(*shape):
-        return np.resize(vals, shape).copy()
+def hand_made_result(n, horizon, k, values, traces=None):
+    """A RunResult whose float arrays cycle through ``values``, and its four
+    traces through ``traces`` (by default ``values``), x equal to the bound."""
+    def floats(*shape, of=values):
+        return np.resize(np.asarray(of, dtype=float), shape).copy()
+    traces = values if traces is None else traces
     return RunResult(
         config={"horizon": horizon, "n_agents": k, "n_nodes": n},
         populations=floats(n), agent_of=np.arange(n) % k,
         global_totals=floats(horizon + 1, 4),
         agent_totals=floats(horizon + 1, k, 4), budgets=floats(horizon, k),
-        budgets_effective=floats(horizon, k), allocations=floats(horizon, n),
-        theta_hat=floats(horizon, n)[::-1].copy(), theta_obs=floats(horizon, n),
-        bounds=floats(horizon, n), sharing_ratios=floats(horizon, k),
+        budgets_effective=floats(horizon, k),
+        allocations=floats(horizon, n, of=traces),
+        theta_hat=floats(horizon, n, of=traces)[::-1].copy(),
+        theta_obs=floats(horizon, n, of=traces), bounds=floats(horizon, n, of=traces),
+        sharing_ratios=floats(horizon, k),
         priors_a=np.arange(1, n + 1, dtype=np.int64),
         priors_b=np.arange(n, 0, -1).astype(np.int64))
 
@@ -381,8 +401,9 @@ def assert_same_files(a, b):
 
 
 class TestColumnWiseIO:
-    """export and import_result against the row-by-row writer and reader in
-    tests/oracles.py: byte-equal files, bit-equal arrays with equal dtypes."""
+    """export and import_result against the row-by-row CSV writer and reader
+    and the hand-built .npy writer and reader in tests/oracles.py: byte-equal
+    files, bit-equal arrays with equal dtypes."""
 
     def check(self, res, tmp_path):
         export(res, tmp_path / "cols")
@@ -406,34 +427,36 @@ class TestColumnWiseIO:
 
     def test_extreme_values(self, tmp_path):
         res = hand_made_result(5, 3, 2, [-0.0, 5e-324, 1e-300, 9.999e-05, 1e16,
-                                         1.7976931348623157e308, 0.1, 1e-05])
+                                         1.7976931348623157e308, 0.1, 1e-05],
+                               traces=[-0.0, 5e-324, 1e-300, 9.999e-05, 1.0,
+                                       2.2250738585072014e-308, 0.1, 1e-05])
         self.check(res, tmp_path)
-        assert "-0.0" in (tmp_path / "cols" / "allocations.csv").read_text()
+        assert "-0.0" in (tmp_path / "cols" / "agents.csv").read_text()
 
     def test_signed_zeros_with_repeats(self, tmp_path):
-        # five values over eight nodes: every period's column holds 0.0 and
-        # -0.0, each more than once, in a different arrangement
+        # five values over eight nodes: the population column and every
+        # period's traces hold 0.0 and -0.0, each more than once
         res = hand_made_result(8, 3, 2, [0.0, -0.0, 0.0, -0.0, 0.25])
         self.check(res, tmp_path)
-        lines = (tmp_path / "cols" / "allocations.csv").read_text().splitlines()
-        for t in "123":
-            x = [line.split(",")[3] for line in lines[1:] if line.startswith(t + ",")]
-            assert x.count("0.0") > 1 and x.count("-0.0") > 1
+        lines = (tmp_path / "cols" / "nodes.csv").read_text().splitlines()
+        pops = [line.split(",")[1] for line in lines[1:]]
+        assert pops.count("0.0") > 1 and pops.count("-0.0") > 1
 
     def test_shuffled_rows_import_equal(self, tmp_path):
         res = run(small_config(policy="ts", sharing=True))
         export(res, tmp_path / "out")
-        path = tmp_path / "out" / "allocations.csv"
-        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
-        random.Random(5).shuffle(rows)
-        path.write_bytes(b"\r\n".join([header, *rows, b""]))
+        for name in CSV_FILES:
+            path = tmp_path / "out" / name
+            header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+            random.Random(5).shuffle(rows)
+            path.write_bytes(b"\r\n".join([header, *rows, b""]))
         assert_bit_equal(import_result(tmp_path / "out"), res)
 
 
 def test_export_peak_memory(tmp_path):
-    # n = 3000, T = 104, 211 distinct values: writing one period at a time
-    # peaks at about 1 MB, while holding the four columns' strings for every
-    # period at once peaks at about 20 MB
+    # n = 3000, T = 104, 211 distinct values: the traces go to disk without
+    # a copy and the CSV tables hold n strings a column at most, so the peak
+    # is about 0.5 MB, while holding the traces' strings would take about 20 MB
     res = hand_made_result(3000, 104, 5, np.random.default_rng(3).random(211))
     tracemalloc.start()
     try:
@@ -448,17 +471,22 @@ def test_export_peak_memory(tmp_path):
 @given(data=st.data(), n=st.integers(1, 20), horizon=st.integers(1, 5),
        k=st.integers(1, 4))
 def test_export_import_round_trip(data, n, horizon, k):
-    def floats(*shape):
+    def floats(*shape, lo=None, hi=None):
         return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
-            allow_nan=False, allow_infinity=False)))
+            lo, hi, allow_nan=False, allow_infinity=False)))
+
+    def traces():
+        # in the ranges import_result accepts, -0.0 and subnormals included
+        return floats(horizon, n, lo=-0.0, hi=1.0)
+    lower, upper = traces(), traces()
     res = RunResult(
         config={"horizon": horizon, "n_agents": k, "n_nodes": n, "seed": 0},
         populations=floats(n),
         agent_of=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1))),
         global_totals=floats(horizon + 1, 4), agent_totals=floats(horizon + 1, k, 4),
         budgets=floats(horizon, k), budgets_effective=floats(horizon, k),
-        allocations=floats(horizon, n), theta_hat=floats(horizon, n),
-        theta_obs=floats(horizon, n), bounds=floats(horizon, n),
+        allocations=np.minimum(lower, upper), theta_hat=traces(),
+        theta_obs=traces(), bounds=np.maximum(lower, upper),
         sharing_ratios=floats(horizon, k),
         priors_a=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 10 ** 6))),
         priors_b=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 10 ** 6))))

@@ -257,6 +257,30 @@ def test_build_network_holds_no_n_by_n_array():
     assert peak < 25e6
 
 
+@pytest.mark.parametrize("n_nodes,air_fraction", [(150, 0.005), (500, 0.01),
+                                                 (150, 0.0), (10, 0.005)])
+def test_build_network_given_the_assignment(n_nodes, air_fraction):
+    """The assignment synth_world returns is assign_airports', and a network
+    built from it is bit-identical to one that assigns the airports itself.
+    With no air flow, or one airport, synth_world computes none."""
+    world = dict(n_nodes=n_nodes, n_agents=3, air_fraction=air_fraction, seed=5)
+    nodes, airports, table, nearest = synth_world(**world, with_assignment=True)
+    plain = synth_world(**world)
+    assert len(plain) == 3 and plain[:2] == (nodes, airports)
+    assert np.array_equal(plain[2].g, table.g)
+    if nearest is None:
+        assert air_fraction == 0 or len(airports) == 1
+    else:
+        assert np.array_equal(nearest, assign_airports(nodes, airports, planar=True)[0])
+    own, given = (build_network(nodes, airports, table, D=100, alpha=0.11, planar=True,
+                                nearest=assignment) for assignment in (None, nearest))
+    assert_same_csr(given.ground, own.ground)
+    for name in ("cell", "g", "h", "populations", "outflow", "rate_row_sum"):
+        a, b = getattr(given, name), getattr(own, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert given.rho == own.rho
+
+
 class TestRadiationFlowsMatchLists:
     """The CSR-direct radiation flows against the list path, bit for bit."""
 

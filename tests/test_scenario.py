@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from vaxalloc import net as netmod
 from vaxalloc.scenario import (EfficiencyModel, ScenarioConfig,
                                budgets, build_instance,
                                capacity_to_mean_efficiency, draw_mean_rates,
@@ -152,6 +153,17 @@ class TestBuildInstance:
         assert np.all(inst.params.beta >= 0.2) and np.all(inst.params.beta <= 0.5)
         assert np.all(inst.costs == inst.populations)
         assert np.allclose(inst.initial.s + inst.initial.i, 1.0)
+
+    def test_assigns_airports_once(self, monkeypatch):
+        calls = []
+        assign = netmod.assign_airports
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return assign(*args, **kwargs)
+        monkeypatch.setattr(netmod, "assign_airports", counting)
+        build_instance(ScenarioConfig(n_nodes=200, n_agents=3, seed=4))
+        assert len(calls) == 1
 
     def test_explicit_capacities_respected(self):
         cfg = ScenarioConfig(n_nodes=40, n_agents=2, seed=3,

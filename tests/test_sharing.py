@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,8 @@ from vaxalloc.sharing import (agent_inflows, infected_flow_matrix,
                               infection_split, plan_sharing, redistribute,
                               sharing_ratios)
 
-from oracles import infected_flow_matrix_add_at, infection_split_add_at
+from oracles import (infected_flow_matrix_add_at, infected_flow_matrix_scatter,
+                     infection_split_add_at)
 from worlds import random_airport_net
 
 
@@ -194,6 +197,21 @@ def test_plan_sharing_end_to_end():
     assert plan.infected_flows[0, 0] == 0.0
     assert plan.budgets_out.sum() == pytest.approx(20.0, rel=1e-9)
     assert np.all(plan.ratios >= 0) and np.all(plan.ratios <= 1)
+
+
+def test_infected_flow_matrix_sums_as_add_at():
+    """The per-agent inflow sums by bincount, bit for bit as np.add.at sums
+    them, over magnitudes from 1e-300 to 1e300."""
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n = int(rng.integers(1, 3001))
+        k = int(rng.integers(1, 8))
+        agent_of = rng.integers(0, k, n)
+        inflows = 10.0 ** rng.uniform(-300, 300, (n, 2 * k))
+        net = SimpleNamespace(rho=float(rng.uniform(0, 1)))
+        got = infected_flow_matrix(net, agent_of, inflows)
+        want = infected_flow_matrix_scatter(net, agent_of, inflows)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCouplingMatchesAddAt:
