@@ -5,14 +5,14 @@ from .epi import CompartmentState, EpidemicInstabilityError, EpiParams, step, st
 from .harness import GainReport, RunResult, export, gains, import_result, replicate, run
 from .net import (AirFlowTable, AirportRecord, FlowMatrix, NodeRecord,
                   build_network, synth_world)
-from .policy import Allocation, AllocationProblem, PolicyState, solve_knapsack
+from .policy import AllocationProblem, PolicyState, solve_knapsack
 from .scenario import Instance, ScenarioConfig, build_instance
 from .sharing import SharingPlan, plan_sharing, redistribute
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AirFlowTable", "AirportRecord", "Allocation", "AllocationProblem",
+    "AirFlowTable", "AirportRecord", "AllocationProblem",
     "CompartmentState", "EpiParams", "EpidemicInstabilityError", "FlowMatrix",
     "GainReport", "Instance", "NodeRecord", "PolicyState", "RunResult",
     "ScenarioConfig", "SharingPlan", "build_instance",

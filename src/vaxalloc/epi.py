@@ -73,12 +73,12 @@ def step_vaccinated(state: CompartmentState, params: EpiParams, net: FlowMatrix,
     """One period with vaccination fractions x and realized efficiencies."""
     x = np.asarray(x, dtype=float)
     theta_obs = np.asarray(theta_obs, dtype=float)
-    if np.any((x < 0) | (x > 1)):
+    # NaN fails every comparison, and min and max return it
+    if not (x.min() >= 0 and x.max() <= 1):
         raise ValueError("allocation fractions must be in [0, 1]")
-    if np.any(x > 0):
-        active = theta_obs[x > 0]
-        if np.any(~np.isfinite(active)) or np.any((active < 0) | (active > 1)):
-            raise ValueError("realized efficiency must be in [0, 1] where allocated")
+    active = np.where(x > 0, theta_obs, 0.0)
+    if not (active.min() >= 0 and active.max() <= 1):
+        raise ValueError("realized efficiency must be in [0, 1] where allocated")
 
     s, i, r = state.s, state.i, state.r
     rs = net.rate_row_sum
@@ -90,24 +90,26 @@ def step_vaccinated(state: CompartmentState, params: EpiParams, net: FlowMatrix,
     sv = s * keep
     rv = r + s * vx
 
-    # the three mobility terms rates @ (sv, i, rv) as one product
-    p_sv, p_i, p_rv = net.rates_dot(np.column_stack((sv, i, rv))).T
+    # the three mobility terms rates @ (sv, i, rv) as one product, over
+    # columns that lie contiguous in memory
+    p_sv, p_i, p_rv = net.rates_dot(np.array((sv, i, rv)).T).T
 
-    s1 = (s - new_inf) * keep + rho * (p_sv - rs * sv)
-    i1 = i + new_inf * keep - params.gamma * i + rho * (p_i - rs * i)
-    r1 = rv + (1.0 - params.cfr) * params.gamma * i + rho * (p_rv - rs * rv)
-    d1 = 1.0 - s1 - i1 - r1
+    # the four compartments as rows of one array, so that one check and one
+    # clip cover them
+    comps = np.empty((4, s.shape[0]))
+    s1, i1, r1, d1 = comps
+    comps[0] = (s - new_inf) * keep + rho * (p_sv - rs * sv)
+    comps[1] = i + new_inf * keep - params.gamma * i + rho * (p_i - rs * i)
+    comps[2] = rv + (1.0 - params.cfr) * params.gamma * i + rho * (p_rv - rs * rv)
+    np.subtract(1.0 - s1 - i1, r1, out=d1)
 
     t1 = state.t + 1
-    for arr in (s1, i1, r1, d1):
-        bad = ~np.isfinite(arr) | (arr < -STABILITY_BAND) | (arr > 1.0 + STABILITY_BAND)
-        if np.any(bad):
-            node = int(np.flatnonzero(bad)[0])
-            raise EpidemicInstabilityError(t1, node, float(arr[node]))
-    s1 = np.clip(s1, 0.0, 1.0)
-    i1 = np.clip(i1, 0.0, 1.0)
-    r1 = np.clip(r1, 0.0, 1.0)
-    d1 = 1.0 - s1 - i1 - r1
+    if not (comps.min() >= -STABILITY_BAND and comps.max() <= 1.0 + STABILITY_BAND):
+        bad = ~((comps >= -STABILITY_BAND) & (comps <= 1.0 + STABILITY_BAND))
+        comp, node = np.argwhere(bad)[0]  # the first in s, i, r, d order
+        raise EpidemicInstabilityError(t1, int(node), float(comps[comp, node]))
+    np.clip(comps[:3], 0.0, 1.0, out=comps[:3])
+    np.subtract(1.0 - s1 - i1, r1, out=d1)
     neg = d1 < 0.0
     if np.any(neg):
         # residual deficit within the band: rescale the live compartments

@@ -8,6 +8,7 @@ import dataclasses
 import itertools
 import json
 import os
+import re
 import shutil
 import tempfile
 import time
@@ -24,7 +25,8 @@ from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
 from .net import _reprs
 from .policy import (AllocationProblem, PolicyState, loss_coefficients, own_inflow,
-                     pb_allocate, solve_knapsack, update_bounds, window_width)
+                     pb_allocate, solve_knapsack, spill_order, update_bounds,
+                     window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
@@ -88,14 +90,22 @@ class GainReport:
     world_last_period_pct: float
 
 
+def _totals_key(agent_of: np.ndarray) -> np.ndarray:
+    """The (agent, compartment) bin 4 * agent + compartment of each entry of
+    an n x 4 array of S, I, R, D."""
+    return 4 * np.asarray(agent_of)[:, None] + np.arange(4)
+
+
 def _totals(state: CompartmentState, populations: np.ndarray,
-            agent_of: np.ndarray, n_agents: int) -> tuple[np.ndarray, np.ndarray]:
+            key: np.ndarray, n_agents: int) -> tuple[np.ndarray, np.ndarray]:
+    """Global and per-agent S, I, R, D persons; ``key`` is ``_totals_key``."""
     comps = np.stack([state.s, state.i, state.r, state.d], axis=1)
     weighted = comps * populations[:, None]
     glob = weighted.sum(axis=0)
-    # bincount adds in node order, as np.add.at does, so the sums are the same
-    per_agent = np.stack([np.bincount(agent_of, weights=col, minlength=n_agents)
-                          for col in weighted.T], axis=1)
+    # bincount adds each bin in node order, as np.add.at does, so the sums
+    # are the same
+    per_agent = np.bincount(key.ravel(), weights=weighted.ravel(),
+                            minlength=4 * n_agents).reshape(n_agents, 4)
     return glob, per_agent
 
 
@@ -115,8 +125,11 @@ def run_instance(inst: Instance) -> RunResult:
     horizon = cfg.horizon
     pol_name = cfg.policy
     agent_nodes = [np.flatnonzero(inst.agent_of == a) for a in range(k)]
+    agent_costs = [inst.costs[idx] for idx in agent_nodes]
     knapsack = pol_name in ("ts", "gy", "ma")
     inflow = own_inflow(net, agent_nodes) if knapsack else None
+    spill = [spill_order(c) for c in agent_costs] if pol_name == "pb" else None
+    key = _totals_key(inst.agent_of)
 
     pol = PolicyState(n=n, horizon=horizon,
                       window=window_width(inst.populations, net, horizon))
@@ -134,8 +147,7 @@ def run_instance(inst: Instance) -> RunResult:
     ratios_tr = np.zeros((horizon, k))
 
     state = inst.initial
-    global_totals[0], agent_totals[0] = _totals(state, inst.populations,
-                                                inst.agent_of, k)
+    global_totals[0], agent_totals[0] = _totals(state, inst.populations, key, k)
 
     for t in range(1, horizon + 1):
         row = t - 1
@@ -162,14 +174,14 @@ def run_instance(inst: Instance) -> RunResult:
                 idx = agent_nodes[a]
                 losses = loss_coefficients(state, inst.params, net, idx, theta_hat,
                                            inflow)
-                prob = AllocationProblem(losses=losses, costs=inst.costs[idx],
+                prob = AllocationProblem(losses=losses, costs=agent_costs[a],
                                          budget=float(b_eff[a]), bounds=bounds[idx])
-                x[idx] = solve_knapsack(prob).x
+                x[idx] = solve_knapsack(prob)
         elif pol_name == "pb":
             for a in range(k):
                 idx = agent_nodes[a]
-                x[idx] = pb_allocate(inst.costs[idx], float(b_eff[a]),
-                                     bounds[idx]).x
+                x[idx] = pb_allocate(agent_costs[a], float(b_eff[a]), bounds[idx],
+                                     spill[a])
 
         theta_t = draw_realized_rates(inst.efficiency.mean_rates,
                                       inst.efficiency.epsilon,
@@ -188,8 +200,7 @@ def run_instance(inst: Instance) -> RunResult:
         pol.record_allocation(t, x)
         alloc_tr[row] = x
         theta_obs_tr[row] = np.where(x > 0, theta_t, 0.0)
-        global_totals[t], agent_totals[t] = _totals(new_state, inst.populations,
-                                                    inst.agent_of, k)
+        global_totals[t], agent_totals[t] = _totals(new_state, inst.populations, key, k)
         state = new_state
 
     return RunResult(
@@ -385,6 +396,34 @@ def _integers(path, name, values, lo, hi) -> np.ndarray:
     return values.astype(np.int64)
 
 
+_NUMPY_ROW = re.compile(r"at row (\d+)")
+
+
+def _fault_line(path, exc: ValueError) -> str:
+    """The message of ``exc``, raised reading the CSV file at ``path``, with
+    the line of the file it is on. Lines end in \\n, \\r\\n or \\r, as
+    numpy's reader ends them."""
+    raw = Path(path).read_bytes()
+    if isinstance(exc, UnicodeDecodeError):
+        try:
+            raw.decode("utf-8")  # the reader's offset is into a chunk, not the file
+        except UnicodeDecodeError as whole:
+            # a line break ends every line but the last
+            line = len((raw[:whole.start] + b".").splitlines())
+            return f"byte {raw[whole.start]:#04x} on line {line} is not UTF-8 text"
+    msg = str(exc)
+    match = _NUMPY_ROW.search(msg)
+    if match is None or not msg.startswith(("could not convert", "invalid column")):
+        return msg
+    # numpy counts the non-empty lines after the header, from 0 in "could
+    # not convert string ..." and from 1 in "invalid column index ..."
+    row = int(match.group(1)) - msg.startswith("invalid column")
+    lines = [no for no, text in enumerate(raw.splitlines()[1:], start=2) if text]
+    if not 0 <= row < len(lines):
+        return msg
+    return f"{msg[:match.start()]}on line {lines[row]}{msg[match.end():]}"
+
+
 def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     """The float ``columns`` of a CSV table, each scattered into an array over
     the grid of its ``ids``, given as (name, lo, hi). Each id must be an
@@ -394,20 +433,21 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     names = [name for name, _, _ in ids] + list(columns)
     shape = [hi - lo + 1 for _, lo, hi in ids]
     with open(path, newline="", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        missing = [c for c in names if c not in header]
-        if missing:
-            raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
-        converters = {header.index(c): lambda s: float(s or "nan")
-                      for c in blank_as_nan}
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows
-                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                  usecols=[header.index(c) for c in names],
-                                  converters=converters or None)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc} (row 0 is line 2)") from None
+            header = fh.readline().rstrip("\r\n").split(",")
+            missing = [c for c in names if c not in header]
+            if not missing:
+                converters = {header.index(c): lambda s: float(s or "nan")
+                              for c in blank_as_nan}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                      usecols=[header.index(c) for c in names],
+                                      converters=converters or None)
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ValueError(f"{path}: {_fault_line(path, exc)}") from None
+    if missing:
+        raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
     cell = np.zeros(data.shape[0], dtype=np.int64)
     for col, (name, lo, hi), size in zip(data.T, ids, shape):
         cell = cell * size + _integers(path, name, col, lo, hi) - lo

@@ -121,39 +121,57 @@ class FlowMatrix:
         denom = polygon_pop[:, None] + polygon_pop[None, :]
         # a pair of slots without nodes has no flow to carry
         self.h = np.divide(self.g, denom, out=np.zeros_like(self.g), where=denom > 0)
+        self._slot_keys: dict[int, np.ndarray] = {}
         outflow = (np.asarray(self.ground.sum(axis=1)).ravel()
-                   + self._air_dot(self.h, np.ones((n, 1)))[:, 0])
+                   + self._air_dot(self.h, np.ones((n, 1)))[0])
         self.outflow = outflow
         # a row without outflow holds only zeros, so any divisor leaves it 0;
         # dividing, not multiplying by 1 / outflow, keeps a subnormal
         # outflow from giving infinite rates
-        self._divisor = np.where(outflow > 0, outflow, 1.0)[:, None]
+        self._divisor = np.where(outflow > 0, outflow, 1.0)
         self.rate_row_sum = (outflow > 0).astype(float)
         self.rho = float(outflow.sum() / populations.sum())
 
     def _air_dot(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """A @ v for h = H, A.T @ v for h = H.T; v is n x c."""
-        c = v.shape[1]
-        pop = self.populations[:, None]
-        by_slot = np.stack([np.bincount(self.cell, weights=col, minlength=h.shape[0])
-                            for col in np.hstack((v, pop * v)).T], axis=1)
-        w = h @ by_slot
-        return pop * w[self.cell, :c] + w[self.cell, c:]
+        """(A @ v).T for h = H, (A.T @ v).T for h = H.T; v is n x c.
+
+        Works on c x n rows, so that every step runs along contiguous
+        memory. Each slot sum adds its nodes in node order, and the h
+        product sees an m x 2c C-ordered array, as a product over the
+        columns of [v, P v] would."""
+        vt = v.T
+        c = vt.shape[0]
+        m = h.shape[0]
+        key = self._slot_keys.get(c)
+        if key is None:
+            # bin j * m + slot for row j of the 2c x n stack
+            key = self._slot_keys[c] = (self.cell + m * np.arange(2 * c)[:, None]).ravel()
+        stacked = np.concatenate((vt, vt * self.populations))
+        by_slot = np.bincount(key, weights=stacked.ravel(), minlength=2 * c * m)
+        w = (h @ np.ascontiguousarray(by_slot.reshape(2 * c, m).T)).T
+        out = w[:c].take(self.cell, axis=1)
+        out *= self.populations
+        out += w[c:].take(self.cell, axis=1)
+        return out
 
     def rates_dot(self, v: np.ndarray) -> np.ndarray:
-        """``rates @ v`` for an n x c array v."""
+        """``rates @ v`` for an n x c array v; the result's columns are
+        contiguous."""
         v = np.asarray(v, dtype=float)
-        return (self.ground @ v + self._air_dot(self.h, v)) / self._divisor
+        out = self._air_dot(self.h, v)
+        out += (self.ground @ v).T
+        out /= self._divisor
+        return out.T
 
     def rates_t_dot(self, u: np.ndarray) -> np.ndarray:
         """``rates.T @ u`` for an n x c array u."""
-        u = np.asarray(u, dtype=float) / self._divisor
-        return self.ground.T @ u + self._air_dot(self.h.T, u)
+        u = np.asarray(u, dtype=float) / self._divisor[:, None]
+        return self.ground.T @ u + self._air_dot(self.h.T, u).T
 
     def inflow(self) -> np.ndarray:
         """Total flow entering each node (column sums of the flow matrix)."""
         return (np.asarray(self.ground.sum(axis=0)).ravel()
-                + self._air_dot(self.h.T, np.ones((self.n, 1)))[:, 0])
+                + self._air_dot(self.h.T, np.ones((self.n, 1)))[0])
 
     @cached_property
     def air(self) -> sp.csr_matrix:
@@ -171,7 +189,7 @@ class FlowMatrix:
         # beyond the three matrices. A row whose 1 / outflow overflows (a
         # subnormal outflow) is divided by its outflow instead.
         with np.errstate(over="ignore"):
-            inv = np.where(self.outflow > 0, 1.0 / self._divisor[:, 0], 0.0)
+            inv = np.where(self.outflow > 0, 1.0 / self._divisor, 0.0)
         huge = np.isinf(inv)
         rates = (sp.diags(np.where(huge, 1.0, inv)) @ self.flows).tocsr()
         if np.any(huge):

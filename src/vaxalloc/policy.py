@@ -67,17 +67,13 @@ class AllocationProblem:
         self.losses = np.asarray(self.losses, dtype=float)
         self.costs = np.asarray(self.costs, dtype=float)
         self.bounds = np.asarray(self.bounds, dtype=float)
-        if np.any(self.costs <= 0):
+        # written so that NaN fails each check
+        if not np.all(self.costs > 0):
             raise ValueError("costs must be positive")
-        if self.budget < 0:
+        if not self.budget >= 0:
             raise ValueError("budget must be nonnegative")
-        if np.any((self.bounds < 0) | (self.bounds > 1)):
+        if not np.all((self.bounds >= 0) & (self.bounds <= 1)):
             raise ValueError("bounds must be in [0, 1]")
-
-
-@dataclass
-class Allocation:
-    x: np.ndarray
 
 
 def own_inflow(net: FlowMatrix, agent_nodes) -> np.ndarray:
@@ -114,28 +110,46 @@ def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatri
                      - net.rho * inflow[agent_nodes])
 
 
-def solve_knapsack(problem: AllocationProblem) -> Allocation:
+def _full_takes(remaining: float, caps: np.ndarray, costs: np.ndarray,
+                floor: float) -> tuple[int, np.ndarray]:
+    """The greedy fill's leading run of full takes, and what remains before
+    each take. Take j spends caps[j] * costs[j]; it is full while caps[j]
+    fits in what remains and leaves more than ``floor``. Subtracting with
+    np.subtract.accumulate runs in the order of the loop's
+    ``remaining -= take * cost``, so every remainder is the loop's, bit for bit."""
+    remains = np.subtract.accumulate(np.concatenate(([remaining], caps * costs)))
+    full = (remains[:-1] / costs >= caps) & (remains[1:] > floor)
+    return (int(np.argmin(full)) if not full.all() else full.size), remains
+
+
+def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
     """Greedy fractional knapsack: fund nodes by increasing loss-to-cost ratio
     (ties broken by ascending index) while the loss is negative and budget
     remains; the last funded node gets the fractional remainder. Takes and
-    remainders within ``DUST`` are not funded."""
+    remainders within ``DUST`` are not funded.
+
+    Every full take is made at once (``_full_takes``); the loop runs only
+    from the first fractional take or the first take that ends the spend."""
     l, c, ub = problem.losses, problem.costs, problem.bounds
-    n = l.shape[0]
-    x = np.zeros(n)
-    candidates = np.flatnonzero(l < 0)
+    x = np.zeros(l.shape[0])
+    # a bound within DUST is never funded, whatever budget remains
+    candidates = np.flatnonzero((l < 0) & (ub > DUST))
     if candidates.size == 0 or problem.budget <= 0:
-        return Allocation(x=x)
+        return x
     order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
-    remaining = float(problem.budget)
-    for idx in order:
+    floor = DUST * problem.budget
+    k, remains = _full_takes(float(problem.budget), ub[order], c[order], floor)
+    x[order[:k]] = ub[order[:k]]
+    remaining = remains[k]
+    for idx in order[k:]:
         take = min(ub[idx], remaining / c[idx])
         if take <= DUST:
             continue
         x[idx] = take
         remaining -= take * c[idx]
-        if remaining <= DUST * problem.budget:
+        if remaining <= floor:
             break
-    return Allocation(x=x)
+    return x
 
 
 def ts_sample(a: np.ndarray, b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -158,31 +172,46 @@ def ma_estimate(obs_sum: np.ndarray, obs_count: np.ndarray) -> np.ndarray:
     return np.where(seen, obs_sum / np.where(seen, obs_count, 1), 0.5)
 
 
-def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray) -> Allocation:
+def spill_order(costs: np.ndarray) -> np.ndarray:
+    """``pb_allocate``'s spill order: descending cost, ties by ascending index."""
+    costs = np.asarray(costs, dtype=float)
+    return np.lexsort((np.arange(costs.shape[0]), -costs))
+
+
+def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray,
+                order: np.ndarray | None = None) -> np.ndarray:
     """Population-proportional coverage: uniform fraction budget/total cost,
     capped by bounds, with any residual spilled in descending-population
-    order. Independent of epidemic state and efficiencies."""
+    order (``spill_order(costs)``, which a caller may pass in once for
+    many calls). Independent of epidemic state and efficiencies.
+
+    The spill makes every full take at once (``_full_takes``) and loops only
+    from the first fractional take."""
     costs = np.asarray(costs, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     n = costs.shape[0]
     total = costs.sum()
     if total <= 0 or budget <= 0:
-        return Allocation(x=np.zeros(n))
+        return np.zeros(n)
     base = budget / total
     x = np.minimum(bounds, base)
     residual = budget - float(x @ costs)
     if residual > 0:
-        order = np.lexsort((np.arange(n), -costs))
-        for idx in order:
+        if order is None:
+            order = spill_order(costs)
+        room = bounds - x
+        # a node without room takes nothing and spends nothing
+        order = order[room[order] > 0]
+        k, remains = _full_takes(residual, room[order], costs[order], 0.0)
+        x[order[:k]] += room[order[:k]]
+        residual = remains[k]
+        for idx in order[k:]:
             if residual <= 0:
                 break
-            room = bounds[idx] - x[idx]
-            if room <= 0:
-                continue
-            add = min(room, residual / costs[idx])
+            add = min(room[idx], residual / costs[idx])
             x[idx] += add
             residual -= add * costs[idx]
-    return Allocation(x=x)
+    return x
 
 
 def update_bounds(pol: PolicyState, t: int) -> np.ndarray:
@@ -194,8 +223,8 @@ def update_bounds(pol: PolicyState, t: int) -> np.ndarray:
     if t < 1:
         raise ValueError("periods are 1-indexed")
     start = np.maximum(t - pol.window, 1)
-    idx = np.arange(pol.n)
-    window_sum = pol.alloc_csum[t - 1, idx] - pol.alloc_csum[start - 1, idx]
+    window_sum = (pol.alloc_csum[t - 1]
+                  - np.take_along_axis(pol.alloc_csum, start[None] - 1, axis=0)[0])
     return np.maximum(0.0, 1.0 - window_sum)
 
 
@@ -223,9 +252,8 @@ def observe_and_update(pol: PolicyState, x: np.ndarray, theta_obs: np.ndarray,
     theta_obs = np.asarray(theta_obs, dtype=float)
     u = rng.random(pol.n)
     active = x > 0
-    success = active & (u < theta_obs)
-    failure = active & ~(u < theta_obs)
-    pol.a[success] += 1
-    pol.b[failure] += 1
-    pol.obs_sum[active] += theta_obs[active]
-    pol.obs_count[active] += 1
+    hit = u < theta_obs
+    pol.a += active & hit
+    pol.b += active & ~hit
+    np.add(pol.obs_sum, theta_obs, out=pol.obs_sum, where=active)
+    pol.obs_count += active

@@ -20,8 +20,10 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from vaxalloc.epi import STABILITY_BAND, CompartmentState, EpidemicInstabilityError
 from vaxalloc.harness import _SCHEMA, RunResult
 from vaxalloc.net import cross_distances
+from vaxalloc.policy import DUST
 
 
 def direct_objective(s, i, beta, rho, p_dense, agent_nodes, theta, x):
@@ -449,3 +451,114 @@ def import_result_rows(directory):
         budgets=budgets, budgets_effective=budgets_eff, allocations=allocations,
         theta_hat=theta_hat, theta_obs=theta_obs, bounds=bounds,
         sharing_ratios=ratios, priors_a=priors_a, priors_b=priors_b)
+
+
+# ---------------------------------------------------------------------------
+# the per-period paths that the vectorised allocators, the slot sums over a
+# (column, slot) key, the stacked stability check and the unmasked prior
+# updates replaced. Each adds in the same order as its replacement, so the
+# library matches them bit for bit.
+
+def solve_knapsack_loop(problem):
+    """policy.solve_knapsack with one Python step per funded node."""
+    l, c, ub = problem.losses, problem.costs, problem.bounds
+    x = np.zeros(l.shape[0])
+    candidates = np.flatnonzero(l < 0)
+    if candidates.size == 0 or problem.budget <= 0:
+        return x
+    order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
+    remaining = float(problem.budget)
+    for idx in order:
+        take = min(ub[idx], remaining / c[idx])
+        if take <= DUST:
+            continue
+        x[idx] = take
+        remaining -= take * c[idx]
+        if remaining <= DUST * problem.budget:
+            break
+    return x
+
+
+def pb_allocate_loop(costs, budget, bounds):
+    """policy.pb_allocate with one Python step per node of the spill."""
+    costs = np.asarray(costs, dtype=float)
+    bounds = np.asarray(bounds, dtype=float)
+    n = costs.shape[0]
+    total = costs.sum()
+    if total <= 0 or budget <= 0:
+        return np.zeros(n)
+    x = np.minimum(bounds, budget / total)
+    residual = budget - float(x @ costs)
+    if residual > 0:
+        for idx in np.lexsort((np.arange(n), -costs)):
+            if residual <= 0:
+                break
+            room = bounds[idx] - x[idx]
+            if room <= 0:
+                continue
+            add = min(room, residual / costs[idx])
+            x[idx] += add
+            residual -= add * costs[idx]
+    return x
+
+
+def air_dot_bincount(net, h, v):
+    """A @ v for h = H (A.T @ v for h = H.T) as an n x c array, with one
+    np.bincount per column of [v, P v] for the slot sums."""
+    c = v.shape[1]
+    pop = net.populations[:, None]
+    by_slot = np.stack([np.bincount(net.cell, weights=col, minlength=h.shape[0])
+                        for col in np.hstack((v, pop * v)).T], axis=1)
+    w = h @ by_slot
+    return pop * w[net.cell, :c] + w[net.cell, c:]
+
+
+def observe_and_update_masked(pol, x, theta_obs, rng):
+    """policy.observe_and_update with boolean-mask updates."""
+    x = np.asarray(x, dtype=float)
+    theta_obs = np.asarray(theta_obs, dtype=float)
+    u = rng.random(pol.n)
+    active = x > 0
+    pol.a[active & (u < theta_obs)] += 1
+    pol.b[active & ~(u < theta_obs)] += 1
+    pol.obs_sum[active] += theta_obs[active]
+    pol.obs_count[active] += 1
+
+
+def step_vaccinated_per_array(state, params, net, x, theta_obs):
+    """epi.step_vaccinated with the stability check and the clip run once per
+    compartment array, in s, i, r, d order."""
+    s, i, r = state.s, state.i, state.r
+    rs, rho = net.rate_row_sum, net.rho
+    vx = theta_obs * x
+    keep = 1.0 - vx
+    new_inf = params.beta * s * i
+    sv = s * keep
+    rv = r + s * vx
+    p_sv, p_i, p_rv = net.rates_dot(np.column_stack((sv, i, rv))).T
+    s1 = (s - new_inf) * keep + rho * (p_sv - rs * sv)
+    i1 = i + new_inf * keep - params.gamma * i + rho * (p_i - rs * i)
+    r1 = rv + (1.0 - params.cfr) * params.gamma * i + rho * (p_rv - rs * rv)
+    d1 = 1.0 - s1 - i1 - r1
+    t1 = state.t + 1
+    for arr in (s1, i1, r1, d1):
+        bad = ~np.isfinite(arr) | (arr < -STABILITY_BAND) | (arr > 1.0 + STABILITY_BAND)
+        if np.any(bad):
+            node = int(np.flatnonzero(bad)[0])
+            raise EpidemicInstabilityError(t1, node, float(arr[node]))
+    s1, i1, r1 = (np.clip(v, 0.0, 1.0) for v in (s1, i1, r1))
+    d1 = 1.0 - s1 - i1 - r1
+    neg = d1 < 0.0
+    if np.any(neg):
+        scale = 1.0 / (s1[neg] + i1[neg] + r1[neg])
+        s1[neg] *= scale
+        i1[neg] *= scale
+        r1[neg] *= scale
+        d1[neg] = 1.0 - s1[neg] - i1[neg] - r1[neg]
+    return CompartmentState(s=s1, i=i1, r=r1, d=d1, t=t1)
+
+
+def draw_realized_rates_uniform(mean_rates, epsilon, rng):
+    """scenario.draw_realized_rates through rng.uniform's array arguments."""
+    mean_rates = np.asarray(mean_rates, dtype=float)
+    return np.clip(rng.uniform(mean_rates - epsilon, mean_rates + epsilon), 0.0, 1.0)

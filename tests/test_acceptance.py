@@ -64,7 +64,7 @@ def test_criterion_2_knapsack_oracle():
         budget = float(rng.uniform(0.0, 0.9 * (costs * bounds).sum() + 1.0))
         out = solve_knapsack(AllocationProblem(losses=losses, costs=costs,
                                                budget=budget, bounds=bounds))
-        obj = float(losses @ out.x)
+        obj = float(losses @ out)
         opt = grid_knapsack_optimum(losses, costs, budget, bounds, step_sz)
         never_worse &= obj <= opt + 1e-12
         gap = (opt - obj) / max(step_sz * np.abs(losses).max(), 1e-300)
@@ -148,7 +148,7 @@ def test_criterion_5_ts_learning():
             th = ts_sample(pol.a, pol.b, rng)
             prob = AllocationProblem(losses=-th, costs=[1.0, 1.0], budget=1.0,
                                      bounds=[1.0, 1.0])
-            x = solve_knapsack(prob).x
+            x = solve_knapsack(prob)
             observe_and_update(pol, x, theta, rng)
             if 400 <= t <= 500 and x[0] > 0.5:
                 hits += 1

@@ -382,6 +382,10 @@ BAD_RUNS = {
                   lambda p: _edit_lines(p, lambda ls: ls.insert(1, ls[1]))),
     "column missing": ("sharing.csv", lambda p: _set_field(p, 0, 5, "eff")),
     "field unparsable": ("sharing.csv", lambda p: _set_field(p, 1, 3, "abc")),
+    "not UTF-8 before the header": ("sharing.csv",
+                                    lambda p: p.write_bytes(b"\xff" + p.read_bytes())),
+    "not UTF-8 in a row": ("sharing.csv",
+                           lambda p: p.write_bytes(p.read_bytes() + b"1,0,\xff\r\n")),
     "agent out of range": ("nodes.csv", lambda p: _set_field(p, 1, 2, "2")),
     "budget empty": ("agents.csv", lambda p: _set_field(p, 3, 6, "")),
     "prior not an integer": ("priors.csv", lambda p: _set_field(p, 1, 1, "2.5")),

@@ -165,7 +165,7 @@ def test_totals_match_add_at():
         s, i, r, d, pop = 10.0 ** rng.uniform(-150, 150, (5, n))
         state = CompartmentState(s=s, i=i, r=r, d=d, t=0)
         agent_of = rng.integers(0, k, n)
-        got = harness._totals(state, pop, agent_of, k)
+        got = harness._totals(state, pop, harness._totals_key(agent_of), k)
         want = totals_add_at(state, pop, agent_of, k)
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -451,6 +451,27 @@ class TestColumnWiseIO:
             random.Random(5).shuffle(rows)
             path.write_bytes(b"\r\n".join([header, *rows, b""]))
         assert_bit_equal(import_result(tmp_path / "out"), res)
+
+
+@pytest.mark.parametrize("text,fault", [
+    (b"a,b\n1,2\n3\n", "invalid column index 1 on line 3 with 1 columns"),
+    (b"a,b\r\n0,2\r\n1,x\r\n", "could not convert string 'x' to float64 on line 3,"),
+    (b"a,b\n\n0,2\n\n1\n", "on line 5 "),
+    (b"a,b\r\n\r\n0,2\r\n\r\n\r\n1,?\r\n", "'?' to float64 on line 6,"),
+    (b"a,b\r0,2\r1,x\r", "on line 3,"),
+    (b"\xffa,b\n0,2\n", "byte 0xff on line 1 is not UTF-8 text"),
+    (b"a,b\r\n0,2\r\n1,\xff\r\n", "byte 0xff on line 3 is not UTF-8 text"),
+    (b"a,b\n" + b"0,2\n" * 5000 + b"1,\xfe\n", "byte 0xfe on line 5002 is not UTF-8"),
+])
+def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
+    """A short row, a field that does not parse and bytes that are not
+    UTF-8 name the file and the line they are on, across blank lines and
+    any line ending; a byte past the reader's first chunk too."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as exc:
+        harness._read_table(path, [("a", 0, 1)], ["b"])
+    assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
 
 
 def test_export_peak_memory(tmp_path):
