@@ -25,6 +25,7 @@ _NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigm
 
 def _cmd_build_net(args) -> int:
     cfg = ScenarioConfig(**{name: getattr(args, name) for name in _NET_FIELDS})
+    harness.check_out_dir(args.out, args.overwrite)
     if args.synthetic:
         nodes, airports, table = net.synth_world(
             cfg.n_nodes, cfg.n_agents, grid_spacing_km=cfg.grid_spacing_km,
@@ -42,14 +43,16 @@ def _cmd_build_net(args) -> int:
         planar = args.planar
     network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
                                 alpha=cfg.commute_fraction, planar=planar)
-    # made only now, so that a build that fails leaves no --out behind
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if args.synthetic:
-        net.write_nodes(nodes, out / "nodes.csv")
-        net.write_airports(airports, out / "airports.csv")
-        net.write_air_flows(table, out / "airflows.csv")
-    net.export_network(network, out / "edges.csv", out / "rho.txt")
+
+    def write(out: Path) -> None:
+        if args.synthetic:
+            net.write_nodes(nodes, out / "nodes.csv")
+            net.write_airports(airports, out / "airports.csv")
+            net.write_air_flows(table, out / "airflows.csv")
+        net.export_network(network, out / "edges.csv", out / "rho.txt")
+
+    # written only now, and whole or not at all
+    harness.write_directory(args.out, write, args.overwrite)
     print(f"network: {network.n} nodes, {network.flows.nnz} edges, "
           f"rho={network.rho:.6g}")
     return 0
@@ -129,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--planar", action="store_true",
                    help="treat coordinates as planar km instead of degrees")
     b.add_argument("--out", required=True)
+    b.add_argument("--overwrite", action="store_true")
     b.set_defaults(func=_cmd_build_net)
 
     s = sub.add_parser("simulate", help="run one scenario")

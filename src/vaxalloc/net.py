@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,33 +26,59 @@ _BLOCK = 1 << 18
 _EDGE_ROWS = 1 << 10  # edges export_network formats at a time, ~100 bytes of text each
 
 
-@dataclass(frozen=True)
-class NodeRecord:
-    """One population cell. Coordinates are degrees, or planar km for
-    synthetic worlds."""
-
-    id: int
-    lat: float
-    lon: float
-    population: float
-    agent_id: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"node {self.id}: coordinates must be finite")
-        if not (math.isfinite(self.population) and self.population > 0):
-            raise ValueError(f"node {self.id}: population must be positive and finite")
+# the rows of Nodes and of Airports
+NodeRecord = namedtuple("NodeRecord", "id lat lon population agent_id")
+AirportRecord = namedtuple("AirportRecord", "id lat lon")
 
 
-@dataclass(frozen=True)
-class AirportRecord:
-    id: int
-    lat: float
-    lon: float
+def _check_rows(kind: str, ids: np.ndarray, columns, *faults) -> None:
+    """Refuse columns (lat, lon, ...) that are not 1-D and as long as ``ids``,
+    then the first row whose coordinates are not finite or that has one of
+    the (mask of bad rows, message) ``faults``, naming its id."""
+    if any(c.shape != (ids.size,) for c in (ids, *columns)):
+        raise ValueError(f"{kind} columns must be 1-D arrays of one length")
+    lat, lon = columns[:2]
+    faults = ((~(np.isfinite(lat) & np.isfinite(lon)), "coordinates must be finite"),
+              *faults)
+    bad = np.logical_or.reduce([mask for mask, _ in faults])
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{kind} {ids[row]}: {next(m for at, m in faults if at[row])}")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"airport {self.id}: coordinates must be finite")
+
+class Nodes:
+    """Population cells as columns; node i is row i. Coordinates are
+    degrees, or planar km for synthetic worlds."""
+
+    def __init__(self, lat, lon, population, agent_id):
+        self.lat, self.lon, self.population = (np.asarray(c, dtype=float)
+                                               for c in (lat, lon, population))
+        self.agent_id = np.asarray(agent_id, dtype=int)
+        pop = self.population
+        _check_rows("node", np.arange(self.lat.size), (self.lat, self.lon, pop, self.agent_id),
+                    (~(np.isfinite(pop) & (pop > 0)), "population must be positive and finite"))
+
+    def __len__(self) -> int:
+        return self.lat.size
+
+    def __iter__(self):
+        return map(NodeRecord, range(len(self)), self.lat.tolist(), self.lon.tolist(),
+                   self.population.tolist(), self.agent_id.tolist())
+
+
+class Airports:
+    """Airports as columns ``ids``, ``lat`` and ``lon``, in the order given."""
+
+    def __init__(self, ids, lat, lon):
+        self.ids = np.asarray(ids, dtype=int)
+        self.lat, self.lon = (np.asarray(c, dtype=float) for c in (lat, lon))
+        _check_rows("airport", self.ids, (self.lat, self.lon))
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def __iter__(self):
+        return map(AirportRecord, self.ids.tolist(), self.lat.tolist(), self.lon.tolist())
 
 
 @dataclass(eq=False)
@@ -208,13 +235,6 @@ def _slots(cell: np.ndarray, populations: np.ndarray,
     return members, np.array([float(populations[idx].sum()) for idx in members])
 
 
-def _as_arrays(nodes: list[NodeRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lat = np.array([nd.lat for nd in nodes], dtype=float)
-    lon = np.array([nd.lon for nd in nodes], dtype=float)
-    pop = np.array([nd.population for nd in nodes], dtype=float)
-    return lat, lon, pop
-
-
 def pair_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
     """Distance in km between (lat1, lon1) and (lat2, lon2), elementwise
     with numpy broadcasting.
@@ -230,46 +250,78 @@ def pair_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
 
 
-def cross_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
-    """Distance matrix (len(lat1) x len(lat2)) in km."""
-    return pair_distances(np.asarray(lat1, dtype=float)[:, None],
-                          np.asarray(lon1, dtype=float)[:, None],
-                          np.asarray(lat2, dtype=float)[None, :],
-                          np.asarray(lon2, dtype=float)[None, :], planar=planar)
+def _grid_points(lat: np.ndarray, lon: np.ndarray, planar: bool) -> tuple[np.ndarray, ...]:
+    """The coordinate columns of the points a grid of cells is laid over:
+    lat and lon for planar worlds, unit-sphere points for great-circle ones."""
+    if planar:
+        return lat, lon
+    phi, lmb = np.radians(lat), np.radians(lon)
+    return np.cos(phi) * np.cos(lmb), np.cos(phi) * np.sin(lmb), np.sin(phi)
 
 
-def _close_pairs(points: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered index pairs (i, j), i != j, among them every pair of points
-    (rows) within ``radius`` of each other in each coordinate: the pairs in
-    the same or in adjacent cells of a grid whose side is at least the
-    radius."""
-    dim = points.shape[1]
-    lo = points.min(axis=0)
-    # at most 2**20 cells a side, so that a cell's key fits in an int64
-    side = max(radius, float((points.max(axis=0) - lo).max()) * 2.0 ** -20)
-    weight = (2 ** 20 + 3) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    key = (np.floor((points - lo) / side).astype(np.int64) + 1) @ weight
+def _point_slack(*coords: np.ndarray) -> float:
+    """Slack for the rounding of unit-sphere points, which grows with the
+    angles they are computed from."""
+    return 1e-9 * max(1.0, *(float(np.abs(np.radians(c)).max(initial=0.0))
+                             for c in coords))
+
+
+def _cells(key: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows sorted by cell key, and each occupied cell's key, first sorted
+    position and row count."""
     order = np.argsort(key, kind="stable")
-    cell, start, count = np.unique(key[order], return_index=True, return_counts=True)
-    found_i, found_j = [], []
-    for offset in itertools.product((-1, 0, 1), repeat=dim):
-        target = cell + int(np.dot(offset, weight))
-        at = np.minimum(np.searchsorted(cell, target), len(cell) - 1)
-        a = np.flatnonzero(cell[at] == target)
-        b = at[a]
-        # every member of cell a against every member of cell b
-        size = count[a] * count[b]
-        pair = np.repeat(np.arange(len(a)), size)
-        t = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        found_i.append(order[start[a][pair] + t // count[b][pair]])
-        found_j.append(order[start[b][pair] + t % count[b][pair]])
-    i, j = np.concatenate(found_i), np.concatenate(found_j)
-    return i[i != j], j[i != j]
+    sorted_key = key[order]
+    start = np.flatnonzero(np.diff(sorted_key, prepend=sorted_key[:1] - 1))
+    return order, sorted_key[start], start, np.diff(np.append(start, key.size))
 
 
-def ground_neighborhoods(nodes: list[NodeRecord], D: float,
-                         planar: bool = False) -> list[np.ndarray]:
-    """Index sets of nodes within distance D km, self excluded, ascending.
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[k] .. starts[k] + lengths[k] - 1, one after another."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
+def _extent(points, others) -> float:
+    """The largest span of a coordinate over two sets of points, given as
+    coordinate columns."""
+    return max(float(np.ptp(np.concatenate(c))) for c in zip(points, others))
+
+
+def _close_pairs(points, others, side: float,
+                 max_pairs: float = math.inf) -> tuple[np.ndarray, np.ndarray] | None:
+    """Index pairs (i, j) of a point of ``points`` and one of ``others``, both
+    given as coordinate columns, in the same or in adjacent cells of a grid
+    whose side is at least ``side``: among them every pair within ``side``
+    of each other in each coordinate. None if there would be more than
+    ``max_pairs`` of them."""
+    # at most 2**20 cells a side, so that a cell's key fits in an int64
+    side = max(side, _extent(points, others) * 2.0 ** -20)
+    weight = [(2 ** 20 + 3) ** k for k in range(len(points) - 1, -1, -1)]
+    key = sum((np.floor((c - c.min()) / side).astype(np.int64) + 1) * w
+              for c, w in zip(map(np.concatenate, zip(points, others)), weight))
+    order, cell, start, count = _cells(key[:len(points[0])])
+    o_order, o_cell, o_start, o_count = _cells(key[len(points[0]):])
+    a, b = [], []  # the occupied cells of points and of others that adjoin
+    for offset in itertools.product((-1, 0, 1), repeat=len(points)):
+        target = cell + sum(o * w for o, w in zip(offset, weight))
+        at = np.minimum(np.searchsorted(o_cell, target), len(o_cell) - 1)
+        hit = o_cell[at] == target
+        a.append(np.flatnonzero(hit))
+        b.append(at[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    if int(np.dot(count[a], o_count[b])) > max_pairs:
+        return None
+    # every member of cell a, once per member of cell b, against each of those
+    per_member = np.repeat(o_count[b], count[a])
+    i = order[np.repeat(_ranges(start[a], count[a]), per_member)]
+    j = o_order[_ranges(np.repeat(o_start[b], count[a]), per_member)]
+    return i, j
+
+
+def ground_neighborhoods(nodes: Nodes, D: float,
+                         planar: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes within distance D km of each node, self excluded, as CSR
+    arrays ``(indptr, indices)``: node i's neighbours, ascending, are
+    ``indices[indptr[i]:indptr[i + 1]]``.
 
     A grid of cells finds the candidate pairs within a slightly enlarged
     radius: on the coordinates for planar worlds, on unit-sphere points and
@@ -277,33 +329,30 @@ def ground_neighborhoods(nodes: list[NodeRecord], D: float,
     ``pair_distances`` puts it within D, so a pair at exactly D is decided
     by the same arithmetic as an n x n distance matrix would decide it.
     """
-    if not nodes:
+    if not len(nodes):
         raise ValueError("no nodes")
     if not D > 0:
         raise ValueError("distance threshold must be positive")
-    lat, lon, _ = _as_arrays(nodes)
+    lat, lon = nodes.lat, nodes.lon
+    points = _grid_points(lat, lon, planar)
     if planar:
-        points = np.column_stack((lat, lon))
         radius = D * (1.0 + 1e-6)
     else:
-        phi, lmb = np.radians(lat), np.radians(lon)
-        points = np.column_stack((np.cos(phi) * np.cos(lmb), np.cos(phi) * np.sin(lmb),
-                                  np.sin(phi)))
         chord = 2.0 * math.sin(min(D / (2.0 * EARTH_RADIUS_KM), math.pi / 2.0))
-        # the points carry the rounding of the angles, which grows with them
-        angle = max(1.0, float(np.abs(phi).max()), float(np.abs(lmb).max()))
-        radius = chord * (1.0 + 1e-6) + 1e-9 * angle
-    rows, cols = _close_pairs(points, radius)
-    keep = pair_distances(lat[rows], lon[rows], lat[cols], lon[cols], planar=planar) <= D
-    rows, cols = rows[keep], cols[keep]
-    order = np.lexsort((cols, rows))
-    return np.split(cols[order], np.searchsorted(rows[order], np.arange(1, len(nodes))))
+        radius = chord * (1.0 + 1e-6) + _point_slack(lat, lon)
+    rows, cols = _close_pairs(points, points, radius)
+    keep = (pair_distances(lat[rows], lon[rows], lat[cols], lon[cols], planar=planar) <= D) \
+        & (rows != cols)
+    n = len(nodes)
+    # the pairs in (row, column) order
+    key = np.sort(rows[keep] * n + cols[keep])
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n
 
 
-def radiation_flows(nodes: list[NodeRecord],
-                    neighborhoods: list[np.ndarray],
+def radiation_flows(nodes: Nodes, neighborhoods: tuple[np.ndarray, np.ndarray],
                     alpha: float) -> sp.csr_matrix:
-    """Ground commuting flows from node populations.
+    """Ground commuting flows from node populations, over the CSR
+    neighbourhoods that ``ground_neighborhoods`` returns.
 
     For node i with neighborhood population sum S_i, the flow to neighbor j
     is alpha * P_i^2 * P_j / (S_i * (P_j + S_i)). Nodes with an empty
@@ -311,11 +360,10 @@ def radiation_flows(nodes: list[NodeRecord],
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("commute fraction must be in [0, 1]")
-    _, _, pop = _as_arrays(nodes)
+    pop = nodes.population
     n = len(nodes)
-    counts = np.array([len(nbr) for nbr in neighborhoods], dtype=np.intp)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    indices = np.concatenate([np.empty(0, dtype=np.intp), *neighborhoods])
+    indptr, indices = neighborhoods
+    counts = np.diff(indptr)
     # S_i, summed row by row of a (nodes x k) gather for each degree k: numpy
     # sums a row in the same pairwise order as the 1-D pop[nbr].sum()
     s = np.zeros(n)
@@ -333,25 +381,59 @@ def radiation_flows(nodes: list[NodeRecord],
     return mat
 
 
-def assign_airports(nodes: list[NodeRecord], airports: list[AirportRecord],
+def assign_airports(nodes: Nodes, airports: Airports,
                     planar: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Assign each node to its nearest airport; ties go to the lowest
     airport id. Returns each node's position among the airports sorted by
-    id, and the population of each of their polygons."""
-    if not airports:
+    id, and the population of each of their polygons.
+
+    A grid over nodes and airports, about one airport per cell, pairs each
+    node with the airports in its own and the adjacent cells. Every other
+    airport is farther than the cell side, so the best candidate by
+    ``pair_distances`` (the lowest id of equals) is the answer when nearer
+    than the side, less a rounding slack. The other nodes try grids of two
+    and four times the side; what is left is compared with every airport.
+    """
+    m = len(airports)
+    if not m:
         raise ValueError("at least one airport required")
-    airports = sorted(airports, key=lambda a: a.id)
-    nlat, nlon, pop = _as_arrays(nodes)
-    alat = np.array([a.lat for a in airports], dtype=float)
-    alon = np.array([a.lon for a in airports], dtype=float)
-    nearest = np.empty(len(nodes), dtype=np.intp)
-    step = max(1, _BLOCK // len(airports))
-    for lo in range(0, len(nodes), step):
-        block = slice(lo, lo + step)
-        dist = cross_distances(nlat[block], nlon[block], alat, alon, planar=planar)
-        nearest[block] = dist.argmin(axis=1)  # the first of ties: lowest id
+    by_id = np.argsort(airports.ids, kind="stable")
+    alat, alon = airports.lat[by_id], airports.lon[by_id]
+    nlat, nlon = nodes.lat, nodes.lon
+    n = len(nodes)
+    nearest = np.full(n, -1, dtype=np.intp)
+    points, sites = _grid_points(nlat, nlon, planar), _grid_points(alat, alon, planar)
+    side = _extent(points, sites) / math.ceil(math.sqrt(m))
+    slack = 0.0 if planar else _point_slack(nlat, nlon, alat, alon)
+    rest = np.arange(n)
+    # about 9 candidates a node on a uniform world; a world so clustered that
+    # it would need far more, or so small that a scan needs no more, is scanned
+    cap = 16 * (n + m)
+    for _ in range(3 if side > 0 and n * m > cap else 0):
+        pairs = _close_pairs(tuple(c[rest] for c in points), sites, side, cap)
+        if pairs is None:
+            break
+        i, j = pairs  # i indexes rest
+        d = pair_distances(nlat[rest[i]], nlon[rest[i]], alat[j], alon[j], planar=planar)
+        best, first = np.full(rest.size, np.inf), np.full(rest.size, m)
+        np.minimum.at(best, i, d)
+        tie = d == best[i]
+        np.minimum.at(first, i[tie], j[tie])
+        # how near an answer must be to be sure, in grid units, then in km
+        reach = (side - slack) / (1.0 + 1e-6)
+        if not planar:  # a chord
+            reach = 2.0 * EARTH_RADIUS_KM * math.asin(min(max(reach, 0.0) / 2.0, 1.0))
+        done = best < reach
+        nearest[rest[done]] = first[done]
+        rest, side = rest[~done], 2.0 * side
+    step = max(1, _BLOCK // m)
+    for lo in range(0, len(rest), step):
+        rows = rest[lo:lo + step]
+        dist = pair_distances(nlat[rows][:, None], nlon[rows][:, None], alat, alon,
+                              planar=planar)
+        nearest[rows] = dist.argmin(axis=1)  # the first of ties: lowest id
     # bincount adds each polygon's populations in node order, from 0.0
-    return nearest, np.bincount(nearest, weights=pop, minlength=len(airports))
+    return nearest, np.bincount(nearest, weights=nodes.population, minlength=m)
 
 
 def air_flows(cell: np.ndarray, g: np.ndarray,
@@ -380,23 +462,21 @@ def air_flows(cell: np.ndarray, g: np.ndarray,
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def build_network(nodes: list[NodeRecord], airports: list[AirportRecord],
-                  air_table: AirFlowTable, D: float, alpha: float,
-                  planar: bool = False,
+def build_network(nodes: Nodes, airports: Airports, air_table: AirFlowTable,
+                  D: float, alpha: float, planar: bool = False,
                   nearest: np.ndarray | None = None) -> FlowMatrix:
     """End-to-end network build: neighborhoods, ground flows, airport
     assignment and the flows between the airports that have nodes.
     ``nearest``, if given, is the assignment that ``assign_airports`` returns
     for these nodes and airports, and is not computed again."""
-    if not np.array_equal(air_table.ids, sorted(a.id for a in airports)):
+    if not np.array_equal(air_table.ids, np.sort(airports.ids)):
         raise ValueError("the air table must list exactly the airports' ids")
     nbrs = ground_neighborhoods(nodes, D, planar=planar)
     ground = radiation_flows(nodes, nbrs, alpha)
     if nearest is None:
         nearest, _ = assign_airports(nodes, airports, planar=planar)
     slots, cell = np.unique(nearest, return_inverse=True)
-    return FlowMatrix(ground, cell, air_table.g[np.ix_(slots, slots)],
-                      _as_arrays(nodes)[2])
+    return FlowMatrix(ground, cell, air_table.g[np.ix_(slots, slots)], nodes.population)
 
 
 def synth_world(n_nodes: int, n_agents: int, *,
@@ -430,23 +510,16 @@ def synth_world(n_nodes: int, n_agents: int, *,
     ys = (np.arange(n_nodes) // ncols) * grid_spacing_km
     pops = rng.lognormal(mean=math.log(pop_median), sigma=pop_sigma, size=n_nodes)
     agent_of = (np.arange(n_nodes) * n_agents) // n_nodes
-    nodes = [
-        NodeRecord(id=i, lat=float(ys[i]), lon=float(xs[i]),
-                   population=float(pops[i]), agent_id=int(agent_of[i]))
-        for i in range(n_nodes)
-    ]
+    nodes = Nodes(ys, xs, pops, agent_of)
     site_idx = np.sort(rng.choice(n_nodes, size=n_airports, replace=False))
-    airports = [
-        AirportRecord(id=a, lat=float(ys[j]), lon=float(xs[j]))
-        for a, j in enumerate(site_idx)
-    ]
+    airports = Airports(np.arange(n_airports), ys[site_idx], xs[site_idx])
     g = np.zeros((n_airports, n_airports))
     nearest = None
     if n_airports > 1 and air_fraction != 0:
         nearest, pp = assign_airports(nodes, airports, planar=True)
         size = np.bincount(nearest, minlength=n_airports)
-        dist = cross_distances(ys[site_idx], xs[site_idx], ys[site_idx], xs[site_idx],
-                               planar=True)
+        ay, ax = airports.lat, airports.lon
+        dist = pair_distances(ay[:, None], ax[:, None], ay, ax, planar=True)
         off = ~np.eye(n_airports, dtype=bool)
         with np.errstate(all="ignore"):  # an overflow fails the check of the total
             # float_power squares with pow, as a scalar d ** 2 does
@@ -470,99 +543,120 @@ def synth_world(n_nodes: int, n_agents: int, *,
 # file formats
 
 
-def read_nodes(path) -> list[NodeRecord]:
+def _read_columns(path, types: dict) -> list[np.ndarray]:
+    """The named columns of a CSV file with a header, each field converted
+    by the column's type; blank lines are skipped. Every fault raises
+    ValueError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    missing = [c for c in types if c not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: a row has not as many fields as the header")
+    try:
+        return [np.array([kind(row[at]) for row in rows], dtype=kind)
+                for at, kind in ((header.index(c), kind) for c, kind in types.items())]
+    except (ValueError, OverflowError) as exc:  # an int past int64 overflows
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def read_nodes(path) -> Nodes:
     """Node file: header id,lat,lon,population,agent_id, ids 0..n-1 in row
     order, since the network names each node by its row."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(NodeRecord(
-                id=int(row["id"]), lat=float(row["lat"]), lon=float(row["lon"]),
-                population=float(row["population"]), agent_id=int(row["agent_id"])))
-    for pos, nd in enumerate(out):
-        if nd.id != pos:
-            raise ValueError(f"{path}: data row {pos + 1} has node id {nd.id}; "
-                             "ids must be 0..n-1 in row order")
-    return out
+    ids, *columns = _read_columns(path, {"id": int, "lat": float, "lon": float,
+                                         "population": float, "agent_id": int})
+    wrong = np.flatnonzero(ids != np.arange(ids.size))
+    if wrong.size:
+        raise ValueError(f"{path}: data row {wrong[0] + 1} has node id {ids[wrong[0]]}; "
+                         "ids must be 0..n-1 in row order")
+    return Nodes(*columns)
 
 
-def write_nodes(nodes: list[NodeRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "lat", "lon", "population", "agent_id"])
-        for nd in nodes:
-            w.writerow([nd.id, repr(nd.lat), repr(nd.lon),
-                        repr(nd.population), nd.agent_id])
+def write_nodes(nodes: Nodes, path) -> None:
+    _write_table(path, ["id", "lat", "lon", "population", "agent_id"],
+                 zip(range(len(nodes)),
+                     *map(_reprs, (nodes.lat, nodes.lon, nodes.population)),
+                     nodes.agent_id.tolist()))
 
 
-def read_airports(path) -> list[AirportRecord]:
+def read_airports(path) -> Airports:
     """Airport file: header id,lat,lon; each id once."""
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(AirportRecord(id=int(row["id"]), lat=float(row["lat"]),
-                                     lon=float(row["lon"])))
-    ids, counts = np.unique([a.id for a in out], return_counts=True)
+    airports = Airports(*_read_columns(path, {"id": int, "lat": float, "lon": float}))
+    ids, counts = np.unique(airports.ids, return_counts=True)
     if np.any(counts > 1):
         raise ValueError(f"{path}: airport id {ids[counts > 1][0]} appears more than once")
-    return out
+    return airports
 
 
-def write_airports(airports: list[AirportRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id", "lat", "lon"])
-        for a in airports:
-            w.writerow([a.id, repr(a.lat), repr(a.lon)])
+def write_airports(airports: Airports, path) -> None:
+    _write_table(path, ["id", "lat", "lon"],
+                 zip(airports.ids.tolist(), *map(_reprs, (airports.lat, airports.lon))))
 
 
-def read_air_flows(path, airports: list[AirportRecord]) -> AirFlowTable:
+def read_air_flows(path, airports: Airports) -> AirFlowTable:
     """Flights file: header origin,destination,flow, each id an airport of
     ``airports``; rows of the same pair add up in file order."""
-    ids = np.unique([a.id for a in airports])
-    pos = {aid: k for k, aid in enumerate(ids.tolist())}
+    origin, dest, flow = _read_columns(path, {"origin": int, "destination": int,
+                                              "flow": float})
+    ids = np.unique(airports.ids)
+    bad = np.flatnonzero((origin == dest) | ~np.isin(origin, ids) | ~np.isin(dest, ids))
+    if bad.size:
+        raise ValueError(f"{path}: air flow {origin[bad[0]]}->{dest[bad[0]]} must join two "
+                         "different airports of the airport file")
     g = np.zeros((len(ids), len(ids)))
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            a, b = int(row["origin"]), int(row["destination"])
-            if a == b or a not in pos or b not in pos:
-                raise ValueError(f"{path}: air flow {a}->{b} must join two different "
-                                 "airports of the airport file")
-            g[pos[a], pos[b]] += float(row["flow"])
+    # unbuffered, so the rows of one pair add up in file order
+    np.add.at(g, (np.searchsorted(ids, origin), np.searchsorted(ids, dest)), flow)
     return AirFlowTable(ids, g)
 
 
 def write_air_flows(table: AirFlowTable, path) -> None:
+    _write_table(path, ["origin", "destination", "flow"],
+                 ([a, b, repr(g)] for (a, b), g in table.entries.items()))
+
+
+def _write_table(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["origin", "destination", "flow"])
-        w.writerows([a, b, repr(g)] for (a, b), g in table.entries.items())
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:
     """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar, one
     row per flow entry in (i, j) order, each line as csv.writer writes it."""
-    coo = net.flows.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    i, j = coo.row[order], coo.col[order]
-
-    def at(mat):
-        return np.asarray(mat.tocsr()[i, j], dtype=float).ravel()
-
+    flows = net.flows if net.flows.has_sorted_indices else net.flows.sorted_indices()
+    i = np.repeat(np.arange(net.n), np.diff(flows.indptr))
+    j = flows.indices
+    # each entry's place in (i, j) order, which is the CSR order of flows
+    key = i * net.n + j
+    cols = np.column_stack((_aligned(net.ground, key), _aligned(net.air, key),
+                            flows.data, _aligned(net.rates, key)))
     with open(edges_path, "w", newline="", encoding="utf-8") as fh:
         fh.write("i,j,f_ground,f_air,f_total,p\r\n")
-        if coo.nnz:  # scipy returns a sparse matrix for empty index arrays
-            cols = np.column_stack((at(net.ground), at(net.air), coo.data[order],
-                                    at(net.rates)))
-            for lo in range(0, coo.nnz, _EDGE_ROWS):
-                # one _reprs for the four columns: f_total is f_air on most edges
-                rows = slice(lo, lo + _EDGE_ROWS)
-                texts = _reprs(cols[rows])
-                fh.write("".join([f"{a},{b},{g},{r},{f},{p}\r\n" for a, b, g, r, f, p
-                                  in zip(i[rows].tolist(), j[rows].tolist(),
-                                         *(texts[c::4] for c in range(4)))]))
+        for lo in range(0, flows.nnz, _EDGE_ROWS):
+            # one _reprs for the four columns: f_total is f_air on most edges
+            rows = slice(lo, lo + _EDGE_ROWS)
+            texts = _reprs(cols[rows])
+            fh.write("".join([f"{a},{b},{g},{r},{f},{p}\r\n" for a, b, g, r, f, p
+                              in zip(i[rows].tolist(), j[rows].tolist(),
+                                     *(texts[c::4] for c in range(4)))]))
     with open(rho_path, "w", encoding="utf-8") as fh:
         fh.write(repr(net.rho) + "\n")
+
+
+def _aligned(mat: sp.csr_matrix, key: np.ndarray) -> np.ndarray:
+    """The entries of an n x n CSR matrix without duplicates at the positions
+    ``key`` (row * n + column, ascending), and 0.0 where it has none. Its
+    entries need not be in column order within a row."""
+    n = mat.shape[0]
+    at = np.repeat(np.arange(n), np.diff(mat.indptr)) * n + mat.indices
+    out = np.zeros(len(key))
+    if len(key):
+        pos = np.minimum(np.searchsorted(key, at), len(key) - 1)
+        hit = key[pos] == at
+        out[pos[hit]] = mat.data[hit]
+    return out
 
 
 def _reprs(arr) -> list[str]:

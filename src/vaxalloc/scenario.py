@@ -262,8 +262,7 @@ def build_instance(config: ScenarioConfig) -> Instance:
                                    D=config.ground_range_km,
                                    alpha=config.commute_fraction, planar=True,
                                    nearest=nearest)
-    populations = np.array([nd.population for nd in nodes])
-    agent_of = np.array([nd.agent_id for nd in nodes], dtype=int)
+    populations, agent_of = nodes.population, nodes.agent_id
     k = config.n_agents
 
     if config.capacities is not None:

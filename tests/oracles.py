@@ -22,8 +22,17 @@ import scipy.sparse as sp
 
 from vaxalloc.epi import STABILITY_BAND, CompartmentState, EpidemicInstabilityError
 from vaxalloc.harness import _SCHEMA, RunResult
-from vaxalloc.net import cross_distances
+from vaxalloc.net import pair_distances
 from vaxalloc.policy import DUST
+
+
+def cross_distances(lat1, lon1, lat2, lon2, planar=False):
+    """Distance matrix (len(lat1) x len(lat2)) in km, every pair by
+    pair_distances."""
+    return pair_distances(np.asarray(lat1, dtype=float)[:, None],
+                          np.asarray(lon1, dtype=float)[:, None],
+                          np.asarray(lat2, dtype=float)[None, :],
+                          np.asarray(lon2, dtype=float)[None, :], planar=planar)
 
 
 def direct_objective(s, i, beta, rho, p_dense, agent_nodes, theta, x):
@@ -83,6 +92,25 @@ def nearest_airport_bruteforce(node_xy, airport_ids, airport_xy):
         if best_d is None or d < best_d - 1e-12:
             best_id, best_d = aid, d
     return best_id
+
+
+def nearest_airport_blocks(nodes, airports, planar=False, block=1 << 18):
+    """Each node's nearest airport, as its position among the airports sorted
+    by id, from every node-to-airport distance, computed in row blocks of
+    about ``block`` distances; argmin takes the first of ties, the lowest id.
+    Also each polygon's population, added in node order."""
+    nodes, airports = list(nodes), sorted(airports, key=lambda a: a.id)
+    nlat, nlon, pop = (np.array([getattr(nd, name) for nd in nodes], dtype=float)
+                       for name in ("lat", "lon", "population"))
+    alat, alon = (np.array([getattr(a, name) for a in airports], dtype=float)
+                  for name in ("lat", "lon"))
+    nearest = np.empty(len(nodes), dtype=np.intp)
+    step = max(1, block // len(airports))
+    for lo in range(0, len(nodes), step):
+        rows = slice(lo, lo + step)
+        dist = cross_distances(nlat[rows], nlon[rows], alat, alon, planar=planar)
+        nearest[rows] = dist.argmin(axis=1)
+    return nearest, np.bincount(nearest, weights=pop, minlength=len(airports))
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +299,7 @@ def gravity_entries_loops(nodes, airports, grid_spacing_km, air_fraction):
     """synth_world's air table from an n x m nearest-airport matrix, a
     running sum of polygon populations per airport and a double loop over
     airport pairs with scalar squares. Airport ids must be 0..m-1."""
+    nodes, airports = list(nodes), list(airports)
     nlat = np.array([nd.lat for nd in nodes], dtype=float)
     nlon = np.array([nd.lon for nd in nodes], dtype=float)
     alat = np.array([a.lat for a in airports], dtype=float)

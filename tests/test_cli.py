@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from vaxalloc import harness
+from vaxalloc import harness, net
 from vaxalloc.cli import build_parser, main
 from vaxalloc.scenario import ScenarioConfig
 
@@ -56,6 +56,8 @@ BAD_NET_INPUTS = {
     "infinite airport longitude": ("airports.csv",
                                    lambda p: _set_field(p, 1, 2, "-inf")),
     "node ids from 100": ("nodes.csv", lambda p: _renumber(p, 100)),
+    "node id past int64": ("nodes.csv", lambda p: _set_field(p, 1, 0, "9" * 30)),
+    "flow not a number": ("airflows.csv", lambda p: _set_field(p, 1, 2, "heavy")),
     "repeated airport": ("airports.csv",
                          lambda p: _edit_lines(p, lambda ls: ls.insert(2, "0,9999.0,9999.0"))),
     "flight from an unknown airport": ("airflows.csv", lambda p: _edit_lines(
@@ -68,6 +70,27 @@ BAD_NET_INPUTS = {
     "infinite flow": ("airflows.csv", lambda p: _set_field(p, 2, 2, "inf")),
     "negative flow summed": ("airflows.csv", lambda p: _edit_lines(
         p, lambda ls: ls.insert(2, "0,1,-1e9"))),
+    "zero population": ("nodes.csv", lambda p: _set_field(p, 7, 3, "0.0")),
+    "two bad nodes": ("nodes.csv", lambda p: (_set_field(p, 9, 3, "0.0"),
+                                              _set_field(p, 5, 1, "nan"))),
+    "node row without agent": ("nodes.csv", lambda p: _edit_lines(
+        p, lambda ls: ls.__setitem__(3, ls[3].rsplit(",", 1)[0]))),
+    "flights row without flow": ("airflows.csv",
+                                 lambda p: _edit_lines(p, lambda ls: ls.insert(2, "0,1"))),
+}
+
+
+# the whole message of a bad node or airport row: it names the first bad
+# row's id, and a node's id is its row, from 0
+ROW_MESSAGES = {
+    "NaN latitude": "node 0: coordinates must be finite",
+    "infinite longitude": "node 1: coordinates must be finite",
+    "NaN population": "node 2: population must be positive and finite",
+    "infinite population": "node 2: population must be positive and finite",
+    "zero population": "node 6: population must be positive and finite",
+    "two bad nodes": "node 4: coordinates must be finite",
+    "NaN airport latitude": "airport 0: coordinates must be finite",
+    "infinite airport longitude": "airport 0: coordinates must be finite",
 }
 
 
@@ -88,7 +111,40 @@ def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     if case.startswith("flight"):
         assert name in err
+    if case in ROW_MESSAGES:
+        assert err == f"error: {ROW_MESSAGES[case]}\n"
     assert not out.exists()
+
+
+def test_build_net_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    def half_written(network, edges_path, rho_path):
+        edges_path.write_text("i,j,f_ground\r\n0,")
+        raise OSError("no space left on device")
+
+    args = ["build-net", "--synthetic", "--n-nodes", "40", "--n-agents", "2", "--out"]
+    out = tmp_path / "net"
+    monkeypatch.setattr(net, "export_network", half_written)
+    assert main(args + [str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    # an earlier network under --out is kept whole
+    monkeypatch.undo()
+    assert main(args + [str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    monkeypatch.setattr(net, "export_network", half_written)
+    assert main(args + [str(out), "--overwrite", "--seed", "3"]) == 1
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+    assert [f.name for f in tmp_path.iterdir()] == ["net"]
+
+
+def test_build_net_overwrite_guard(tmp_path, capsys):
+    args = ["build-net", "--synthetic", "--n-nodes", "40", "--n-agents", "2",
+            "--out", str(tmp_path / "net")]
+    assert main(args) == 0
+    assert main(args + ["--seed", "4"]) == 1
+    assert "overwrite" in capsys.readouterr().err
+    assert main(args + ["--seed", "4", "--overwrite"]) == 0
 
 
 def test_build_net_defaults_follow_scenario_config():

@@ -1,12 +1,17 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vaxalloc
 from vaxalloc import net
 from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
                           FlowMatrix, air_flows, assign_airports,
@@ -15,10 +20,13 @@ from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
 
 from vaxalloc.cli import main
 
-from oracles import (air_factors_dict, air_flows_lists, export_network_per_edge,
+from oracles import (air_factors_dict, air_flows_lists, cross_distances,
+                     export_network_per_edge,
                      gravity_entries_loops, ground_neighborhoods_dense,
-                     nearest_airport_bruteforce, radiation_flows_lists)
-from worlds import air_table, random_airport_net
+                     nearest_airport_blocks, nearest_airport_bruteforce,
+                     radiation_flows_lists)
+from worlds import (air_table, airports_of, neighbour_csr, neighbour_lists, nodes_of,
+                    random_airport_net)
 
 
 def planar_node(i, x, y, pop, agent=0):
@@ -42,82 +50,85 @@ def explicit_air(nodes, airports, table, planar=True):
 
 class TestGroundNeighborhoods:
     def test_below_threshold_mutual(self):
-        nodes = [planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 1000)]
-        nbrs = ground_neighborhoods(nodes, 100, planar=True)
+        nodes = nodes_of([planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 1000)])
+        nbrs = neighbour_lists(ground_neighborhoods(nodes, 100, planar=True))
         assert nbrs[0].tolist() == [1]
         assert nbrs[1].tolist() == [0]
 
     def test_above_threshold_empty(self):
-        nodes = [planar_node(0, 0, 0, 1000), planar_node(1, 150, 0, 1000)]
-        nbrs = ground_neighborhoods(nodes, 100, planar=True)
+        nodes = nodes_of([planar_node(0, 0, 0, 1000), planar_node(1, 150, 0, 1000)])
+        nbrs = neighbour_lists(ground_neighborhoods(nodes, 100, planar=True))
         assert all(len(v) == 0 for v in nbrs)
 
     def test_collinear_triplet(self):
-        nodes = [planar_node(i, x, 0, 1000) for i, x in enumerate((0, 80, 160))]
-        nbrs = ground_neighborhoods(nodes, 100, planar=True)
+        nodes = nodes_of(planar_node(i, x, 0, 1000) for i, x in enumerate((0, 80, 160)))
+        nbrs = neighbour_lists(ground_neighborhoods(nodes, 100, planar=True))
         assert nbrs[0].tolist() == [1]
         assert nbrs[1].tolist() == [0, 2]
         assert nbrs[2].tolist() == [1]
 
     def test_great_circle_metric(self):
         # ~111 km per degree of latitude at the equator
-        nodes = [NodeRecord(0, 0.0, 0.0, 1.0, 0), NodeRecord(1, 1.0, 0.0, 1.0, 0)]
-        assert len(ground_neighborhoods(nodes, 100)[0]) == 0
-        assert ground_neighborhoods(nodes, 120)[0].tolist() == [1]
+        nodes = nodes_of([NodeRecord(0, 0.0, 0.0, 1.0, 0), NodeRecord(1, 1.0, 0.0, 1.0, 0)])
+        assert len(neighbour_lists(ground_neighborhoods(nodes, 100))[0]) == 0
+        assert neighbour_lists(ground_neighborhoods(nodes, 120))[0].tolist() == [1]
 
     def test_empty_errors(self):
         with pytest.raises(ValueError, match="no nodes"):
-            ground_neighborhoods([], 100)
+            ground_neighborhoods(nodes_of([]), 100)
 
 
 class TestRadiationFlows:
     def test_symmetric_pair(self):
-        nodes = [planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 1000)]
+        nodes = nodes_of([planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 1000)])
         nbrs = ground_neighborhoods(nodes, 100, planar=True)
         f = radiation_flows(nodes, nbrs, 0.11)
         assert f[0, 1] == pytest.approx(55.0)
         assert f[1, 0] == f[0, 1]  # identical nodes: exactly symmetric
 
     def test_zero_commute_fraction(self):
-        nodes = [planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 1000)]
+        nodes = nodes_of([planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 1000)])
         nbrs = ground_neighborhoods(nodes, 100, planar=True)
         assert radiation_flows(nodes, nbrs, 0.0).nnz == 0
 
     def test_asymmetric_pair(self):
-        nodes = [planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 4000)]
+        nodes = nodes_of([planar_node(0, 0, 0, 1000), planar_node(1, 50, 0, 4000)])
         nbrs = ground_neighborhoods(nodes, 100, planar=True)
         f = radiation_flows(nodes, nbrs, 0.11)
         assert f[0, 1] == pytest.approx(13.75)
         assert f[1, 0] == pytest.approx(880.0)
 
     def test_isolated_node_emits_nothing(self):
-        nodes = [planar_node(0, 0, 0, 1000), planar_node(1, 500, 0, 1000)]
+        nodes = nodes_of([planar_node(0, 0, 0, 1000), planar_node(1, 500, 0, 1000)])
         nbrs = ground_neighborhoods(nodes, 100, planar=True)
         f = radiation_flows(nodes, nbrs, 0.11)
         assert f.nnz == 0
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
-            radiation_flows([planar_node(0, 0, 0, 1.0)], [np.array([], dtype=int)], 1.5)
+            radiation_flows(nodes_of([planar_node(0, 0, 0, 1.0)]),
+                            neighbour_csr([np.array([], dtype=int)]), 1.5)
 
 
 class TestAssignAirports:
     def test_single_airport(self):
-        nodes = [planar_node(0, 0, 0, 100), planar_node(1, 50, 0, 300)]
-        nearest, pops = assign_airports(nodes, [AirportRecord(7, 0, 0)], planar=True)
+        nodes = nodes_of([planar_node(0, 0, 0, 100), planar_node(1, 50, 0, 300)])
+        nearest, pops = assign_airports(nodes, airports_of([AirportRecord(7, 0, 0)]),
+                                        planar=True)
         assert nearest.tolist() == [0, 0]
         assert pops.tolist() == [400.0]
 
     def test_tie_goes_to_lowest_id(self):
-        nodes = [planar_node(0, 50, 0, 100)]
-        airports = [AirportRecord(3, 0, 100), AirportRecord(1, 0, 0)]
+        nodes = nodes_of([planar_node(0, 50, 0, 100)])
+        airports = airports_of([AirportRecord(3, 0, 100), AirportRecord(1, 0, 0)])
         nearest, _ = assign_airports(nodes, airports, planar=True)
         assert nearest.tolist() == [0]  # airport 1, the first by id
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(3)
-        nodes = [planar_node(i, x, 0, 10) for i, x in enumerate((0.0, 40.0, 90.0, 200.0))]
-        airports = [AirportRecord(0, 0.0, 10.0), AirportRecord(1, 0.0, 150.0)]
+        nodes = nodes_of(planar_node(i, x, 0, 10)
+                         for i, x in enumerate((0.0, 40.0, 90.0, 200.0)))
+        airports = airports_of([AirportRecord(0, 0.0, 10.0), AirportRecord(1, 0.0, 150.0)])
         nearest, _ = assign_airports(nodes, airports, planar=True)
         for nd, got in zip(nodes, nearest):
             want = nearest_airport_bruteforce(
@@ -151,14 +162,14 @@ def random_planar_nodes(rng, n, side):
     # a few nodes on top of others: pairs at distance 0
     dup = rng.random(n) < 0.05
     xy[dup] = xy[rng.integers(0, n, int(dup.sum()))]
-    return [planar_node(i, float(x), float(y), float(rng.lognormal(9, 1)))
-            for i, (x, y) in enumerate(xy)]
+    return nodes_of(planar_node(i, float(x), float(y), float(rng.lognormal(9, 1)))
+                    for i, (x, y) in enumerate(xy))
 
 
 def random_sphere_nodes(rng, n, lat_span=90.0):
-    return [NodeRecord(i, float(rng.uniform(-lat_span, lat_span)),
-                       float(rng.uniform(-200, 200)), float(rng.lognormal(9, 1)), 0)
-            for i in range(n)]
+    return nodes_of(NodeRecord(i, float(rng.uniform(-lat_span, lat_span)),
+                               float(rng.uniform(-200, 200)), float(rng.lognormal(9, 1)), 0)
+                    for i in range(n))
 
 
 class TestNeighborhoodsMatchDense:
@@ -169,9 +180,9 @@ class TestNeighborhoodsMatchDense:
         for _ in range(40):
             n = int(rng.integers(1, 300))
             nodes = random_planar_nodes(rng, n, float(rng.choice([10.0, 1000.0, 1e6])))
-            side = max(max(nd.lat for nd in nodes), max(nd.lon for nd in nodes), 1.0)
+            side = max(nodes.lat.max(), nodes.lon.max(), 1.0)
             D = float(side * rng.uniform(0.001, 0.5))
-            assert_same_sets(ground_neighborhoods(nodes, D, planar=True),
+            assert_same_sets(neighbour_lists(ground_neighborhoods(nodes, D, planar=True)),
                              ground_neighborhoods_dense(nodes, D, planar=True))
 
     # node 0 of the 20-column grid lies at (0, 0); node k at distance
@@ -180,7 +191,7 @@ class TestNeighborhoodsMatchDense:
     def test_grid_pairs_at_exactly_d(self, D, k):
         nodes, _, _ = synth_world(400, 3, seed=72)
         for d in (D, math.nextafter(D, 0.0)):
-            got = ground_neighborhoods(nodes, d, planar=True)
+            got = neighbour_lists(ground_neighborhoods(nodes, d, planar=True))
             assert_same_sets(got, ground_neighborhoods_dense(nodes, d, planar=True))
             assert (k in got[0]) == (d == D)
 
@@ -190,7 +201,7 @@ class TestNeighborhoodsMatchDense:
             n = int(rng.integers(2, 250))
             nodes = random_sphere_nodes(rng, n, float(rng.choice([1.0, 30.0, 90.0])))
             D = float(rng.choice([1.0, 50.0, 500.0, 5000.0, 25000.0]))
-            assert_same_sets(ground_neighborhoods(nodes, D),
+            assert_same_sets(neighbour_lists(ground_neighborhoods(nodes, D)),
                              ground_neighborhoods_dense(nodes, D))
 
     @pytest.mark.parametrize("planar", [True, False])
@@ -203,14 +214,13 @@ class TestNeighborhoodsMatchDense:
                 nodes = random_planar_nodes(rng, 60, float(rng.choice([1.0, 1000.0])))
             else:
                 nodes = random_sphere_nodes(rng, 60, float(rng.choice([0.01, 1.0, 60.0])))
-            lat = np.array([nd.lat for nd in nodes])
-            lon = np.array([nd.lon for nd in nodes])
+            lat, lon = nodes.lat, nodes.lon
             i, j = rng.choice(60, 2, replace=False)
             d = float(net.pair_distances(lat[i], lon[i], lat[j], lon[j], planar=planar))
             for D in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
                 if D <= 0:
                     continue
-                got = ground_neighborhoods(nodes, D, planar=planar)
+                got = neighbour_lists(ground_neighborhoods(nodes, D, planar=planar))
                 assert_same_sets(got, ground_neighborhoods_dense(nodes, D, planar=planar))
                 assert (j in got[i]) == (d <= D)
 
@@ -221,24 +231,25 @@ class TestNeighborhoodsMatchDense:
         for trial in range(100):
             c = rng.uniform(-80, 80, 2)
             span = 10.0 ** rng.uniform(-9, -5)
-            nodes = [NodeRecord(i, float(c[0] + rng.uniform(-span, span)),
-                                float(c[1] + rng.uniform(-span, span)), 1.0, 0)
-                     for i in range(30)]
+            nodes = nodes_of(NodeRecord(i, float(c[0] + rng.uniform(-span, span)),
+                                        float(c[1] + rng.uniform(-span, span)), 1.0, 0)
+                             for i in range(30))
             i, j = rng.choice(30, 2, replace=False)
-            D = float(net.pair_distances(nodes[i].lat, nodes[i].lon,
-                                         nodes[j].lat, nodes[j].lon))
+            D = float(net.pair_distances(nodes.lat[i], nodes.lon[i],
+                                         nodes.lat[j], nodes.lon[j]))
             if D > 0:
-                assert_same_sets(ground_neighborhoods(nodes, D),
+                assert_same_sets(neighbour_lists(ground_neighborhoods(nodes, D)),
                                  ground_neighborhoods_dense(nodes, D))
 
     def test_infinite_threshold_excludes_self(self):
         # the n x n matrix filled its diagonal with inf, which inf <= inf kept
-        nodes = [planar_node(i, 3.0 * i, 4.0 * i, 1.0) for i in range(3)]
-        assert [v.tolist() for v in ground_neighborhoods(nodes, math.inf, planar=True)] \
+        nodes = nodes_of(planar_node(i, 3.0 * i, 4.0 * i, 1.0) for i in range(3))
+        nbrs = ground_neighborhoods(nodes, math.inf, planar=True)
+        assert [v.tolist() for v in neighbour_lists(nbrs)] \
             == [[1, 2], [0, 2], [0, 1]]
 
     def test_threshold_must_be_positive(self):
-        nodes = [planar_node(0, 0, 0, 1.0)]
+        nodes = nodes_of([planar_node(0, 0, 0, 1.0)])
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="positive"):
                 ground_neighborhoods(nodes, bad, planar=True)
@@ -266,7 +277,8 @@ def test_build_network_given_the_assignment(n_nodes, air_fraction):
     world = dict(n_nodes=n_nodes, n_agents=3, air_fraction=air_fraction, seed=5)
     nodes, airports, table, nearest = synth_world(**world, with_assignment=True)
     plain = synth_world(**world)
-    assert len(plain) == 3 and plain[:2] == (nodes, airports)
+    assert len(plain) == 3
+    assert list(plain[0]) == list(nodes) and list(plain[1]) == list(airports)
     assert np.array_equal(plain[2].g, table.g)
     if nearest is None:
         assert air_fraction == 0 or len(airports) == 1
@@ -287,7 +299,7 @@ class TestRadiationFlowsMatchLists:
     @staticmethod
     def check(nodes, D, alpha=0.11, planar=True):
         nbrs = ground_neighborhoods_dense(nodes, D, planar=planar)
-        got = radiation_flows(nodes, nbrs, alpha)
+        got = radiation_flows(nodes, neighbour_csr(nbrs), alpha)
         assert_same_csr(got, radiation_flows_lists(nodes, nbrs, alpha))
         return got
 
@@ -299,7 +311,8 @@ class TestRadiationFlowsMatchLists:
         nodes, _, _ = synth_world(144, 2, seed=81)
         pops = rng.lognormal(9, 1.5, 144)
         pops[::2] = odd[:72]
-        nodes = [planar_node(nd.id, nd.lon, nd.lat, float(p)) for nd, p in zip(nodes, pops)]
+        nodes = nodes_of(planar_node(nd.id, nd.lon, nd.lat, float(p))
+                         for nd, p in zip(nodes, pops))
         # degrees from 0 to past 128, so every pairwise-sum block size shows
         for D in (40.0, 100.0, 150.0, 400.0, 700.0):
             self.check(nodes, D)
@@ -327,13 +340,13 @@ class TestAssignAirportsMatchesBruteforce:
 
     def test_ties_and_blocks(self, monkeypatch):
         rng = np.random.default_rng(91)
-        nodes = [planar_node(i, float(x), float(y), float(rng.lognormal(5, 1)))
-                 for i, (x, y) in enumerate(rng.integers(0, 20, (300, 2)))]
+        nodes = nodes_of(planar_node(i, float(x), float(y), float(rng.lognormal(5, 1)))
+                         for i, (x, y) in enumerate(rng.integers(0, 20, (300, 2))))
         ids = rng.permutation(100)[:12]
         sites = rng.integers(0, 20, (12, 2))
         sites[5] = sites[2]  # two airports on one site: a tie everywhere
-        airports = [AirportRecord(int(a), float(y), float(x))
-                    for a, (x, y) in zip(ids, sites)]
+        airports = airports_of(AirportRecord(int(a), float(y), float(x))
+                               for a, (x, y) in zip(ids, sites))
         want = [nearest_airport_bruteforce((nd.lon, nd.lat), ids.tolist(),
                                            [(a.lon, a.lat) for a in airports])
                 for nd in nodes]
@@ -346,6 +359,143 @@ class TestAssignAirportsMatchesBruteforce:
             nearest, pops = assign_airports(nodes, airports, planar=True)
             assert by_id[nearest].tolist() == want
             assert pops.tolist() == [expect_pop[a] for a in by_id.tolist()]
+
+
+def random_airports(rng, m, lat_range, lon_range):
+    """m airports at uniform positions, with shuffled ids that leave gaps."""
+    return airports_of(AirportRecord(int(a), float(rng.uniform(*lat_range)),
+                                     float(rng.uniform(*lon_range)))
+                       for a in rng.permutation(3 * m)[:m])
+
+
+class TestAssignAirportsMatchesRowBlocks:
+    """The grid query against the row-block scan of every distance, exactly:
+    the same airport for every node, the lowest id among equally near ones,
+    and the same polygon populations."""
+
+    @staticmethod
+    def check(nodes, airports, planar=True):
+        got = assign_airports(nodes, airports, planar=planar)
+        want = nearest_airport_blocks(nodes, airports, planar=planar)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        return got[0]
+
+    @staticmethod
+    def scanned_rows(monkeypatch, nodes, airports, planar=True):
+        """How many nodes the grid leaves to the scan of every airport."""
+        rows = []
+        real = net.pair_distances
+
+        def counting(lat1, *args, **kwargs):
+            if np.ndim(lat1) == 2:  # a row block against every airport
+                rows.append(len(lat1))
+            return real(lat1, *args, **kwargs)
+        monkeypatch.setattr(net, "pair_distances", counting)
+        TestAssignAirportsMatchesRowBlocks.check(nodes, airports, planar)
+        monkeypatch.undo()
+        return sum(rows)
+
+    def test_random_planar_worlds(self):
+        rng = np.random.default_rng(92)
+        for _ in range(40):
+            side = float(rng.choice([1.0, 1000.0, 1e6]))
+            nodes = random_planar_nodes(rng, int(rng.integers(1, 400)), side)
+            self.check(nodes, random_airports(rng, int(rng.integers(1, 60)),
+                                              (0, side), (0, side)))
+
+    def test_random_great_circle_worlds(self):
+        rng = np.random.default_rng(93)
+        for _ in range(40):
+            span = float(rng.choice([0.01, 1.0, 30.0, 90.0]))
+            nodes = random_sphere_nodes(rng, int(rng.integers(1, 300)), span)
+            self.check(nodes, random_airports(rng, int(rng.integers(1, 60)),
+                                              (-span, span), (-200, 200)), planar=False)
+
+    @pytest.mark.parametrize("n,density", [(400, 0.05), (3000, 0.05), (500, 0.3)])
+    def test_synthetic_grid_ties(self, n, density):
+        # nodes and airports on one grid: many nodes are exactly as far from
+        # two airports
+        nodes, airports, _ = synth_world(n, 3, seed=94, airport_density=density)
+        dist = cross_distances(nodes.lat, nodes.lon, airports.lat, airports.lon, planar=True)
+        assert np.sum(np.sum(dist == dist.min(axis=1)[:, None], axis=1) > 1) > n // 20
+        self.check(nodes, airports)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_coincident_airports(self, monkeypatch, planar):
+        rng = np.random.default_rng(95)
+        nodes = random_sphere_nodes(rng, 600, 10.0)
+        airports = list(random_airports(rng, 40, (-10, 10), (-200, 200)))
+        # ids 40, 7 and 19 on one site
+        site = airports[0]
+        airports[:3] = [AirportRecord(aid, site.lat, site.lon) for aid in (40, 7, 19)]
+        airports = airports_of(airports)
+        assert self.scanned_rows(monkeypatch, nodes, airports, planar) < 60
+        by_id = np.sort(airports.ids)
+        got = set(by_id[self.check(nodes, airports, planar=planar)].tolist())
+        assert 7 in got and not {19, 40} & got
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_collinear_nodes(self, monkeypatch, planar):
+        # every node on the line lat = 0: the coordinates span one axis only,
+        # and the unit-sphere points none of z
+        rng = np.random.default_rng(96)
+        nodes = nodes_of(planar_node(i, float(x), 0.0, 1.0)
+                         for i, x in enumerate(rng.uniform(-50, 50, 400)))
+        for lats in ((0.0, 0.0), (-1.0, 1.0)):
+            airports = random_airports(rng, 40, lats, (-50, 50))
+            assert self.scanned_rows(monkeypatch, nodes, airports, planar) < 40
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_single_airport(self, planar):
+        rng = np.random.default_rng(97)
+        nodes = random_sphere_nodes(rng, 100, 40.0)
+        for site in ((0.0, 0.0), (80.0, 170.0)):
+            airports = airports_of([AirportRecord(5, *site)])
+            assert not self.check(nodes, airports, planar=planar).any()
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_airports_far_from_every_node(self, monkeypatch, planar):
+        rng = np.random.default_rng(98)
+        nodes = nodes_of(planar_node(i, float(x), float(y), 1.0)
+                         for i, (x, y) in enumerate(rng.uniform(0, 1, (400, 2))))
+        far = (80.0, 89.0) if not planar else (1e6, 1e6 + 10)
+        airports = random_airports(rng, 40, far, far)
+        assert self.scanned_rows(monkeypatch, nodes, airports, planar) == 400
+
+    def test_clustered_world_is_scanned(self, monkeypatch):
+        # one airport far out stretches the grid over the whole cluster, so
+        # the candidates would be all n x m pairs
+        rng = np.random.default_rng(99)
+        nodes = random_planar_nodes(rng, 400, 1.0)
+        airports = airports_of([*random_airports(rng, 30, (0, 1), (0, 1)),
+                                AirportRecord(1000, 1e5, 1e5)])
+        assert self.scanned_rows(monkeypatch, nodes, airports) == 400
+
+    def test_small_world_is_scanned(self, monkeypatch):
+        # 200 x 10 distances are no more than the grid's 16 (n + m) candidates
+        nodes, airports, _ = synth_world(200, 3, seed=100)
+        assert self.scanned_rows(monkeypatch, nodes, airports) == 200
+
+    def test_uniform_world_needs_no_scan(self, monkeypatch):
+        # about 1 node in 25 has no airport within the first grid's side, and
+        # all of them one within twice that side
+        nodes, airports, _ = synth_world(3000, 3, seed=100)
+        assert self.scanned_rows(monkeypatch, nodes, airports) == 0
+
+    def test_all_points_on_one_site(self, monkeypatch):
+        # no span at all: no grid
+        nodes = nodes_of(planar_node(i, 3.0, 4.0, 1.0) for i in range(200))
+        airports = airports_of(AirportRecord(a, 4.0, 3.0) for a in range(40, 20, -1))
+        assert self.scanned_rows(monkeypatch, nodes, airports) == 200
+        assert not self.check(nodes, airports).any()
+
+    def test_overflowing_grid_spacing(self, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, airports, _ = synth_world(400, 2, seed=1, grid_spacing_km=1e160,
+                                             air_fraction=0.0)
+            assert self.scanned_rows(monkeypatch, nodes, airports) < 40
 
 
 class TestSynthWorldGravity:
@@ -364,9 +514,8 @@ class TestSynthWorldGravity:
     def test_world_where_squares_disagree(self):
         nodes, airports, table = synth_world(225, 3, seed=0, grid_spacing_km=96.3,
                                              airport_density=0.2)
-        alat = np.array([a.lat for a in airports])
-        alon = np.array([a.lon for a in airports])
-        d = np.maximum(net.cross_distances(alat, alon, alat, alon, planar=True), 96.3)
+        alat, alon = airports.lat, airports.lon
+        d = np.maximum(cross_distances(alat, alon, alat, alon, planar=True), 96.3)
         assert np.any(squares_disagree(d))
         want = gravity_entries_loops(nodes, airports, 96.3, 0.005)
         assert list(table.entries.items()) == list(want.items())
@@ -391,22 +540,22 @@ class TestSynthWorldGravity:
 
 class TestAirFlows:
     def test_empty_table(self):
-        nodes = [planar_node(0, 0, 0, 100), planar_node(1, 500, 0, 100)]
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
+        nodes = nodes_of([planar_node(0, 0, 0, 100), planar_node(1, 500, 0, 100)])
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)])
         f = explicit_air(nodes, airports, air_table(airports))
         assert f.nnz == 0
 
     def test_single_node_polygons(self):
-        nodes = [planar_node(0, 0, 0, 700), planar_node(1, 500, 0, 1300)]
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
+        nodes = nodes_of([planar_node(0, 0, 0, 700), planar_node(1, 500, 0, 1300)])
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)])
         f = explicit_air(nodes, airports, air_table(airports, {(0, 1): 1000.0}))
         assert f[0, 1] == pytest.approx(1000.0)
         assert f[1, 0] == 0.0
 
     def test_population_proportional_split(self):
-        nodes = [planar_node(0, 0, 0, 600), planar_node(1, 10, 0, 400),
-                 planar_node(2, 500, 0, 2000)]
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
+        nodes = nodes_of([planar_node(0, 0, 0, 600), planar_node(1, 10, 0, 400),
+                          planar_node(2, 500, 0, 2000)])
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)])
         f = explicit_air(nodes, airports, air_table(airports, {(0, 1): 500.0}))
         assert f[0, 2] == pytest.approx(500 * 2600 / 3000)
         assert f[1, 2] == pytest.approx(500 * 2400 / 3000)
@@ -428,8 +577,7 @@ class TestAirFlowsMatchLists:
     def check(nodes, airports, table, planar=True):
         netm = build_network(nodes, airports, table, D=1.0, alpha=0.11, planar=planar)
         nearest, _ = assign_airports(nodes, airports, planar=planar)
-        want_cell, want_g = air_factors_dict(np.sort([a.id for a in airports])[nearest],
-                                             table.entries)
+        want_cell, want_g = air_factors_dict(np.sort(airports.ids)[nearest], table.entries)
         for got, want in ((netm.cell, want_cell), (netm.g, want_g)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
         pop = populations(nodes)
@@ -451,10 +599,10 @@ class TestAirFlowsMatchLists:
             self.check(nodes, airports, air_table(airports, entries))
 
     def test_entries_naming_airports_without_nodes(self):
-        nodes = [planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6)]
+        nodes = nodes_of(planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6))
         # airport 2 lies far away and gets no nodes
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
-                    AirportRecord(2, 5000, 5000)]
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
+                                AirportRecord(2, 5000, 5000)])
         table = air_table(airports, {(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
                                      (2, 1): 7.0})
         cell, g = self.check(nodes, airports, table)
@@ -462,8 +610,8 @@ class TestAirFlowsMatchLists:
         assert g.tolist() == [[0.0, 30.0], [20.0, 0.0]]
 
     def test_single_airport_empty_table(self):
-        nodes = [planar_node(i, 30.0 * i, 0, 500.0) for i in range(4)]
-        airports = [AirportRecord(3, 0, 0)]
+        nodes = nodes_of(planar_node(i, 30.0 * i, 0, 500.0) for i in range(4))
+        airports = airports_of([AirportRecord(3, 0, 0)])
         self.check(nodes, airports, air_table(airports))
 
     def test_one_node_world(self):
@@ -472,13 +620,13 @@ class TestAirFlowsMatchLists:
 
     def test_great_circle_coordinates(self):
         rng = np.random.default_rng(43)
-        nodes = [NodeRecord(i, float(rng.uniform(-60, 60)),
-                            float(rng.uniform(-180, 180)),
-                            float(rng.uniform(1e3, 1e5)), int(i % 3))
-                 for i in range(120)]
-        airports = [AirportRecord(a, float(rng.uniform(-60, 60)),
-                                  float(rng.uniform(-180, 180)))
-                    for a in range(8)]
+        nodes = nodes_of(NodeRecord(i, float(rng.uniform(-60, 60)),
+                                    float(rng.uniform(-180, 180)),
+                                    float(rng.uniform(1e3, 1e5)), int(i % 3))
+                         for i in range(120))
+        airports = airports_of(AirportRecord(a, float(rng.uniform(-60, 60)),
+                                             float(rng.uniform(-180, 180)))
+                               for a in range(8))
         table = air_table(airports, {(a, b): float(rng.uniform(10, 1000))
                                      for a in range(8) for b in range(8)
                                      if a != b and rng.random() < 0.6})
@@ -490,9 +638,9 @@ class TestAirFlowsMatchLists:
         ids = rng.choice(1000, 13, replace=False)
         # the airport of the middle id lies far away and gets no nodes
         far = int(np.sort(ids)[6])
-        airports = [AirportRecord(int(a), 1e6, 1e6) if a == far else
-                    AirportRecord(int(a), float(rng.uniform(0, 1000)),
-                                  float(rng.uniform(0, 1000))) for a in ids]
+        airports = airports_of(AirportRecord(int(a), 1e6, 1e6) if a == far else
+                               AirportRecord(int(a), float(rng.uniform(0, 1000)),
+                                             float(rng.uniform(0, 1000))) for a in ids)
         table = air_table(airports, {(int(a), int(b)): float(rng.uniform(10, 1000))
                                      for a in ids for b in ids
                                      if a != b and rng.random() < 0.7})
@@ -547,8 +695,8 @@ class TestAirFlowTable:
                 AirFlowTable(ids, g)
 
     def test_build_network_needs_the_airports_ids(self):
-        nodes = [planar_node(0, 0, 0, 100)]
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50)]
+        nodes = nodes_of([planar_node(0, 0, 0, 100)])
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 50)])
         with pytest.raises(ValueError, match="airports' ids"):
             build_network(nodes, airports, AirFlowTable([0, 2], np.zeros((2, 2))),
                           D=1.0, alpha=0.11, planar=True)
@@ -557,7 +705,7 @@ class TestAirFlowTable:
     def read(tmp_path, rows, ids=(0, 3, 7)):
         path = tmp_path / "flows.csv"
         path.write_text("origin,destination,flow\n" + "".join(r + "\n" for r in rows))
-        return net.read_air_flows(path, [AirportRecord(a, 0.0, 0.0) for a in ids])
+        return net.read_air_flows(path, airports_of(AirportRecord(a, 0.0, 0.0) for a in ids))
 
     def test_repeated_rows_add_in_file_order(self, tmp_path):
         table = self.read(tmp_path, ["7,0,0.1", "3,7,2.5", "7,0,0.2", "7,0,0.3",
@@ -613,25 +761,25 @@ class TestFactoredProducts:
             self.check(build_synth_net(seed=seed, n=n, k=4), seed)
 
     def test_single_airport_no_air(self):
-        nodes = [planar_node(i, 30.0 * i, 0, 500.0 + i) for i in range(5)]
-        airports = [AirportRecord(3, 0, 0)]
+        nodes = nodes_of(planar_node(i, 30.0 * i, 0, 500.0 + i) for i in range(5))
+        airports = airports_of([AirportRecord(3, 0, 0)])
         netm = build_network(nodes, airports, air_table(airports),
                              D=40, alpha=0.11, planar=True)
         assert netm.g.shape == (1, 1) and netm.air.nnz == 0
         self.check(netm)
 
     def test_airport_without_nodes(self):
-        nodes = [planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6)]
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
-                    AirportRecord(2, 5000, 5000)]
+        nodes = nodes_of(planar_node(i, 10.0 * i, 0, 100.0 + i) for i in range(6))
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 50),
+                                AirportRecord(2, 5000, 5000)])
         table = air_table(airports, {(0, 1): 30.0, (1, 0): 20.0, (0, 2): 5.0,
                                      (2, 1): 7.0})
         self.check(build_network(nodes, airports, table, D=15, alpha=0.11, planar=True))
 
     def test_nodes_with_zero_outflow(self):
         # no ground range; airport 1 sends nothing, so its nodes have no outflow
-        nodes = [planar_node(i, 100.0 * i, 0, 100.0 + i) for i in range(6)]
-        airports = [AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)]
+        nodes = nodes_of(planar_node(i, 100.0 * i, 0, 100.0 + i) for i in range(6))
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)])
         netm = build_network(nodes, airports, air_table(airports, {(0, 1): 40.0}),
                              D=1, alpha=0.11, planar=True)
         assert netm.rate_row_sum.tolist() == [1, 1, 1, 0, 0, 0]
@@ -644,13 +792,13 @@ class TestFactoredProducts:
 
     def test_great_circle_coordinates(self):
         rng = np.random.default_rng(64)
-        nodes = [NodeRecord(i, float(rng.uniform(-60, 60)),
-                            float(rng.uniform(-180, 180)),
-                            float(rng.uniform(1e3, 1e5)), int(i % 3))
-                 for i in range(150)]
-        airports = [AirportRecord(a, float(rng.uniform(-60, 60)),
-                                  float(rng.uniform(-180, 180)))
-                    for a in range(9)]
+        nodes = nodes_of(NodeRecord(i, float(rng.uniform(-60, 60)),
+                                    float(rng.uniform(-180, 180)),
+                                    float(rng.uniform(1e3, 1e5)), int(i % 3))
+                         for i in range(150))
+        airports = airports_of(AirportRecord(a, float(rng.uniform(-60, 60)),
+                                             float(rng.uniform(-180, 180)))
+                               for a in range(9))
         table = air_table(airports, {(a, b): float(rng.uniform(10, 1000))
                                      for a in range(9) for b in range(9)
                                      if a != b and rng.random() < 0.6})
@@ -720,7 +868,7 @@ class TestNetworkInvariants:
 
     def test_flows_within_neighborhoods(self):
         nodes, airports, table = synth_world(100, 3, seed=13)
-        nbrs = net.ground_neighborhoods(nodes, 100, planar=True)
+        nbrs = neighbour_lists(net.ground_neighborhoods(nodes, 100, planar=True))
         air = explicit_air(nodes, airports, table)
         netm = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
         coo = netm.flows.tocoo()
@@ -730,7 +878,7 @@ class TestNetworkInvariants:
 
     def test_neighborhoods_are_ground_air_union(self):
         nodes, airports, table = synth_world(80, 2, seed=14)
-        nbrs = net.ground_neighborhoods(nodes, 100, planar=True)
+        nbrs = neighbour_lists(net.ground_neighborhoods(nodes, 100, planar=True))
         air = explicit_air(nodes, airports, table)
         netm = net.build_network(nodes, airports, table, D=100, alpha=0.11,
                                  planar=True)
@@ -751,7 +899,7 @@ class TestSynthWorld:
     def test_deterministic(self):
         w1 = synth_world(50, 4, seed=9)
         w2 = synth_world(50, 4, seed=9)
-        assert w1[0] == w2[0]
+        assert list(w1[0]) == list(w2[0])
         assert [(a.id, a.lat, a.lon) for a in w1[1]] == \
                [(a.id, a.lat, a.lon) for a in w2[1]]
         assert w1[2].entries == w2[2].entries
@@ -797,13 +945,13 @@ class TestFileRoundTrips:
         nodes, airports, table = synth_world(20, 2, seed=3)
         net.write_nodes(nodes, tmp_path / "nodes.csv")
         back = net.read_nodes(tmp_path / "nodes.csv")
-        assert back == nodes
+        assert list(back) == list(nodes)
 
     def test_airports_and_flows(self, tmp_path):
         _, airports, table = synth_world(40, 2, seed=3)
         net.write_airports(airports, tmp_path / "airports.csv")
         net.write_air_flows(table, tmp_path / "flows.csv")
-        assert net.read_airports(tmp_path / "airports.csv") == airports
+        assert list(net.read_airports(tmp_path / "airports.csv")) == list(airports)
         back = net.read_air_flows(tmp_path / "flows.csv", airports)
         assert back.ids.tolist() == table.ids.tolist()
         assert back.g.tobytes() == table.g.tobytes()
@@ -846,6 +994,38 @@ class TestFileRoundTrips:
             (tmp_path / "ref_edges.csv").read_bytes()
         assert (tmp_path / "rho.txt").read_bytes() == \
             (tmp_path / "ref_rho.txt").read_bytes()
+
+
+    @pytest.mark.parametrize("planar,commute,density", [(False, 0.11, 0.05),
+                                                        (True, 1e-320, 0.004)])
+    def test_network_export_on_great_circle_and_subnormal_worlds(self, tmp_path, planar,
+                                                                   commute, density):
+        # great-circle distances, with air flows; and one airport with ground
+        # flows of about 1e-320, whose rows of rates are divided by a
+        # subnormal outflow
+        nodes, airports, table = synth_world(150, 2, seed=7, grid_spacing_km=0.5,
+                                             airport_density=density)
+        netm = build_network(nodes, airports, table, D=200, alpha=commute, planar=planar)
+        with np.errstate(over="ignore"):
+            subnormal = np.isinf(1.0 / netm.outflow[netm.outflow > 0]).any()
+        assert netm.ground.nnz and (subnormal if commute < 1e-300 else netm.air.nnz)
+        net.export_network(netm, tmp_path / "edges.csv", tmp_path / "rho.txt")
+        export_network_per_edge(netm, tmp_path / "ref_edges.csv", tmp_path / "ref_rho.txt")
+        assert (tmp_path / "edges.csv").read_bytes() == \
+            (tmp_path / "ref_edges.csv").read_bytes()
+
+
+def test_build_does_not_import_scipy_spatial():
+    # scipy.spatial alone adds about 14 MiB to the resident set
+    code = ("import sys, vaxalloc; "
+            "vaxalloc.build_instance(vaxalloc.ScenarioConfig(n_nodes=300, n_agents=3)); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    src = str(Path(vaxalloc.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # bit patterns a value-keyed dedupe would merge or mishandle: both zeros,

@@ -1,12 +1,13 @@
 """Worlds for tests: a FlowMatrix built straight from random ground flows and
-random airport-level factors, and air tables written as dicts."""
+random airport-level factors, node and airport tables written as rows, air
+tables written as dicts, and neighbourhoods as lists."""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from vaxalloc.net import AirFlowTable, FlowMatrix
+from vaxalloc.net import AirFlowTable, Airports, FlowMatrix, Nodes
 
 
 def random_airport_net(rng, n, ground_density=0.5, rho=None):
@@ -37,3 +38,29 @@ def air_table(airports, entries=()):
     for (a, b), flow in dict(entries).items():
         g[pos[a], pos[b]] = flow
     return AirFlowTable(ids, g)
+
+
+def nodes_of(records):
+    """The Nodes table of NodeRecord rows, whose ids must be 0..n-1 in order."""
+    records = list(records)
+    assert [nd.id for nd in records] == list(range(len(records)))
+    return Nodes(*([getattr(nd, name) for nd in records]
+                   for name in ("lat", "lon", "population", "agent_id")))
+
+
+def airports_of(records):
+    """The Airports table of AirportRecord rows, in their order."""
+    records = list(records)
+    return Airports(*([getattr(a, name) for a in records] for name in ("id", "lat", "lon")))
+
+
+def neighbour_lists(neighborhoods):
+    """Each node's neighbours, from the CSR arrays ground_neighborhoods returns."""
+    indptr, indices = neighborhoods
+    return np.split(indices, indptr[1:-1])
+
+
+def neighbour_csr(lists):
+    """The CSR arrays of a list of neighbour index arrays."""
+    indptr = np.cumsum([0] + [len(nbr) for nbr in lists])
+    return indptr, np.concatenate([np.empty(0, dtype=np.intp), *lists])
