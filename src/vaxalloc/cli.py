@@ -9,7 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import harness, net
@@ -25,7 +28,6 @@ _NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigm
 
 def _cmd_build_net(args) -> int:
     cfg = ScenarioConfig(**{name: getattr(args, name) for name in _NET_FIELDS})
-    harness.check_out_dir(args.out, args.overwrite)
     if args.synthetic:
         nodes, airports, table = net.synth_world(
             cfg.n_nodes, cfg.n_agents, grid_spacing_km=cfg.grid_spacing_km,
@@ -51,11 +53,26 @@ def _cmd_build_net(args) -> int:
             net.write_air_flows(table, out / "airflows.csv")
         net.export_network(network, out / "edges.csv", out / "rho.txt")
 
-    # written only now, and whole or not at all
-    harness.write_directory(args.out, write, args.overwrite)
+    # written only now, each file whole or not at all
+    _write_files(Path(args.out), write)
     print(f"network: {network.n} nodes, {network.flows.nnz} edges, "
           f"rho={network.rho:.6g}")
     return 0
+
+
+def _write_files(out: Path, write) -> None:
+    """Call ``write`` on a temporary sibling directory of ``out``, then move
+    each file it wrote into ``out``, made if absent. A failed write leaves
+    ``out`` as it was; files of ``out`` that ``write`` does not make stay."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        write(work)
+        out.mkdir(exist_ok=True)
+        for path in sorted(work.iterdir()):
+            os.replace(path, out / path.name)
+    finally:
+        shutil.rmtree(work)
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -132,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--planar", action="store_true",
                    help="treat coordinates as planar km instead of degrees")
     b.add_argument("--out", required=True)
-    b.add_argument("--overwrite", action="store_true")
     b.set_defaults(func=_cmd_build_net)
 
     s = sub.add_parser("simulate", help="run one scenario")

@@ -3,6 +3,7 @@ gain metrics against the population baseline, replication, and run export."""
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import itertools
 import json
@@ -310,25 +311,16 @@ def export(result: RunResult, directory, overwrite: bool = False) -> None:
     """Write the run to a directory: a manifest, CSV tables and the four
     (T, n) traces as .npy files.
 
-    Refuses to touch a non-empty directory unless ``overwrite`` is set, and
-    writes as ``write_directory`` does.
-    """
-    write_directory(directory, lambda new: _write_run(result, new), overwrite)
-
-
-def write_directory(directory, write, overwrite: bool = False) -> None:
-    """Call ``write`` on a new directory and put it in place of
-    ``directory``, which must be absent or empty unless ``overwrite``.
-
-    The new directory is a temporary sibling, renamed into place once
-    ``write`` returns, so a failed write leaves the target as it was.
+    Refuses to touch a non-empty directory unless ``overwrite`` is set. The
+    files go to a temporary sibling directory, renamed into place once
+    complete, so a failed export leaves the target as it was.
     """
     directory = check_out_dir(directory, overwrite)
     directory.parent.mkdir(parents=True, exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
     try:
         (work / "new").mkdir()
-        write(work / "new")
+        _write_run(result, work / "new")
         if directory.exists():
             os.replace(directory, work / "old")
         try:
@@ -572,7 +564,11 @@ def import_result(directory) -> RunResult:
 
 
 def export_gains(report: GainReport, path) -> None:
-    _write_table(path, ["region", "cumulative_gain_pct", "last_period_gain_pct"], [
-        ["world", repr(report.world_cumulative_pct), repr(report.world_last_period_pct)],
-        *([a, repr(c), repr(p)] for a, (c, p) in enumerate(zip(
-            report.cumulative_pct.tolist(), report.last_period_pct.tolist())))])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["region", "cumulative_gain_pct", "last_period_gain_pct"])
+        w.writerow(["world", repr(report.world_cumulative_pct),
+                    repr(report.world_last_period_pct)])
+        for a in range(report.cumulative_pct.shape[0]):
+            w.writerow([a, repr(float(report.cumulative_pct[a])),
+                        repr(float(report.last_period_pct[a]))])

@@ -391,8 +391,8 @@ def assign_airports(nodes: Nodes, airports: Airports,
     node with the airports in its own and the adjacent cells. Every other
     airport is farther than the cell side, so the best candidate by
     ``pair_distances`` (the lowest id of equals) is the answer when nearer
-    than the side, less a rounding slack. The other nodes try grids of two
-    and four times the side; what is left is compared with every airport.
+    than the side, less a rounding slack. The other nodes are compared with
+    every airport.
     """
     m = len(airports)
     if not m:
@@ -404,28 +404,26 @@ def assign_airports(nodes: Nodes, airports: Airports,
     nearest = np.full(n, -1, dtype=np.intp)
     points, sites = _grid_points(nlat, nlon, planar), _grid_points(alat, alon, planar)
     side = _extent(points, sites) / math.ceil(math.sqrt(m))
-    slack = 0.0 if planar else _point_slack(nlat, nlon, alat, alon)
-    rest = np.arange(n)
     # about 9 candidates a node on a uniform world; a world so clustered that
     # it would need far more, or so small that a scan needs no more, is scanned
     cap = 16 * (n + m)
-    for _ in range(3 if side > 0 and n * m > cap else 0):
-        pairs = _close_pairs(tuple(c[rest] for c in points), sites, side, cap)
-        if pairs is None:
-            break
-        i, j = pairs  # i indexes rest
-        d = pair_distances(nlat[rest[i]], nlon[rest[i]], alat[j], alon[j], planar=planar)
-        best, first = np.full(rest.size, np.inf), np.full(rest.size, m)
+    pairs = _close_pairs(points, sites, side, cap) if side > 0 and n * m > cap else None
+    rest = np.arange(n)
+    if pairs is not None:
+        i, j = pairs
+        d = pair_distances(nlat[i], nlon[i], alat[j], alon[j], planar=planar)
+        best, first = np.full(n, np.inf), np.full(n, m)
         np.minimum.at(best, i, d)
         tie = d == best[i]
         np.minimum.at(first, i[tie], j[tie])
         # how near an answer must be to be sure, in grid units, then in km
+        slack = 0.0 if planar else _point_slack(nlat, nlon, alat, alon)
         reach = (side - slack) / (1.0 + 1e-6)
         if not planar:  # a chord
             reach = 2.0 * EARTH_RADIUS_KM * math.asin(min(max(reach, 0.0) / 2.0, 1.0))
         done = best < reach
-        nearest[rest[done]] = first[done]
-        rest, side = rest[~done], 2.0 * side
+        nearest[done] = first[done]
+        rest = np.flatnonzero(~done)
     step = max(1, _BLOCK // m)
     for lo in range(0, len(rest), step):
         rows = rest[lo:lo + step]
@@ -547,8 +545,11 @@ def _read_columns(path, types: dict) -> list[np.ndarray]:
     """The named columns of a CSV file with a header, each field converted
     by the column's type; blank lines are skipped. Every fault raises
     ValueError naming the file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     missing = [c for c in types if c not in header]
     if missing:
         raise ValueError(f"{path}: header lacks column {', '.join(missing)}")

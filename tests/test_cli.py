@@ -77,6 +77,8 @@ BAD_NET_INPUTS = {
         p, lambda ls: ls.__setitem__(3, ls[3].rsplit(",", 1)[0]))),
     "flights row without flow": ("airflows.csv",
                                  lambda p: _edit_lines(p, lambda ls: ls.insert(2, "0,1"))),
+    "node file not UTF-8": ("nodes.csv", lambda p: p.write_bytes(
+        p.read_bytes().replace(b"\n1,", b"\n\xff1,", 1))),
 }
 
 
@@ -109,7 +111,7 @@ def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if case.startswith("flight"):
+    if case.startswith("flight") or case.endswith("UTF-8"):
         assert name in err
     if case in ROW_MESSAGES:
         assert err == f"error: {ROW_MESSAGES[case]}\n"
@@ -133,18 +135,32 @@ def test_build_net_failed_write_leaves_out_as_it_was(tmp_path, capsys, monkeypat
     assert main(args + [str(out)]) == 0
     before = {f.name: f.read_bytes() for f in out.iterdir()}
     monkeypatch.setattr(net, "export_network", half_written)
-    assert main(args + [str(out), "--overwrite", "--seed", "3"]) == 1
+    assert main(args + [str(out), "--seed", "3"]) == 1
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
     assert [f.name for f in tmp_path.iterdir()] == ["net"]
 
 
-def test_build_net_overwrite_guard(tmp_path, capsys):
-    args = ["build-net", "--synthetic", "--n-nodes", "40", "--n-agents", "2",
-            "--out", str(tmp_path / "net")]
-    assert main(args) == 0
-    assert main(args + ["--seed", "4"]) == 1
-    assert "overwrite" in capsys.readouterr().err
-    assert main(args + ["--seed", "4", "--overwrite"]) == 0
+def test_build_net_rewrites_its_own_files(tmp_path):
+    # a second build into one --out replaces the files it writes, and the
+    # network built from the input files kept there leaves them be
+    out = tmp_path / "net"
+    synthetic = ["build-net", "--synthetic", "--n-nodes", "40", "--n-agents", "2",
+                 "--out", str(out)]
+    assert main(synthetic) == 0
+    first = {f.name: f.read_bytes() for f in out.iterdir()}
+    (out / "notes.txt").write_text("kept")
+    assert main(synthetic + ["--seed", "4"]) == 0
+    second = {f.name: f.read_bytes() for f in out.iterdir()}
+    assert second.pop("notes.txt") == b"kept"
+    assert second.keys() == first.keys() and second != first
+    from_files = ["build-net", "--nodes", str(out / "nodes.csv"),
+                  "--airports", str(out / "airports.csv"),
+                  "--flights", str(out / "airflows.csv"), "--planar", "--out", str(out)]
+    for _ in range(2):
+        assert main(from_files) == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == {
+            **second, "notes.txt": b"kept"}
+    assert [f.name for f in tmp_path.iterdir()] == ["net"]
 
 
 def test_build_net_defaults_follow_scenario_config():

@@ -430,7 +430,8 @@ class TestAssignAirportsMatchesRowBlocks:
         site = airports[0]
         airports[:3] = [AirportRecord(aid, site.lat, site.lon) for aid in (40, 7, 19)]
         airports = airports_of(airports)
-        assert self.scanned_rows(monkeypatch, nodes, airports, planar) < 60
+        # most nodes are decided on the grid, where the tie is broken
+        assert self.scanned_rows(monkeypatch, nodes, airports, planar) < 120
         by_id = np.sort(airports.ids)
         got = set(by_id[self.check(nodes, airports, planar=planar)].tolist())
         assert 7 in got and not {19, 40} & got
@@ -477,11 +478,10 @@ class TestAssignAirportsMatchesRowBlocks:
         nodes, airports, _ = synth_world(200, 3, seed=100)
         assert self.scanned_rows(monkeypatch, nodes, airports) == 200
 
-    def test_uniform_world_needs_no_scan(self, monkeypatch):
-        # about 1 node in 25 has no airport within the first grid's side, and
-        # all of them one within twice that side
+    def test_uniform_world_scans_few(self, monkeypatch):
+        # about 1 node in 14 has no airport within the grid's side
         nodes, airports, _ = synth_world(3000, 3, seed=100)
-        assert self.scanned_rows(monkeypatch, nodes, airports) == 0
+        assert self.scanned_rows(monkeypatch, nodes, airports) < 300
 
     def test_all_points_on_one_site(self, monkeypatch):
         # no span at all: no grid
