@@ -24,9 +24,8 @@ from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
 from .net import _reprs, _write_table
-from .policy import (AllocationProblem, PolicyState, loss_coefficients, own_inflow,
-                     pb_allocate, solve_knapsack, spill_order, update_bounds,
-                     window_width)
+from .policy import (PolicyState, loss_coefficients, pb_allocate, solve_knapsack,
+                     spill_order, update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
@@ -127,14 +126,21 @@ def run_instance(inst: Instance) -> RunResult:
     agent_nodes = [np.flatnonzero(inst.agent_of == a) for a in range(k)]
     agent_costs = [inst.costs[idx] for idx in agent_nodes]
     knapsack = pol_name in ("ts", "gy", "ma")
-    inflow = own_inflow(net, agent_nodes) if knapsack else None
+    b_conf = inst.base_budgets
+    b_eff = b_conf.copy()
+    # the knapsack and the sharing trust these static inputs in every
+    # period, so they are checked once, written so that NaN fails
+    if not (np.all(inst.costs > 0) and np.all(inst.capacities > 0)
+            and np.all(b_conf >= 0)):
+        raise ValueError("costs and capacities must be positive, budgets nonnegative")
+    coupling = (shmod.AgentCoupling(net, inst.agent_of, k)
+                if knapsack or cfg.sharing else None)
+    inflow = coupling.c[np.arange(n), inst.agent_of] if knapsack else None
     spill = [spill_order(c) for c in agent_costs] if pol_name == "pb" else None
     key = _totals_key(inst.agent_of)
 
     pol = PolicyState(n=n, horizon=horizon,
                       window=window_width(inst.populations, net, horizon))
-    b_conf = inst.base_budgets
-    b_eff = b_conf.copy()
 
     global_totals = np.zeros((horizon + 1, 4))
     agent_totals = np.zeros((horizon + 1, k, 4))
@@ -174,9 +180,8 @@ def run_instance(inst: Instance) -> RunResult:
                 idx = agent_nodes[a]
                 losses = loss_coefficients(state, inst.params, net, idx, theta_hat,
                                            inflow)
-                prob = AllocationProblem(losses=losses, costs=agent_costs[a],
-                                         budget=float(b_eff[a]), bounds=bounds[idx])
-                x[idx] = solve_knapsack(prob)
+                x[idx] = solve_knapsack(losses, agent_costs[a], float(b_eff[a]),
+                                        bounds[idx], checked=True)
         elif pol_name == "pb":
             for a in range(k):
                 idx = agent_nodes[a]
@@ -190,7 +195,7 @@ def run_instance(inst: Instance) -> RunResult:
 
         if cfg.sharing:
             plan = shmod.plan_sharing(new_state, inst.params, net, inst.agent_of,
-                                      b_conf, inst.capacities)
+                                      b_conf, inst.capacities, coupling, checked=True)
             ratios_tr[row] = plan.ratios
             b_eff = plan.budgets_out
 

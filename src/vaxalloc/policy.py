@@ -76,20 +76,6 @@ class AllocationProblem:
             raise ValueError("bounds must be in [0, 1]")
 
 
-def own_inflow(net: FlowMatrix, agent_nodes) -> np.ndarray:
-    """Per node i of agent k, the rate flowing into i from k's own rows:
-    sum over j in V_k of p_ji. ``agent_nodes`` holds one index array per
-    agent."""
-    own = np.zeros((net.n, len(agent_nodes)))
-    for a, idx in enumerate(agent_nodes):
-        own[idx, a] = 1.0
-    col_in = net.rates_t_dot(own)
-    out = np.zeros(net.n)
-    for a, idx in enumerate(agent_nodes):
-        out[idx] = col_in[idx, a]
-    return out
-
-
 def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatrix,
                       agent_nodes: np.ndarray, theta_hat: np.ndarray,
                       inflow: np.ndarray) -> np.ndarray:
@@ -98,7 +84,8 @@ def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatri
 
     l_i = theta_i * S_i * (-(1 - beta_i I_i) + rho * sum_j p_ij
           - rho * sum over same-agent rows j with i in N_j of p_ji),
-    where the last sum is ``inflow`` (see ``own_inflow``).
+    where the last sum is ``inflow``: c[i, agent of i] for the run's
+    ``sharing.AgentCoupling``.
     """
     agent_nodes = np.asarray(agent_nodes, dtype=int)
     s = state.s[agent_nodes]
@@ -122,23 +109,30 @@ def _full_takes(remaining: float, caps: np.ndarray, costs: np.ndarray,
     return (int(np.argmin(full)) if not full.all() else full.size), remains
 
 
-def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
+def solve_knapsack(losses: np.ndarray, costs: np.ndarray, budget: float,
+                   bounds: np.ndarray, *, checked: bool = False) -> np.ndarray:
     """Greedy fractional knapsack: fund nodes by increasing loss-to-cost ratio
     (ties broken by ascending index) while the loss is negative and budget
     remains; the last funded node gets the fractional remainder. Takes and
     remainders within ``DUST`` are not funded.
 
+    Unless ``checked``, the inputs are checked as ``AllocationProblem``
+    checks them; a run checks its static costs once instead.
+
     Every full take is made at once (``_full_takes``); the loop runs only
     from the first fractional take or the first take that ends the spend."""
-    l, c, ub = problem.losses, problem.costs, problem.bounds
+    l, c, ub = losses, costs, bounds
+    if not checked:
+        prob = AllocationProblem(l, c, budget, ub)
+        l, c, ub = prob.losses, prob.costs, prob.bounds
     x = np.zeros(l.shape[0])
     # a bound within DUST is never funded, whatever budget remains
     candidates = np.flatnonzero((l < 0) & (ub > DUST))
-    if candidates.size == 0 or problem.budget <= 0:
+    if candidates.size == 0 or budget <= 0:
         return x
     order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
-    floor = DUST * problem.budget
-    k, remains = _full_takes(float(problem.budget), ub[order], c[order], floor)
+    floor = DUST * budget
+    k, remains = _full_takes(float(budget), ub[order], c[order], floor)
     x[order[:k]] = ub[order[:k]]
     remaining = remains[k]
     for idx in order[k:]:

@@ -23,70 +23,71 @@ class SharingPlan:
     budgets_out: np.ndarray       # per-agent effective budgets
 
 
-def agent_inflows(state: CompartmentState, net: FlowMatrix, agent_of: np.ndarray,
-                  n_agents: int) -> np.ndarray:
-    """Y = rates @ [Z * I, (1 - Z) * I], Z the n x K agent membership mask:
-    Y[i, k] sums p_ij I_j over j in V_k, and Y[i, K + k] over j outside V_k."""
-    own = np.asarray(agent_of)[:, None] == np.arange(n_agents)
-    return net.rates_dot(state.i[:, None] * np.hstack((own, ~own)))
+class AgentCoupling:
+    """The static part of the sharing split, built once per run: ``c`` =
+    rates.T @ Z for the n x K agent mask Z (c[j, k] sums p_ij over i in V_k,
+    the rate at which node j's infections reach agent k's nodes), and
+    ``key``, the (agent of j, k) bin of each entry of ``c`` in C order."""
+
+    def __init__(self, net: FlowMatrix, agent_of: np.ndarray, n_agents: int):
+        agent_of = np.asarray(agent_of)
+        self.c = net.rates_t_dot(agent_of[:, None] == np.arange(n_agents))
+        self.key = (agent_of[:, None] * n_agents + np.arange(n_agents)).ravel()
 
 
-def infection_split(state: CompartmentState, params: EpiParams, net: FlowMatrix,
-                    agent_of: np.ndarray,
-                    inflows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each node's next-period infection pressure from its own agent
-    (internal) and from other agents (external), read from ``agent_inflows``."""
-    k = inflows.shape[1] // 2
-    rows = np.arange(net.n)
+def infected_flow_matrix(state: CompartmentState, net: FlowMatrix,
+                         coupling: AgentCoupling) -> np.ndarray:
+    """into[k', k] = rho * sum over j in V_k' of I_j c[j, k], added in node
+    order: the infected flow from agent k' into agent k's nodes, the
+    diagonal being each agent's flow into its own nodes."""
+    k = coupling.c.shape[1]
+    into = np.bincount(coupling.key, weights=(state.i[:, None] * coupling.c).ravel(),
+                       minlength=k * k)
+    return net.rho * into.reshape(k, k)
+
+
+def infection_split(state: CompartmentState, params: EpiParams, agent_of: np.ndarray,
+                    into: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each agent's next-period infection pressure from its own nodes (the
+    local terms I + beta S I - gamma I and the diagonal of ``into``) and from
+    other agents (the off-diagonal column sums of ``into``, added directly so
+    that a cross-agent flow far below the internal one keeps its digits)."""
+    k = into.shape[0]
     inf = state.i
-    internal = (inf + params.beta * state.s * inf - params.gamma * inf
-                + net.rho * inflows[rows, agent_of])
-    external = net.rho * inflows[rows, k + agent_of]
-    return internal, external
+    local = np.bincount(agent_of, weights=inf + params.beta * state.s * inf
+                        - params.gamma * inf, minlength=k)
+    return local + np.diag(into), into.sum(axis=0, where=~np.eye(k, dtype=bool))
 
 
-def sharing_ratios(internal: np.ndarray, external: np.ndarray, agent_of: np.ndarray,
-                   n_agents: int) -> np.ndarray:
-    """Per-agent external / (internal + external) infection ratio from the
-    per-node split; defined as 0 when an agent has no infections at all."""
-    agent_of = np.asarray(agent_of, dtype=int)
-    internal = np.bincount(agent_of, weights=internal, minlength=n_agents)
-    external = np.bincount(agent_of, weights=external, minlength=n_agents)
+def sharing_ratios(internal: np.ndarray, external: np.ndarray) -> np.ndarray:
+    """Per-agent external / (internal + external) infection ratio; defined
+    as 0 when an agent has no infections at all."""
+    internal, external = (np.asarray(v, dtype=float) for v in (internal, external))
     total = internal + external
     return np.where(total > 0, external / np.where(total > 0, total, 1.0), 0.0)
 
 
-def infected_flow_matrix(net: FlowMatrix, agent_of: np.ndarray,
-                         inflows: np.ndarray) -> np.ndarray:
-    """M[k', k] = rho * sum over i in V_k, j in N_i with owner k' of
-    p_ij * I_j, from the per-agent column sums of ``agent_inflows``; those
-    include same-agent flow, so the diagonal is set to zero explicitly."""
-    k = inflows.shape[1] // 2
-    # into[k, k']: agent k' infections reaching V_k; bincount adds in node
-    # order, as np.add.at does, so the sums are the same
-    into = np.stack([np.bincount(agent_of, weights=col, minlength=k)
-                     for col in inflows[:, :k].T], axis=1)
-    mat = net.rho * into.T
-    np.fill_diagonal(mat, 0.0)
-    return mat
-
-
-def redistribute(budgets: np.ndarray, ratios: np.ndarray,
-                 infected_flows: np.ndarray, capacities: np.ndarray) -> np.ndarray:
+def redistribute(budgets: np.ndarray, ratios: np.ndarray, infected_flows: np.ndarray,
+                 capacities: np.ndarray, *, checked: bool = False) -> np.ndarray:
     """Effective budgets after sharing.
 
     Agent k keeps (1 - R_k) B_k; the offered R_k B_k is split among agents
     k'' proportionally to infected_flows[k'', k] / capacity[k'']. An offer
     with no incoming infected flow anywhere is retained by its owner, which
     keeps the total exactly conserved in degenerate cases.
+
+    A negative or NaN budget, or a capacity that is not positive, raises
+    ValueError, unless ``checked`` says the caller checked them (a run does
+    so once).
     """
-    budgets = np.asarray(budgets, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    capacities = np.asarray(capacities, dtype=float)
-    if np.any(capacities <= 0):
-        raise ValueError("capacities must be positive")
-    if np.any(budgets < 0):
-        raise ValueError("budgets must be nonnegative")
+    budgets, ratios, capacities = (np.asarray(v, dtype=float)
+                                   for v in (budgets, ratios, capacities))
+    if not checked:
+        # written so that NaN fails each check
+        if not np.all(capacities > 0):
+            raise ValueError("capacities must be positive")
+        if not np.all(budgets >= 0):
+            raise ValueError("budgets must be nonnegative")
     offered = budgets * ratios
     weights = infected_flows / capacities[:, None]  # [receiver, offerer]
     denom = weights.sum(axis=0)
@@ -100,13 +101,13 @@ def redistribute(budgets: np.ndarray, ratios: np.ndarray,
 
 
 def plan_sharing(state: CompartmentState, params: EpiParams, net: FlowMatrix,
-                 agent_of: np.ndarray, budgets: np.ndarray,
-                 capacities: np.ndarray) -> SharingPlan:
-    """Full sharing computation for one period from a state snapshot."""
-    k = len(budgets)
-    inflows = agent_inflows(state, net, agent_of, k)
-    internal, external = infection_split(state, params, net, agent_of, inflows)
-    ratios = sharing_ratios(internal, external, agent_of, k)
-    flows = infected_flow_matrix(net, agent_of, inflows)
-    budgets_out = redistribute(budgets, ratios, flows, capacities)
-    return SharingPlan(ratios=ratios, infected_flows=flows, budgets_out=budgets_out)
+                 agent_of: np.ndarray, budgets: np.ndarray, capacities: np.ndarray,
+                 coupling: AgentCoupling, *, checked: bool = False) -> SharingPlan:
+    """Full sharing computation for one period from a state snapshot;
+    ``checked`` is passed to ``redistribute``."""
+    into = infected_flow_matrix(state, net, coupling)
+    internal, external = infection_split(state, params, agent_of, into)
+    ratios = sharing_ratios(internal, external)
+    np.fill_diagonal(into, 0.0)  # only flows between agents are shared
+    budgets_out = redistribute(budgets, ratios, into, capacities, checked=checked)
+    return SharingPlan(ratios=ratios, infected_flows=into, budgets_out=budgets_out)

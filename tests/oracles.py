@@ -114,12 +114,20 @@ def nearest_airport_blocks(nodes, airports, planar=False, block=1 << 18):
 
 
 # ---------------------------------------------------------------------------
-# explicit per-period paths that the one-product sharing split and the static
-# own-agent inflow replaced. They read the explicit rates, which the factored
-# products stand for; both add in another order, so the split and the
-# infected-flow matrix match infection_split_add_at and
-# infected_flow_matrix_add_at to a few ulps, and the loss coefficients
-# match loss_coefficients_per_call to a few ulps.
+# explicit paths for the sharing split and the own-agent inflow. The _add_at
+# paths and loss_coefficients_per_call read the explicit rates, which the
+# factored products stand for; agent_inflows_split is the 2K-column rates
+# product per period that the static agent coupling replaced, and own_inflow
+# the own-agent inflow as a run built it before the coupling. The coupling
+# matches own_inflow bit for bit; everything else adds in another order, so
+# the per-agent split, the infected-flow matrix and the loss coefficients
+# match these paths to a few ulps or better.
+
+
+def per_agent(values, agent_of, n_agents):
+    """Per-node values summed per agent, in node order."""
+    return np.bincount(np.asarray(agent_of, dtype=int), weights=values,
+                       minlength=n_agents)
 
 
 def infection_split_add_at(state, params, net, agent_of):
@@ -150,15 +158,48 @@ def infected_flow_matrix_add_at(state, net, agent_of, n_agents):
     return mat
 
 
-def infected_flow_matrix_scatter(net, agent_of, inflows):
-    """sharing.infected_flow_matrix with its per-agent sums scattered by
-    np.add.at, as before it called bincount; both add in node order."""
-    k = inflows.shape[1] // 2
-    into = np.zeros((k, k))
-    np.add.at(into, agent_of, inflows[:, :k])
+def agent_inflows_split(state, params, net, agent_of, n_agents):
+    """Per-node (internal, external) pressure and the infected-flow matrix
+    from Y = rates @ [Z * I, (1 - Z) * I], Z the n x K agent membership
+    mask: Y[i, k] sums p_ij I_j over j in V_k, Y[i, K + k] over j outside
+    V_k. The matrix takes the per-agent column sums of Y's first K columns
+    and zeroes its diagonal."""
+    agent_of = np.asarray(agent_of, dtype=int)
+    own = agent_of[:, None] == np.arange(n_agents)
+    inflows = net.rates_dot(state.i[:, None] * np.hstack((own, ~own)))
+    rows = np.arange(net.n)
+    inf = state.i
+    internal = (inf + params.beta * state.s * inf - params.gamma * inf
+                + net.rho * inflows[rows, agent_of])
+    external = net.rho * inflows[rows, n_agents + agent_of]
+    into = np.stack([per_agent(col, agent_of, n_agents)
+                     for col in inflows[:, :n_agents].T], axis=1)
     mat = net.rho * into.T
     np.fill_diagonal(mat, 0.0)
-    return mat
+    return internal, external, mat
+
+
+def infected_flow_matrix_scatter(state, net, agent_of, c):
+    """sharing.infected_flow_matrix with its (agent of j, k) sums scattered
+    by np.add.at; both add in node order."""
+    into = np.zeros((c.shape[1], c.shape[1]))
+    np.add.at(into, np.asarray(agent_of, dtype=int), state.i[:, None] * c)
+    return net.rho * into
+
+
+def own_inflow(net, agent_nodes):
+    """Per node i of agent k, the rate flowing into i from k's own rows:
+    sum over j in V_k of p_ji, from one transposed product with the agent
+    mask, keeping one column per node. ``agent_nodes`` holds one index
+    array per agent."""
+    own = np.zeros((net.n, len(agent_nodes)))
+    for a, idx in enumerate(agent_nodes):
+        own[idx, a] = 1.0
+    col_in = net.rates_t_dot(own)
+    out = np.zeros(net.n)
+    for a, idx in enumerate(agent_nodes):
+        out[idx] = col_in[idx, a]
+    return out
 
 
 def totals_add_at(state, populations, agent_of, n_agents):
@@ -488,22 +529,22 @@ def import_result_rows(directory):
 # updates replaced. Each adds in the same order as its replacement, so the
 # library matches them bit for bit.
 
-def solve_knapsack_loop(problem):
+def solve_knapsack_loop(losses, costs, budget, bounds):
     """policy.solve_knapsack with one Python step per funded node."""
-    l, c, ub = problem.losses, problem.costs, problem.bounds
+    l, c, ub = (np.asarray(v, dtype=float) for v in (losses, costs, bounds))
     x = np.zeros(l.shape[0])
     candidates = np.flatnonzero(l < 0)
-    if candidates.size == 0 or problem.budget <= 0:
+    if candidates.size == 0 or budget <= 0:
         return x
     order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
-    remaining = float(problem.budget)
+    remaining = float(budget)
     for idx in order:
         take = min(ub[idx], remaining / c[idx])
         if take <= DUST:
             continue
         x[idx] = take
         remaining -= take * c[idx]
-        if remaining <= DUST * problem.budget:
+        if remaining <= DUST * budget:
             break
     return x
 

@@ -22,7 +22,7 @@ from vaxalloc.harness import (GainReport, RunResult, export, export_gains,
 from vaxalloc.scenario import ScenarioConfig, build_instance
 
 from oracles import (export_rows, import_result_rows, infected_flow_matrix_add_at,
-                     infection_split_add_at, loss_coefficients_per_call,
+                     infection_split_add_at, loss_coefficients_per_call, per_agent,
                      totals_add_at)
 
 
@@ -127,10 +127,12 @@ def test_coupled_run_matches_add_at_path(monkeypatch):
                          policy="ts", sharing=True, initial_infected=0.005)
     inst = build_instance(cfg)
     fast = run_instance(inst)
+    net, k = inst.network, cfg.n_agents
     monkeypatch.setattr(
         shmod, "infection_split",
-        lambda state, params, net, agent_of, inflows: infection_split_add_at(
-            state, params, net, agent_of))
+        lambda state, params, agent_of, into: tuple(
+            per_agent(v, agent_of, k)
+            for v in infection_split_add_at(state, params, net, agent_of)))
     monkeypatch.setattr(
         harness, "loss_coefficients",
         lambda state, params, net, idx, theta, inflow:
@@ -139,20 +141,32 @@ def test_coupled_run_matches_add_at_path(monkeypatch):
     assert np.any(fast.sharing_ratios > 0)
     assert_same_learning(fast, slow)
 
-    states = []
-    agent_inflows = shmod.agent_inflows
+    calls = []
 
-    def recording(state, *args):
-        states.append(state)
-        return agent_inflows(state, *args)
-    monkeypatch.setattr(shmod, "agent_inflows", recording)
-    monkeypatch.setattr(
-        shmod, "infected_flow_matrix",
-        lambda net, agent_of, inflows: infected_flow_matrix_add_at(
-            states[-1], net, agent_of, cfg.n_agents))
+    def explicit_flows(state, net, coupling):
+        calls.append(state.t)
+        return infected_flow_matrix_add_at(state, net, inst.agent_of, k)
+    monkeypatch.setattr(shmod, "infected_flow_matrix", explicit_flows)
     explicit = run_instance(inst)
-    assert len(states) == cfg.horizon
+    assert len(calls) == cfg.horizon
     assert_same_learning(fast, explicit)
+
+
+def test_sharing_run_makes_no_rates_product_for_sharing(monkeypatch):
+    """A ts run with sharing multiplies by the rates only in the epidemic
+    step, once per period, and by their transpose once, for the static
+    agent coupling that the loss coefficients and the sharing read."""
+    cfg = small_config(policy="ts", sharing=True)
+    inst = build_instance(cfg)
+    counts = {"rates_dot": 0, "rates_t_dot": 0}
+    for name in counts:
+        def counting(net, v, _name=name, _fn=getattr(netmod.FlowMatrix, name)):
+            counts[_name] += 1
+            return _fn(net, v)
+        monkeypatch.setattr(netmod.FlowMatrix, name, counting)
+    res = run_instance(inst)
+    assert np.any(res.sharing_ratios > 0)
+    assert counts == {"rates_dot": cfg.horizon, "rates_t_dot": 1}
 
 
 def test_totals_match_add_at():

@@ -8,12 +8,13 @@ from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix
 from vaxalloc.policy import (DUST, AllocationProblem,
                              PolicyState, gy_estimate, loss_coefficients,
-                             ma_estimate, observe_and_update, own_inflow,
+                             ma_estimate, observe_and_update,
                              pb_allocate, solve_knapsack, ts_sample,
                              update_bounds, window_width)
+from vaxalloc.sharing import AgentCoupling
 
 from oracles import (direct_objective, grid_knapsack_optimum,
-                     loss_coefficients_per_call, ma_estimate_lists)
+                     loss_coefficients_per_call, ma_estimate_lists, own_inflow)
 
 
 def random_net(n, rng, density=0.4):
@@ -90,7 +91,7 @@ class TestLossCoefficients:
             k = int(rng.integers(1, 5))
             agent_of = rng.integers(0, k, n)
             agent_nodes = [np.flatnonzero(agent_of == a) for a in range(k)]
-            inflow = own_inflow(net, agent_nodes)
+            inflow = AgentCoupling(net, agent_of, k).c[np.arange(n), agent_of]
             theta = rng.uniform(0.0, 1.0, n)
             for idx in agent_nodes:
                 got = loss_coefficients(st, p, net, idx, theta, inflow)
@@ -102,26 +103,26 @@ class TestKnapsack:
     def test_ratio_tie_broken_by_index(self):
         prob = AllocationProblem(losses=[-10, -4, -2], costs=[5, 2, 4],
                                  budget=6.0, bounds=[1, 1, 1])
-        out = solve_knapsack(prob)
+        out = solve_knapsack(**vars(prob))
         assert np.allclose(out, [1.0, 0.5, 0.0])
         assert float(prob.losses @ out) == pytest.approx(-12.0)
 
     def test_nonnegative_losses_get_nothing(self):
         prob = AllocationProblem(losses=[0.0, 2.0, 5.0], costs=[1, 1, 1],
                                  budget=100.0, bounds=[1, 1, 1])
-        assert np.all(solve_knapsack(prob) == 0.0)
+        assert np.all(solve_knapsack(**vars(prob)) == 0.0)
 
     def test_budget_slack_fills_bounds(self):
         bounds = np.array([0.8, 0.5, 1.0])
         prob = AllocationProblem(losses=[-3, -1, 2], costs=[10, 20, 5],
                                  budget=1000.0, bounds=bounds)
-        out = solve_knapsack(prob)
+        out = solve_knapsack(**vars(prob))
         assert np.allclose(out, [0.8, 0.5, 0.0])
 
     def test_zero_budget(self):
         prob = AllocationProblem(losses=[-1.0], costs=[1.0], budget=0.0,
                                  bounds=[1.0])
-        assert np.all(solve_knapsack(prob) == 0.0)
+        assert np.all(solve_knapsack(**vars(prob)) == 0.0)
 
     @pytest.mark.parametrize("field,value", [("costs", [1.0, np.nan]),
                                              ("budget", np.nan),
@@ -144,7 +145,7 @@ class TestKnapsack:
         budget = float(rng.uniform(0.5, 0.8 * costs.sum()))
         prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
                                  bounds=bounds)
-        out = solve_knapsack(prob)
+        out = solve_knapsack(**vars(prob))
         obj = float(losses @ out)
         grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
         slack = step * np.abs(losses).max()
@@ -159,7 +160,7 @@ class TestKnapsack:
                                  costs=rng.uniform(1, 100, n),
                                  budget=float(rng.uniform(0, 200)),
                                  bounds=rng.uniform(0, 1, n))
-        out = solve_knapsack(prob)
+        out = solve_knapsack(**vars(prob))
         assert np.all(out >= 0)
         assert np.all(out <= prob.bounds + 1e-12)
         assert float(out @ prob.costs) <= prob.budget * (1 + 1e-9)
@@ -178,7 +179,7 @@ class TestKnapsack:
         budget = 0.5 + frac * (0.8 * costs.sum() - 0.5)
         prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
                                  bounds=bounds)
-        obj = float(losses @ solve_knapsack(prob))
+        obj = float(losses @ solve_knapsack(**vars(prob)))
         grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
         slack = step * np.abs(losses).max()
         assert obj <= grid_opt + 1e-12
@@ -197,7 +198,7 @@ class TestKnapsack:
             budget += c * u
         prob = AllocationProblem(losses=-costs * np.where(first, 2.0, 1.0),
                                  costs=costs, budget=budget, bounds=bounds)
-        x = solve_knapsack(prob)
+        x = solve_knapsack(**vars(prob))
         assert not np.any((x > 0) & (x <= DUST))
 
 
@@ -370,7 +371,7 @@ def test_ts_learns_the_better_node():
             th = ts_sample(pol.a, pol.b, rng)
             prob = AllocationProblem(losses=-th, costs=[1.0, 1.0], budget=1.0,
                                      bounds=[1.0, 1.0])
-            x = solve_knapsack(prob)
+            x = solve_knapsack(**vars(prob))
             observe_and_update(pol, x, theta, rng)
             if 400 <= t <= 500 and x[0] > 0.5:
                 hits += 1

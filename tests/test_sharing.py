@@ -8,12 +8,13 @@ from hypothesis import strategies as hst
 
 from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix, build_network, synth_world
-from vaxalloc.sharing import (agent_inflows, infected_flow_matrix,
+from vaxalloc.sharing import (AgentCoupling, infected_flow_matrix,
                               infection_split, plan_sharing, redistribute,
                               sharing_ratios)
 
-from oracles import (infected_flow_matrix_add_at, infected_flow_matrix_scatter,
-                     infection_split_add_at)
+from oracles import (agent_inflows_split, infected_flow_matrix_add_at,
+                     infected_flow_matrix_scatter, infection_split_add_at,
+                     own_inflow, per_agent)
 from worlds import random_airport_net
 
 
@@ -38,12 +39,14 @@ def make_params(n, beta=0.3, gamma=0.1):
 
 
 def split_of(state, params, net, agent_of, k):
-    return infection_split(state, params, net, agent_of,
-                           agent_inflows(state, net, agent_of, k))
+    into = infected_flow_matrix(state, net, AgentCoupling(net, agent_of, k))
+    return infection_split(state, params, agent_of, into)
 
 
 def flows_of(state, net, agent_of, k):
-    return infected_flow_matrix(net, agent_of, agent_inflows(state, net, agent_of, k))
+    """The infected-flow matrix that plan_sharing hands to redistribute."""
+    return plan_sharing(state, make_params(net.n), net, agent_of, np.ones(k),
+                        np.ones(k), AgentCoupling(net, agent_of, k)).infected_flows
 
 
 class TestInfectionSplit:
@@ -75,19 +78,19 @@ class TestInfectionSplit:
 
 class TestSharingRatios:
     def test_zero_external(self):
-        r = sharing_ratios([0.1, 0.2], [0.0, 0.0], np.array([0, 0]), 1)
+        r = sharing_ratios([0.3], [0.0])
         assert r[0] == 0.0
 
     def test_ratio_arithmetic(self):
-        r = sharing_ratios([0.08], [0.02], np.array([0]), 1)
+        r = sharing_ratios([0.08], [0.02])
         assert r[0] == pytest.approx(0.2)
 
     def test_all_external_boundary(self):
-        r = sharing_ratios([0.0], [0.05], np.array([0]), 1)
+        r = sharing_ratios([0.0], [0.05])
         assert r[0] == 1.0
 
     def test_no_infections_defined_as_zero(self):
-        r = sharing_ratios([0.0, 0.0], [0.0, 0.0], np.array([0, 1]), 2)
+        r = sharing_ratios([0.0, 0.0], [0.0, 0.0])
         assert np.all(r == 0.0)
 
 
@@ -188,36 +191,57 @@ class TestRedistribute:
             redistribute(np.array([-1.0]), np.array([0.0]), np.zeros((1, 1)),
                          np.array([0.5]))
 
+    @pytest.mark.parametrize("budget,capacity,field", [(np.nan, 0.5, "budget"),
+                                                       (1.0, np.nan, "capacit")])
+    def test_nan_is_rejected(self, budget, capacity, field):
+        with pytest.raises(ValueError, match=field):
+            redistribute(np.array([budget]), np.array([0.0]), np.zeros((1, 1)),
+                         np.array([capacity]))
+
 
 def test_plan_sharing_end_to_end():
     net = two_node_net(rho_target=0.11)
+    agent_of = np.array([0, 1])
     plan = plan_sharing(make_state([0.1, 0.2]), make_params(2), net,
-                        np.array([0, 1]), np.array([10.0, 10.0]),
-                        np.array([0.3, 0.3]))
+                        agent_of, np.array([10.0, 10.0]),
+                        np.array([0.3, 0.3]), AgentCoupling(net, agent_of, 2))
     assert plan.infected_flows[0, 0] == 0.0
     assert plan.budgets_out.sum() == pytest.approx(20.0, rel=1e-9)
     assert np.all(plan.ratios >= 0) and np.all(plan.ratios <= 1)
 
 
 def test_infected_flow_matrix_sums_as_add_at():
-    """The per-agent inflow sums by bincount, bit for bit as np.add.at sums
-    them, over magnitudes from 1e-300 to 1e300."""
+    """The (agent of j, k) sums by bincount, bit for bit as np.add.at sums
+    them, over couplings from 1e-300 to 1e300."""
     rng = np.random.default_rng(33)
     for _ in range(200):
         n = int(rng.integers(1, 3001))
         k = int(rng.integers(1, 8))
         agent_of = rng.integers(0, k, n)
-        inflows = 10.0 ** rng.uniform(-300, 300, (n, 2 * k))
-        net = SimpleNamespace(rho=float(rng.uniform(0, 1)))
-        got = infected_flow_matrix(net, agent_of, inflows)
-        want = infected_flow_matrix_scatter(net, agent_of, inflows)
+        c = 10.0 ** rng.uniform(-300, 300, (n, k))
+        # a stand-in network whose transposed product is the drawn coupling
+        net = SimpleNamespace(rho=float(rng.uniform(0, 1)), rates_t_dot=lambda mask, c=c: c)
+        coupling = AgentCoupling(net, agent_of, k)
+        state = make_state(rng.uniform(0, 0.2, n))
+        got = infected_flow_matrix(state, net, coupling)
+        want = infected_flow_matrix_scatter(state, net, agent_of, c)
         assert got.tobytes() == want.tobytes()
 
 
+def test_coupling_own_column_is_own_inflow():
+    """The coupling's own-agent column, which the loss coefficients read,
+    is the per-node own-agent inflow of one masked product, bit for bit."""
+    for net, agent_of, k, _ in TestCouplingMatchesAddAt.cases():
+        c = AgentCoupling(net, agent_of, k).c
+        want = own_inflow(net, [np.flatnonzero(agent_of == a) for a in range(k)])
+        assert c[np.arange(net.n), agent_of].tobytes() == want.tobytes()
+
+
 class TestCouplingMatchesAddAt:
-    """The factored one-product split and infected-flow matrix against the
-    per-period np.add.at path over the explicit rates. Both add in another
-    order, so they agree to a few ulps."""
+    """The per-agent split and infected-flow matrix from the static coupling
+    against the per-period np.add.at path over the explicit rates, and
+    against the 2K-column product it replaced, each summed per agent. They
+    add in other orders, so they agree to a few ulps."""
 
     @staticmethod
     def cases():
@@ -231,21 +255,57 @@ class TestCouplingMatchesAddAt:
         net = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
         yield net, np.array([nd.agent_id for nd in nodes]), 4, rng
 
+    @staticmethod
+    def epidemic(net, rng):
+        st = make_state(rng.uniform(0, 0.2, net.n), rng.uniform(0.5, 0.8, net.n))
+        p = EpiParams(beta=rng.uniform(0.2, 0.5, net.n),
+                      gamma=rng.uniform(0.1, 0.2, net.n), cfr=np.full(net.n, 0.01))
+        return st, p
+
     def test_infection_split_bitwise(self):
         for net, agent_of, k, rng in self.cases():
-            st = make_state(rng.uniform(0, 0.2, net.n), rng.uniform(0.5, 0.8, net.n))
-            p = EpiParams(beta=rng.uniform(0.2, 0.5, net.n),
-                          gamma=rng.uniform(0.1, 0.2, net.n), cfr=np.full(net.n, 0.01))
+            st, p = self.epidemic(net, rng)
             fast_in, fast_ex = split_of(st, p, net, agent_of, k)
             ref_in, ref_ex = infection_split_add_at(st, p, net, agent_of)
-            np.testing.assert_allclose(fast_in, ref_in, rtol=1e-13, atol=0)
-            np.testing.assert_allclose(fast_ex, ref_ex, rtol=1e-13, atol=0)
+            old_in, old_ex, _ = agent_inflows_split(st, p, net, agent_of, k)
+            for ref, old, fast in ((ref_in, old_in, fast_in), (ref_ex, old_ex, fast_ex)):
+                np.testing.assert_allclose(fast, per_agent(ref, agent_of, k),
+                                           rtol=1e-13, atol=0)
+                np.testing.assert_allclose(fast, per_agent(old, agent_of, k),
+                                           rtol=1e-13, atol=0)
 
     def test_infected_flow_matrix_close(self):
         for net, agent_of, k, rng in self.cases():
-            st = make_state(rng.uniform(0, 0.2, net.n))
+            st, p = self.epidemic(net, rng)
             mat = flows_of(st, net, agent_of, k)
             np.testing.assert_allclose(
                 mat, infected_flow_matrix_add_at(st, net, agent_of, k),
                 rtol=1e-13, atol=0)
+            np.testing.assert_allclose(mat, agent_inflows_split(st, p, net, agent_of, k)[2],
+                                       rtol=1e-13, atol=0)
             assert np.all(np.diag(mat) == 0.0)
+
+    def test_faint_cross_agent_flow_keeps_its_digits(self):
+        """Two agents joined by a flow about 1e-12 of each one's internal
+        pressure: the external pressure is summed from the cross-agent
+        entries, not taken as a total minus the own part, so it keeps the
+        add_at path's digits."""
+        rng = np.random.default_rng(36)
+        n = 40
+        agent_of = np.repeat([0, 1], n // 2)
+        dense = rng.uniform(10, 100, (n, n))
+        np.fill_diagonal(dense, 0.0)
+        dense[agent_of[:, None] != agent_of] *= 1e-12
+        net = FlowMatrix(sp.csr_matrix(dense), np.zeros(n, int), np.zeros((1, 1)),
+                         rng.uniform(500, 2000, n))
+        st, p = self.epidemic(net, rng)
+        internal, external = split_of(st, p, net, agent_of, 2)
+        ref_in, ref_ex = infection_split_add_at(st, p, net, agent_of)
+        assert np.all(external < 1e-10 * internal)
+        np.testing.assert_allclose(internal, per_agent(ref_in, agent_of, 2),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(external, per_agent(ref_ex, agent_of, 2),
+                                   rtol=1e-13, atol=0)
+        np.testing.assert_allclose(flows_of(st, net, agent_of, 2),
+                                   infected_flow_matrix_add_at(st, net, agent_of, 2),
+                                   rtol=1e-13, atol=0)
