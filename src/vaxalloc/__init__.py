@@ -7,12 +7,12 @@ from .net import (AirFlowTable, AirportRecord, Airports, FlowMatrix, NodeRecord,
                   Nodes, build_network, synth_world)
 from .policy import AllocationProblem, PolicyState, solve_knapsack
 from .scenario import Instance, ScenarioConfig, build_instance
-from .sharing import AgentCoupling, SharingPlan, plan_sharing, redistribute
+from .sharing import SharingPlan, plan_sharing, redistribute
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentCoupling", "AirFlowTable", "AirportRecord", "Airports", "AllocationProblem",
+    "AirFlowTable", "AirportRecord", "Airports", "AllocationProblem",
     "CompartmentState", "EpiParams", "EpidemicInstabilityError", "FlowMatrix",
     "GainReport", "Instance", "NodeRecord", "Nodes", "PolicyState", "RunResult",
     "ScenarioConfig", "SharingPlan", "build_instance",

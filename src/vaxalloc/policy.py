@@ -109,22 +109,20 @@ def _full_takes(remaining: float, caps: np.ndarray, costs: np.ndarray,
     return (int(np.argmin(full)) if not full.all() else full.size), remains
 
 
-def solve_knapsack(losses: np.ndarray, costs: np.ndarray, budget: float,
-                   bounds: np.ndarray, *, checked: bool = False) -> np.ndarray:
+def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
     """Greedy fractional knapsack: fund nodes by increasing loss-to-cost ratio
     (ties broken by ascending index) while the loss is negative and budget
     remains; the last funded node gets the fractional remainder. Takes and
-    remainders within ``DUST`` are not funded.
+    remainders within ``DUST`` are not funded."""
+    return _greedy_fill(problem.losses, problem.costs, problem.budget, problem.bounds)
 
-    Unless ``checked``, the inputs are checked as ``AllocationProblem``
-    checks them; a run checks its static costs once instead.
 
-    Every full take is made at once (``_full_takes``); the loop runs only
-    from the first fractional take or the first take that ends the spend."""
-    l, c, ub = losses, costs, bounds
-    if not checked:
-        prob = AllocationProblem(l, c, budget, ub)
-        l, c, ub = prob.losses, prob.costs, prob.bounds
+def _greedy_fill(l: np.ndarray, c: np.ndarray, budget: float,
+                 ub: np.ndarray) -> np.ndarray:
+    """``solve_knapsack`` on inputs already checked as ``AllocationProblem``
+    checks them. Every full take is made at once (``_full_takes``); the loop
+    runs only from the first fractional take or the first take that ends the
+    spend."""
     x = np.zeros(l.shape[0])
     # a bound within DUST is never funded, whatever budget remains
     candidates = np.flatnonzero((l < 0) & (ub > DUST))

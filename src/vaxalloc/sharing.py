@@ -68,26 +68,21 @@ def sharing_ratios(internal: np.ndarray, external: np.ndarray) -> np.ndarray:
 
 
 def redistribute(budgets: np.ndarray, ratios: np.ndarray, infected_flows: np.ndarray,
-                 capacities: np.ndarray, *, checked: bool = False) -> np.ndarray:
+                 capacities: np.ndarray) -> np.ndarray:
     """Effective budgets after sharing.
 
     Agent k keeps (1 - R_k) B_k; the offered R_k B_k is split among agents
     k'' proportionally to infected_flows[k'', k] / capacity[k'']. An offer
     with no incoming infected flow anywhere is retained by its owner, which
     keeps the total exactly conserved in degenerate cases.
-
-    A negative or NaN budget, or a capacity that is not positive, raises
-    ValueError, unless ``checked`` says the caller checked them (a run does
-    so once).
     """
     budgets, ratios, capacities = (np.asarray(v, dtype=float)
                                    for v in (budgets, ratios, capacities))
-    if not checked:
-        # written so that NaN fails each check
-        if not np.all(capacities > 0):
-            raise ValueError("capacities must be positive")
-        if not np.all(budgets >= 0):
-            raise ValueError("budgets must be nonnegative")
+    # written so that NaN fails each check
+    if not np.all(capacities > 0):
+        raise ValueError("capacities must be positive")
+    if not np.all(budgets >= 0):
+        raise ValueError("budgets must be nonnegative")
     offered = budgets * ratios
     weights = infected_flows / capacities[:, None]  # [receiver, offerer]
     denom = weights.sum(axis=0)
@@ -102,12 +97,11 @@ def redistribute(budgets: np.ndarray, ratios: np.ndarray, infected_flows: np.nda
 
 def plan_sharing(state: CompartmentState, params: EpiParams, net: FlowMatrix,
                  agent_of: np.ndarray, budgets: np.ndarray, capacities: np.ndarray,
-                 coupling: AgentCoupling, *, checked: bool = False) -> SharingPlan:
-    """Full sharing computation for one period from a state snapshot;
-    ``checked`` is passed to ``redistribute``."""
+                 coupling: AgentCoupling) -> SharingPlan:
+    """Full sharing computation for one period from a state snapshot."""
     into = infected_flow_matrix(state, net, coupling)
     internal, external = infection_split(state, params, agent_of, into)
     ratios = sharing_ratios(internal, external)
     np.fill_diagonal(into, 0.0)  # only flows between agents are shared
-    budgets_out = redistribute(budgets, ratios, into, capacities, checked=checked)
+    budgets_out = redistribute(budgets, ratios, into, capacities)
     return SharingPlan(ratios=ratios, infected_flows=into, budgets_out=budgets_out)

@@ -529,22 +529,22 @@ def import_result_rows(directory):
 # updates replaced. Each adds in the same order as its replacement, so the
 # library matches them bit for bit.
 
-def solve_knapsack_loop(losses, costs, budget, bounds):
+def solve_knapsack_loop(problem):
     """policy.solve_knapsack with one Python step per funded node."""
-    l, c, ub = (np.asarray(v, dtype=float) for v in (losses, costs, bounds))
+    l, c, ub = problem.losses, problem.costs, problem.bounds
     x = np.zeros(l.shape[0])
     candidates = np.flatnonzero(l < 0)
-    if candidates.size == 0 or budget <= 0:
+    if candidates.size == 0 or problem.budget <= 0:
         return x
     order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
-    remaining = float(budget)
+    remaining = float(problem.budget)
     for idx in order:
         take = min(ub[idx], remaining / c[idx])
         if take <= DUST:
             continue
         x[idx] = take
         remaining -= take * c[idx]
-        if remaining <= DUST * budget:
+        if remaining <= DUST * problem.budget:
             break
     return x
 

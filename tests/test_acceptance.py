@@ -61,7 +61,8 @@ def test_criterion_2_knapsack_oracle():
         bounds = rng.integers(0, 101, n) * step_sz
         losses = rng.uniform(-5, 2, n)
         budget = float(rng.uniform(0.0, 0.9 * (costs * bounds).sum() + 1.0))
-        out = solve_knapsack(losses=losses, costs=costs, budget=budget, bounds=bounds)
+        out = solve_knapsack(AllocationProblem(losses=losses, costs=costs,
+                                               budget=budget, bounds=bounds))
         obj = float(losses @ out)
         opt = grid_knapsack_optimum(losses, costs, budget, bounds, step_sz)
         never_worse &= obj <= opt + 1e-12
@@ -146,7 +147,7 @@ def test_criterion_5_ts_learning():
             th = ts_sample(pol.a, pol.b, rng)
             prob = AllocationProblem(losses=-th, costs=[1.0, 1.0], budget=1.0,
                                      bounds=[1.0, 1.0])
-            x = solve_knapsack(**vars(prob))
+            x = solve_knapsack(prob)
             observe_and_update(pol, x, theta, rng)
             if 400 <= t <= 500 and x[0] > 0.5:
                 hits += 1

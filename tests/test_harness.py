@@ -53,6 +53,18 @@ class TestRun:
         assert res.allocations.shape[0] == 1
         assert np.any(res.allocations > 0)
 
+    @pytest.mark.parametrize("field,value", [("costs", np.nan), ("costs", 0.0),
+                                             ("base_budgets", np.nan),
+                                             ("base_budgets", -1.0)])
+    def test_knapsack_run_rejects_bad_static_input(self, field, value):
+        """The knapsack trusts the costs and budgets in every period, so a
+        knapsack run checks them once, NaN included."""
+        inst = build_instance(small_config(policy="ts"))
+        bad = getattr(inst, field).copy()
+        bad[0] = value
+        with pytest.raises(ValueError, match="costs must be positive"):
+            run_instance(dataclasses.replace(inst, **{field: bad}))
+
     @pytest.mark.parametrize("policy", ["ts", "gy", "ma", "pb"])
     def test_deterministic_rerun(self, policy):
         cfg = small_config(policy=policy, sharing=True)

@@ -79,7 +79,7 @@ def test_knapsack_matches_loop():
     funded = stopped_early = 0
     for _ in range(2000):
         prob = random_knapsack(rng)
-        got, want = solve_knapsack(**vars(prob)), solve_knapsack_loop(**vars(prob))
+        got, want = solve_knapsack(prob), solve_knapsack_loop(prob)
         assert same_bits(got, want), prob
         funded += np.any(want > 0)
         stopped_early += 0 < float(want @ prob.costs) < prob.budget
@@ -265,8 +265,7 @@ def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
     monkeypatch.setattr(netmod.FlowMatrix, "_air_dot",
                         lambda net, h, v: air_dot_bincount(net, h, v).T)
     monkeypatch.setattr(harness, "solve_knapsack",
-                        lambda losses, costs, budget, bounds, checked: solve_knapsack_loop(
-                            losses, costs, budget, bounds))
+                        lambda *args: solve_knapsack_loop(AllocationProblem(*args)))
     monkeypatch.setattr(harness, "pb_allocate",
                         lambda costs, budget, bounds, order: pb_allocate_loop(
                             costs, budget, bounds))

@@ -103,26 +103,26 @@ class TestKnapsack:
     def test_ratio_tie_broken_by_index(self):
         prob = AllocationProblem(losses=[-10, -4, -2], costs=[5, 2, 4],
                                  budget=6.0, bounds=[1, 1, 1])
-        out = solve_knapsack(**vars(prob))
+        out = solve_knapsack(prob)
         assert np.allclose(out, [1.0, 0.5, 0.0])
         assert float(prob.losses @ out) == pytest.approx(-12.0)
 
     def test_nonnegative_losses_get_nothing(self):
         prob = AllocationProblem(losses=[0.0, 2.0, 5.0], costs=[1, 1, 1],
                                  budget=100.0, bounds=[1, 1, 1])
-        assert np.all(solve_knapsack(**vars(prob)) == 0.0)
+        assert np.all(solve_knapsack(prob) == 0.0)
 
     def test_budget_slack_fills_bounds(self):
         bounds = np.array([0.8, 0.5, 1.0])
         prob = AllocationProblem(losses=[-3, -1, 2], costs=[10, 20, 5],
                                  budget=1000.0, bounds=bounds)
-        out = solve_knapsack(**vars(prob))
+        out = solve_knapsack(prob)
         assert np.allclose(out, [0.8, 0.5, 0.0])
 
     def test_zero_budget(self):
         prob = AllocationProblem(losses=[-1.0], costs=[1.0], budget=0.0,
                                  bounds=[1.0])
-        assert np.all(solve_knapsack(**vars(prob)) == 0.0)
+        assert np.all(solve_knapsack(prob) == 0.0)
 
     @pytest.mark.parametrize("field,value", [("costs", [1.0, np.nan]),
                                              ("budget", np.nan),
@@ -145,7 +145,7 @@ class TestKnapsack:
         budget = float(rng.uniform(0.5, 0.8 * costs.sum()))
         prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
                                  bounds=bounds)
-        out = solve_knapsack(**vars(prob))
+        out = solve_knapsack(prob)
         obj = float(losses @ out)
         grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
         slack = step * np.abs(losses).max()
@@ -160,7 +160,7 @@ class TestKnapsack:
                                  costs=rng.uniform(1, 100, n),
                                  budget=float(rng.uniform(0, 200)),
                                  bounds=rng.uniform(0, 1, n))
-        out = solve_knapsack(**vars(prob))
+        out = solve_knapsack(prob)
         assert np.all(out >= 0)
         assert np.all(out <= prob.bounds + 1e-12)
         assert float(out @ prob.costs) <= prob.budget * (1 + 1e-9)
@@ -179,7 +179,7 @@ class TestKnapsack:
         budget = 0.5 + frac * (0.8 * costs.sum() - 0.5)
         prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
                                  bounds=bounds)
-        obj = float(losses @ solve_knapsack(**vars(prob)))
+        obj = float(losses @ solve_knapsack(prob))
         grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
         slack = step * np.abs(losses).max()
         assert obj <= grid_opt + 1e-12
@@ -198,7 +198,7 @@ class TestKnapsack:
             budget += c * u
         prob = AllocationProblem(losses=-costs * np.where(first, 2.0, 1.0),
                                  costs=costs, budget=budget, bounds=bounds)
-        x = solve_knapsack(**vars(prob))
+        x = solve_knapsack(prob)
         assert not np.any((x > 0) & (x <= DUST))
 
 
@@ -371,7 +371,7 @@ def test_ts_learns_the_better_node():
             th = ts_sample(pol.a, pol.b, rng)
             prob = AllocationProblem(losses=-th, costs=[1.0, 1.0], budget=1.0,
                                      bounds=[1.0, 1.0])
-            x = solve_knapsack(**vars(prob))
+            x = solve_knapsack(prob)
             observe_and_update(pol, x, theta, rng)
             if 400 <= t <= 500 and x[0] > 0.5:
                 hits += 1
