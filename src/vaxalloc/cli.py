@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation error, 2 epidemic instability.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -107,9 +106,7 @@ def _cmd_replicate(args) -> int:
     out = harness.check_out_dir(args.out, overwrite=True)  # refuses only a file
     summary = harness.replicate(cfg, args.n)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    net._write_json(out / "summary.json", summary)
     mean = summary["final_totals_mean"]
     print(f"{args.n} runs, policy={cfg.policy}: mean final "
           f"S={mean[0]:.1f} I={mean[1]:.1f} R={mean[2]:.1f} D={mean[3]:.1f}")

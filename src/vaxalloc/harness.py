@@ -3,16 +3,13 @@ gain metrics against the population baseline, replication, and run export."""
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import itertools
 import json
 import os
-import re
 import shutil
 import tempfile
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from tokenize import TokenError
@@ -23,7 +20,7 @@ from . import policy as polmod
 from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
-from .net import _reprs, _write_table
+from .net import _read_columns, _reprs, _write_json, _write_table
 from .policy import (PolicyState, loss_coefficients, pb_allocate, spill_order,
                      update_bounds, window_width)
 # the knapsack on inputs run_instance checks once per run; bound under the
@@ -341,10 +338,7 @@ def export(result: RunResult, directory, overwrite: bool = False) -> None:
 
 
 def _write_run(result: RunResult, directory: Path) -> None:
-    manifest = {"schema": _SCHEMA, "config": result.config}
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(directory / "manifest.json", {"schema": _SCHEMA, "config": result.config})
 
     horizon = result.horizon
     k = result.n_agents
@@ -396,34 +390,6 @@ def _integers(path, name, values, lo, hi) -> np.ndarray:
     return values.astype(np.int64)
 
 
-_NUMPY_ROW = re.compile(r"at row (\d+)")
-
-
-def _fault_line(path, exc: ValueError) -> str:
-    """The message of ``exc``, raised reading the CSV file at ``path``, with
-    the line of the file it is on. Lines end in \\n, \\r\\n or \\r, as
-    numpy's reader ends them."""
-    raw = Path(path).read_bytes()
-    if isinstance(exc, UnicodeDecodeError):
-        try:
-            raw.decode("utf-8")  # the reader's offset is into a chunk, not the file
-        except UnicodeDecodeError as whole:
-            # a line break ends every line but the last
-            line = len((raw[:whole.start] + b".").splitlines())
-            return f"byte {raw[whole.start]:#04x} on line {line} is not UTF-8 text"
-    msg = str(exc)
-    match = _NUMPY_ROW.search(msg)
-    if match is None or not msg.startswith(("could not convert", "invalid column")):
-        return msg
-    # numpy counts the non-empty lines after the header, from 0 in "could
-    # not convert string ..." and from 1 in "invalid column index ..."
-    row = int(match.group(1)) - msg.startswith("invalid column")
-    lines = [no for no, text in enumerate(raw.splitlines()[1:], start=2) if text]
-    if not 0 <= row < len(lines):
-        return msg
-    return f"{msg[:match.start()]}on line {lines[row]}{msg[match.end():]}"
-
-
 def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     """The float ``columns`` of a CSV table, each scattered into an array over
     the grid of its ``ids``, given as (name, lo, hi). Each id must be an
@@ -431,28 +397,14 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     order. Fields in ``blank_as_nan`` read an empty field as NaN. Every fault
     raises ValueError naming the file."""
     names = [name for name, _, _ in ids] + list(columns)
+    data = _read_columns(path, {c: (lambda s: float(s or "nan")) if c in blank_as_nan
+                                else float for c in names})
     shape = [hi - lo + 1 for _, lo, hi in ids]
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = fh.readline().rstrip("\r\n").split(",")
-            missing = [c for c in names if c not in header]
-            if not missing:
-                converters = {header.index(c): lambda s: float(s or "nan")
-                              for c in blank_as_nan}
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", UserWarning)  # no rows
-                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                      usecols=[header.index(c) for c in names],
-                                      converters=converters or None)
-        except ValueError as exc:  # UnicodeDecodeError is one
-            raise ValueError(f"{path}: {_fault_line(path, exc)}") from None
-    if missing:
-        raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
-    cell = np.zeros(data.shape[0], dtype=np.int64)
-    for col, (name, lo, hi), size in zip(data.T, ids, shape):
+    cell = np.zeros(data[0].size, dtype=np.int64)
+    for col, (name, lo, hi), size in zip(data, ids, shape):
         cell = cell * size + _integers(path, name, col, lo, hi) - lo
     out = np.empty((len(columns), int(np.prod(shape))))
-    out[:, cell] = data[:, len(ids):].T
+    out[:, cell] = data[len(ids):]
     counts = np.bincount(cell, minlength=out.shape[1])
     wrong = np.flatnonzero(counts != 1)
     if wrong.size:
@@ -520,11 +472,11 @@ def import_result(directory) -> RunResult:
     if schema != _SCHEMA:
         raise ValueError(f"{path}: schema {schema!r} is not {_SCHEMA}")
     config = manifest.get("config")
-    try:
-        horizon, k, n = (int(config[key]) for key in ("horizon", "n_agents", "n_nodes"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: the config needs integer horizon, n_agents "
-                         f"and n_nodes ({exc})") from None
+    horizon, k, n = sizes = [config.get(key) if isinstance(config, dict) else None
+                             for key in ("horizon", "n_agents", "n_nodes")]
+    for key, value in zip(("horizon", "n_agents", "n_nodes"), sizes):
+        if type(value) is not int or value < 1:  # not a bool, as JSON's true is
+            raise ValueError(f"{path}: the config's {key} is {value!r}, not an integer >= 1")
     nodes = [("node_id", 0, n - 1)]
 
     path = directory / "nodes.csv"
@@ -571,11 +523,7 @@ def import_result(directory) -> RunResult:
 
 
 def export_gains(report: GainReport, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["region", "cumulative_gain_pct", "last_period_gain_pct"])
-        w.writerow(["world", repr(report.world_cumulative_pct),
-                    repr(report.world_last_period_pct)])
-        for a in range(report.cumulative_pct.shape[0]):
-            w.writerow([a, repr(float(report.cumulative_pct[a])),
-                        repr(float(report.last_period_pct[a]))])
+    columns = (np.append(report.world_cumulative_pct, report.cumulative_pct),
+               np.append(report.world_last_period_pct, report.last_period_pct))
+    _write_table(path, ["region", "cumulative_gain_pct", "last_period_gain_pct"],
+                 zip(["world", *range(len(columns[0]) - 1)], *map(_reprs, columns)))

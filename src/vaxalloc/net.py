@@ -10,11 +10,15 @@ into transition rates and summarized by a global flow-to-population ratio.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import json
 import math
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +28,8 @@ EARTH_RADIUS_KM = 6371.0
 # every airport
 _BLOCK = 1 << 18
 _EDGE_ROWS = 1 << 10  # edges export_network formats at a time, ~100 bytes of text each
+_FAULT_ROWS = 1 << 12  # rows _fault parses at a time
+_CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)  # how to parse a CSV line
 
 
 # the rows of Nodes and of Airports
@@ -542,24 +548,65 @@ def synth_world(n_nodes: int, n_agents: int, *,
 
 
 def _read_columns(path, types: dict) -> list[np.ndarray]:
-    """The named columns of a CSV file with a header, each field converted
-    by the column's type; blank lines are skipped. Every fault raises
-    ValueError naming the file."""
+    """The named columns of a CSV file, each an array of its type: int, float, or
+    a converter of a field's text to a float. The header is the first line not
+    blank; blank lines are skipped and fields may be quoted. Every fault raises
+    one ValueError naming the file and, for a fault in a line, the line."""
+    raw = Path(path).read_bytes()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+        lines = io.StringIO(raw.decode("utf-8"), newline="")
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    missing = [c for c in types if c not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
-    if any(len(row) != len(header) for row in rows):
-        raise ValueError(f"{path}: a row has not as many fields as the header")
-    try:
-        return [np.array([kind(row[at]) for row in rows], dtype=kind)
-                for at, kind in ((header.index(c), kind) for c, kind in types.items())]
-    except (ValueError, OverflowError) as exc:  # an int past int64 overflows
-        raise ValueError(f"{path}: {exc}") from None
+        line = len((raw[:exc.start] + b".").splitlines())  # a break ends all lines but the last
+        raise ValueError(f"{path}: byte {raw[exc.start]:#04x} on line {line} is not "
+                         "UTF-8 text") from None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file or table without rows
+        header = _fields(next((line for line in lines if line.strip("\r\n")), ""))
+        missing = [c for c in types if c not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks column {', '.join(missing)}")
+        try:
+            data = _parse(lines, header, types)
+        except ValueError:
+            raise ValueError(f"{path}: {_fault(lines, header, types)}") from None
+    return [np.ascontiguousarray(data[c]) for c in types]
+
+
+def _fields(line: str) -> list[str]:
+    """The fields of one CSV line, unquoted."""
+    return np.loadtxt([line], dtype=object, **_CSV).tolist()
+
+
+def _parse(lines, header: list, types: dict) -> np.ndarray:
+    """The ``types`` columns of CSV ``lines`` under ``header``, a structured array."""
+    at = [header.index(c) for c in types]
+    return np.loadtxt(lines, usecols=at, **_CSV,
+                      dtype=[(c, kind if kind in (int, float) else float)
+                             for c, kind in types.items()],
+                      converters={i: kind for i, kind in zip(at, types.values())
+                                  if kind not in (int, float)})
+
+
+def _fault(lines, header: list, types: dict) -> str:
+    """The first field of the CSV text stream ``lines`` that does not parse on its
+    own, and its line, found a block of rows at a time."""
+    lines.seek(0)
+    rows = ((no, line) for no, line in enumerate(lines, start=1) if line.strip("\r\n"))
+    next(rows)  # the header
+    while block := list(itertools.islice(rows, _FAULT_ROWS)):
+        try:
+            _parse([line for _, line in block], header, types)
+        except ValueError:
+            for (no, line), (c, kind) in itertools.product(block, types.items()):
+                try:
+                    _parse([line], header, {c: kind})
+                except ValueError:
+                    fields, at = _fields(line), header.index(c)
+                    if at >= len(fields):
+                        return f"the row on line {no} has no field for column {c}"
+                    return (f"{fields[at]!r} on line {no}, column {c}, is not "
+                            f"{'a 64-bit integer' if kind is int else 'a number'}")
+    return "does not parse as a CSV table"
 
 
 def read_nodes(path) -> Nodes:
@@ -612,8 +659,11 @@ def read_air_flows(path, airports: Airports) -> AirFlowTable:
 
 
 def write_air_flows(table: AirFlowTable, path) -> None:
+    """Every off-diagonal flow, in row-major order, a row of the table at a time."""
+    ids = table.ids.tolist()
     _write_table(path, ["origin", "destination", "flow"],
-                 ([a, b, repr(g)] for (a, b), g in table.entries.items()))
+                 ([ids[a], ids[b], text] for a, row in enumerate(table.g)
+                  for b, text in enumerate(_reprs(row)) if a != b))
 
 
 def _write_table(path, header, rows) -> None:
@@ -621,6 +671,12 @@ def _write_table(path, header, rows) -> None:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:

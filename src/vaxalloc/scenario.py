@@ -163,9 +163,7 @@ class ScenarioConfig:
         return cls(**d)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        netmod._write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":

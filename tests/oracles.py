@@ -257,6 +257,26 @@ def export_network_per_edge(net, edges_path, rho_path):
         fh.write(repr(net.rho) + "\n")
 
 
+def read_columns_csv(path, types):
+    """The named columns of a CSV file with a header through the csv module,
+    blank lines skipped and each field converted by its column's type in
+    Python: the reader that net._read_columns must match bit for bit and
+    dtype for dtype on every file it reads. It checks nothing."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    return [np.array([kind(row[header.index(c)]) for row in rows], dtype=kind)
+            for c, kind in types.items()]
+
+
+def write_air_flows_entries(table, path):
+    """The flights file written from AirFlowTable.entries, one csv row per
+    entry: the writer that net.write_air_flows must match byte for byte."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["origin", "destination", "flow"])
+        w.writerows([a, b, repr(g)] for (a, b), g in table.entries.items())
+
+
 # ---------------------------------------------------------------------------
 # explicit world-build and epidemic-step paths that faster code replaced. The
 # world build must match air_flows_lists, ground_neighborhoods_dense,

@@ -96,6 +96,16 @@ ROW_MESSAGES = {
 }
 
 
+# the line and the field or byte that a fault in a line of an input is named by
+LINE_FAULTS = {
+    "node id past int64": f"'{'9' * 30}' on line 2, column id, is not a 64-bit integer",
+    "flow not a number": "'heavy' on line 2, column flow, is not a number",
+    "node row without agent": "the row on line 4 has no field for column agent_id",
+    "flights row without flow": "the row on line 3 has no field for column flow",
+    "node file not UTF-8": "byte 0xff on line 3 is not UTF-8 text",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_NET_INPUTS))
 def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
     src = tmp_path / "src"
@@ -113,6 +123,8 @@ def test_build_net_bad_input_exits_1(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     if case.startswith("flight") or case.endswith("UTF-8"):
         assert name in err
+    if case in LINE_FAULTS:
+        assert f"{name}: " in err and LINE_FAULTS[case] in err
     if case in ROW_MESSAGES:
         assert err == f"error: {ROW_MESSAGES[case]}\n"
     assert not out.exists()
@@ -446,6 +458,20 @@ BAD_RUNS = {
                  lambda p: _edit_manifest(p, lambda m: m.update(schema=1))),
     "config lacks n_nodes": ("manifest.json", lambda p: _edit_manifest(
         p, lambda m: m["config"].pop("n_nodes"))),
+    "horizon 3.7": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].update(horizon=3.7))),
+    "n_agents 2.9": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].update(n_agents=2.9))),
+    "n_nodes 40.5": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].update(n_nodes=40.5))),
+    "horizon a string": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].update(horizon="3"))),
+    "horizon true": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].update(horizon=True))),
+    "n_agents 0": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m["config"].update(n_agents=0))),
+    "config not an object": ("manifest.json", lambda p: _edit_manifest(
+        p, lambda m: m.update(config=[6, 2, 40]))),
     "node out of range": ("priors.csv", lambda p: _set_field(p, 1, 0, "40")),
     "period 0": ("sharing.csv", lambda p: _set_field(p, 1, 0, "0")),
     "cut in half": ("sharing.csv", _cut_in_half),
@@ -481,6 +507,15 @@ BAD_RUNS = {
 }
 
 
+# the line and the field or byte that a fault in a line of a run table is named by
+RUN_LINE_FAULTS = {
+    "field unparsable": "'abc' on line 2, column budget_in, is not a number",
+    "not UTF-8 before the header": "byte 0xff on line 1 is not UTF-8 text",
+    "horizon 3.7": "the config's horizon is 3.7, not an integer >= 1",
+    "horizon true": "the config's horizon is True, not an integer >= 1",
+}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_RUNS))
 def test_gains_bad_run_directory_exits_1(tmp_path, config_file, capsys, case):
     good = tmp_path / "good"
@@ -495,3 +530,5 @@ def test_gains_bad_run_directory_exits_1(tmp_path, config_file, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
+    if case in RUN_LINE_FAULTS:
+        assert RUN_LINE_FAULTS[case] in err

@@ -480,10 +480,10 @@ class TestColumnWiseIO:
 
 
 @pytest.mark.parametrize("text,fault", [
-    (b"a,b\n1,2\n3\n", "invalid column index 1 on line 3 with 1 columns"),
-    (b"a,b\r\n0,2\r\n1,x\r\n", "could not convert string 'x' to float64 on line 3,"),
+    (b"a,b\n1,2\n3\n", "the row on line 3 has no field for column b"),
+    (b"a,b\r\n0,2\r\n1,x\r\n", "'x' on line 3, column b, is not a number"),
     (b"a,b\n\n0,2\n\n1\n", "on line 5 "),
-    (b"a,b\r\n\r\n0,2\r\n\r\n\r\n1,?\r\n", "'?' to float64 on line 6,"),
+    (b"a,b\r\n\r\n0,2\r\n\r\n\r\n1,?\r\n", "'?' on line 6, column b,"),
     (b"a,b\r0,2\r1,x\r", "on line 3,"),
     (b"\xffa,b\n0,2\n", "byte 0xff on line 1 is not UTF-8 text"),
     (b"a,b\r\n0,2\r\n1,\xff\r\n", "byte 0xff on line 3 is not UTF-8 text"),

@@ -24,7 +24,8 @@ from oracles import (air_factors_dict, air_flows_lists, cross_distances,
                      export_network_per_edge,
                      gravity_entries_loops, ground_neighborhoods_dense,
                      nearest_airport_blocks, nearest_airport_bruteforce,
-                     radiation_flows_lists)
+                     radiation_flows_lists, read_columns_csv,
+                     write_air_flows_entries)
 from worlds import (air_table, airports_of, neighbour_csr, neighbour_lists, nodes_of,
                     random_airport_net)
 
@@ -1013,6 +1014,181 @@ class TestFileRoundTrips:
         export_network_per_edge(netm, tmp_path / "ref_edges.csv", tmp_path / "ref_rho.txt")
         assert (tmp_path / "edges.csv").read_bytes() == \
             (tmp_path / "ref_edges.csv").read_bytes()
+
+
+class TestAirFlowsWriter:
+    """write_air_flows, from the m x m array, against the writer of
+    AirFlowTable.entries in tests/oracles.py: byte-equal files."""
+
+    @staticmethod
+    def check(table, tmp_path):
+        net.write_air_flows(table, tmp_path / "flows.csv")
+        write_air_flows_entries(table, tmp_path / "ref.csv")
+        assert (tmp_path / "flows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (40, 3), (400, 8)])
+    def test_synthetic_tables(self, tmp_path, n, seed):
+        self.check(synth_world(n, 1, seed=seed)[2], tmp_path)
+
+    def test_signed_zeros_subnormals_and_extremes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = [0.0, -0.0, 5e-324, 2.2250738585072009e-308, 1e-300, 0.1,
+                  1.7976931348623157e308, 3.0]
+        g = rng.choice(values, size=(9, 9))
+        np.fill_diagonal(g, 0.0)
+        table = AirFlowTable([2, 3, 5, 7, 11, 13, 17, 19, 1000], g)
+        self.check(table, tmp_path)
+        text = (tmp_path / "flows.csv").read_bytes()
+        assert b",-0.0\r\n" in text and b",5e-324\r\n" in text
+
+
+# each build-net reader, its header, a good row, and a float and an int column
+NET_READERS = {
+    "nodes": (net.read_nodes, "id,lat,lon,population,agent_id", "0,1.5,2.5,100.0,0",
+              "lat", "id"),
+    "airports": (net.read_airports, "id,lat,lon", "0,1.5,2.5", "lat", "id"),
+    "flights": (lambda path: net.read_air_flows(path, airports_of(
+        [AirportRecord(0, 0.0, 0.0), AirportRecord(1, 5.0, 5.0)])),
+        "origin,destination,flow", "0,1,5.0", "flow", "origin"),
+}
+
+
+def _with_field(header, row, column, value):
+    """``row`` with the field of ``column`` set to ``value``."""
+    fields = row.split(",")
+    fields[header.split(",").index(column)] = value
+    return ",".join(fields)
+
+
+def _fault_cases(header, row, float_col, int_col):
+    """(file bytes, expected text) of each fault, as in
+    test_read_table_names_the_line_of_a_fault."""
+    second = header.split(",")[1]
+    first = row.split(",")[0]
+    bad = _with_field(header, row, float_col, "x")
+    huge = "9" * 30
+    return {
+        "short row": (f"{header}\n{row}\n{first}\n",
+                      f"the row on line 3 has no field for column {second}"),
+        "field unparsable": (f"{header}\r\n{row}\r\n{bad}\r\n",
+                             f"'x' on line 3, column {float_col}, is not a number"),
+        "short row after blank lines": (f"{header}\n\n{row}\n\n{first}\n",
+                                        f"the row on line 5 has no field for column {second}"),
+        "field unparsable after blank lines": (
+            f"{header}\r\n\r\n{row}\r\n\r\n\r\n{_with_field(header, row, float_col, '?')}\r\n",
+            f"'?' on line 6, column {float_col}, is not a number"),
+        "\\r line endings": (f"{header}\r{row}\r{bad}\r", f"on line 3, column {float_col},"),
+        "integer past int64": (f"{header}\n{row}\n{_with_field(header, row, int_col, huge)}\n",
+                               f"'{huge}' on line 3, column {int_col}, is not a 64-bit "
+                               "integer"),
+        "not UTF-8 before the header": (b"\xff" + f"{header}\n{row}\n".encode(),
+                                        "byte 0xff on line 1 is not UTF-8 text"),
+        "not UTF-8 in a row": (f"{header}\r\n{row}\r\n{row}".encode() + b"\xff\r\n",
+                               "byte 0xff on line 3 is not UTF-8 text"),
+        "not UTF-8 past 8 KB": (f"{header}\n".encode() + f"{row}\n".encode() * 5000
+                                + b"\xfe\n", "byte 0xfe on line 5002 is not UTF-8 text"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_fault_cases("a,b", "0,2", "b", "a")))
+@pytest.mark.parametrize("reader", sorted(NET_READERS))
+def test_net_readers_name_the_line_of_a_fault(tmp_path, reader, case):
+    """The cases of test_read_table_names_the_line_of_a_fault, and an id past
+    int64, against the three build-net input readers: the message names the
+    file, the line and the field or byte."""
+    read, *layout = NET_READERS[reader]
+    text, fault = _fault_cases(*layout)[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ValueError) as exc:
+        read(path)
+    assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
+
+
+@pytest.mark.parametrize("text", [b"", b"\n\r\n", None])
+@pytest.mark.parametrize("reader", sorted(NET_READERS))
+def test_net_readers_warn_of_no_empty_file(tmp_path, reader, text):
+    """An empty or blank file lacks the header's columns, and a header
+    without rows reads as no rows; neither warns, so the CLI prints one line."""
+    read, header, *_ = NET_READERS[reader]
+    path = tmp_path / "t.csv"
+    path.write_bytes(f"{header}\n".encode() if text is None else text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if text is None:
+            read(path)
+        else:
+            with pytest.raises(ValueError, match="header lacks column"):
+                read(path)
+
+
+class TestReadersMatchCsvModule:
+    """read_nodes, read_airports and read_air_flows against the same readers
+    over the csv-module reader in tests/oracles.py: equal dtypes and bit-equal
+    columns, on written worlds and on hand-formatted files."""
+
+    @staticmethod
+    def columns(obj):
+        names = {net.Nodes: ("lat", "lon", "population", "agent_id"),
+                 net.Airports: ("ids", "lat", "lon"), AirFlowTable: ("ids", "g")}
+        return [getattr(obj, name) for name in names[type(obj)]]
+
+    def check(self, monkeypatch, paths):
+        nodes, airports, flights = paths
+        new = [net.read_nodes(nodes), net.read_airports(airports)]
+        new.append(net.read_air_flows(flights, new[1]))
+        monkeypatch.setattr(net, "_read_columns", read_columns_csv)
+        old = [net.read_nodes(nodes), net.read_airports(airports)]
+        old.append(net.read_air_flows(flights, old[1]))
+        for a, b in zip(new, old):
+            for x, y in zip(self.columns(a), self.columns(b)):
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()
+                assert x.flags.c_contiguous
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (60, 3), (500, 9)])
+    def test_written_worlds(self, tmp_path, monkeypatch, n, seed):
+        nodes, airports, table = synth_world(n, 1, seed=seed)
+        paths = [tmp_path / name for name in ("nodes.csv", "airports.csv", "flows.csv")]
+        net.write_nodes(nodes, paths[0])
+        net.write_airports(airports, paths[1])
+        net.write_air_flows(table, paths[2])
+        self.check(monkeypatch, paths)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_hand_formatted_files(self, tmp_path, monkeypatch, newline):
+        # quoted fields, blank lines, an extra column that holds a comma,
+        # doubled quotes and a line break, and the columns in another order
+        rng = np.random.default_rng(len(newline))
+        n = 30
+        extreme = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -123.456, 0.1]
+        columns = {
+            "nodes.csv": {"id": [str(i) for i in range(n)],
+                          "lat": [repr(v) for v in rng.choice(extreme, n).tolist()],
+                          "lon": [repr(v) for v in rng.uniform(-180, 180, n).tolist()],
+                          "population": [repr(v) for v in rng.choice(extreme[1:4], n).tolist()],
+                          "agent_id": [str(i % 4) for i in range(n)]},
+            "airports.csv": {"id": ["7", "3", "12"], "lat": ["-0.0", "1e-320", "45.5"],
+                             "lon": ["0.1", "-0.0", "2.5"]},
+            "flows.csv": {"origin": ["3", "12", "7", "3"], "destination": ["7", "3", "12", "7"],
+                          "flow": ["1e-320", "-0.0", "2.5", "0.1"]},
+        }
+        paths = []
+        for name, table in columns.items():
+            names = ["note", *table][::-1]
+            rows = len(next(iter(table.values())))
+            table["note"] = ['x, "y"' + newline + "z"] * rows
+            lines = [",".join(f'"{c}"' for c in names)]
+            for k in range(rows):
+                lines.append(",".join('"' + table[c][k].replace('"', '""') + '"'
+                                      if k % 2 or c == "note" else table[c][k]
+                                      for c in names))
+                if k % 3 == 0:
+                    lines.append("")
+            path = tmp_path / name
+            path.write_bytes((newline.join(lines) + newline).encode())
+            paths.append(path)
+        self.check(monkeypatch, paths)
 
 
 def test_build_does_not_import_scipy_spatial():
