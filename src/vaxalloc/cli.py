@@ -28,11 +28,11 @@ _NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigm
 def _cmd_build_net(args) -> int:
     cfg = ScenarioConfig(**{name: getattr(args, name) for name in _NET_FIELDS})
     if args.synthetic:
-        nodes, airports, table = net.synth_world(
+        nodes, airports, table, nearest = net.synth_world(
             cfg.n_nodes, cfg.n_agents, grid_spacing_km=cfg.grid_spacing_km,
             pop_median=cfg.pop_median, pop_sigma=cfg.pop_sigma,
             airport_density=cfg.airport_density, air_fraction=cfg.air_fraction,
-            seed=args.seed)
+            seed=args.seed, with_assignment=True)
         planar = True
     else:
         if not (args.nodes and args.airports and args.flights):
@@ -41,9 +41,10 @@ def _cmd_build_net(args) -> int:
         nodes = net.read_nodes(args.nodes)
         airports = net.read_airports(args.airports)
         table = net.read_air_flows(args.flights, airports)
-        planar = args.planar
+        planar, nearest = args.planar, None
     network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
-                                alpha=cfg.commute_fraction, planar=planar)
+                                alpha=cfg.commute_fraction, planar=planar,
+                                nearest=nearest)
 
     def write(out: Path) -> None:
         if args.synthetic:

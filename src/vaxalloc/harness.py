@@ -20,12 +20,12 @@ from . import policy as polmod
 from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
-from .net import _read_columns, _reprs, _write_json, _write_table
+from .net import _line_of, _read_columns, _reprs, _write_json, _write_table
 from .policy import (PolicyState, loss_coefficients, pb_allocate, spill_order,
                      update_bounds, window_width)
-# the knapsack on inputs run_instance checks once per run; bound under the
-# public name so that perfbench/spans.py traces it as policy.solve_knapsack
-from .policy import _greedy_fill as solve_knapsack
+# every agent's knapsack, on inputs run_instance checks once per run, under the
+# public name that perfbench/spans.py traces as policy.solve_knapsack
+from .policy import _allocate_knapsack as solve_knapsack
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
@@ -68,14 +68,13 @@ class RunResult:
         return self.agent_totals.shape[1]
 
     def equals(self, other: "RunResult") -> bool:
-        """Exact equality of all exported content (wall clock ignored)."""
+        """Exact equality of all exported content: the config and every
+        array field (wall clock ignored)."""
         if self.config != other.config:
             return False
-        arrays = ("populations", "agent_of", "global_totals", "agent_totals",
-                  "budgets", "budgets_effective", "allocations", "theta_hat",
-                  "theta_obs", "bounds", "sharing_ratios", "priors_a", "priors_b")
-        return all(np.array_equal(getattr(self, name), getattr(other, name))
-                   for name in arrays)
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in dataclasses.fields(self)
+                   if f.name not in ("config", "wall_clock"))
 
 
 @dataclass
@@ -112,7 +111,7 @@ def run_instance(inst: Instance) -> RunResult:
     """Run the full horizon for one instance.
 
     Period ordering: effective budgets (carried over from the previous
-    period in sharing mode), per-agent estimate + knapsack solve with
+    period in sharing mode), estimate + every agent's knapsack solve with
     windowed bounds, epidemic step with realized efficiencies, next-period
     sharing quantities from the stepped state, then Bernoulli prior updates.
     """
@@ -175,17 +174,11 @@ def run_instance(inst: Instance) -> RunResult:
         theta_hat_tr[row] = theta_hat
 
         if knapsack:
-            for a in range(k):
-                idx = agent_nodes[a]
-                losses = loss_coefficients(state, inst.params, net, idx, theta_hat,
-                                           inflow)
-                x[idx] = solve_knapsack(losses, agent_costs[a], float(b_eff[a]),
-                                        bounds[idx])
+            losses = loss_coefficients(state, inst.params, net, theta_hat, inflow)
+            x = solve_knapsack(losses, inst.costs, b_eff, bounds, inst.agent_of)
         elif pol_name == "pb":
-            for a in range(k):
-                idx = agent_nodes[a]
-                x[idx] = pb_allocate(agent_costs[a], float(b_eff[a]), bounds[idx],
-                                     spill[a])
+            for a, idx in enumerate(agent_nodes):
+                x[idx] = pb_allocate(agent_costs[a], float(b_eff[a]), bounds[idx], spill[a])
 
         theta_t = draw_realized_rates(inst.efficiency.mean_rates,
                                       inst.efficiency.epsilon,
@@ -381,12 +374,13 @@ def _write_run(result: RunResult, directory: Path) -> None:
                                  for p in (result.priors_a, result.priors_b))))
 
 
-def _integers(path, name, values, lo, hi) -> np.ndarray:
-    """``values`` as int64, each checked to be an integer in [lo, hi]."""
-    bad = ~((values >= lo) & (values <= hi) & (values == np.floor(values)))
-    if bad.any():
-        raise ValueError(f"{path}: {name} = {values[bad][0]:g} is not an integer "
-                         f"in {lo}..{hi}")
+def _integers(path, name, values, lo, hi, where) -> np.ndarray:
+    """``values`` as int64, each checked to be an integer in [lo, hi]; a
+    fault's message names value i by ``where(i)``."""
+    bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
+    if bad.size:
+        raise ValueError(f"{path}: {name} = {values[bad[0]]:g} {where(bad[0])} is not an "
+                         f"integer in {lo}..{hi}")
     return values.astype(np.int64)
 
 
@@ -395,14 +389,15 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     the grid of its ``ids``, given as (name, lo, hi). Each id must be an
     integer in its range and each grid cell must have exactly one row, in any
     order. Fields in ``blank_as_nan`` read an empty field as NaN. Every fault
-    raises ValueError naming the file."""
+    raises ValueError naming the file and, where a row is at fault, its line."""
     names = [name for name, _, _ in ids] + list(columns)
     data = _read_columns(path, {c: (lambda s: float(s or "nan")) if c in blank_as_nan
                                 else float for c in names})
     shape = [hi - lo + 1 for _, lo, hi in ids]
     cell = np.zeros(data[0].size, dtype=np.int64)
     for col, (name, lo, hi), size in zip(data, ids, shape):
-        cell = cell * size + _integers(path, name, col, lo, hi) - lo
+        cell = cell * size + _integers(path, name, col, lo, hi,
+                                       lambda row: f"on line {_line_of(path, row)}") - lo
     out = np.empty((len(columns), int(np.prod(shape))))
     out[:, cell] = data[len(ids):]
     counts = np.bincount(cell, minlength=out.shape[1])
@@ -410,8 +405,10 @@ def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
     if wrong.size:
         where = ", ".join(f"{name}={int(c) + lo}" for (name, lo, _), c
                           in zip(ids, np.unravel_index(wrong[0], shape)))
-        raise ValueError(f"{path}: the row for {where} appears "
-                         f"{counts[wrong[0]]} times, not once")
+        rows = np.flatnonzero(cell == wrong[0])
+        again = f", again on line {_line_of(path, rows[1])}" if rows.size > 1 else ""
+        raise ValueError(f"{path}: the row for {where} appears {rows.size} times, "
+                         f"not once{again}")
     return list(out.reshape(len(columns), *shape))
 
 
@@ -481,7 +478,7 @@ def import_result(directory) -> RunResult:
 
     path = directory / "nodes.csv"
     populations, agents = _read_table(path, nodes, ["population", "agent_id"])
-    agent_of = _integers(path, "agent_id", agents, 0, k - 1)
+    agent_of = _integers(path, "agent_id", agents, 0, k - 1, "of node_id {}".format)
 
     global_totals = np.stack(_read_table(directory / "global.csv", [("t", 0, horizon)],
                                          ["S", "I", "R", "D"]), axis=-1)
@@ -510,8 +507,8 @@ def import_result(directory) -> RunResult:
         _matches(path, "budget_out", b_out, b_in * ratios, "budget_in * ratio")
 
     path = directory / "priors.csv"
-    priors_a, priors_b = (_integers(path, name, col, 0, 2 ** 53) for name, col in
-                          zip("ab", _read_table(path, nodes, ["a", "b"])))
+    priors_a, priors_b = (_integers(path, name, col, 0, 2 ** 53, "of node_id {}".format)
+                          for name, col in zip("ab", _read_table(path, nodes, ["a", "b"])))
 
     return RunResult(
         config=config, populations=populations, agent_of=agent_of,

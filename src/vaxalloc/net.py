@@ -609,6 +609,14 @@ def _fault(lines, header: list, types: dict) -> str:
     return "does not parse as a CSV table"
 
 
+def _line_of(path, row) -> int:
+    """The line of data row ``row`` (from 0) of a CSV file that _read_columns
+    read, numbered as _fault numbers lines: the header and every data row
+    are the lines not blank. Read again, for the message of a fault."""
+    lines = io.StringIO(Path(path).read_bytes().decode("utf-8"), newline="")
+    return [no for no, line in enumerate(lines, start=1) if line.strip("\r\n")][row + 1]
+
+
 def read_nodes(path) -> Nodes:
     """Node file: header id,lat,lon,population,agent_id, ids 0..n-1 in row
     order, since the network names each node by its row."""
@@ -616,8 +624,8 @@ def read_nodes(path) -> Nodes:
                                          "population": float, "agent_id": int})
     wrong = np.flatnonzero(ids != np.arange(ids.size))
     if wrong.size:
-        raise ValueError(f"{path}: data row {wrong[0] + 1} has node id {ids[wrong[0]]}; "
-                         "ids must be 0..n-1 in row order")
+        raise ValueError(f"{path}: the row on line {_line_of(path, wrong[0])} has node id "
+                         f"{ids[wrong[0]]}; ids must be 0..n-1 in row order")
     return Nodes(*columns)
 
 
@@ -631,9 +639,11 @@ def write_nodes(nodes: Nodes, path) -> None:
 def read_airports(path) -> Airports:
     """Airport file: header id,lat,lon; each id once."""
     airports = Airports(*_read_columns(path, {"id": int, "lat": float, "lon": float}))
-    ids, counts = np.unique(airports.ids, return_counts=True)
-    if np.any(counts > 1):
-        raise ValueError(f"{path}: airport id {ids[counts > 1][0]} appears more than once")
+    _, first = np.unique(airports.ids, return_index=True)
+    again = np.setdiff1d(np.arange(len(airports)), first)
+    if again.size:
+        raise ValueError(f"{path}: airport id {airports.ids[again[0]]} on line "
+                         f"{_line_of(path, again[0])} appears on an earlier line too")
     return airports
 
 
@@ -650,8 +660,9 @@ def read_air_flows(path, airports: Airports) -> AirFlowTable:
     ids = np.unique(airports.ids)
     bad = np.flatnonzero((origin == dest) | ~np.isin(origin, ids) | ~np.isin(dest, ids))
     if bad.size:
-        raise ValueError(f"{path}: air flow {origin[bad[0]]}->{dest[bad[0]]} must join two "
-                         "different airports of the airport file")
+        raise ValueError(f"{path}: on line {_line_of(path, bad[0])}, air flow "
+                         f"{origin[bad[0]]}->{dest[bad[0]]} must join two different "
+                         "airports of the airport file")
     g = np.zeros((len(ids), len(ids)))
     # unbuffered, so the rows of one pair add up in file order
     np.add.at(g, (np.searchsorted(ids, origin), np.searchsorted(ids, dest)), flow)

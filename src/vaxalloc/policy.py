@@ -77,9 +77,8 @@ class AllocationProblem:
 
 
 def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatrix,
-                      agent_nodes: np.ndarray, theta_hat: np.ndarray,
-                      inflow: np.ndarray) -> np.ndarray:
-    """Coefficient of each agent node's allocation in the one-period-ahead
+                      theta_hat: np.ndarray, inflow: np.ndarray) -> np.ndarray:
+    """Coefficient of each node's allocation in its agent's one-period-ahead
     susceptible objective, assuming other agents allocate nothing.
 
     l_i = theta_i * S_i * (-(1 - beta_i I_i) + rho * sum_j p_ij
@@ -87,26 +86,33 @@ def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatri
     where the last sum is ``inflow``: c[i, agent of i] for the run's
     ``sharing.AgentCoupling``.
     """
-    agent_nodes = np.asarray(agent_nodes, dtype=int)
-    s = state.s[agent_nodes]
-    beta = params.beta[agent_nodes]
-    inf = state.i[agent_nodes]
-    out_sum = net.rate_row_sum[agent_nodes]
-    th = np.asarray(theta_hat, dtype=float)[agent_nodes]
-    return th * s * (-(1.0 - beta * inf) + net.rho * out_sum
-                     - net.rho * inflow[agent_nodes])
+    th = np.asarray(theta_hat, dtype=float)
+    return th * state.s * (-(1.0 - params.beta * state.i) + net.rho * net.rate_row_sum
+                           - net.rho * inflow)
 
 
-def _full_takes(remaining: float, caps: np.ndarray, costs: np.ndarray,
-                floor: float) -> tuple[int, np.ndarray]:
-    """The greedy fill's leading run of full takes, and what remains before
-    each take. Take j spends caps[j] * costs[j]; it is full while caps[j]
-    fits in what remains and leaves more than ``floor``. Subtracting with
-    np.subtract.accumulate runs in the order of the loop's
-    ``remaining -= take * cost``, so every remainder is the loop's, bit for bit."""
-    remains = np.subtract.accumulate(np.concatenate(([remaining], caps * costs)))
+def _fill(x: np.ndarray, order: np.ndarray, caps: np.ndarray, costs: np.ndarray,
+          budget: float, dust: float) -> None:
+    """Greedy fill of ``x`` at the nodes ``order``, whose caps (each above
+    ``dust``) and costs are given in that order: each takes as much of its
+    cap as the budget left buys, a take at or below ``dust`` is skipped, and
+    the fill ends once at most ``dust`` times the budget remains. The leading
+    full takes are made at once by np.subtract.accumulate, which subtracts
+    in the loop's order, so every remainder is the loop's bit for bit."""
+    floor = dust * budget
+    remains = np.subtract.accumulate(np.concatenate(([budget], caps * costs)))
     full = (remains[:-1] / costs >= caps) & (remains[1:] > floor)
-    return (int(np.argmin(full)) if not full.all() else full.size), remains
+    k = int(np.argmin(full)) if not full.all() else full.size
+    x[order[:k]] += caps[:k]
+    remaining = remains[k]
+    for j in range(k, order.size):
+        take = min(caps[j], remaining / costs[j])
+        if take <= dust:
+            continue
+        x[order[j]] += take
+        remaining -= take * costs[j]
+        if remaining <= floor:
+            break
 
 
 def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
@@ -114,33 +120,26 @@ def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
     (ties broken by ascending index) while the loss is negative and budget
     remains; the last funded node gets the fractional remainder. Takes and
     remainders within ``DUST`` are not funded."""
-    return _greedy_fill(problem.losses, problem.costs, problem.budget, problem.bounds)
+    return _allocate_knapsack(problem.losses, problem.costs, np.array([problem.budget]),
+                              problem.bounds, np.zeros(problem.losses.size, dtype=np.intp))
 
 
-def _greedy_fill(l: np.ndarray, c: np.ndarray, budget: float,
-                 ub: np.ndarray) -> np.ndarray:
-    """``solve_knapsack`` on inputs already checked as ``AllocationProblem``
-    checks them. Every full take is made at once (``_full_takes``); the loop
-    runs only from the first fractional take or the first take that ends the
-    spend."""
+def _allocate_knapsack(l: np.ndarray, c: np.ndarray, budgets: np.ndarray,
+                       ub: np.ndarray, agent_of: np.ndarray) -> np.ndarray:
+    """``solve_knapsack`` of every agent a over its nodes ``agent_of == a``
+    with budget ``budgets[a]``, on inputs checked as ``AllocationProblem``
+    checks them: one sort by (agent, ratio, index), then each agent's
+    segment filled from its own budget, in its own solve's order."""
     x = np.zeros(l.shape[0])
     # a bound within DUST is never funded, whatever budget remains
     candidates = np.flatnonzero((l < 0) & (ub > DUST))
-    if candidates.size == 0 or budget <= 0:
-        return x
-    order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
-    floor = DUST * budget
-    k, remains = _full_takes(float(budget), ub[order], c[order], floor)
-    x[order[:k]] = ub[order[:k]]
-    remaining = remains[k]
-    for idx in order[k:]:
-        take = min(ub[idx], remaining / c[idx])
-        if take <= DUST:
-            continue
-        x[idx] = take
-        remaining -= take * c[idx]
-        if remaining <= floor:
-            break
+    agents = agent_of[candidates]
+    order = candidates[np.lexsort((candidates, l[candidates] / c[candidates], agents))]
+    ends = np.cumsum(np.bincount(agents, minlength=len(budgets))).tolist()
+    caps, costs = ub[order], c[order]
+    for budget, lo, hi in zip(budgets.tolist(), [0] + ends, ends):
+        if budget > 0 and hi > lo:
+            _fill(x, order[lo:hi], caps[lo:hi], costs[lo:hi], budget, DUST)
     return x
 
 
@@ -177,8 +176,7 @@ def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray,
     order (``spill_order(costs)``, which a caller may pass in once for
     many calls). Independent of epidemic state and efficiencies.
 
-    The spill makes every full take at once (``_full_takes``) and loops only
-    from the first fractional take."""
+    The spill is ``_fill`` over the nodes with room left."""
     costs = np.asarray(costs, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
     n = costs.shape[0]
@@ -194,15 +192,7 @@ def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray,
         room = bounds - x
         # a node without room takes nothing and spends nothing
         order = order[room[order] > 0]
-        k, remains = _full_takes(residual, room[order], costs[order], 0.0)
-        x[order[:k]] += room[order[:k]]
-        residual = remains[k]
-        for idx in order[k:]:
-            if residual <= 0:
-                break
-            add = min(room[idx], residual / costs[idx])
-            x[idx] += add
-            residual -= add * costs[idx]
+        _fill(x, order, room[order], costs[order], residual, 0.0)
     return x
 
 

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from vaxalloc.epi import STABILITY_BAND, CompartmentState, EpidemicInstabilityError
 from vaxalloc.harness import _SCHEMA, RunResult
 from vaxalloc.net import pair_distances
-from vaxalloc.policy import DUST
+from vaxalloc.policy import DUST, AllocationProblem
 
 
 def cross_distances(lat1, lon1, lat2, lon2, planar=False):
@@ -566,6 +566,17 @@ def solve_knapsack_loop(problem):
         remaining -= take * c[idx]
         if remaining <= DUST * problem.budget:
             break
+    return x
+
+
+def allocate_knapsack_loop(losses, costs, budgets, bounds, agent_of):
+    """Every agent's knapsack, agent a over its nodes ``agent_of == a`` with
+    budget ``budgets[a]``: solve_knapsack_loop once per agent, scattered back."""
+    x = np.zeros(len(losses))
+    for a, budget in enumerate(budgets):
+        idx = np.flatnonzero(agent_of == a)
+        x[idx] = solve_knapsack_loop(AllocationProblem(losses[idx], costs[idx],
+                                                       float(budget), bounds[idx]))
     return x
 
 

@@ -91,8 +91,8 @@ def test_criterion_3_objective_equivalence():
         if agent_nodes.size == 0:
             agent_nodes = np.array([0])
         theta = rng.uniform(0.2, 0.95, n)
-        l = loss_coefficients(state, params, net, agent_nodes, theta,
-                              own_inflow(net, [agent_nodes]))
+        l = loss_coefficients(state, params, net, theta,
+                              own_inflow(net, [agent_nodes]))[agent_nodes]
         p_dense = net.rates.toarray()
         const = direct_objective(s, i, params.beta, net.rho, p_dense,
                                  agent_nodes, theta, np.zeros(n))

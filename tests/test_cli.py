@@ -31,6 +31,20 @@ def test_build_net_synthetic(tmp_path, capsys):
     assert "36 nodes" in capsys.readouterr().out
 
 
+def test_build_net_synthetic_assigns_airports_once(tmp_path, monkeypatch):
+    """The network is built over the assignment the air table was computed
+    over, not over a second one."""
+    calls = []
+
+    def counting(*args, _fn=net.assign_airports, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(net, "assign_airports", counting)
+    assert main(["build-net", "--synthetic", "--n-nodes", "60", "--n-agents", "2",
+                 "--out", str(tmp_path / "net")]) == 0
+    assert len(calls) == 1
+
+
 def test_build_net_from_files(tmp_path):
     src = tmp_path / "src"
     rc = main(["build-net", "--synthetic", "--n-nodes", "25", "--n-agents", "2",

@@ -70,6 +70,17 @@ class TestRun:
         cfg = small_config(policy=policy, sharing=True)
         assert run(cfg).equals(run(cfg))
 
+    def test_equals_compares_every_array_field(self):
+        """A change to any one array field makes runs unequal, as does one to
+        the config; the wall clock is ignored."""
+        res = run(small_config(policy="ts", sharing=True))
+        for f in dataclasses.fields(RunResult):
+            if f.name not in ("config", "wall_clock"):
+                changed = dataclasses.replace(res, **{f.name: getattr(res, f.name) + 1})
+                assert not res.equals(changed), f.name
+        assert not res.equals(dataclasses.replace(res, config={**res.config, "seed": 0}))
+        assert res.equals(dataclasses.replace(res, wall_clock=res.wall_clock + 1.0))
+
     def test_totals_conserve_population(self):
         res = run(small_config(policy="ts"))
         total_pop = res.populations.sum()
@@ -145,10 +156,14 @@ def test_coupled_run_matches_add_at_path(monkeypatch):
         lambda state, params, agent_of, into: tuple(
             per_agent(v, agent_of, k)
             for v in infection_split_add_at(state, params, net, agent_of)))
-    monkeypatch.setattr(
-        harness, "loss_coefficients",
-        lambda state, params, net, idx, theta, inflow:
-            loss_coefficients_per_call(state, params, net, idx, theta))
+
+    def per_call_losses(state, params, net, theta, inflow):
+        out = np.zeros(net.n)
+        for a in range(k):
+            idx = np.flatnonzero(inst.agent_of == a)
+            out[idx] = loss_coefficients_per_call(state, params, net, idx, theta)
+        return out
+    monkeypatch.setattr(harness, "loss_coefficients", per_call_losses)
     slow = run_instance(inst)
     assert np.any(fast.sharing_ratios > 0)
     assert_same_learning(fast, slow)
@@ -179,6 +194,21 @@ def test_sharing_run_makes_no_rates_product_for_sharing(monkeypatch):
     res = run_instance(inst)
     assert np.any(res.sharing_ratios > 0)
     assert counts == {"rates_dot": cfg.horizon, "rates_t_dot": 1}
+
+
+def test_run_allocates_every_agent_in_one_call_per_period(monkeypatch):
+    """A ts run with sharing computes the loss coefficients and solves the
+    knapsack once per period for all five agents, not once per agent."""
+    cfg = small_config(policy="ts", sharing=True, n_agents=5)
+    counts = {"loss_coefficients": 0, "solve_knapsack": 0}
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(harness, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(harness, name, counting)
+    res = run(cfg)
+    assert np.unique(res.agent_of[res.allocations.any(axis=0)]).size > 1
+    assert counts == {"loss_coefficients": cfg.horizon, "solve_knapsack": cfg.horizon}
 
 
 def test_totals_match_add_at():
@@ -488,11 +518,18 @@ class TestColumnWiseIO:
     (b"\xffa,b\n0,2\n", "byte 0xff on line 1 is not UTF-8 text"),
     (b"a,b\r\n0,2\r\n1,\xff\r\n", "byte 0xff on line 3 is not UTF-8 text"),
     (b"a,b\n" + b"0,2\n" * 5000 + b"1,\xfe\n", "byte 0xfe on line 5002 is not UTF-8"),
+    (b"a,b\n\n0,2\n\n5,3\n", "a = 5 on line 5 is not an integer in 0..1"),
+    (b"a,b\r\n\r\n1,2\r\n0.5,3\r\n", "a = 0.5 on line 4 is not an integer in 0..1"),
+    (b"a,b\r\n\r\n0,2\r\n1,3\r\n\r\n0,4\r\n",
+     "the row for a=0 appears 2 times, not once, again on line 6"),
+    (b"a,b\n\n0,2\n", "the row for a=1 appears 0 times, not once"),
 ])
 def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     """A short row, a field that does not parse and bytes that are not
     UTF-8 name the file and the line they are on, across blank lines and
-    any line ending; a byte past the reader's first chunk too."""
+    any line ending; a byte past the reader's first chunk too. So do an id
+    out of its range and a repeated row, whose message names the line of
+    the repeat."""
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     with pytest.raises(ValueError) as exc:

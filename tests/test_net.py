@@ -1090,14 +1090,28 @@ def _fault_cases(header, row, float_col, int_col):
     }
 
 
-@pytest.mark.parametrize("case", sorted(_fault_cases("a,b", "0,2", "b", "a")))
+# each reader's fault in a row that parses, after blank lines
+SEMANTIC_FAULTS = {
+    "nodes": ("id,lat,lon,population,agent_id\n\n0,1.5,2.5,100.0,0\n\n2,1.5,2.5,100.0,0\n",
+              "the row on line 5 has node id 2; ids must be 0..n-1 in row order"),
+    "airports": ("id,lat,lon\r\n\r\n0,1.5,2.5\r\n1,3.0,4.0\r\n\r\n0,5.0,6.0\r\n",
+                 "airport id 0 on line 6 appears on an earlier line too"),
+    "flights": ("origin,destination,flow\n\n0,1,5.0\n\n\n1,1,5.0\n",
+                "on line 6, air flow 1->1 must join two different airports"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_fault_cases("a,b", "0,2", "b", "a"))
+                         + ["semantic fault after blank lines"])
 @pytest.mark.parametrize("reader", sorted(NET_READERS))
 def test_net_readers_name_the_line_of_a_fault(tmp_path, reader, case):
     """The cases of test_read_table_names_the_line_of_a_fault, and an id past
     int64, against the three build-net input readers: the message names the
-    file, the line and the field or byte."""
+    file, the line and the field or byte. A row that parses but that the
+    reader refuses is named by its line too."""
     read, *layout = NET_READERS[reader]
-    text, fault = _fault_cases(*layout)[case]
+    text, fault = {**_fault_cases(*layout),
+                   "semantic fault after blank lines": SEMANTIC_FAULTS[reader]}[case]
     path = tmp_path / "t.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError) as exc:

@@ -19,9 +19,10 @@ from vaxalloc.policy import (AllocationProblem, PolicyState, observe_and_update,
                              pb_allocate, solve_knapsack, spill_order)
 from vaxalloc.scenario import ScenarioConfig, build_instance, draw_realized_rates
 
-from oracles import (air_dot_bincount, draw_realized_rates_uniform,
-                     observe_and_update_masked, pb_allocate_loop, solve_knapsack_loop,
-                     step_vaccinated_per_array, totals_add_at)
+from oracles import (air_dot_bincount, allocate_knapsack_loop,
+                     draw_realized_rates_uniform, observe_and_update_masked,
+                     pb_allocate_loop, solve_knapsack_loop, step_vaccinated_per_array,
+                     totals_add_at)
 from worlds import random_airport_net
 
 
@@ -85,6 +86,42 @@ def test_knapsack_matches_loop():
         stopped_early += 0 < float(want @ prob.costs) < prob.budget
     # the problems reach both ends of the spend
     assert funded > 1000 and stopped_early > 100
+
+
+def random_agents(rng):
+    """Every agent's knapsack as (losses, costs, budgets, bounds, agent_of):
+    the problems of random_knapsack, one per agent, their nodes interleaved
+    at random in index order, each agent's kept in its own order. Two agents
+    may share one problem, so that ratios tie across agents; the last may
+    have only nonnegative losses; and one more agent, with a budget, has no
+    node at all."""
+    k = int(rng.integers(1, 6))
+    probs = [random_knapsack(rng) for _ in range(k)]
+    if k > 1 and rng.random() < 0.3:
+        probs[1] = probs[0]
+    if rng.random() < 0.3:
+        last = probs[-1]
+        probs[-1] = AllocationProblem(np.abs(last.losses), last.costs, last.budget,
+                                      last.bounds)
+    agent_of = rng.permutation(np.repeat(np.arange(k), [p.losses.size for p in probs]))
+    columns = np.empty((3, agent_of.size))
+    for a, prob in enumerate(probs):
+        columns[:, agent_of == a] = prob.losses, prob.costs, prob.bounds
+    losses, costs, bounds = columns
+    budgets = np.array([p.budget for p in probs] + [float(costs.sum())])
+    return losses, costs, budgets, bounds, agent_of
+
+
+def test_allocate_knapsack_matches_loop():
+    rng = np.random.default_rng(1303)
+    shared = 0
+    for _ in range(600):
+        problem = random_agents(rng)
+        want = allocate_knapsack_loop(*problem)
+        assert same_bits(polmod._allocate_knapsack(*problem), want), problem
+        shared += np.unique(problem[-1][want > 0]).size > 1
+    # most problems fund more than one agent
+    assert shared > 200
 
 
 def test_pb_allocate_matches_loop():
@@ -264,8 +301,7 @@ def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
     fast = run_instance(build_instance(cfg))
     monkeypatch.setattr(netmod.FlowMatrix, "_air_dot",
                         lambda net, h, v: air_dot_bincount(net, h, v).T)
-    monkeypatch.setattr(harness, "solve_knapsack",
-                        lambda *args: solve_knapsack_loop(AllocationProblem(*args)))
+    monkeypatch.setattr(harness, "solve_knapsack", allocate_knapsack_loop)
     monkeypatch.setattr(harness, "pb_allocate",
                         lambda costs, budget, bounds, order: pb_allocate_loop(
                             costs, budget, bounds))

@@ -38,8 +38,7 @@ class TestLossCoefficients:
         st = random_state(4, rng)
         p = EpiParams(beta=np.full(4, 0.3), gamma=np.full(4, 0.1),
                       cfr=np.full(4, 0.01))
-        l = loss_coefficients(st, p, net, np.arange(4), np.zeros(4),
-                              own_inflow(net, [np.arange(4)]))
+        l = loss_coefficients(st, p, net, np.zeros(4), own_inflow(net, [np.arange(4)]))
         assert np.all(l == 0.0)
 
     def test_isolated_node_hand_value(self):
@@ -49,7 +48,7 @@ class TestLossCoefficients:
                               r=np.array([0.0]), d=np.array([0.0]), t=0)
         p = EpiParams(beta=np.array([0.5]), gamma=np.array([0.1]),
                       cfr=np.array([0.01]))
-        l = loss_coefficients(st, p, net, np.array([0]), np.array([1.0]),
+        l = loss_coefficients(st, p, net, np.array([1.0]),
                               own_inflow(net, [np.array([0])]))
         assert l[0] == pytest.approx(-0.855, abs=1e-12)
 
@@ -66,8 +65,8 @@ class TestLossCoefficients:
         if agent_nodes.size == 0:
             agent_nodes = np.array([0])
         theta = rng.uniform(0.3, 0.9, n)
-        l = loss_coefficients(st, p, net, agent_nodes, theta,
-                              own_inflow(net, [agent_nodes]))
+        l = loss_coefficients(st, p, net, theta,
+                              own_inflow(net, [agent_nodes]))[agent_nodes]
         p_dense = net.rates.toarray()
         x0 = np.zeros(n)
         const = direct_objective(st.s, st.i, p.beta, net.rho, p_dense,
@@ -93,8 +92,9 @@ class TestLossCoefficients:
             agent_nodes = [np.flatnonzero(agent_of == a) for a in range(k)]
             inflow = AgentCoupling(net, agent_of, k).c[np.arange(n), agent_of]
             theta = rng.uniform(0.0, 1.0, n)
+            losses = loss_coefficients(st, p, net, theta, inflow)
             for idx in agent_nodes:
-                got = loss_coefficients(st, p, net, idx, theta, inflow)
+                got = losses[idx]
                 want = loss_coefficients_per_call(st, p, net, idx, theta)
                 assert np.array_equal(got, want)
 
