@@ -88,23 +88,23 @@ class GainReport:
     world_last_period_pct: float
 
 
-def _totals_key(agent_of: np.ndarray) -> np.ndarray:
-    """The (agent, compartment) bin 4 * agent + compartment of each entry of
-    an n x 4 array of S, I, R, D."""
-    return 4 * np.asarray(agent_of)[:, None] + np.arange(4)
+def _totals_key(agent_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bins of the entries of an n x 4 array of S, I, R, D, flattened: the
+    (agent, compartment) bin 4 * agent + compartment, and the compartment."""
+    agent_of = np.asarray(agent_of)
+    return (4 * agent_of[:, None] + np.arange(4)).ravel(), np.tile(np.arange(4), agent_of.size)
 
 
 def _totals(state: CompartmentState, populations: np.ndarray,
-            key: np.ndarray, n_agents: int) -> tuple[np.ndarray, np.ndarray]:
+            key: tuple[np.ndarray, np.ndarray], n_agents: int) -> tuple[np.ndarray, np.ndarray]:
     """Global and per-agent S, I, R, D persons; ``key`` is ``_totals_key``."""
     comps = np.stack([state.s, state.i, state.r, state.d], axis=1)
-    weighted = comps * populations[:, None]
-    glob = weighted.sum(axis=0)
-    # bincount adds each bin in node order, as np.add.at does, so the sums
-    # are the same
-    per_agent = np.bincount(key.ravel(), weights=weighted.ravel(),
-                            minlength=4 * n_agents).reshape(n_agents, 4)
-    return glob, per_agent
+    weighted = (comps * populations[:, None]).ravel()
+    # bincount adds each bin in node order from 0.0, as sum(axis=0) adds a
+    # column and np.add.at an agent's, so the sums are the same
+    per_agent, compartment = key
+    return (np.bincount(compartment, weights=weighted, minlength=4),
+            np.bincount(per_agent, weights=weighted, minlength=4 * n_agents).reshape(n_agents, 4))
 
 
 def run_instance(inst: Instance) -> RunResult:
@@ -374,30 +374,32 @@ def _write_run(result: RunResult, directory: Path) -> None:
                                  for p in (result.priors_a, result.priors_b))))
 
 
-def _integers(path, name, values, lo, hi, where) -> np.ndarray:
-    """``values`` as int64, each checked to be an integer in [lo, hi]; a
-    fault's message names value i by ``where(i)``."""
+def _integers(path, name, values, lo, hi) -> np.ndarray:
+    """``values``, column ``name`` of a CSV file, as int64, each checked to be
+    an integer in [lo, hi]; a fault names the line of the first bad value."""
     bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
     if bad.size:
-        raise ValueError(f"{path}: {name} = {values[bad[0]]:g} {where(bad[0])} is not an "
-                         f"integer in {lo}..{hi}")
+        raise ValueError(f"{path}: {name} = {values[bad[0]]:g} on line "
+                         f"{_line_of(path, bad[0])} is not an integer in {lo}..{hi}")
     return values.astype(np.int64)
 
 
-def _read_table(path, ids, columns, blank_as_nan=()) -> list[np.ndarray]:
+def _read_table(path, ids, columns, blank_as_nan=(), integers=()) -> list[np.ndarray]:
     """The float ``columns`` of a CSV table, each scattered into an array over
-    the grid of its ``ids``, given as (name, lo, hi). Each id must be an
-    integer in its range and each grid cell must have exactly one row, in any
-    order. Fields in ``blank_as_nan`` read an empty field as NaN. Every fault
-    raises ValueError naming the file and, where a row is at fault, its line."""
+    the grid of its ``ids``, given as (name, lo, hi). Each id, and each value
+    of a column named in ``integers``, given the same way, must be an integer
+    in its range, and each grid cell must have exactly one row, in any order.
+    Fields in ``blank_as_nan`` read an empty field as NaN. Every fault raises
+    ValueError naming the file and, where a row is at fault, its line."""
     names = [name for name, _, _ in ids] + list(columns)
     data = _read_columns(path, {c: (lambda s: float(s or "nan")) if c in blank_as_nan
                                 else float for c in names})
     shape = [hi - lo + 1 for _, lo, hi in ids]
     cell = np.zeros(data[0].size, dtype=np.int64)
-    for col, (name, lo, hi), size in zip(data, ids, shape):
-        cell = cell * size + _integers(path, name, col, lo, hi,
-                                       lambda row: f"on line {_line_of(path, row)}") - lo
+    for name, lo, hi in (*ids, *integers):  # before the scatter, in file order
+        col = _integers(path, name, data[names.index(name)], lo, hi)
+        if (name, lo, hi) in ids:
+            cell = cell * (hi - lo + 1) + col - lo
     out = np.empty((len(columns), int(np.prod(shape))))
     out[:, cell] = data[len(ids):]
     counts = np.bincount(cell, minlength=out.shape[1])
@@ -477,8 +479,8 @@ def import_result(directory) -> RunResult:
     nodes = [("node_id", 0, n - 1)]
 
     path = directory / "nodes.csv"
-    populations, agents = _read_table(path, nodes, ["population", "agent_id"])
-    agent_of = _integers(path, "agent_id", agents, 0, k - 1, "of node_id {}".format)
+    populations, agents = _read_table(path, nodes, ["population", "agent_id"],
+                                      integers=[("agent_id", 0, k - 1)])
 
     global_totals = np.stack(_read_table(directory / "global.csv", [("t", 0, horizon)],
                                          ["S", "I", "R", "D"]), axis=-1)
@@ -507,16 +509,16 @@ def import_result(directory) -> RunResult:
         _matches(path, "budget_out", b_out, b_in * ratios, "budget_in * ratio")
 
     path = directory / "priors.csv"
-    priors_a, priors_b = (_integers(path, name, col, 0, 2 ** 53, "of node_id {}".format)
-                          for name, col in zip("ab", _read_table(path, nodes, ["a", "b"])))
+    priors_a, priors_b = _read_table(path, nodes, ["a", "b"],
+                                     integers=[("a", 0, 2 ** 53), ("b", 0, 2 ** 53)])
 
     return RunResult(
-        config=config, populations=populations, agent_of=agent_of,
+        config=config, populations=populations, agent_of=agents.astype(np.int64),
         global_totals=global_totals, agent_totals=np.stack(totals, axis=-1),
         budgets=budgets[1:], budgets_effective=budgets_eff[1:],
         allocations=allocations, theta_hat=theta_hat, theta_obs=theta_obs,
-        bounds=bounds, sharing_ratios=ratios, priors_a=priors_a,
-        priors_b=priors_b)
+        bounds=bounds, sharing_ratios=ratios, priors_a=priors_a.astype(np.int64),
+        priors_b=priors_b.astype(np.int64))
 
 
 def export_gains(report: GainReport, path) -> None:

@@ -286,28 +286,32 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def _extent(points, others) -> float:
-    """The largest span of a coordinate over two sets of points, given as
-    coordinate columns."""
-    return max(float(np.ptp(np.concatenate(c))) for c in zip(points, others))
-
-
-def _close_pairs(points, others, side: float,
-                 max_pairs: float = math.inf) -> tuple[np.ndarray, np.ndarray] | None:
+def _close_pairs(points, others, side: float, max_pairs: float = math.inf,
+                 reach: int = 1) -> tuple[np.ndarray, np.ndarray] | None:
     """Index pairs (i, j) of a point of ``points`` and one of ``others``, both
-    given as coordinate columns, in the same or in adjacent cells of a grid
-    whose side is at least ``side``: among them every pair within ``side``
-    of each other in each coordinate. None if there would be more than
+    given as coordinate columns, in cells at most ``reach`` apart in each
+    coordinate on a grid whose side is at least ``side``: among them every
+    pair within ``reach * side`` of each other in each coordinate. With
+    ``others`` None, the pairs of two points of ``points``, each pair once
+    and no point with itself. None if there would be more than
     ``max_pairs`` of them."""
-    # at most 2**20 cells a side, so that a cell's key fits in an int64
-    side = max(side, _extent(points, others) * 2.0 ** -20)
+    same = others is None
+    cols = points if same else [np.concatenate(c) for c in zip(points, others)]
+    # at most 2**20 cells a side, so that a cell's key, moved by up to 2
+    # cells in each coordinate, fits in an int64 and names one cell only
+    side = max(side, max(float(np.ptp(c)) for c in cols) * 2.0 ** -20)
     weight = [(2 ** 20 + 3) ** k for k in range(len(points) - 1, -1, -1)]
     key = sum((np.floor((c - c.min()) / side).astype(np.int64) + 1) * w
-              for c, w in zip(map(np.concatenate, zip(points, others)), weight))
-    order, cell, start, count = _cells(key[:len(points[0])])
-    o_order, o_cell, o_start, o_count = _cells(key[len(points[0]):])
+              for c, w in zip(cols, weight))
+    n = len(points[0])
+    order, cell, start, count = _cells(key[:n])
+    o_order, o_cell, o_start, o_count = (order, cell, start, count) if same \
+        else _cells(key[n:])
+    offsets = itertools.product(range(-reach, reach + 1), repeat=len(points))
+    if same:  # the cells after a cell in key order; its own cell comes below
+        offsets = [o for o in offsets if o > (0,) * len(points)]
     a, b = [], []  # the occupied cells of points and of others that adjoin
-    for offset in itertools.product((-1, 0, 1), repeat=len(points)):
+    for offset in offsets:
         target = cell + sum(o * w for o, w in zip(offset, weight))
         at = np.minimum(np.searchsorted(o_cell, target), len(o_cell) - 1)
         hit = o_cell[at] == target
@@ -316,11 +320,15 @@ def _close_pairs(points, others, side: float,
     a, b = np.concatenate(a), np.concatenate(b)
     if int(np.dot(count[a], o_count[b])) > max_pairs:
         return None
-    # every member of cell a, once per member of cell b, against each of those
-    per_member = np.repeat(o_count[b], count[a])
-    i = order[np.repeat(_ranges(start[a], count[a]), per_member)]
-    j = o_order[_ranges(np.repeat(o_start[b], count[a]), per_member)]
-    return i, j
+    # every member of cell a, at its sorted position, against the run of
+    # sorted positions of cell b
+    at = _ranges(start[a], count[a])
+    first, length = np.repeat(o_start[b], count[a]), np.repeat(o_count[b], count[a])
+    if same:  # and each point against the points after it in its own cell
+        own = np.arange(n)
+        at, first = np.append(own, at), np.append(own + 1, first)
+        length = np.append(np.repeat(start + count, count) - own - 1, length)
+    return order[np.repeat(at, length)], o_order[_ranges(first, length)]
 
 
 def ground_neighborhoods(nodes: Nodes, D: float,
@@ -329,29 +337,28 @@ def ground_neighborhoods(nodes: Nodes, D: float,
     arrays ``(indptr, indices)``: node i's neighbours, ascending, are
     ``indices[indptr[i]:indptr[i + 1]]``.
 
-    A grid of cells finds the candidate pairs within a slightly enlarged
-    radius: on the coordinates for planar worlds, on unit-sphere points and
-    the chord 2 sin(D / 2R) for great-circle ones. A candidate is kept if
-    ``pair_distances`` puts it within D, so a pair at exactly D is decided
-    by the same arithmetic as an n x n distance matrix would decide it.
+    A grid of cells finds each candidate pair once within a slightly
+    enlarged radius: on the coordinates for planar worlds, on unit-sphere
+    points and the chord 2 sin(D / 2R) for great-circle ones. A candidate is
+    kept in both directions if ``pair_distances``, which gives a pair the
+    same bits either way round, puts it within D, so a pair at exactly D is
+    decided by the same arithmetic as an n x n distance matrix would decide it.
     """
     if not len(nodes):
         raise ValueError("no nodes")
     if not D > 0:
         raise ValueError("distance threshold must be positive")
     lat, lon = nodes.lat, nodes.lon
-    points = _grid_points(lat, lon, planar)
     if planar:
         radius = D * (1.0 + 1e-6)
     else:
         chord = 2.0 * math.sin(min(D / (2.0 * EARTH_RADIUS_KM), math.pi / 2.0))
         radius = chord * (1.0 + 1e-6) + _point_slack(lat, lon)
-    rows, cols = _close_pairs(points, points, radius)
-    keep = (pair_distances(lat[rows], lon[rows], lat[cols], lon[cols], planar=planar) <= D) \
-        & (rows != cols)
+    i, j = _close_pairs(_grid_points(lat, lon, planar), None, radius)
+    keep = pair_distances(lat[i], lon[i], lat[j], lon[j], planar=planar) <= D
     n = len(nodes)
-    # the pairs in (row, column) order
-    key = np.sort(rows[keep] * n + cols[keep])
+    # the pairs both ways round, in (row, column) order
+    key = np.sort(np.concatenate(((i * n + j)[keep], (j * n + i)[keep])))
     return np.searchsorted(key, np.arange(n + 1) * n), key % n
 
 
@@ -397,8 +404,9 @@ def assign_airports(nodes: Nodes, airports: Airports,
     node with the airports in its own and the adjacent cells. Every other
     airport is farther than the cell side, so the best candidate by
     ``pair_distances`` (the lowest id of equals) is the answer when nearer
-    than the side, less a rounding slack. The other nodes are compared with
-    every airport.
+    than the side, less a rounding slack. The nodes left are paired with the
+    airports of a 5 x 5 block of cells, sure within twice the side, and the
+    nodes left after that are compared with every airport.
     """
     m = len(airports)
     if not m:
@@ -409,27 +417,32 @@ def assign_airports(nodes: Nodes, airports: Airports,
     n = len(nodes)
     nearest = np.full(n, -1, dtype=np.intp)
     points, sites = _grid_points(nlat, nlon, planar), _grid_points(alat, alon, planar)
-    side = _extent(points, sites) / math.ceil(math.sqrt(m))
-    # about 9 candidates a node on a uniform world; a world so clustered that
-    # it would need far more, or so small that a scan needs no more, is scanned
+    side = max(float(np.ptp(np.concatenate(c))) for c in zip(points, sites)) \
+        / math.ceil(math.sqrt(m))
+    slack = 0.0 if planar else _point_slack(nlat, nlon, alat, alon)
+    # about 9, then 25 candidates a node on a uniform world; a pass runs only
+    # if the scan it spares would exceed the cap, and a world so clustered
+    # that it would need far more candidates is scanned
     cap = 16 * (n + m)
-    pairs = _close_pairs(points, sites, side, cap) if side > 0 and n * m > cap else None
     rest = np.arange(n)
-    if pairs is not None:
+    for ring in (1, 2):
+        pairs = _close_pairs([c[rest] for c in points], sites, side, cap, ring) \
+            if side > 0 and len(rest) * m > cap else None
+        if pairs is None:
+            break
         i, j = pairs
-        d = pair_distances(nlat[i], nlon[i], alat[j], alon[j], planar=planar)
-        best, first = np.full(n, np.inf), np.full(n, m)
+        d = pair_distances(nlat[rest[i]], nlon[rest[i]], alat[j], alon[j], planar=planar)
+        best, first = np.full(len(rest), np.inf), np.full(len(rest), m)
         np.minimum.at(best, i, d)
         tie = d == best[i]
         np.minimum.at(first, i[tie], j[tie])
         # how near an answer must be to be sure, in grid units, then in km
-        slack = 0.0 if planar else _point_slack(nlat, nlon, alat, alon)
-        reach = (side - slack) / (1.0 + 1e-6)
+        reach = (ring * side - slack) / (1.0 + 1e-6)
         if not planar:  # a chord
             reach = 2.0 * EARTH_RADIUS_KM * math.asin(min(max(reach, 0.0) / 2.0, 1.0))
         done = best < reach
-        nearest[done] = first[done]
-        rest = np.flatnonzero(~done)
+        nearest[rest[done]] = first[done]
+        rest = rest[~done]
     step = max(1, _BLOCK // m)
     for lo in range(0, len(rest), step):
         rows = rest[lo:lo + step]

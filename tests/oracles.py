@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import itertools
 import json
 import math
 import struct
@@ -20,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
+from vaxalloc import net
 from vaxalloc.epi import STABILITY_BAND, CompartmentState, EpidemicInstabilityError
 from vaxalloc.harness import _SCHEMA, RunResult
 from vaxalloc.net import pair_distances
@@ -334,6 +336,98 @@ def ground_neighborhoods_dense(nodes, D, planar=False):
     dist = cross_distances(lat, lon, lat, lon, planar=planar)
     np.fill_diagonal(dist, np.inf)
     return [np.flatnonzero(dist[i] <= D) for i in range(len(nodes))]
+
+
+# ---------------------------------------------------------------------------
+# the grid searches of the world build before each pair was found once and
+# unsure nodes got a second ring of cells: the references the searches must
+# match bit for bit, arrays and dtypes
+
+
+def close_pairs_both_ways(points, others, side, max_pairs=math.inf):
+    """Index pairs (i, j) of a point of ``points`` and one of ``others`` in
+    the same or in adjacent cells of a grid of side at least ``side``, every
+    such pair in the order found; with ``others`` the same as ``points``,
+    each pair both ways round and each point with itself. None if there
+    would be more than ``max_pairs`` of them."""
+    side = max(side, max(float(np.ptp(np.concatenate(c))) for c in zip(points, others))
+               * 2.0 ** -20)
+    weight = [(2 ** 20 + 3) ** k for k in range(len(points) - 1, -1, -1)]
+    key = sum((np.floor((c - c.min()) / side).astype(np.int64) + 1) * w
+              for c, w in zip(map(np.concatenate, zip(points, others)), weight))
+    order, cell, start, count = net._cells(key[:len(points[0])])
+    o_order, o_cell, o_start, o_count = net._cells(key[len(points[0]):])
+    a, b = [], []
+    for offset in itertools.product((-1, 0, 1), repeat=len(points)):
+        target = cell + sum(o * w for o, w in zip(offset, weight))
+        at = np.minimum(np.searchsorted(o_cell, target), len(o_cell) - 1)
+        hit = o_cell[at] == target
+        a.append(np.flatnonzero(hit))
+        b.append(at[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    if int(np.dot(count[a], o_count[b])) > max_pairs:
+        return None
+    per_member = np.repeat(o_count[b], count[a])
+    i = order[np.repeat(net._ranges(start[a], count[a]), per_member)]
+    j = o_order[net._ranges(np.repeat(o_start[b], count[a]), per_member)]
+    return i, j
+
+
+def ground_neighborhoods_both_ways(nodes, D, planar=False):
+    """net.ground_neighborhoods measuring every candidate pair in both
+    directions and each node against itself."""
+    lat, lon = nodes.lat, nodes.lon
+    points = net._grid_points(lat, lon, planar)
+    if planar:
+        radius = D * (1.0 + 1e-6)
+    else:
+        chord = 2.0 * math.sin(min(D / (2.0 * net.EARTH_RADIUS_KM), math.pi / 2.0))
+        radius = chord * (1.0 + 1e-6) + net._point_slack(lat, lon)
+    rows, cols = close_pairs_both_ways(points, points, radius)
+    keep = (pair_distances(lat[rows], lon[rows], lat[cols], lon[cols], planar=planar) <= D) \
+        & (rows != cols)
+    n = len(nodes)
+    key = np.sort(rows[keep] * n + cols[keep])
+    return np.searchsorted(key, np.arange(n + 1) * n), key % n
+
+
+def assign_airports_one_ring(nodes, airports, planar=False):
+    """net.assign_airports deciding on the 3 x 3 block of cells only, and
+    scanning every node it leaves unsure against every airport."""
+    m = len(airports)
+    by_id = np.argsort(airports.ids, kind="stable")
+    alat, alon = airports.lat[by_id], airports.lon[by_id]
+    nlat, nlon = nodes.lat, nodes.lon
+    n = len(nodes)
+    nearest = np.full(n, -1, dtype=np.intp)
+    points, sites = net._grid_points(nlat, nlon, planar), net._grid_points(alat, alon, planar)
+    side = max(float(np.ptp(np.concatenate(c))) for c in zip(points, sites)) \
+        / math.ceil(math.sqrt(m))
+    cap = 16 * (n + m)
+    pairs = close_pairs_both_ways(points, sites, side, cap) \
+        if side > 0 and n * m > cap else None
+    rest = np.arange(n)
+    if pairs is not None:
+        i, j = pairs
+        d = pair_distances(nlat[i], nlon[i], alat[j], alon[j], planar=planar)
+        best, first = np.full(n, np.inf), np.full(n, m)
+        np.minimum.at(best, i, d)
+        tie = d == best[i]
+        np.minimum.at(first, i[tie], j[tie])
+        slack = 0.0 if planar else net._point_slack(nlat, nlon, alat, alon)
+        reach = (side - slack) / (1.0 + 1e-6)
+        if not planar:
+            reach = 2.0 * net.EARTH_RADIUS_KM * math.asin(min(max(reach, 0.0) / 2.0, 1.0))
+        done = best < reach
+        nearest[done] = first[done]
+        rest = np.flatnonzero(~done)
+    step = max(1, (1 << 18) // m)
+    for lo in range(0, len(rest), step):
+        rows = rest[lo:lo + step]
+        dist = pair_distances(nlat[rows][:, None], nlon[rows][:, None], alat, alon,
+                              planar=planar)
+        nearest[rows] = dist.argmin(axis=1)
+    return nearest, np.bincount(nearest, weights=nodes.population, minlength=m)
 
 
 def radiation_flows_lists(nodes, neighborhoods, alpha):

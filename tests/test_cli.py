@@ -527,6 +527,8 @@ RUN_LINE_FAULTS = {
     "not UTF-8 before the header": "byte 0xff on line 1 is not UTF-8 text",
     "horizon 3.7": "the config's horizon is 3.7, not an integer >= 1",
     "horizon true": "the config's horizon is True, not an integer >= 1",
+    "agent out of range": "agent_id = 2 on line 2 is not an integer in 0..1",
+    "prior not an integer": "a = 2.5 on line 2 is not an integer in 0..9007199254740992",
 }
 
 

@@ -227,6 +227,22 @@ def test_totals_match_add_at():
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def test_world_totals_match_sum_over_nodes():
+    """The world totals sum by bincount, bit for bit as sum(axis=0) sums the
+    n x 4 array of persons: with signs mixed over magnitudes from 1e-150 to
+    1e150, with a column of zeros and one of -0.0, and at 200,000 nodes."""
+    rng = np.random.default_rng(18)
+    for n in [*rng.integers(1, 5001, 150).tolist(), 200_000]:
+        s, i, r, d = 10.0 ** rng.uniform(-75, 75, (4, n)) * rng.choice([-1.0, 1.0], (4, n))
+        pop = 10.0 ** rng.uniform(-75, 75, n)
+        for zero in ((), ("r",), ("r", "d")):
+            comps = {"s": s, "i": i, "r": r, "d": d, **dict(zip(zero, (0.0 * pop, -0.0 * pop)))}
+            state = CompartmentState(**comps, t=0)
+            got, _ = harness._totals(state, pop, harness._totals_key(np.zeros(n, int)), 1)
+            want = (np.stack([comps[c] for c in "sird"], axis=1) * pop[:, None]).sum(axis=0)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def assert_same_learning(fast, explicit):
     assert np.array_equal(fast.allocations > 0, explicit.allocations > 0)
     assert np.array_equal(fast.priors_a, explicit.priors_a)
@@ -523,17 +539,20 @@ class TestColumnWiseIO:
     (b"a,b\r\n\r\n0,2\r\n1,3\r\n\r\n0,4\r\n",
      "the row for a=0 appears 2 times, not once, again on line 6"),
     (b"a,b\n\n0,2\n", "the row for a=1 appears 0 times, not once"),
+    (b"a,b\n\n0,2\n\n1,12\n", "b = 12 on line 5 is not an integer in 0..9"),
+    (b"a,b\r\n\r\n0,2.5\r\n\r\n1,3\r\n", "b = 2.5 on line 3 is not an integer in 0..9"),
+    (b"a,b\n1,3\n\n\n0,-1\n0,-2\n", "b = -1 on line 5 is not an integer in 0..9"),
 ])
 def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     """A short row, a field that does not parse and bytes that are not
     UTF-8 name the file and the line they are on, across blank lines and
     any line ending; a byte past the reader's first chunk too. So do an id
-    out of its range and a repeated row, whose message names the line of
-    the repeat."""
+    or an integer value out of its range and a repeated row, whose message
+    names the line of the repeat."""
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     with pytest.raises(ValueError) as exc:
-        harness._read_table(path, [("a", 0, 1)], ["b"])
+        harness._read_table(path, [("a", 0, 1)], ["b"], integers=[("b", 0, 9)])
     assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import vaxalloc
 from vaxalloc import net
@@ -20,9 +21,10 @@ from vaxalloc.net import (AirFlowTable, AirportRecord, NodeRecord,
 
 from vaxalloc.cli import main
 
-from oracles import (air_factors_dict, air_flows_lists, cross_distances,
-                     export_network_per_edge,
-                     gravity_entries_loops, ground_neighborhoods_dense,
+from oracles import (air_factors_dict, air_flows_lists, assign_airports_one_ring,
+                     close_pairs_both_ways, cross_distances, export_network_per_edge,
+                     gravity_entries_loops, ground_neighborhoods_both_ways,
+                     ground_neighborhoods_dense,
                      nearest_airport_blocks, nearest_airport_bruteforce,
                      radiation_flows_lists, read_columns_csv,
                      write_air_flows_entries)
@@ -497,6 +499,184 @@ class TestAssignAirportsMatchesRowBlocks:
             nodes, airports, _ = synth_world(400, 2, seed=1, grid_spacing_km=1e160,
                                              air_fraction=0.0)
             assert self.scanned_rows(monkeypatch, nodes, airports) < 40
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestSearchesMatchOneRingReferences:
+    """The neighbour search that measures each pair once and the nearest-
+    airport query with its second ring of cells, against the searches that
+    measured each pair both ways round and scanned every node the first
+    ring left unsure: the same CSR arrays, assignment and polygon
+    populations, bit for bit and with the same dtypes."""
+
+    @staticmethod
+    def check(nodes, airports, D, planar):
+        assert_same_arrays(ground_neighborhoods(nodes, D, planar=planar),
+                           ground_neighborhoods_both_ways(nodes, D, planar=planar))
+        assert_same_arrays(assign_airports(nodes, airports, planar=planar),
+                           assign_airports_one_ring(nodes, airports, planar=planar))
+
+    @staticmethod
+    def rings(monkeypatch, nodes, airports, planar):
+        """The rings of cells assign_airports searched, in order."""
+        rings = []
+        real = net._close_pairs
+
+        def spying(points, others, side, max_pairs=math.inf, reach=1):
+            rings.append(reach)
+            return real(points, others, side, max_pairs, reach)
+        monkeypatch.setattr(net, "_close_pairs", spying)
+        assign_airports(nodes, airports, planar=planar)
+        monkeypatch.undo()
+        return rings
+
+    def test_random_planar_worlds(self):
+        # random_planar_nodes puts a few nodes on top of others
+        rng = np.random.default_rng(111)
+        for _ in range(40):
+            side = float(rng.choice([1.0, 1000.0, 1e6]))
+            nodes = random_planar_nodes(rng, int(rng.integers(1, 400)), side)
+            airports = random_airports(rng, int(rng.integers(1, 60)), (0, side), (0, side))
+            self.check(nodes, airports, side * float(rng.uniform(0.001, 0.5)), True)
+
+    def test_random_great_circle_worlds(self):
+        rng = np.random.default_rng(112)
+        for _ in range(30):
+            span = float(rng.choice([0.01, 1.0, 30.0, 90.0]))
+            nodes = random_sphere_nodes(rng, int(rng.integers(1, 300)), span)
+            airports = random_airports(rng, int(rng.integers(1, 60)), (-span, span),
+                                       (-200, 200))
+            self.check(nodes, airports, float(rng.choice([1.0, 50.0, 500.0, 5000.0])),
+                       False)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_coincident_nodes(self, planar):
+        # forty nodes on each of six sites, some two sites apart by about D:
+        # pairs at distance 0 fill a cell, and no node may pair with itself
+        rng = np.random.default_rng(113)
+        sites = rng.uniform(0, 3, (6, 2))
+        nodes = nodes_of(planar_node(i, *sites[i % 6], float(rng.lognormal(5, 1)))
+                         for i in range(240))
+        airports = airports_of(AirportRecord(a, *sites[a % 6][::-1]) for a in range(9))
+        for D in (1e-9, 1.0, 100.0, 1e4):
+            self.check(nodes, airports, D, planar)
+        self.check(nodes, airports, math.inf, True)
+
+    @pytest.mark.parametrize("D", [100.0, 150.0, math.hypot(50.0, 50.0)])
+    def test_grid_pairs_at_exactly_d(self, D):
+        nodes, airports, _ = synth_world(400, 3, seed=72)
+        for d in (D, math.nextafter(D, 0.0), math.nextafter(D, math.inf)):
+            self.check(nodes, airports, d, True)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_pairs_at_exactly_d_of_random_worlds(self, planar):
+        rng = np.random.default_rng(114)
+        for _ in range(30):
+            if planar:
+                nodes = random_planar_nodes(rng, 80, 1000.0)
+            else:
+                nodes = random_sphere_nodes(rng, 80, 5.0)
+            airports = random_airports(rng, 8, (-5, 5), (-5, 5))
+            i, j = rng.choice(80, 2, replace=False)
+            d = float(net.pair_distances(nodes.lat[i], nodes.lon[i], nodes.lat[j],
+                                         nodes.lon[j], planar=planar))
+            for D in (d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)):
+                if D > 0:
+                    self.check(nodes, airports, D, planar)
+
+    def test_poles_and_antimeridian(self):
+        # nodes at and around both poles, and on both sides of longitude 180
+        # written as -180..-175 and as 175..185
+        rng = np.random.default_rng(115)
+        lat = np.concatenate((rng.uniform(88, 90, 150), rng.uniform(-90, -88, 150),
+                              rng.uniform(-3, 3, 300), [90.0, 90.0, -90.0]))
+        lon = np.concatenate((rng.uniform(-180, 180, 300), rng.uniform(175, 185, 150),
+                              rng.uniform(-180, -175, 150), [0.0, 135.0, -45.0]))
+        nodes = net.Nodes(lat, lon, rng.lognormal(5, 1, lat.size), np.zeros(lat.size, int))
+        pick = rng.choice(lat.size, 40, replace=False)
+        airports = net.Airports(rng.permutation(100)[:40], lat[pick] + 0.01,
+                                lon[pick] - 0.01)
+        for D in (1.0, 20.0, 300.0, 5000.0):
+            self.check(nodes, airports, D, False)
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_second_ring_on_a_large_world(self, monkeypatch, planar):
+        # 12,000 nodes and 600 airports: the nodes the first ring leaves
+        # unsure are too many to scan, so the 5 x 5 block runs
+        nodes, airports, _ = synth_world(12_000, 5, seed=116)
+        if not planar:  # the grid in degrees, over 60 degrees of latitude
+            nodes = net.Nodes(nodes.lat / 100.0 - 30.0, nodes.lon / 100.0 + 150.0,
+                              nodes.population, nodes.agent_id)
+            airports = net.Airports(airports.ids, airports.lat / 100.0 - 30.0,
+                                    airports.lon / 100.0 + 150.0)
+        assert self.rings(monkeypatch, nodes, airports, planar) == [1, 2]
+        self.check(nodes, airports, 100.0 if planar else 1.0, planar)
+        assert TestAssignAirportsMatchesRowBlocks.scanned_rows(
+            monkeypatch, nodes, airports, planar) < 120
+
+    def test_second_ring_skipped_on_small_worlds(self, monkeypatch):
+        # at n = 3000 the nodes the first ring leaves unsure cost less to scan
+        nodes, airports, _ = synth_world(3000, 5, seed=116)
+        assert self.rings(monkeypatch, nodes, airports, True) == [1]
+
+
+def test_ground_search_measures_each_pair_once(monkeypatch):
+    """At n = 3000 the neighbour search hands pair_distances no node paired
+    with itself and each pair of nodes once: half of what the search
+    measuring both ways round and self pairs handed it, less the self pairs."""
+    nodes, _, _ = synth_world(3000, 5, seed=3)
+    index = {xy: i for i, xy in enumerate(zip(nodes.lat.tolist(), nodes.lon.tolist()))}
+    assert len(index) == 3000  # every node on a site of its own
+    calls = []
+    real = net.pair_distances
+
+    def recording(lat1, lon1, lat2, lon2, planar=False):
+        calls.append([np.array([index[xy] for xy in zip(la.tolist(), lo.tolist())])
+                      for la, lo in ((lat1, lon1), (lat2, lon2))])
+        return real(lat1, lon1, lat2, lon2, planar=planar)
+    monkeypatch.setattr(net, "pair_distances", recording)
+    indptr, indices = ground_neighborhoods(nodes, 100.0, planar=True)
+    monkeypatch.undo()
+    [(i, j)] = calls
+    assert not np.any(i == j)
+    assert np.unique(np.minimum(i, j) * 3000 + np.maximum(i, j)).size == i.size
+    points = (nodes.lat, nodes.lon)
+    rows, _ = close_pairs_both_ways(points, points, 100.0 * (1.0 + 1e-6))
+    assert 2 * i.size + 3000 == rows.size
+    assert indices.size == 34_906 and indices.size < i.size
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), planar=st.booleans())
+def test_pair_distances_is_symmetric(data, planar):
+    """Either way round, a pair's distance has the same bits."""
+    n = data.draw(st.integers(1, 30))
+    if planar:
+        coords = [data.draw(hnp.arrays(np.float64, n, elements=st.floats(
+            -1e150, 1e150, allow_nan=False))) for _ in range(4)]
+    else:
+        coords = [data.draw(hnp.arrays(np.float64, n, elements=st.floats(lo, hi)))
+                  for lo, hi in ((-90, 90), (-540, 540)) * 2]
+    lat1, lon1, lat2, lon2 = coords
+    there = net.pair_distances(lat1, lon1, lat2, lon2, planar=planar)
+    back = net.pair_distances(lat2, lon2, lat1, lon1, planar=planar)
+    assert np.array_equal(there.view(np.uint64), back.view(np.uint64))
+
+
+@pytest.mark.parametrize("planar", [True, False])
+def test_pair_distances_is_symmetric_on_a_million_pairs(planar):
+    rng = np.random.default_rng(117)
+    span = (1e4, 1e4) if planar else (90.0, 180.0)
+    lat1, lat2 = rng.uniform(-span[0], span[0], (2, 10 ** 6))
+    lon1, lon2 = rng.uniform(-span[1], span[1], (2, 10 ** 6))
+    there = net.pair_distances(lat1, lon1, lat2, lon2, planar=planar)
+    back = net.pair_distances(lat2, lon2, lat1, lon1, planar=planar)
+    assert np.array_equal(there.view(np.uint64), back.view(np.uint64))
 
 
 class TestSynthWorldGravity:

@@ -1,0 +1,103 @@
+"""Time each layer of the world build, and build_instance, at one size.
+
+    python3 tools/layers.py 3000 [--src DIR] [--builds 7] [--runs 3] [--seed 901]
+
+Runs in this process, with the BLAS and OpenMP pools pinned to one thread,
+on ScenarioConfig(n_nodes=n, n_agents=5, horizon=104, policy="ts",
+sharing=True, seed=seed), importing vaxalloc from DIR (default: the `src/`
+beside this script, so that one copy of the script can time two checkouts).
+After a warm-up build and run at n = 40 it times --builds untraced builds
+(and --runs runs), each after gc.collect(), then one build and run with the
+span tracer of perfbench/spans.py installed for the self time and call count
+of each traced function, and counts the distances each caller of
+net.pair_distances computed. Prints one JSON object; peak_rss_mb is the
+process's ru_maxrss.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import gc  # noqa: E402
+import importlib  # noqa: E402
+import json  # noqa: E402
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from collections import Counter, defaultdict  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = ("net", "scenario", "epi", "policy", "sharing", "harness", "cli")
+
+
+def timed(fn, repeat: int) -> list[float]:
+    out = []
+    for _ in range(repeat):
+        gc.collect()
+        start = time.perf_counter()
+        fn()
+        out.append(time.perf_counter() - start)
+    return out
+
+
+def main(argv=None) -> dict:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("n", type=int)
+    p.add_argument("--src", default=str(ROOT / "src"))
+    p.add_argument("--builds", type=int, default=7)
+    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--seed", type=int, default=901)
+    args = p.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    mods = {name: importlib.import_module(f"vaxalloc.{name}") for name in MODULES}
+    from spans import Tracer, install
+
+    scenario, harness, net = mods["scenario"], mods["harness"], mods["net"]
+
+    def config(n):
+        return scenario.ScenarioConfig(n_nodes=n, n_agents=5, horizon=104, policy="ts",
+                                       sharing=True, seed=args.seed)
+    harness.run_instance(scenario.build_instance(config(40)))
+    cfg = config(args.n)
+    builds = timed(lambda: scenario.build_instance(cfg), args.builds)
+    inst = scenario.build_instance(cfg)
+    runs = timed(lambda: harness.run_instance(inst), args.runs)
+
+    distances = Counter()
+    real = net.pair_distances
+
+    def counting(*a, **kw):
+        d = real(*a, **kw)
+        distances[sys._getframe(1).f_code.co_name] += int(d.size)
+        return d
+    tracer = Tracer()
+    install(tracer, mods)
+    net.pair_distances = counting
+    inst = scenario.build_instance(cfg)
+    if args.runs:
+        harness.run_instance(inst)
+    self_s, calls = defaultdict(float), Counter()
+    for (name, *_), s in zip(tracer.spans, tracer.self_times()):
+        self_s[name] += s
+        calls[name] += 1
+    return {
+        "n": args.n, "seed": args.seed, "src": str(Path(args.src).resolve()),
+        "build_s_median": statistics.median(builds) if builds else None,
+        "build_s_runs": builds,
+        "run_s_median": statistics.median(runs) if runs else None, "run_s_runs": runs,
+        "traced_self_s": dict(sorted(self_s.items())), "traced_calls": dict(sorted(calls.items())),
+        "distances": dict(sorted(distances.items())),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    }
+
+
+if __name__ == "__main__":
+    print(json.dumps(main()))
