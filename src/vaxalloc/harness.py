@@ -4,7 +4,6 @@ gain metrics against the population baseline, replication, and run export."""
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import os
 import shutil
@@ -142,13 +141,8 @@ def run_instance(inst: Instance) -> RunResult:
 
     global_totals = np.zeros((horizon + 1, 4))
     agent_totals = np.zeros((horizon + 1, k, 4))
-    budgets_tr = np.zeros((horizon, k))
-    budgets_eff_tr = np.zeros((horizon, k))
-    alloc_tr = np.zeros((horizon, n))
-    theta_hat_tr = np.zeros((horizon, n))
-    theta_obs_tr = np.zeros((horizon, n))
-    bounds_tr = np.zeros((horizon, n))
-    ratios_tr = np.zeros((horizon, k))
+    budgets_tr, budgets_eff_tr, ratios_tr = (np.zeros((horizon, k)) for _ in range(3))
+    alloc_tr, theta_hat_tr, theta_obs_tr, bounds_tr = (np.zeros((horizon, n)) for _ in range(4))
 
     state = inst.initial
     global_totals[0], agent_totals[0] = _totals(state, inst.populations, key, k)
@@ -217,10 +211,8 @@ def run(config: ScenarioConfig) -> RunResult:
 def gains(result: RunResult, baseline: RunResult) -> GainReport:
     """Gain of a policy run vs. its paired baseline, from susceptible-mass
     sums over periods 1..T (cumulative) and the final period."""
-    own = dict(result.config)
-    base = dict(baseline.config)
-    own.pop("policy")
-    base.pop("policy")
+    own, base = ({key: v for key, v in r.config.items() if key != "policy"}
+                 for r in (result, baseline))
     if own != base:
         raise ValueError("runs differ beyond the policy; gains are undefined")
 
@@ -236,11 +228,10 @@ def gains(result: RunResult, baseline: RunResult) -> GainReport:
     last = _pct(s_pol[-1], s_base[-1])
     g_pol = result.global_totals[1:, 0]
     g_base = baseline.global_totals[1:, 0]
-    world_cum = float(_pct(np.array([g_pol.sum()]), np.array([g_base.sum()]))[0])
-    world_last = float(_pct(np.array([g_pol[-1]]), np.array([g_base[-1]]))[0])
+    world_cum, world_last = _pct(np.array([g_pol.sum(), g_pol[-1]]),
+                                 np.array([g_base.sum(), g_base[-1]])).tolist()
     return GainReport(cumulative_pct=cum, last_period_pct=last,
-                      world_cumulative_pct=world_cum,
-                      world_last_period_pct=world_last)
+                      world_cumulative_pct=world_cum, world_last_period_pct=world_last)
 
 
 def replicate(config: ScenarioConfig, n: int) -> dict:
@@ -289,10 +280,10 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
 # export / import
 #
 # The four (T, n) traces are .npy files of little-endian float64 in C order.
-# The other tables are CSV, written and read a column at a time. A float is
-# written as the repr of the Python float, which reads back to the same bits,
-# and every line ends in "\r\n" as csv.writer ends it; each distinct value of
-# a column is formatted once (net._reprs).
+# The other tables are CSV, written by net._write_table and read by
+# net._read_columns a column at a time. A float is written as the repr of the
+# Python float, which reads back to the same bits; each distinct value of a
+# column is formatted once (net._reprs).
 
 def check_out_dir(directory, overwrite: bool = False) -> Path:
     """Path(directory); OSError unless absent or a directory, empty unless ``overwrite``."""
@@ -333,26 +324,26 @@ def export(result: RunResult, directory, overwrite: bool = False) -> None:
 def _write_run(result: RunResult, directory: Path) -> None:
     _write_json(directory / "manifest.json", {"schema": _SCHEMA, "config": result.config})
 
-    horizon = result.horizon
-    k = result.n_agents
-    n = result.populations.shape[0]
-    agent_of = np.asarray(result.agent_of, dtype=np.int64).tolist()
-    periods = range(1, horizon + 1)
+    horizon, k = result.horizon, result.n_agents
+    node_ids = list(map(str, range(result.populations.shape[0])))
+    # (t, agent) of each agents.csv row; sharing.csv's rows are those from t = 1
+    t, agent = (list(map(str, c.tolist())) for c in (np.repeat(np.arange(horizon + 1), k),
+                                                      np.tile(np.arange(k), horizon + 1)))
 
     _write_table(directory / "nodes.csv", ["node_id", "population", "agent_id"],
-                 zip(range(n), _reprs(result.populations), agent_of))
+                 (node_ids, _reprs(result.populations),
+                  map(str, np.asarray(result.agent_of, dtype=np.int64).tolist())))
 
     totals = _reprs(result.global_totals)
     _write_table(directory / "global.csv", ["t", "S", "I", "R", "D"],
-                 ([t, *totals[4 * t:4 * t + 4]] for t in range(horizon + 1)))
+                 (map(str, range(horizon + 1)), *(totals[c::4] for c in range(4))))
 
     totals = _reprs(result.agent_totals)
-    budgets, beffs = ([""] * k + _reprs(arr)
-                      for arr in (result.budgets, result.budgets_effective))
+    budgets, beffs = map(_reprs, (result.budgets, result.budgets_effective))
     _write_table(directory / "agents.csv",
                  ["t", "agent_id", "S", "I", "R", "D", "budget", "budget_effective"],
-                 ([*divmod(c, k), *totals[4 * c:4 * c + 4], budgets[c], beffs[c]]
-                  for c in range((horizon + 1) * k)))
+                 (t, agent, *(totals[c::4] for c in range(4)), [""] * k + budgets,
+                  [""] * k + beffs))
 
     for name in _TRACES:
         np.save(directory / f"{name}.npy",
@@ -364,14 +355,12 @@ def _write_run(result: RunResult, directory: Path) -> None:
     _write_table(directory / "sharing.csv",
                  ["t", "agent_id", "ratio", "budget_in", "budget_out",
                   "budget_effective"],
-                 ([t, a, *row] for (t, a), *row in zip(
-                     itertools.product(periods, range(k)),
-                     *map(_reprs, (result.sharing_ratios, result.budgets, b_out,
-                                   result.budgets_effective)))))
+                 (t[k:], agent[k:], _reprs(result.sharing_ratios), budgets, _reprs(b_out),
+                  beffs))
 
     _write_table(directory / "priors.csv", ["node_id", "a", "b"],
-                 zip(range(n), *(np.asarray(p, dtype=np.int64).tolist()
-                                 for p in (result.priors_a, result.priors_b))))
+                 (node_ids, *(map(str, np.asarray(p, dtype=np.int64).tolist())
+                              for p in (result.priors_a, result.priors_b))))
 
 
 def _integers(path, name, values, lo, hi) -> np.ndarray:
@@ -525,4 +514,4 @@ def export_gains(report: GainReport, path) -> None:
     columns = (np.append(report.world_cumulative_pct, report.cumulative_pct),
                np.append(report.world_last_period_pct, report.last_period_pct))
     _write_table(path, ["region", "cumulative_gain_pct", "last_period_gain_pct"],
-                 zip(["world", *range(len(columns[0]) - 1)], *map(_reprs, columns)))
+                 (["world", *map(str, range(len(columns[0]) - 1))], *map(_reprs, columns)))

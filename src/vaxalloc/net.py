@@ -9,7 +9,6 @@ into transition rates and summarized by a global flow-to-population ratio.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -97,7 +96,7 @@ class AirFlowTable:
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=int)
-        self.g = np.asarray(self.g, dtype=float)
+        self.g = np.ascontiguousarray(self.g, dtype=float)
         if (self.g.shape != (len(self.ids),) * 2 or np.any(np.diff(self.ids) <= 0)
                 or np.any(np.diag(self.g) != 0)):
             raise ValueError("air flows need an m x m table, zero on the diagonal, "
@@ -493,7 +492,9 @@ def build_network(nodes: Nodes, airports: Airports, air_table: AirFlowTable,
     if nearest is None:
         nearest, _ = assign_airports(nodes, airports, planar=planar)
     slots, cell = np.unique(nearest, return_inverse=True)
-    return FlowMatrix(ground, cell, air_table.g[np.ix_(slots, slots)], nodes.population)
+    # the rows and columns of the airports with nodes, all when all have some
+    g = air_table.g if slots.size == len(air_table.ids) else air_table.g[np.ix_(slots, slots)]
+    return FlowMatrix(ground, cell, g, nodes.population)
 
 
 def synth_world(n_nodes: int, n_agents: int, *,
@@ -644,9 +645,9 @@ def read_nodes(path) -> Nodes:
 
 def write_nodes(nodes: Nodes, path) -> None:
     _write_table(path, ["id", "lat", "lon", "population", "agent_id"],
-                 zip(range(len(nodes)),
-                     *map(_reprs, (nodes.lat, nodes.lon, nodes.population)),
-                     nodes.agent_id.tolist()))
+                 (map(str, range(len(nodes))),
+                  *map(_reprs, (nodes.lat, nodes.lon, nodes.population)),
+                  map(str, nodes.agent_id.tolist())))
 
 
 def read_airports(path) -> Airports:
@@ -662,7 +663,7 @@ def read_airports(path) -> Airports:
 
 def write_airports(airports: Airports, path) -> None:
     _write_table(path, ["id", "lat", "lon"],
-                 zip(airports.ids.tolist(), *map(_reprs, (airports.lat, airports.lon))))
+                 (map(str, airports.ids.tolist()), *map(_reprs, (airports.lat, airports.lon))))
 
 
 def read_air_flows(path, airports: Airports) -> AirFlowTable:
@@ -684,17 +685,28 @@ def read_air_flows(path, airports: Airports) -> AirFlowTable:
 
 def write_air_flows(table: AirFlowTable, path) -> None:
     """Every off-diagonal flow, in row-major order, a row of the table at a time."""
-    ids = table.ids.tolist()
-    _write_table(path, ["origin", "destination", "flow"],
-                 ([ids[a], ids[b], text] for a, row in enumerate(table.g)
-                  for b, text in enumerate(_reprs(row)) if a != b))
+    ids = list(map(str, table.ids.tolist()))
+    _write_blocks(path, ["origin", "destination", "flow"],
+                  (([ids[a]] * (len(ids) - 1), ids[:a] + ids[a + 1:], _reprs(np.delete(row, a)))
+                   for a, row in enumerate(table.g)))
 
 
-def _write_table(path, header, rows) -> None:
+def _write_table(path, header, columns) -> None:
+    """Write a CSV table of equal-length columns of field texts."""
+    _write_blocks(path, header, [columns])
+
+
+def _write_blocks(path, header, blocks) -> None:
+    r"""Write a CSV table: the header, then the rows of each block of columns
+    of field texts in turn, each line ending in "\r\n". The bytes are
+    csv.writer's, which quotes only a field that holds ",", '"', "\r" or
+    "\n", or an empty field alone in its row; the fields written here are
+    float reprs, integers, and empty fields in rows of three or more."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            if text := "\r\n".join(map(",".join, zip(*columns))):
+                fh.writelines((text, "\r\n"))
 
 
 def _write_json(path, obj) -> None:
@@ -705,7 +717,7 @@ def _write_json(path, obj) -> None:
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:
     """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar, one
-    row per flow entry in (i, j) order, each line as csv.writer writes it."""
+    row per flow entry in (i, j) order."""
     flows = net.flows if net.flows.has_sorted_indices else net.flows.sorted_indices()
     i = np.repeat(np.arange(net.n), np.diff(flows.indptr))
     j = flows.indices
@@ -713,15 +725,14 @@ def export_network(net: FlowMatrix, edges_path, rho_path) -> None:
     key = i * net.n + j
     cols = np.column_stack((_aligned(net.ground, key), _aligned(net.air, key),
                             flows.data, _aligned(net.rates, key)))
-    with open(edges_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("i,j,f_ground,f_air,f_total,p\r\n")
-        for lo in range(0, flows.nnz, _EDGE_ROWS):
-            # one _reprs for the four columns: f_total is f_air on most edges
-            rows = slice(lo, lo + _EDGE_ROWS)
-            texts = _reprs(cols[rows])
-            fh.write("".join([f"{a},{b},{g},{r},{f},{p}\r\n" for a, b, g, r, f, p
-                              in zip(i[rows].tolist(), j[rows].tolist(),
-                                     *(texts[c::4] for c in range(4)))]))
+
+    def block(lo):
+        rows = slice(lo, lo + _EDGE_ROWS)
+        texts = _reprs(cols[rows])  # one call for four columns: f_total is f_air on most edges
+        return (map(str, i[rows].tolist()), map(str, j[rows].tolist()),
+                *(texts[c::4] for c in range(4)))
+    _write_blocks(edges_path, ["i", "j", "f_ground", "f_air", "f_total", "p"],
+                  map(block, range(0, flows.nnz, _EDGE_ROWS)))
     with open(rho_path, "w", encoding="utf-8") as fh:
         fh.write(repr(net.rho) + "\n")
 

@@ -270,6 +270,15 @@ def read_columns_csv(path, types):
             for c, kind in types.items()]
 
 
+def write_table_csv(path, header, rows):
+    """A CSV table through csv.writer, one row at a time: the writer whose
+    bytes net._write_table and net._write_blocks must match."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def write_air_flows_entries(table, path):
     """The flights file written from AirFlowTable.entries, one csv row per
     entry: the writer that net.write_air_flows must match byte for byte."""

@@ -31,6 +31,14 @@ def test_build_net_synthetic(tmp_path, capsys):
     assert "36 nodes" in capsys.readouterr().out
 
 
+def test_build_net_synthetic_one_airport_writes_header_only_flights(tmp_path):
+    out = tmp_path / "netdir"
+    assert main(["build-net", "--synthetic", "--n-nodes", "40", "--airport-density",
+                 "0.001", "--out", str(out)]) == 0
+    assert (out / "airports.csv").read_bytes().count(b"\r\n") == 2
+    assert (out / "airflows.csv").read_bytes() == b"origin,destination,flow\r\n"
+
+
 def test_build_net_synthetic_assigns_airports_once(tmp_path, monkeypatch):
     """The network is built over the assignment the air table was computed
     over, not over a second one."""

@@ -27,7 +27,7 @@ from oracles import (air_factors_dict, air_flows_lists, assign_airports_one_ring
                      ground_neighborhoods_dense,
                      nearest_airport_blocks, nearest_airport_bruteforce,
                      radiation_flows_lists, read_columns_csv,
-                     write_air_flows_entries)
+                     write_air_flows_entries, write_table_csv)
 from worlds import (air_table, airports_of, neighbour_csr, neighbour_lists, nodes_of,
                     random_airport_net)
 
@@ -294,6 +294,38 @@ def test_build_network_given_the_assignment(n_nodes, air_fraction):
         a, b = getattr(given, name), getattr(own, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert given.rho == own.rho
+
+
+@pytest.mark.parametrize("far_airport,order", [(False, "C"), (True, "C"), (False, "F")])
+def test_build_network_gathers_the_air_table_only_for_empty_airports(far_airport, order):
+    """build_network hands FlowMatrix the air table itself when every airport
+    has nodes, and the rows and columns of the airports with nodes when one
+    has none. Either way h, outflow, rho and rates_dot are bit-equal to those
+    of a network over the gathered copy, which is in C order, also for a
+    table given in Fortran order; and the table is left as it was."""
+    nodes, airports, table = synth_world(400, 3, seed=8)
+    table = AirFlowTable(table.ids, np.array(table.g, order=order))
+    if far_airport:
+        m = len(airports)
+        airports = net.Airports(np.append(airports.ids, m), np.append(airports.lat, 1e6),
+                                np.append(airports.lon, 1e6))
+        g = np.zeros((m + 1, m + 1))
+        g[:m, :m] = table.g
+        g[m, :m] = g[:m, m] = 25.0
+        table = AirFlowTable(np.arange(m + 1), g)
+    before = table.g.copy()
+    netm = build_network(nodes, airports, table, D=100, alpha=0.11, planar=True)
+    slots = np.unique(assign_airports(nodes, airports, planar=True)[0])
+    assert (slots.size < len(airports)) == far_airport
+    assert (netm.g is table.g) != far_airport
+    copy = FlowMatrix(netm.ground, netm.cell, table.g[np.ix_(slots, slots)],
+                      netm.populations)
+    v = np.random.default_rng(3).uniform(0, 1, (len(nodes), 3))
+    for name, got, want in (("h", netm.h, copy.h), ("outflow", netm.outflow, copy.outflow),
+                            ("rates_dot", netm.rates_dot(v), copy.rates_dot(v))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert netm.rho == copy.rho
+    assert table.g.tobytes() == before.tobytes()
 
 
 class TestRadiationFlowsMatchLists:
@@ -1194,6 +1226,51 @@ class TestFileRoundTrips:
         export_network_per_edge(netm, tmp_path / "ref_edges.csv", tmp_path / "ref_rho.txt")
         assert (tmp_path / "edges.csv").read_bytes() == \
             (tmp_path / "ref_edges.csv").read_bytes()
+
+
+class TestWriteTable:
+    """net._write_table, and net._write_blocks over the same rows cut into
+    blocks, against csv.writer (write_table_csv in tests/oracles.py):
+    byte-equal files on random tables of float reprs, integers and blank
+    fields, with and without rows."""
+
+    FLOATS = [repr(v) for v in (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
+                                1e+16 + 2, 2.2250738585072009e-308, 0.1, -1.5, 1e300,
+                                1.7976931348623157e308)]
+    INTS = [str(v) for v in (0, -1, 7, -12345, 2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63)]
+
+    def column(self, rng, kind, rows):
+        if kind == "float":
+            drawn = rng.integers(0, 2 ** 64, rows, dtype=np.uint64).view(np.float64)
+            texts = [repr(v) for v in drawn.tolist()]
+            pool = self.FLOATS
+        elif kind == "int":
+            drawn = rng.integers(-2 ** 63, 2 ** 63 - 1, rows, dtype=np.int64, endpoint=True)
+            texts, pool = list(map(str, drawn.tolist())), self.INTS
+        else:
+            texts, pool = [""] * rows, self.FLOATS
+        # about half the fields from the pool of edge cases
+        return [pool[int(rng.integers(len(pool)))] if rng.random() < 0.5 else t
+                for t in texts]
+
+    def test_random_tables(self, tmp_path):
+        rng = np.random.default_rng(19)
+        for case in range(120):
+            width = int(rng.integers(2, 9))
+            rows = int(rng.integers(1, 40)) if case % 4 else 0
+            # blank fields only in rows of three or more columns
+            kinds = rng.choice(["float", "int", "blank"] if width >= 3 else ["float", "int"],
+                               width)
+            columns = [self.column(rng, kind, rows) for kind in kinds]
+            header = [f"c{c}" for c in range(width)]
+            write_table_csv(tmp_path / "want.csv", header, zip(*columns))
+            want = (tmp_path / "want.csv").read_bytes()
+            net._write_table(tmp_path / "got.csv", header, columns)
+            assert (tmp_path / "got.csv").read_bytes() == want
+            cuts = [0, *sorted(rng.integers(0, rows + 1, 3).tolist()), rows]
+            net._write_blocks(tmp_path / "blocks.csv", header,
+                              ([c[lo:hi] for c in columns] for lo, hi in zip(cuts, cuts[1:])))
+            assert (tmp_path / "blocks.csv").read_bytes() == want
 
 
 class TestAirFlowsWriter:

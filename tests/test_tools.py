@@ -9,12 +9,15 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 def test_layers_times_a_small_world():
     """tools/layers.py at n = 200, in a fresh process: one JSON object with
     the build and run times, the self time of every world-build layer and
-    the distances each search computed."""
+    the distances each search computed, and the export and import times of
+    the run's result."""
     out = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "200", "--builds", "2",
                           "--runs", "1"], capture_output=True, text=True, check=True).stdout
     report = json.loads(out)
     assert report["n"] == 200 and len(report["build_s_runs"]) == 2
     assert 0 < report["build_s_median"] < report["run_s_median"]
+    assert 0 < report["import_s_median"] < report["run_s_median"]
+    assert 0 < report["export_s_median"] < report["run_s_median"]
     for layer in ("synth_world", "ground_neighborhoods", "radiation_flows",
                   "assign_airports", "flow_matrix", "build_network"):
         assert report["traced_calls"][f"net.{layer}"] == 1

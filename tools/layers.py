@@ -6,10 +6,12 @@ Runs in this process, with the BLAS and OpenMP pools pinned to one thread,
 on ScenarioConfig(n_nodes=n, n_agents=5, horizon=104, policy="ts",
 sharing=True, seed=seed), importing vaxalloc from DIR (default: the `src/`
 beside this script, so that one copy of the script can time two checkouts).
-After a warm-up build and run at n = 40 it times --builds untraced builds
-(and --runs runs), each after gc.collect(), then one build and run with the
-span tracer of perfbench/spans.py installed for the self time and call count
-of each traced function, and counts the distances each caller of
+After a warm-up build, run, export and import at n = 40 it times --builds
+untraced builds and --runs runs, then --runs exports of the last run's
+result, each into a fresh temporary directory, and --runs imports of them,
+each after gc.collect(). Then it makes one build and run with the span
+tracer of perfbench/spans.py installed for the self time and call count of
+each traced function, and counts the distances each caller of
 net.pair_distances computed. Prints one JSON object; peak_rss_mb is the
 process's ru_maxrss.
 """
@@ -29,6 +31,7 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from collections import Counter, defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -37,14 +40,21 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("net", "scenario", "epi", "policy", "sharing", "harness", "cli")
 
 
-def timed(fn, repeat: int) -> list[float]:
-    out = []
+def timed(fn, repeat: int) -> tuple[list[float], object]:
+    """The times of ``repeat`` calls of fn, each after gc.collect(), and the
+    last call's value (None if there was none)."""
+    out, value = [], None
     for _ in range(repeat):
+        value = None  # let the last value go before the next call
         gc.collect()
         start = time.perf_counter()
-        fn()
+        value = fn()
         out.append(time.perf_counter() - start)
-    return out
+    return out, value
+
+
+def median(times: list[float]) -> float | None:
+    return statistics.median(times) if times else None
 
 
 def main(argv=None) -> dict:
@@ -65,11 +75,19 @@ def main(argv=None) -> dict:
     def config(n):
         return scenario.ScenarioConfig(n_nodes=n, n_agents=5, horizon=104, policy="ts",
                                        sharing=True, seed=args.seed)
-    harness.run_instance(scenario.build_instance(config(40)))
+    with tempfile.TemporaryDirectory() as tmp:
+        harness.export(harness.run_instance(scenario.build_instance(config(40))), tmp)
+        harness.import_result(tmp)
     cfg = config(args.n)
-    builds = timed(lambda: scenario.build_instance(cfg), args.builds)
+    builds, _ = timed(lambda: scenario.build_instance(cfg), args.builds)
     inst = scenario.build_instance(cfg)
-    runs = timed(lambda: harness.run_instance(inst), args.runs)
+    runs, result = timed(lambda: harness.run_instance(inst), args.runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [Path(tmp) / f"run{r}" for r in range(args.runs)]
+        to_export, to_import = iter(dirs), iter(dirs)
+        exports, _ = timed(lambda: harness.export(result, next(to_export)), args.runs)
+        imports, _ = timed(lambda: harness.import_result(next(to_import)), args.runs)
+    del result
 
     distances = Counter()
     real = net.pair_distances
@@ -90,9 +108,9 @@ def main(argv=None) -> dict:
         calls[name] += 1
     return {
         "n": args.n, "seed": args.seed, "src": str(Path(args.src).resolve()),
-        "build_s_median": statistics.median(builds) if builds else None,
-        "build_s_runs": builds,
-        "run_s_median": statistics.median(runs) if runs else None, "run_s_runs": runs,
+        "build_s_median": median(builds), "build_s_runs": builds,
+        "run_s_median": median(runs), "run_s_runs": runs,
+        "export_s_median": median(exports), "import_s_median": median(imports),
         "traced_self_s": dict(sorted(self_s.items())), "traced_calls": dict(sorted(calls.items())),
         "distances": dict(sorted(distances.items())),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
