@@ -26,7 +26,7 @@ EARTH_RADIUS_KM = 6371.0
 # distances assign_airports computes at a time: a row block of nodes against
 # every airport
 _BLOCK = 1 << 18
-_EDGE_ROWS = 1 << 10  # edges export_network formats at a time, ~100 bytes of text each
+_EDGE_ROWS = 1 << 10  # edges export_network assembles at a time, ~100 bytes of text each
 _FAULT_ROWS = 1 << 12  # rows _fault parses at a time
 _CSV = dict(delimiter=",", quotechar='"', comments=None, ndmin=1)  # how to parse a CSV line
 
@@ -128,10 +128,12 @@ class FlowMatrix:
     ``rates_t_dot`` cost O(n + ground nnz + m^2) per column, for m slots.
 
     ``air``, ``flows`` and ``rates`` are the explicit n x n matrices,
-    assembled on first access and cached; a run never reads them. Rows of
-    ``rates`` sum to 1 for nodes with outflow and are empty for nodes
-    without; ``rate_row_sum`` is 1.0/0.0 accordingly, which lets the
-    epidemic step write mobility terms as ``rates @ u - rate_row_sum * u``.
+    assembled on first access and cached; a run never reads them. ``rates``
+    shares ``flows``' index arrays, so neither may be edited in place
+    (assigning a new ``flows`` is fine). Rows of ``rates`` sum to 1 for
+    nodes with outflow and are empty for nodes without; ``rate_row_sum`` is
+    1.0/0.0 accordingly, which lets the epidemic step write mobility terms
+    as ``rates @ u - rate_row_sum * u``.
     """
 
     def __init__(self, ground: sp.spmatrix, cell: np.ndarray, g: np.ndarray,
@@ -217,17 +219,22 @@ class FlowMatrix:
 
     @cached_property
     def rates(self) -> sp.csr_matrix:
-        # one sparse product, so the assembly holds no array of nnz floats
-        # beyond the three matrices. A row whose 1 / outflow overflows (a
-        # subnormal outflow) is divided by its outflow instead.
+        # inv_i * f_ij on flows' own index arrays, so the assembly holds one
+        # array of nnz floats. A row whose 1 / outflow overflows (a subnormal
+        # outflow) is divided by its outflow instead. A product that
+        # underflows to 0 is dropped, from a copy of the arrays.
+        flows = self.flows
         with np.errstate(over="ignore"):
             inv = np.where(self.outflow > 0, 1.0 / self._divisor, 0.0)
-        huge = np.isinf(inv)
-        rates = (sp.diags(np.where(huge, 1.0, inv)) @ self.flows).tocsr()
-        if np.any(huge):
-            row = np.repeat(np.arange(self.n), np.diff(rates.indptr))
-            at = huge[row]
-            rates.data[at] /= self.outflow[row[at]]
+        huge, counts = np.isinf(inv), np.diff(flows.indptr)
+        data = np.repeat(np.where(huge, 1.0, inv), counts)
+        data *= flows.data
+        data[_ranges(flows.indptr[:-1][huge], counts[huge])] /= \
+            np.repeat(self.outflow[huge], counts[huge])
+        rates = sp.csr_matrix((data, flows.indices, flows.indptr), shape=flows.shape,
+                              copy=not data.all())
+        if not data.all():
+            rates.eliminate_zeros()
         return rates
 
 
@@ -717,38 +724,41 @@ def _write_json(path, obj) -> None:
 
 def export_network(net: FlowMatrix, edges_path, rho_path) -> None:
     """Sparse edge list i,j,f_ground,f_air,f_total,p plus a rho sidecar, one
-    row per flow entry in (i, j) order."""
-    flows = net.flows if net.flows.has_sorted_indices else net.flows.sorted_indices()
-    i = np.repeat(np.arange(net.n), np.diff(flows.indptr))
-    j = flows.indices
-    # each entry's place in (i, j) order, which is the CSR order of flows
-    key = i * net.n + j
-    cols = np.column_stack((_aligned(net.ground, key), _aligned(net.air, key),
-                            flows.data, _aligned(net.rates, key)))
+    row per flow entry in (i, j) order, assembled a block of whole source
+    rows, about ``_EDGE_ROWS`` entries, at a time."""
+    flows, n = net.flows, net.n
+    # the first row of each block: the rows that hold entry 0, _EDGE_ROWS, ...
+    starts = np.unique(np.searchsorted(flows.indptr, np.arange(0, flows.nnz, _EDGE_ROWS),
+                                       side="right") - 1)
 
-    def block(lo):
-        rows = slice(lo, lo + _EDGE_ROWS)
-        texts = _reprs(cols[rows])  # one call for four columns: f_total is f_air on most edges
-        return (map(str, i[rows].tolist()), map(str, j[rows].tolist()),
+    def block(r0, r1):
+        # the block's flow entries at their places row * n + column in (i, j)
+        # order, and each matrix's entry there, 0.0 where it has none; the
+        # entries need not be in column order within a row
+        key, total = _entries(flows, r0, r1)
+        order = np.argsort(key, kind="stable")
+        key, cols = key[order], np.zeros((4, len(key)))
+        cols[2] = total[order]
+        for col, mat in zip((cols[0], cols[1], cols[3]), (net.ground, net.air, net.rates)):
+            at, values = _entries(mat, r0, r1)
+            pos = np.minimum(np.searchsorted(key, at), len(key) - 1)
+            hit = key[pos] == at
+            col[pos[hit]] = values[hit]
+        texts = _reprs(cols.T)  # one call for four columns: f_total is f_air on most edges
+        return (map(str, (key // n).tolist()), map(str, (key % n).tolist()),
                 *(texts[c::4] for c in range(4)))
     _write_blocks(edges_path, ["i", "j", "f_ground", "f_air", "f_total", "p"],
-                  map(block, range(0, flows.nnz, _EDGE_ROWS)))
+                  itertools.starmap(block, zip(starts, [*starts[1:], n])))
     with open(rho_path, "w", encoding="utf-8") as fh:
         fh.write(repr(net.rho) + "\n")
 
 
-def _aligned(mat: sp.csr_matrix, key: np.ndarray) -> np.ndarray:
-    """The entries of an n x n CSR matrix without duplicates at the positions
-    ``key`` (row * n + column, ascending), and 0.0 where it has none. Its
-    entries need not be in column order within a row."""
-    n = mat.shape[0]
-    at = np.repeat(np.arange(n), np.diff(mat.indptr)) * n + mat.indices
-    out = np.zeros(len(key))
-    if len(key):
-        pos = np.minimum(np.searchsorted(key, at), len(key) - 1)
-        hit = key[pos] == at
-        out[pos[hit]] = mat.data[hit]
-    return out
+def _entries(mat: sp.csr_matrix, r0: int, r1: int) -> tuple[np.ndarray, np.ndarray]:
+    """The places row * n + column and the values of the entries of rows
+    r0 .. r1 - 1 of an n x n CSR matrix without duplicates, as stored."""
+    ptr = mat.indptr[r0:r1 + 1]
+    rows = np.repeat(np.arange(r0, r1), np.diff(ptr))
+    return rows * mat.shape[0] + mat.indices[ptr[0]:ptr[-1]], mat.data[ptr[0]:ptr[-1]]
 
 
 def _reprs(arr) -> list[str]:

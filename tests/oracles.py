@@ -259,6 +259,21 @@ def export_network_per_edge(net, edges_path, rho_path):
         fh.write(repr(net.rho) + "\n")
 
 
+def rates_sparse_product(net):
+    """The explicit rates as one sparse product diag(1 / outflow) @ flows,
+    which drops a product that underflows to 0; a row whose 1 / outflow
+    overflows (a subnormal outflow) is divided by its outflow instead."""
+    with np.errstate(over="ignore"):
+        inv = np.where(net.outflow > 0, 1.0 / net._divisor, 0.0)
+    huge = np.isinf(inv)
+    rates = (sp.diags(np.where(huge, 1.0, inv)) @ net.flows).tocsr()
+    if np.any(huge):
+        row = np.repeat(np.arange(net.n), np.diff(rates.indptr))
+        at = huge[row]
+        rates.data[at] /= net.outflow[row[at]]
+    return rates
+
+
 def read_columns_csv(path, types):
     """The named columns of a CSV file with a header through the csv module,
     blank lines skipped and each field converted by its column's type in

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -26,7 +27,7 @@ from oracles import (air_factors_dict, air_flows_lists, assign_airports_one_ring
                      gravity_entries_loops, ground_neighborhoods_both_ways,
                      ground_neighborhoods_dense,
                      nearest_airport_blocks, nearest_airport_bruteforce,
-                     radiation_flows_lists, read_columns_csv,
+                     radiation_flows_lists, rates_sparse_product, read_columns_csv,
                      write_air_flows_entries, write_table_csv)
 from worlds import (air_table, airports_of, neighbour_csr, neighbour_lists, nodes_of,
                     random_airport_net)
@@ -1226,6 +1227,169 @@ class TestFileRoundTrips:
         export_network_per_edge(netm, tmp_path / "ref_edges.csv", tmp_path / "ref_rho.txt")
         assert (tmp_path / "edges.csv").read_bytes() == \
             (tmp_path / "ref_edges.csv").read_bytes()
+
+
+def subnormal_world():
+    """The 150-node planar world of one airport whose ground flows are about
+    1e-320, so every row of rates is divided by a subnormal outflow."""
+    nodes, airports, table = synth_world(150, 2, seed=7, grid_spacing_km=0.5,
+                                         airport_density=0.004)
+    return build_network(nodes, airports, table, D=200, alpha=1e-320, planar=True)
+
+
+def underflow_world():
+    """Four nodes whose row 0 has an outflow of 1e300 and a flow of 1e-30,
+    whose rate 1e-330 underflows to 0, and whose row 1 has an outflow of 2
+    and a flow of 5e-324, whose rate rounds to 0; node 3 has no outflow."""
+    ground = sp.csr_matrix(np.array([[0.0, 1e300, 1e-30, 0.0], [2.0, 0.0, 0.0, 5e-324],
+                                     [0.0, 3.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]]))
+    return FlowMatrix(ground, np.zeros(4, int), np.zeros((1, 1)), np.full(4, 100.0))
+
+
+def unsorted(mat):
+    """A copy of a CSR matrix with each row's entries in reverse column order."""
+    mat = mat.tocsr().sorted_indices()
+    order = np.concatenate([np.arange(hi - 1, lo - 1, -1, dtype=int)
+                            for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:])])
+    return sp.csr_matrix((mat.data[order], mat.indices[order], mat.indptr.copy()),
+                         shape=mat.shape)
+
+
+class TestRatesMatchSparseProduct:
+    """FlowMatrix.rates, assembled on flows' own index arrays, against the
+    sparse product diag(1 / outflow) @ flows it replaced
+    (rates_sparse_product in tests/oracles.py): the same (i, j) entries with
+    the same bits, each row compared in column order."""
+
+    @staticmethod
+    def check(netm):
+        flows = netm.flows
+        before = [a.copy() for a in (flows.data, flows.indices, flows.indptr)]
+        got, ref = netm.rates.sorted_indices(), rates_sparse_product(netm).sorted_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert got.data.view(np.uint64).tolist() == ref.data.view(np.uint64).tolist()
+        for a, b in zip(before, (flows.data, flows.indices, flows.indptr)):
+            assert a.tobytes() == b.tobytes()  # flows is not edited
+        return netm.rates
+
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_synthetic_worlds_share_the_index_arrays_of_flows(self, planar):
+        nodes, airports, table = synth_world(300, 3, seed=31, grid_spacing_km=20.0)
+        netm = build_network(nodes, airports, table, D=100 if planar else 300, alpha=0.11,
+                             planar=planar)
+        rates = self.check(netm)
+        assert netm.ground.nnz and netm.air.nnz and rates.nnz == netm.flows.nnz
+        assert np.shares_memory(rates.indices, netm.flows.indices)
+        assert np.shares_memory(rates.indptr, netm.flows.indptr)
+        assert rates.has_sorted_indices
+
+    def test_subnormal_outflow_rows_are_divided(self):
+        netm = subnormal_world()
+        with np.errstate(over="ignore"):
+            assert np.isinf(1.0 / netm.outflow[netm.outflow > 0]).all()
+        rates = self.check(netm)
+        assert np.isfinite(rates.data).all() and rates.nnz == netm.flows.nnz
+        assert np.shares_memory(rates.indices, netm.flows.indices)
+
+    def test_products_that_underflow_to_zero_are_dropped(self):
+        netm = underflow_world()
+        rates = self.check(netm)
+        assert netm.flows.nnz == 6 and rates.nnz == 4
+        assert rates[0, 2] == 0.0 and rates[1, 3] == 0.0
+        assert not np.shares_memory(rates.indices, netm.flows.indices)
+        assert not np.shares_memory(rates.indptr, netm.flows.indptr)
+
+    def test_random_airport_worlds(self):
+        rng = np.random.default_rng(65)
+        for _ in range(20):
+            self.check(random_airport_net(rng, int(rng.integers(1, 60)),
+                                          float(rng.uniform(0, 0.6))))
+
+
+class TestEdgeExportBlocks:
+    """export_network, a block of whole source rows at a time, with blocks
+    of 1, 7 and 2**20 entries, against the per-edge writer
+    (export_network_per_edge in tests/oracles.py), byte for byte."""
+
+    @staticmethod
+    def zero_outflow_world():
+        # airport 1 sends nothing, so its nodes 3..5, the last ones, have no
+        # outflow; no ground range
+        nodes = nodes_of(planar_node(i, 100.0 * i, 0, 100.0 + i) for i in range(6))
+        airports = airports_of([AirportRecord(0, 0, 0), AirportRecord(1, 0, 500)])
+        return build_network(nodes, airports, air_table(airports, {(0, 1): 40.0}),
+                             D=1, alpha=0.11, planar=True)
+
+    @staticmethod
+    def unsorted_world():
+        # the four matrices with each row in reverse column order
+        netm = build_synth_net(seed=4, n=60, k=2)
+        mats = [unsorted(m) for m in (netm.flows, netm.ground, netm.air, netm.rates)]
+        assert not any(m.has_sorted_indices for m in mats)
+        netm.flows, netm.ground, netm.air, netm.rates = mats
+        return netm
+
+    WORLDS = {
+        "synthetic": lambda: build_synth_net(seed=5, n=60, k=3),
+        "zero_outflow_rows_last": zero_outflow_world,
+        "one_node": lambda: build_network(*synth_world(1, 1, seed=2), D=100, alpha=0.11,
+                                          planar=True),
+        "underflow": underflow_world,
+        "unsorted_indices": unsorted_world,
+    }
+
+    @pytest.mark.parametrize("rows", [1, 7, 1 << 20])
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_blocks_match_per_edge_writer(self, tmp_path, monkeypatch, rows, world):
+        netm = self.WORLDS[world]()
+        monkeypatch.setattr(net, "_EDGE_ROWS", rows)
+        net.export_network(netm, tmp_path / "edges.csv", tmp_path / "rho.txt")
+        export_network_per_edge(netm, tmp_path / "ref_edges.csv", tmp_path / "ref_rho.txt")
+        assert (tmp_path / "edges.csv").read_bytes() == \
+            (tmp_path / "ref_edges.csv").read_bytes()
+        assert (tmp_path / "rho.txt").read_bytes() == (tmp_path / "ref_rho.txt").read_bytes()
+        counts = np.diff(netm.flows.indptr)
+        if world == "synthetic":  # rows longer than a block of 7, the last row not empty
+            assert counts.max() > 7 and counts[-1] > 0
+        if world == "zero_outflow_rows_last":
+            assert counts.tolist() == [3, 3, 3, 0, 0, 0]
+
+
+class TestExplicitMatrixMemory:
+    """Peak traced memory of the explicit matrices once flows is assembled:
+    rates holds one array of nnz floats and O(n) more, and the edge export
+    no array of nnz entries."""
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_rates_assembly_holds_one_float_array_of_flows(self):
+        netm = build_synth_net(seed=44, n=1000, k=5)
+        flows = netm.flows
+        assert flows.nnz > 900_000
+        assert self.peak(lambda: netm.rates) <= flows.data.nbytes + 64 * netm.n
+
+    def test_edge_export_holds_no_array_of_flow_entries(self, tmp_path, monkeypatch):
+        # ground flows only, about 95 a node, so that tracing the export is
+        # quick; a block of 64 entries keeps one block's texts far below the
+        # bound, which an int32 array of nnz entries alone exceeds
+        nodes, airports, table = synth_world(1000, 5, seed=44, air_fraction=0.0)
+        netm = build_network(nodes, airports, table, D=300, alpha=0.11, planar=True)
+        flows, _, _ = netm.flows, netm.air, netm.rates
+        nbytes = flows.data.nbytes + flows.indices.nbytes + flows.indptr.nbytes
+        assert flows.nnz > 90_000
+        monkeypatch.setattr(net, "_EDGE_ROWS", 64)
+        peak = self.peak(lambda: net.export_network(netm, tmp_path / "edges.csv",
+                                                    tmp_path / "rho.txt"))
+        assert peak < nbytes / 4
 
 
 class TestWriteTable:

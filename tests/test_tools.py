@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from vaxalloc.cli import main
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -28,3 +30,18 @@ def test_layers_times_a_small_world():
     assert 1058 < report["distances"]["ground_neighborhoods"] < 200 * 199 // 2
     assert report["distances"]["assign_airports"] == 200 * 10
     assert report["peak_rss_mb"] > 0
+
+
+def test_layers_times_one_build_net(tmp_path):
+    """tools/layers.py --build-net at n = 200, in a fresh process: the time,
+    peak RSS in MB of 10**6 bytes and bytes written of one `build-net
+    --synthetic`, whose files are those the command writes here."""
+    out = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "200", "--build-net",
+                          "--seed", "3"], capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["n"] == 200 and report["exit_code"] == 0
+    assert main(["build-net", "--synthetic", "--n-nodes", "200", "--n-agents", "5",
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert report["out_bytes"] == sum(f.stat().st_size for f in tmp_path.iterdir())
+    assert 0 < report["build_net_s"] < 60
+    assert 20 < report["peak_rss_mb"] < 2000  # numpy and scipy alone take tens of MB

@@ -1,6 +1,7 @@
 """Time each layer of the world build, and build_instance, at one size.
 
     python3 tools/layers.py 3000 [--src DIR] [--builds 7] [--runs 3] [--seed 901]
+    python3 tools/layers.py 3000 --build-net [--src DIR] [--seed 901]
 
 Runs in this process, with the BLAS and OpenMP pools pinned to one thread,
 on ScenarioConfig(n_nodes=n, n_agents=5, horizon=104, policy="ts",
@@ -12,8 +13,15 @@ result, each into a fresh temporary directory, and --runs imports of them,
 each after gc.collect(). Then it makes one build and run with the span
 tracer of perfbench/spans.py installed for the self time and call count of
 each traced function, and counts the distances each caller of
-net.pair_distances computed. Prints one JSON object; peak_rss_mb is the
-process's ru_maxrss.
+net.pair_distances computed.
+
+With --build-net it runs only `vaxalloc build-net --synthetic --n-nodes n
+--n-agents 5 --seed seed` into a temporary directory, so that the process's
+peak RSS is the command's (with the imports), and reports its time
+(build_net_s), the bytes of the files it wrote (out_bytes) and its exit code.
+
+Prints one JSON object; peak_rss_mb is the process's ru_maxrss in MB of
+10**6 bytes, as perfbench reports it.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import gc  # noqa: E402
 import importlib  # noqa: E402
 import json  # noqa: E402
@@ -57,6 +66,24 @@ def median(times: list[float]) -> float | None:
     return statistics.median(times) if times else None
 
 
+def peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
+def build_net(args, cli) -> dict:
+    """One `vaxalloc build-net --synthetic` at n = args.n, timed."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        start = time.perf_counter()
+        rc = cli.main(["build-net", "--synthetic", "--n-nodes", str(args.n), "--n-agents",
+                       "5", "--seed", str(args.seed), "--out", tmp])
+        elapsed = time.perf_counter() - start
+        out_bytes = sum(f.stat().st_size for f in Path(tmp).iterdir())
+    return {"n": args.n, "seed": args.seed, "src": str(Path(args.src).resolve()),
+            "exit_code": rc, "build_net_s": elapsed, "out_bytes": out_bytes,
+            "peak_rss_mb": peak_rss_mb()}
+
+
 def main(argv=None) -> dict:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("n", type=int)
@@ -64,8 +91,12 @@ def main(argv=None) -> dict:
     p.add_argument("--builds", type=int, default=7)
     p.add_argument("--runs", type=int, default=3)
     p.add_argument("--seed", type=int, default=901)
+    p.add_argument("--build-net", action="store_true",
+                   help="time one build-net --synthetic run, and nothing else")
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
+    if args.build_net:
+        return build_net(args, importlib.import_module("vaxalloc.cli"))
     sys.path.insert(0, str(ROOT / "perfbench"))
     mods = {name: importlib.import_module(f"vaxalloc.{name}") for name in MODULES}
     from spans import Tracer, install
@@ -113,7 +144,7 @@ def main(argv=None) -> dict:
         "export_s_median": median(exports), "import_s_median": median(imports),
         "traced_self_s": dict(sorted(self_s.items())), "traced_calls": dict(sorted(calls.items())),
         "distances": dict(sorted(distances.items())),
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        "peak_rss_mb": peak_rss_mb(),
     }
 
 
