@@ -106,6 +106,67 @@ def _totals(state: CompartmentState, populations: np.ndarray,
             np.bincount(per_agent, weights=weighted, minlength=4 * n_agents).reshape(n_agents, 4))
 
 
+# theta_hat of period t for each policy, from (policy state, seed, t); each entry looks its
+# estimator up in policy when called, so a replacement there (perfbench, a test) is what runs
+_ESTIMATES = {
+    "ts": lambda pol, seed, t: polmod.ts_sample(pol.a, pol.b, stream(seed, scmod.STREAM_TS, t)),
+    "gy": lambda pol, seed, t: polmod.gy_estimate(pol.a, pol.b),
+    "ma": lambda pol, seed, t: polmod.ma_estimate(pol.obs_sum, pol.obs_count),
+    "pb": lambda pol, seed, t: np.zeros(pol.n),
+    "none": lambda pol, seed, t: np.zeros(pol.n),
+}
+
+
+class _Plan:
+    """What a run works out once, before its first period: the agent coupling
+    (for ts, gy, ma or sharing on), each node's own-agent inflow (for the
+    knapsack), each agent's nodes, costs and spill order (for pb) and the key
+    of the per-agent totals."""
+
+    def __init__(self, inst: Instance):
+        cfg, net = inst.config, inst.network
+        knapsack = cfg.policy in ("ts", "gy", "ma")
+        # the knapsack trusts the static costs and budgets in every period
+        # (bounds stay in [0, 1]), so they are checked once, so that NaN fails
+        if knapsack and not (np.all(inst.costs > 0) and np.all(inst.base_budgets >= 0)):
+            raise ValueError("costs must be positive, budgets nonnegative")
+        self.inst = inst
+        self.coupling = (shmod.AgentCoupling(net, inst.agent_of, cfg.n_agents)
+                         if knapsack or cfg.sharing else None)
+        self.inflow = self.coupling.c[np.arange(net.n), inst.agent_of] if knapsack else None
+        nodes = ([np.flatnonzero(inst.agent_of == a) for a in range(cfg.n_agents)]
+                 if cfg.policy == "pb" else [])
+        self.pb = [(idx, inst.costs[idx], spill_order(inst.costs[idx])) for idx in nodes]
+        self.key = _totals_key(inst.agent_of)
+
+
+def _period(plan: _Plan, pol: PolicyState, state: CompartmentState, b_eff: np.ndarray,
+            t: int) -> tuple:
+    """Period t from ``state`` with effective budgets ``b_eff``: the bounds,
+    theta_hat, the allocation x, the realized rates, the stepped state and the
+    sharing plan that sets the next period's budgets (None without sharing).
+    ``pol`` learns from the period's trials and records x."""
+    inst = plan.inst
+    cfg, net = inst.config, inst.network
+    bounds = update_bounds(pol, t)
+    theta_hat = _ESTIMATES[cfg.policy](pol, cfg.seed, t)
+    x = np.zeros(net.n)
+    if plan.inflow is not None:
+        losses = loss_coefficients(state, inst.params, net, theta_hat, plan.inflow)
+        x = solve_knapsack(losses, inst.costs, b_eff, bounds, inst.agent_of)
+    for a, (idx, costs, order) in enumerate(plan.pb):
+        x[idx] = pb_allocate(costs, float(b_eff[a]), bounds[idx], order)
+    theta_t = draw_realized_rates(inst.efficiency.mean_rates, inst.efficiency.epsilon,
+                                  stream(cfg.seed, scmod.STREAM_REALIZED, t))
+    new_state = step_vaccinated(state, inst.params, net, x, theta_t)
+    shared = (shmod.plan_sharing(new_state, inst.params, net, inst.agent_of,
+                                 inst.base_budgets, inst.capacities, plan.coupling)
+              if cfg.sharing else None)
+    polmod.observe_and_update(pol, x, theta_t, stream(cfg.seed, scmod.STREAM_TRIALS, t))
+    pol.record_allocation(t, x)
+    return bounds, theta_hat, x, theta_t, new_state, shared
+
+
 def run_instance(inst: Instance) -> RunResult:
     """Run the full horizon for one instance.
 
@@ -116,92 +177,32 @@ def run_instance(inst: Instance) -> RunResult:
     """
     t_start = time.perf_counter()
     cfg = inst.config
-    net = inst.network
-    n = net.n
-    k = cfg.n_agents
-    horizon = cfg.horizon
-    pol_name = cfg.policy
-    agent_nodes = [np.flatnonzero(inst.agent_of == a) for a in range(k)]
-    agent_costs = [inst.costs[idx] for idx in agent_nodes]
-    knapsack = pol_name in ("ts", "gy", "ma")
-    b_conf = inst.base_budgets
-    b_eff = b_conf.copy()
-    # the knapsack trusts the static costs and budgets in every period
-    # (bounds stay in [0, 1]), so they are checked once, so that NaN fails
-    if knapsack and not (np.all(inst.costs > 0) and np.all(b_conf >= 0)):
-        raise ValueError("costs must be positive, budgets nonnegative")
-    coupling = (shmod.AgentCoupling(net, inst.agent_of, k)
-                if knapsack or cfg.sharing else None)
-    inflow = coupling.c[np.arange(n), inst.agent_of] if knapsack else None
-    spill = [spill_order(c) for c in agent_costs] if pol_name == "pb" else None
-    key = _totals_key(inst.agent_of)
-
+    n, k, horizon = inst.network.n, cfg.n_agents, cfg.horizon
+    plan = _Plan(inst)
     pol = PolicyState(n=n, horizon=horizon,
-                      window=window_width(inst.populations, net, horizon))
-
-    global_totals = np.zeros((horizon + 1, 4))
-    agent_totals = np.zeros((horizon + 1, k, 4))
-    budgets_tr, budgets_eff_tr, ratios_tr = (np.zeros((horizon, k)) for _ in range(3))
-    alloc_tr, theta_hat_tr, theta_obs_tr, bounds_tr = (np.zeros((horizon, n)) for _ in range(4))
-
-    state = inst.initial
-    global_totals[0], agent_totals[0] = _totals(state, inst.populations, key, k)
-
+                      window=window_width(inst.populations, inst.network, horizon))
+    res = RunResult(
+        config=cfg.to_dict(), populations=inst.populations.copy(),
+        agent_of=inst.agent_of.copy(), global_totals=np.zeros((horizon + 1, 4)),
+        agent_totals=np.zeros((horizon + 1, k, 4)),
+        budgets=np.tile(inst.base_budgets, (horizon, 1)),
+        budgets_effective=np.zeros((horizon, k)), sharing_ratios=np.zeros((horizon, k)),
+        priors_a=pol.a, priors_b=pol.b, **{name: np.zeros((horizon, n)) for name in _TRACES})
+    state, b_eff = inst.initial, inst.base_budgets
+    res.global_totals[0], res.agent_totals[0] = _totals(state, inst.populations, plan.key, k)
     for t in range(1, horizon + 1):
         row = t - 1
-        budgets_tr[row] = b_conf
-        budgets_eff_tr[row] = b_eff
-
-        bounds = update_bounds(pol, t)
-        bounds_tr[row] = bounds
-        x = np.zeros(n)
-
-        if pol_name == "ts":
-            theta_hat = polmod.ts_sample(pol.a, pol.b,
-                                         stream(cfg.seed, scmod.STREAM_TS, t))
-        elif pol_name == "gy":
-            theta_hat = polmod.gy_estimate(pol.a, pol.b)
-        elif pol_name == "ma":
-            theta_hat = polmod.ma_estimate(pol.obs_sum, pol.obs_count)
-        else:
-            theta_hat = np.zeros(n)
-        theta_hat_tr[row] = theta_hat
-
-        if knapsack:
-            losses = loss_coefficients(state, inst.params, net, theta_hat, inflow)
-            x = solve_knapsack(losses, inst.costs, b_eff, bounds, inst.agent_of)
-        elif pol_name == "pb":
-            for a, idx in enumerate(agent_nodes):
-                x[idx] = pb_allocate(agent_costs[a], float(b_eff[a]), bounds[idx], spill[a])
-
-        theta_t = draw_realized_rates(inst.efficiency.mean_rates,
-                                      inst.efficiency.epsilon,
-                                      stream(cfg.seed, scmod.STREAM_REALIZED, t))
-        new_state = step_vaccinated(state, inst.params, net, x, theta_t)
-
-        if cfg.sharing:
-            plan = shmod.plan_sharing(new_state, inst.params, net, inst.agent_of,
-                                      b_conf, inst.capacities, coupling)
-            ratios_tr[row] = plan.ratios
-            b_eff = plan.budgets_out
-
-        polmod.observe_and_update(pol, x, theta_t,
-                                  stream(cfg.seed, scmod.STREAM_TRIALS, t))
-
-        pol.record_allocation(t, x)
-        alloc_tr[row] = x
-        theta_obs_tr[row] = np.where(x > 0, theta_t, 0.0)
-        global_totals[t], agent_totals[t] = _totals(new_state, inst.populations, key, k)
-        state = new_state
-
-    return RunResult(
-        config=cfg.to_dict(), populations=inst.populations.copy(),
-        agent_of=inst.agent_of.copy(), global_totals=global_totals,
-        agent_totals=agent_totals, budgets=budgets_tr,
-        budgets_effective=budgets_eff_tr, allocations=alloc_tr,
-        theta_hat=theta_hat_tr, theta_obs=theta_obs_tr, bounds=bounds_tr,
-        sharing_ratios=ratios_tr, priors_a=pol.a.copy(), priors_b=pol.b.copy(),
-        wall_clock=time.perf_counter() - t_start)
+        res.budgets_effective[row] = b_eff
+        res.bounds[row], res.theta_hat[row], x, theta_t, state, shared = _period(
+            plan, pol, state, b_eff, t)
+        res.allocations[row] = x
+        res.theta_obs[row] = np.where(x > 0, theta_t, 0.0)
+        if shared is not None:
+            res.sharing_ratios[row], b_eff = shared.ratios, shared.budgets_out
+        res.global_totals[t], res.agent_totals[t] = _totals(state, inst.populations, plan.key, k)
+    res.priors_a, res.priors_b = pol.a.copy(), pol.b.copy()
+    res.wall_clock = time.perf_counter() - t_start
+    return res
 
 
 def run(config: ScenarioConfig) -> RunResult:
@@ -237,7 +238,7 @@ def gains(result: RunResult, baseline: RunResult) -> GainReport:
 def replicate(config: ScenarioConfig, n: int) -> dict:
     """Run n instances seeded ``config.seed + i`` and aggregate.
 
-    When the configured policy is not PB, a paired PB run is executed per
+    For every policy but ``pb`` and ``none``, a paired ``pb`` run is made per
     seed on the same instance, built once, so gains isolate the policy.
     """
     if n < 1:

@@ -170,11 +170,11 @@ def spill_order(costs: np.ndarray) -> np.ndarray:
 
 
 def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray,
-                order: np.ndarray | None = None) -> np.ndarray:
+                order: np.ndarray) -> np.ndarray:
     """Population-proportional coverage: uniform fraction budget/total cost,
     capped by bounds, with any residual spilled in descending-population
-    order (``spill_order(costs)``, which a caller may pass in once for
-    many calls). Independent of epidemic state and efficiencies.
+    order (``order``, which is ``spill_order(costs)``, made once per run).
+    Independent of epidemic state and efficiencies.
 
     The spill is ``_fill`` over the nodes with room left."""
     costs = np.asarray(costs, dtype=float)
@@ -187,8 +187,6 @@ def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray,
     x = np.minimum(bounds, base)
     residual = budget - float(x @ costs)
     if residual > 0:
-        if order is None:
-            order = spill_order(costs)
         room = bounds - x
         # a node without room takes nothing and spends nothing
         order = order[room[order] > 0]

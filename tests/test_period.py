@@ -134,7 +134,6 @@ def test_pb_allocate_matches_loop():
         order = spill_order(costs)
         budget = random_budget(rng, costs.sum(), bounds[order] * costs[order])
         want = pb_allocate_loop(costs, budget, bounds)
-        assert same_bits(pb_allocate(costs, budget, bounds), want)
         assert same_bits(pb_allocate(costs, budget, bounds, order), want)
         spilled += budget > 0 and np.any(want != np.minimum(bounds, budget / costs.sum()))
     assert spilled > 100
@@ -290,7 +289,7 @@ def test_step_clips_as_the_per_array_path():
 
 
 @pytest.mark.parametrize("sharing", [False, True])
-@pytest.mark.parametrize("policy", ["ts", "gy", "ma", "pb"])
+@pytest.mark.parametrize("policy", polmod.POLICIES)
 def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
     """A run against one built and run with every replaced path swapped back
     in: the knapsack and spill loops, per-column slot sums, masked prior
@@ -312,5 +311,5 @@ def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
     monkeypatch.setattr(harness, "_totals", lambda state, pop, key, k: totals_add_at(
         state, pop, inst.agent_of, k))
     slow = run_instance(inst)
-    assert np.any(fast.allocations > 0)
+    assert np.any(fast.allocations > 0) == (policy != "none")
     assert fast.equals(slow)

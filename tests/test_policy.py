@@ -9,7 +9,7 @@ from vaxalloc.net import FlowMatrix
 from vaxalloc.policy import (DUST, AllocationProblem,
                              PolicyState, gy_estimate, loss_coefficients,
                              ma_estimate, observe_and_update,
-                             pb_allocate, solve_knapsack, ts_sample,
+                             pb_allocate, solve_knapsack, spill_order, ts_sample,
                              update_bounds, window_width)
 from vaxalloc.sharing import AgentCoupling
 
@@ -255,24 +255,25 @@ class TestEstimators:
 class TestPbAllocate:
     def test_full_coverage(self):
         costs = np.array([10.0, 30.0, 60.0])
-        out = pb_allocate(costs, float(costs.sum()), np.ones(3))
+        out = pb_allocate(costs, float(costs.sum()), np.ones(3), spill_order(costs))
         assert np.allclose(out, 1.0)
 
     def test_proportional_coverage(self):
         costs = np.array([10.0, 30.0, 60.0])
-        out = pb_allocate(costs, 0.1 * float(costs.sum()), np.ones(3))
+        out = pb_allocate(costs, 0.1 * float(costs.sum()), np.ones(3),
+                          spill_order(costs))
         assert np.allclose(out, 0.1)
 
     def test_residual_spill_with_caps(self):
-        out = pb_allocate(np.array([100.0, 300.0]), 200.0,
-                          np.array([1.0, 0.25]))
+        costs = np.array([100.0, 300.0])
+        out = pb_allocate(costs, 200.0, np.array([1.0, 0.25]), spill_order(costs))
         assert np.allclose(out, [1.0, 0.25])
 
     def test_ignores_state_and_efficiency(self):
         # signature takes neither; just confirm determinism on repeat
         costs = np.array([50.0, 150.0, 200.0])
-        a = pb_allocate(costs, 120.0, np.array([1.0, 0.6, 0.9]))
-        b = pb_allocate(costs, 120.0, np.array([1.0, 0.6, 0.9]))
+        a = pb_allocate(costs, 120.0, np.array([1.0, 0.6, 0.9]), spill_order(costs))
+        b = pb_allocate(costs, 120.0, np.array([1.0, 0.6, 0.9]), spill_order(costs))
         assert np.array_equal(a, b)
         assert float(a @ costs) <= 120.0 * (1 + 1e-9)
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +46,38 @@ def test_layers_times_one_build_net(tmp_path):
     assert report["out_bytes"] == sum(f.stat().st_size for f in tmp_path.iterdir())
     assert 0 < report["build_net_s"] < 60
     assert 20 < report["peak_rss_mb"] < 2000  # numpy and scipy alone take tens of MB
+
+
+def same_runs(other_src):
+    proc = subprocess.run([sys.executable, str(TOOLS / "same_runs.py"), str(other_src),
+                           "--n", "200"], capture_output=True, text=True)
+    return proc.returncode, [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def test_same_runs_passes_on_the_same_sources():
+    """tools/same_runs.py at n = 200 against this checkout's own src/: the
+    10 runs export the same bytes on both sides and exit 0."""
+    rc, reports = same_runs(TOOLS.parent / "src")
+    assert rc == 0
+    assert len(reports) == 10
+    assert all(r["same_bytes"] and r["equals"] and not r["differing_files"]
+               for r in reports)
+
+
+def test_same_runs_names_the_runs_that_differ(tmp_path):
+    """Against a copy of src/ with another scenario.EFFICIENCY_HI, every run
+    that vaccinates differs and is named, and the tool exits 1; `none` runs
+    never use an efficiency, so they stay the same."""
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    scenario = tmp_path / "src" / "vaxalloc" / "scenario.py"
+    text = scenario.read_text()
+    assert "\nEFFICIENCY_HI = 0.9\n" in text
+    scenario.write_text(text.replace("\nEFFICIENCY_HI = 0.9\n", "\nEFFICIENCY_HI = 0.8\n"))
+    rc, reports = same_runs(tmp_path / "src")
+    assert rc == 1
+    differing = {r["run"] for r in reports if not r["same_bytes"]}
+    assert differing == {f"n200_seed901_{policy}_sharing_{sharing}"
+                         for policy in ("ts", "gy", "ma", "pb") for sharing in ("off", "on")}
+    assert all(r["equals"] == (r["run"] not in differing) and
+               bool(r["differing_files"]) == (r["run"] in differing) for r in reports)
