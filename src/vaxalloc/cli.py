@@ -106,8 +106,7 @@ def _cmd_replicate(args) -> int:
         cfg = cfg.replace(seed=args.seed_base)
     out = harness.check_out_dir(args.out, overwrite=True)  # refuses only a file
     summary = harness.replicate(cfg, args.n)
-    out.mkdir(parents=True, exist_ok=True)
-    net._write_json(out / "summary.json", summary)
+    _write_files(out, lambda work: net._write_json(work / "summary.json", summary))
     mean = summary["final_totals_mean"]
     print(f"{args.n} runs, policy={cfg.policy}: mean final "
           f"S={mean[0]:.1f} I={mean[1]:.1f} R={mean[2]:.1f} D={mean[3]:.1f}")
@@ -149,21 +148,20 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_build_net)
 
-    s = sub.add_parser("simulate", help="run one scenario")
-    s.add_argument("--config")
-    s.add_argument("--policy", choices=POLICIES)
-    s.add_argument("--sharing", choices=["on", "off"])
-    s.add_argument("--budget-multiplier", type=float)
+    # the flags that simulate and replicate share, ahead of their own
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--config")
+    runs.add_argument("--policy", choices=POLICIES)
+    runs.add_argument("--sharing", choices=["on", "off"])
+    runs.add_argument("--budget-multiplier", type=float)
+
+    s = sub.add_parser("simulate", parents=[runs], help="run one scenario")
     s.add_argument("--seed", type=int)
     s.add_argument("--out", required=True)
     s.add_argument("--overwrite", action="store_true")
     s.set_defaults(func=_cmd_simulate)
 
-    r = sub.add_parser("replicate", help="run a seeded batch and aggregate")
-    r.add_argument("--config")
-    r.add_argument("--policy", choices=POLICIES)
-    r.add_argument("--sharing", choices=["on", "off"])
-    r.add_argument("--budget-multiplier", type=float)
+    r = sub.add_parser("replicate", parents=[runs], help="run a seeded batch and aggregate")
     r.add_argument("--n", type=int, required=True)
     r.add_argument("--seed-base", type=int)
     r.add_argument("--out", required=True)

@@ -20,8 +20,7 @@ from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
 from .net import _line_of, _read_columns, _reprs, _write_json, _write_table
-from .policy import (PolicyState, loss_coefficients, pb_allocate, spill_order,
-                     update_bounds, window_width)
+from .policy import PolicyState, loss_coefficients, pb_allocate, update_bounds, window_width
 # every agent's knapsack, on inputs run_instance checks once per run, under the
 # public name that perfbench/spans.py traces as policy.solve_knapsack
 from .policy import _allocate_knapsack as solve_knapsack
@@ -120,8 +119,8 @@ _ESTIMATES = {
 class _Plan:
     """What a run works out once, before its first period: the agent coupling
     (for ts, gy, ma or sharing on), each node's own-agent inflow (for the
-    knapsack), each agent's nodes, costs and spill order (for pb) and the key
-    of the per-agent totals."""
+    knapsack), each agent's nodes and cost sum and the spill order of every
+    node (for pb) and the key of the per-agent totals."""
 
     def __init__(self, inst: Instance):
         cfg, net = inst.config, inst.network
@@ -134,9 +133,11 @@ class _Plan:
         self.coupling = (shmod.AgentCoupling(net, inst.agent_of, cfg.n_agents)
                          if knapsack or cfg.sharing else None)
         self.inflow = self.coupling.c[np.arange(net.n), inst.agent_of] if knapsack else None
-        nodes = ([np.flatnonzero(inst.agent_of == a) for a in range(cfg.n_agents)]
-                 if cfg.policy == "pb" else [])
-        self.pb = [(idx, inst.costs[idx], spill_order(inst.costs[idx])) for idx in nodes]
+        self.pb = None
+        if cfg.policy == "pb":
+            nodes = [np.flatnonzero(inst.agent_of == a) for a in range(cfg.n_agents)]
+            self.pb = (nodes, np.array([inst.costs[idx].sum() for idx in nodes]),
+                       np.lexsort((np.arange(net.n), -inst.costs, inst.agent_of)))
         self.key = _totals_key(inst.agent_of)
 
 
@@ -154,8 +155,8 @@ def _period(plan: _Plan, pol: PolicyState, state: CompartmentState, b_eff: np.nd
     if plan.inflow is not None:
         losses = loss_coefficients(state, inst.params, net, theta_hat, plan.inflow)
         x = solve_knapsack(losses, inst.costs, b_eff, bounds, inst.agent_of)
-    for a, (idx, costs, order) in enumerate(plan.pb):
-        x[idx] = pb_allocate(costs, float(b_eff[a]), bounds[idx], order)
+    if plan.pb is not None:
+        x = pb_allocate(inst.costs, b_eff, bounds, inst.agent_of, *plan.pb)
     theta_t = draw_realized_rates(inst.efficiency.mean_rates, inst.efficiency.epsilon,
                                   stream(cfg.seed, scmod.STREAM_REALIZED, t))
     new_state = step_vaccinated(state, inst.params, net, x, theta_t)

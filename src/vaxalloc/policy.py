@@ -115,6 +115,17 @@ def _fill(x: np.ndarray, order: np.ndarray, caps: np.ndarray, costs: np.ndarray,
             break
 
 
+def _fill_agents(x: np.ndarray, order: np.ndarray, agents: np.ndarray, caps: np.ndarray,
+                 costs: np.ndarray, budgets: list, dust: float) -> None:
+    """``_fill`` of each agent's segment of ``order``, sorted by agent, from its
+    entry of the list ``budgets``; ``agents`` are the agents of ``order``'s
+    nodes in any order, ``caps`` and ``costs`` are in ``order``'s order."""
+    ends = np.cumsum(np.bincount(agents, minlength=len(budgets))).tolist()
+    for budget, lo, hi in zip(budgets, [0] + ends, ends):
+        if budget > 0 and hi > lo:
+            _fill(x, order[lo:hi], caps[lo:hi], costs[lo:hi], budget, dust)
+
+
 def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
     """Greedy fractional knapsack: fund nodes by increasing loss-to-cost ratio
     (ties broken by ascending index) while the loss is negative and budget
@@ -135,11 +146,7 @@ def _allocate_knapsack(l: np.ndarray, c: np.ndarray, budgets: np.ndarray,
     candidates = np.flatnonzero((l < 0) & (ub > DUST))
     agents = agent_of[candidates]
     order = candidates[np.lexsort((candidates, l[candidates] / c[candidates], agents))]
-    ends = np.cumsum(np.bincount(agents, minlength=len(budgets))).tolist()
-    caps, costs = ub[order], c[order]
-    for budget, lo, hi in zip(budgets.tolist(), [0] + ends, ends):
-        if budget > 0 and hi > lo:
-            _fill(x, order[lo:hi], caps[lo:hi], costs[lo:hi], budget, DUST)
+    _fill_agents(x, order, agents, ub[order], c[order], budgets.tolist(), DUST)
     return x
 
 
@@ -163,34 +170,25 @@ def ma_estimate(obs_sum: np.ndarray, obs_count: np.ndarray) -> np.ndarray:
     return np.where(seen, obs_sum / np.where(seen, obs_count, 1), 0.5)
 
 
-def spill_order(costs: np.ndarray) -> np.ndarray:
-    """``pb_allocate``'s spill order: descending cost, ties by ascending index."""
-    costs = np.asarray(costs, dtype=float)
-    return np.lexsort((np.arange(costs.shape[0]), -costs))
-
-
-def pb_allocate(costs: np.ndarray, budget: float, bounds: np.ndarray,
+def pb_allocate(costs: np.ndarray, budgets: np.ndarray, bounds: np.ndarray,
+                agent_of: np.ndarray, nodes: list, totals: np.ndarray,
                 order: np.ndarray) -> np.ndarray:
-    """Population-proportional coverage: uniform fraction budget/total cost,
-    capped by bounds, with any residual spilled in descending-population
-    order (``order``, which is ``spill_order(costs)``, made once per run).
-    Independent of epidemic state and efficiencies.
-
-    The spill is ``_fill`` over the nodes with room left."""
-    costs = np.asarray(costs, dtype=float)
-    bounds = np.asarray(bounds, dtype=float)
-    n = costs.shape[0]
-    total = costs.sum()
-    if total <= 0 or budget <= 0:
-        return np.zeros(n)
-    base = budget / total
-    x = np.minimum(bounds, base)
-    residual = budget - float(x @ costs)
-    if residual > 0:
-        room = bounds - x
-        # a node without room takes nothing and spends nothing
-        order = order[room[order] > 0]
-        _fill(x, order, room[order], costs[order], residual, 0.0)
+    """Population-proportional coverage of each agent a over its nodes
+    ``nodes[a]`` (in index order) of cost sum ``totals[a]``: the fraction
+    budgets[a] / totals[a], capped by bounds, with any residual spilled in
+    ``order``, every node by (agent, descending cost, index); zeros for an
+    agent whose budget or cost total is not positive. Independent of epidemic
+    state and efficiencies. An agent spends ``x[nodes[a]] @ costs[nodes[a]]``
+    before its spill, which is ``_fill_agents`` over the nodes with room left."""
+    live = (totals > 0) & (budgets > 0)
+    base = np.divide(budgets, totals, out=np.zeros(len(budgets)), where=live)
+    x = np.minimum(bounds, base[agent_of])
+    residuals = [budget - float(x[idx] @ costs[idx]) if ok else 0.0
+                 for budget, idx, ok in zip(budgets.tolist(), nodes, live.tolist())]
+    room = bounds - x
+    # a node without room takes nothing and spends nothing
+    order = order[room[order] > 0]
+    _fill_agents(x, order, agent_of[order], room[order], costs[order], residuals, 0.0)
     return x
 
 

@@ -168,7 +168,10 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, RecursionError) as exc:  # decode, JSON, depth or field
+                raise ValueError(f"{path}: {exc}") from None
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)

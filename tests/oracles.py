@@ -721,6 +721,25 @@ def pb_allocate_loop(costs, budget, bounds):
     return x
 
 
+def allocate_pb_loop(costs, budgets, bounds, agent_of):
+    """Every agent's pb allocation, agent a over its nodes ``agent_of == a``
+    with budget ``budgets[a]``: pb_allocate_loop once per agent, scattered back."""
+    x = np.zeros(len(costs))
+    for a, budget in enumerate(budgets):
+        idx = np.flatnonzero(agent_of == a)
+        x[idx] = pb_allocate_loop(costs[idx], float(budget), bounds[idx])
+    return x
+
+
+def pb_statics(costs, agent_of, n_agents):
+    """The static inputs of policy.pb_allocate after (costs, budgets, bounds,
+    agent_of), as a run makes them: each agent's nodes, each agent's cost sum
+    and every node by (agent, descending cost, index)."""
+    nodes = [np.flatnonzero(agent_of == a) for a in range(n_agents)]
+    return (nodes, np.array([costs[idx].sum() for idx in nodes]),
+            np.lexsort((np.arange(len(costs)), -costs, agent_of)))
+
+
 def air_dot_bincount(net, h, v):
     """A @ v for h = H (A.T @ v for h = H.T) as an n x c array, with one
     np.bincount per column of [v, P v] for the slot sums."""

@@ -335,6 +335,25 @@ def test_replicate_writes_into_non_empty_directory(tmp_path, config_file):
     assert (out / "keep.txt").read_text() == "x"
 
 
+def test_replicate_failed_write_leaves_out_as_it_was(tmp_path, config_file, capsys,
+                                                    monkeypatch):
+    def half_written(path, obj):
+        path.write_text('{"n": ')
+        raise OSError("no space left on device")
+
+    out = tmp_path / "batch"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    monkeypatch.setattr(net, "_write_json", half_written)
+    assert main(["replicate", "--config", str(config_file), "--policy", "pb",
+                 "--n", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert [f.name for f in out.iterdir()] == ["keep.txt"]
+    # no temporary sibling of --out is left behind
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["batch", "config.json"]
+
+
 def test_gains_out_is_a_directory_exits_1(tmp_path, config_file, capsys):
     run_dir = tmp_path / "pb"
     assert main(["simulate", "--config", str(config_file), "--policy", "pb",
@@ -358,6 +377,19 @@ def test_simulate_config_not_an_object_exits_1(tmp_path, capsys, text, kind):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "JSON object" in err and kind in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("content", [b"{bad", b"\xff", b"[1]", b'{"seed": -1}',
+                                     b'{"seeds": 1}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not JSON", "not UTF-8", "not an object", "negative seed",
+                              "unknown key", "nested too deep"])
+def test_simulate_config_fault_names_the_file(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

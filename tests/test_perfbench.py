@@ -28,9 +28,9 @@ def test_traced_functions_resolve():
 
 def test_tracer_sees_every_period_function(monkeypatch):
     """With the tracer installed as perfbench installs it, each traced
-    period function records one span per period under the run's span (and
-    pb_allocate one per agent per period), in a `ts` run with sharing and a
-    `pb` run; a function that a run reached by any other name records none.
+    period function records one span per period under the run's span, in a
+    `ts` run with sharing and a `pb` run; a function that a run reached by
+    any other name records none.
     Every replaced global is restored after the test."""
     spans = load_spans()
     modules = {m: importlib.import_module(f"vaxalloc.{m}") for m, _, _ in spans.TRACED}
@@ -45,9 +45,9 @@ def test_tracer_sees_every_period_function(monkeypatch):
     cases = [("ts", True, every_period + [
                  "policy.ts_sample", "policy.loss_coefficients", "policy.solve_knapsack",
                  "sharing.plan_sharing", "sharing.infection_split",
-                 "sharing.infected_flow_matrix", "sharing.redistribute"], {}),
-             ("pb", False, every_period, {"policy.pb_allocate": horizon * k})]
-    for policy, sharing, once_per_period, other in cases:
+                 "sharing.infected_flow_matrix", "sharing.redistribute"]),
+             ("pb", False, every_period + ["policy.pb_allocate"])]
+    for policy, sharing, once_per_period in cases:
         cfg = scenario.ScenarioConfig(n_nodes=60, n_agents=k, horizon=horizon, seed=3,
                                       policy=policy, sharing=sharing)
         inst = scenario.build_instance(cfg)
@@ -63,4 +63,4 @@ def test_tracer_sees_every_period_function(monkeypatch):
             return i == run[0]
         counts = Counter(tracer.spans[i][0] for i in range(run[0] + 1, len(tracer.spans))
                          if under_run(i))
-        assert counts == {**dict.fromkeys(once_per_period, horizon), **other}, policy
+        assert counts == dict.fromkeys(once_per_period, horizon), policy

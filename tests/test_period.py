@@ -16,12 +16,12 @@ from vaxalloc.epi import (STABILITY_BAND, CompartmentState, EpidemicInstabilityE
                           EpiParams, step_vaccinated)
 from vaxalloc.harness import run_instance
 from vaxalloc.policy import (AllocationProblem, PolicyState, observe_and_update,
-                             pb_allocate, solve_knapsack, spill_order)
+                             pb_allocate, solve_knapsack)
 from vaxalloc.scenario import ScenarioConfig, build_instance, draw_realized_rates
 
-from oracles import (air_dot_bincount, allocate_knapsack_loop,
+from oracles import (air_dot_bincount, allocate_knapsack_loop, allocate_pb_loop,
                      draw_realized_rates_uniform, observe_and_update_masked,
-                     pb_allocate_loop, solve_knapsack_loop, step_vaccinated_per_array,
+                     pb_statics, solve_knapsack_loop, step_vaccinated_per_array,
                      totals_add_at)
 from worlds import random_airport_net
 
@@ -124,19 +124,36 @@ def test_allocate_knapsack_matches_loop():
     assert shared > 200
 
 
+def random_pb_agents(rng):
+    """Every agent's pb problem as (costs, budgets, bounds, agent_of): two to
+    six agents, their nodes interleaved at random in index order, with
+    random_costs, random_bounds and a budget from random_budget over the
+    agent's own nodes; one agent, with a budget of 1, has no node at all."""
+    k = int(rng.integers(2, 7))
+    sizes = rng.integers(1, 201, k)
+    sizes[rng.integers(0, k)] = 0
+    agent_of = rng.permutation(np.repeat(np.arange(k), sizes))
+    costs, bounds = random_costs(rng, agent_of.size), random_bounds(rng, agent_of.size)
+    budgets = np.ones(k)
+    for a in np.flatnonzero(sizes):
+        idx = np.flatnonzero(agent_of == a)
+        order = idx[np.lexsort((idx, -costs[idx]))]
+        budgets[a] = random_budget(rng, costs[idx].sum(), bounds[order] * costs[order])
+    return costs, budgets, bounds, agent_of
+
+
 def test_pb_allocate_matches_loop():
     rng = np.random.default_rng(1302)
     spilled = 0
-    for _ in range(2000):
-        n = int(rng.integers(1, 401))
-        costs = random_costs(rng, n)
-        bounds = random_bounds(rng, n)
-        order = spill_order(costs)
-        budget = random_budget(rng, costs.sum(), bounds[order] * costs[order])
-        want = pb_allocate_loop(costs, budget, bounds)
-        assert same_bits(pb_allocate(costs, budget, bounds, order), want)
-        spilled += budget > 0 and np.any(want != np.minimum(bounds, budget / costs.sum()))
-    assert spilled > 100
+    for _ in range(600):
+        costs, budgets, bounds, agent_of = problem = random_pb_agents(rng)
+        _, totals, _ = statics = pb_statics(costs, agent_of, budgets.size)
+        want = allocate_pb_loop(*problem)
+        assert same_bits(pb_allocate(*problem, *statics), want), problem
+        uniform = np.minimum(bounds, budgets[agent_of] / totals[agent_of])
+        # agents whose residual spilled past the uniform fraction
+        spilled += np.unique(agent_of[want != uniform]).size
+    assert spilled > 1000
 
 
 def random_net_many_slots(rng):
@@ -292,8 +309,8 @@ def test_step_clips_as_the_per_array_path():
 @pytest.mark.parametrize("policy", polmod.POLICIES)
 def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
     """A run against one built and run with every replaced path swapped back
-    in: the knapsack and spill loops, per-column slot sums, masked prior
-    updates, the per-array stability check, uniform's array draws and
+    in: the knapsack and per-agent spill loops, per-column slot sums, masked
+    prior updates, the per-array stability check, uniform's array draws and
     np.add.at totals."""
     cfg = ScenarioConfig(n_nodes=300, n_agents=4, horizon=30, seed=7, policy=policy,
                          sharing=sharing, initial_infected=0.005)
@@ -302,8 +319,8 @@ def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
                         lambda net, h, v: air_dot_bincount(net, h, v).T)
     monkeypatch.setattr(harness, "solve_knapsack", allocate_knapsack_loop)
     monkeypatch.setattr(harness, "pb_allocate",
-                        lambda costs, budget, bounds, order: pb_allocate_loop(
-                            costs, budget, bounds))
+                        lambda costs, budgets, bounds, agent_of, *statics: allocate_pb_loop(
+                            costs, budgets, bounds, agent_of))
     monkeypatch.setattr(polmod, "observe_and_update", observe_and_update_masked)
     monkeypatch.setattr(harness, "step_vaccinated", step_vaccinated_per_array)
     monkeypatch.setattr(harness, "draw_realized_rates", draw_realized_rates_uniform)

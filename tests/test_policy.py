@@ -9,12 +9,12 @@ from vaxalloc.net import FlowMatrix
 from vaxalloc.policy import (DUST, AllocationProblem,
                              PolicyState, gy_estimate, loss_coefficients,
                              ma_estimate, observe_and_update,
-                             pb_allocate, solve_knapsack, spill_order, ts_sample,
+                             pb_allocate, solve_knapsack, ts_sample,
                              update_bounds, window_width)
 from vaxalloc.sharing import AgentCoupling
 
 from oracles import (direct_objective, grid_knapsack_optimum,
-                     loss_coefficients_per_call, ma_estimate_lists, own_inflow)
+                     loss_coefficients_per_call, ma_estimate_lists, own_inflow, pb_statics)
 
 
 def random_net(n, rng, density=0.4):
@@ -252,28 +252,39 @@ class TestEstimators:
                                np.array([len(hist)]))[0] - 0.7) < 0.05
 
 
+def pb_one_agent(costs, budget, bounds):
+    """pb_allocate of one agent, agent 0, that owns every node."""
+    agent_of = np.zeros(costs.size, dtype=np.intp)
+    return pb_allocate(costs, np.array([budget]), bounds, agent_of,
+                       *pb_statics(costs, agent_of, 1))
+
+
 class TestPbAllocate:
     def test_full_coverage(self):
         costs = np.array([10.0, 30.0, 60.0])
-        out = pb_allocate(costs, float(costs.sum()), np.ones(3), spill_order(costs))
+        out = pb_one_agent(costs, float(costs.sum()), np.ones(3))
         assert np.allclose(out, 1.0)
 
     def test_proportional_coverage(self):
         costs = np.array([10.0, 30.0, 60.0])
-        out = pb_allocate(costs, 0.1 * float(costs.sum()), np.ones(3),
-                          spill_order(costs))
+        out = pb_one_agent(costs, 0.1 * float(costs.sum()), np.ones(3))
         assert np.allclose(out, 0.1)
 
     def test_residual_spill_with_caps(self):
         costs = np.array([100.0, 300.0])
-        out = pb_allocate(costs, 200.0, np.array([1.0, 0.25]), spill_order(costs))
+        out = pb_one_agent(costs, 200.0, np.array([1.0, 0.25]))
         assert np.allclose(out, [1.0, 0.25])
+
+    def test_nonpositive_budget_gets_zeros(self):
+        costs = np.array([10.0, 30.0])
+        for budget in (0.0, -5.0):
+            assert np.array_equal(pb_one_agent(costs, budget, np.ones(2)), np.zeros(2))
 
     def test_ignores_state_and_efficiency(self):
         # signature takes neither; just confirm determinism on repeat
         costs = np.array([50.0, 150.0, 200.0])
-        a = pb_allocate(costs, 120.0, np.array([1.0, 0.6, 0.9]), spill_order(costs))
-        b = pb_allocate(costs, 120.0, np.array([1.0, 0.6, 0.9]), spill_order(costs))
+        a = pb_one_agent(costs, 120.0, np.array([1.0, 0.6, 0.9]))
+        b = pb_one_agent(costs, 120.0, np.array([1.0, 0.6, 0.9]))
         assert np.array_equal(a, b)
         assert float(a @ costs) <= 120.0 * (1 + 1e-9)
 
