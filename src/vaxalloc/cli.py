@@ -17,23 +17,13 @@ from pathlib import Path
 from . import harness, net
 from .epi import EpidemicInstabilityError
 from .policy import POLICIES
-from .scenario import ScenarioConfig
-
-
-# build-net flags that set the ScenarioConfig field of the same name
-_NET_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigma",
-               "airport_density", "air_fraction", "ground_range_km", "commute_fraction")
+from .scenario import WORLD_FIELDS, ScenarioConfig, build_world
 
 
 def _cmd_build_net(args) -> int:
-    cfg = ScenarioConfig(**{name: getattr(args, name) for name in _NET_FIELDS})
+    cfg = ScenarioConfig(**{name: getattr(args, name) for name in WORLD_FIELDS})
     if args.synthetic:
-        nodes, airports, table, nearest = net.synth_world(
-            cfg.n_nodes, cfg.n_agents, grid_spacing_km=cfg.grid_spacing_km,
-            pop_median=cfg.pop_median, pop_sigma=cfg.pop_sigma,
-            airport_density=cfg.airport_density, air_fraction=cfg.air_fraction,
-            seed=args.seed, with_assignment=True)
-        planar = True
+        nodes, airports, table, network = build_world(cfg, args.seed)
     else:
         if not (args.nodes and args.airports and args.flights):
             raise ValueError("--nodes, --airports and --flights are required "
@@ -41,10 +31,8 @@ def _cmd_build_net(args) -> int:
         nodes = net.read_nodes(args.nodes)
         airports = net.read_airports(args.airports)
         table = net.read_air_flows(args.flights, airports)
-        planar, nearest = args.planar, None
-    network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
-                                alpha=cfg.commute_fraction, planar=planar,
-                                nearest=nearest)
+        network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
+                                    alpha=cfg.commute_fraction, planar=args.planar)
 
     def write(out: Path) -> None:
         if args.synthetic:
@@ -61,11 +49,14 @@ def _cmd_build_net(args) -> int:
 
 
 def _write_files(out: Path, write) -> None:
-    """Call ``write`` on a temporary sibling directory of ``out``, then move
-    each file it wrote into ``out``, made if absent. A failed write leaves
-    ``out`` as it was; files of ``out`` that ``write`` does not make stay."""
+    """Call ``write`` on a temporary directory, made inside ``out`` if that is
+    a directory (so only ``out`` need be writable) and beside it otherwise,
+    then move each file it wrote into ``out``, made if absent. A failed write
+    leaves ``out`` as it was; files of ``out`` that ``write`` does not make
+    stay."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.",
+                                 dir=out if out.is_dir() else out.parent))
     try:
         write(work)
         out.mkdir(exist_ok=True)
@@ -77,16 +68,10 @@ def _write_files(out: Path, write) -> None:
 
 def _load_config(args) -> ScenarioConfig:
     cfg = ScenarioConfig.load(args.config) if args.config else ScenarioConfig()
-    overrides = {}
-    if getattr(args, "policy", None):
-        overrides["policy"] = args.policy
-    if getattr(args, "sharing", None):
-        overrides["sharing"] = args.sharing == "on"
-    if getattr(args, "budget_multiplier", None) is not None:
-        overrides["budget_multiplier"] = args.budget_multiplier
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return cfg.replace(**overrides) if overrides else cfg
+    sharing = None if args.sharing is None else args.sharing == "on"
+    overrides = {"policy": args.policy, "sharing": sharing,
+                 "budget_multiplier": args.budget_multiplier, "seed": args.seed}
+    return cfg.replace(**{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_simulate(args) -> int:
@@ -102,8 +87,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_config(args)
-    if args.seed_base is not None:
-        cfg = cfg.replace(seed=args.seed_base)
     out = harness.check_out_dir(args.out, overwrite=True)  # refuses only a file
     summary = harness.replicate(cfg, args.n)
     _write_files(out, lambda work: net._write_json(work / "summary.json", summary))
@@ -121,7 +104,8 @@ def _cmd_gains(args) -> int:
     baseline = harness.import_result(args.baseline)
     report = harness.gains(result, baseline)
     if args.out:
-        harness.export_gains(report, args.out)
+        out = Path(args.out)
+        _write_files(out.parent, lambda work: harness.export_gains(report, work / out.name))
     print(f"world cumulative gain: {report.world_cumulative_pct:.4f}%")
     print(f"world last-period gain: {report.world_last_period_pct:.4f}%")
     for a in range(report.cumulative_pct.shape[0]):
@@ -139,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--airports")
     b.add_argument("--flights")
     b.add_argument("--synthetic", action="store_true")
-    for name in _NET_FIELDS:
+    for name in WORLD_FIELDS:
         value = getattr(ScenarioConfig, name)
         b.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
     b.add_argument("--seed", type=int, default=0)
@@ -163,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("replicate", parents=[runs], help="run a seeded batch and aggregate")
     r.add_argument("--n", type=int, required=True)
-    r.add_argument("--seed-base", type=int)
+    r.add_argument("--seed-base", dest="seed", metavar="SEED_BASE", type=int)
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_replicate)
 

@@ -453,7 +453,7 @@ def import_result(directory) -> RunResult:
     with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # decode, JSON or depth
             raise ValueError(f"{path}: {exc}") from None
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
     if schema == 1:

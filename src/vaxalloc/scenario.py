@@ -193,15 +193,10 @@ def capacity_to_mean_efficiency(capacities: np.ndarray) -> np.ndarray:
 
 def draw_mean_rates(base_rates: np.ndarray, agent_of: np.ndarray, epsilon: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Per-node mean efficiency: uniform around the owning agent's base rate,
-    clipped into [0, 1]."""
+    """Per-node mean efficiency: a realized-rate draw around the owning
+    agent's base rate."""
     base_rates = np.asarray(base_rates, dtype=float)
-    agent_of = np.asarray(agent_of, dtype=int)
-    if epsilon < 0:
-        raise ValueError("uncertainty level must be nonnegative")
-    centers = base_rates[agent_of]
-    draws = rng.uniform(centers - epsilon, centers + epsilon)
-    return np.clip(draws, 0.0, 1.0)
+    return draw_realized_rates(base_rates[np.asarray(agent_of, dtype=int)], epsilon, rng)
 
 
 def draw_realized_rates(mean_rates: np.ndarray, epsilon: float,
@@ -249,20 +244,32 @@ class Instance:
     efficiency: EfficiencyModel
 
 
-def build_instance(config: ScenarioConfig) -> Instance:
-    """Generate world, epidemic parameters and vaccination data from a config."""
-    seed = config.seed
+# the ScenarioConfig fields a world is built from; build-net takes each as a flag
+WORLD_FIELDS = ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigma",
+                "airport_density", "air_fraction", "ground_range_km", "commute_fraction")
+
+
+def build_world(config: ScenarioConfig, seed) -> tuple:
+    """(nodes, airports, air table, network) of the synthetic world of the
+    config's WORLD_FIELDS, drawn from ``seed`` (an int or a SeedSequence)."""
     nodes, airports, air_table, nearest = netmod.synth_world(
         config.n_nodes, config.n_agents,
         grid_spacing_km=config.grid_spacing_km,
         pop_median=config.pop_median, pop_sigma=config.pop_sigma,
         airport_density=config.airport_density, air_fraction=config.air_fraction,
-        seed=np.random.SeedSequence(entropy=(seed, _STREAM_WORLD)),
-        with_assignment=True)
+        seed=seed, with_assignment=True)
     network = netmod.build_network(nodes, airports, air_table,
                                    D=config.ground_range_km,
                                    alpha=config.commute_fraction, planar=True,
                                    nearest=nearest)
+    return nodes, airports, air_table, network
+
+
+def build_instance(config: ScenarioConfig) -> Instance:
+    """Generate world, epidemic parameters and vaccination data from a config."""
+    seed = config.seed
+    nodes, _, _, network = build_world(
+        config, np.random.SeedSequence(entropy=(seed, _STREAM_WORLD)))
     populations, agent_of = nodes.population, nodes.agent_id
     k = config.n_agents
 

@@ -800,3 +800,11 @@ def draw_realized_rates_uniform(mean_rates, epsilon, rng):
     """scenario.draw_realized_rates through rng.uniform's array arguments."""
     mean_rates = np.asarray(mean_rates, dtype=float)
     return np.clip(rng.uniform(mean_rates - epsilon, mean_rates + epsilon), 0.0, 1.0)
+
+
+def draw_mean_rates_uniform(base_rates, agent_of, epsilon, rng):
+    """scenario.draw_mean_rates through rng.uniform around each node's agent
+    base rate, as the instance build drew it before it took the realized-rate
+    draw."""
+    centers = np.asarray(base_rates, dtype=float)[np.asarray(agent_of, dtype=int)]
+    return np.clip(rng.uniform(centers - epsilon, centers + epsilon), 0.0, 1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from vaxalloc import harness, net
 from vaxalloc.cli import build_parser, main
-from vaxalloc.scenario import ScenarioConfig
+from vaxalloc.scenario import ScenarioConfig, build_world
 
 
 @pytest.fixture
@@ -29,6 +29,22 @@ def test_build_net_synthetic(tmp_path, capsys):
                  "rho.txt"):
         assert (out / name).exists()
     assert "36 nodes" in capsys.readouterr().out
+
+
+def test_build_net_synthetic_writes_build_world_of_its_seed(tmp_path):
+    out = tmp_path / "net"
+    assert main(["build-net", "--synthetic", "--n-nodes", "50", "--n-agents", "3",
+                 "--seed", "6", "--out", str(out)]) == 0
+    nodes, airports, table, network = build_world(
+        ScenarioConfig(n_nodes=50, n_agents=3), 6)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    net.write_nodes(nodes, ref / "nodes.csv")
+    net.write_airports(airports, ref / "airports.csv")
+    net.write_air_flows(table, ref / "airflows.csv")
+    net.export_network(network, ref / "edges.csv", ref / "rho.txt")
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == {
+        f.name: f.read_bytes() for f in ref.iterdir()}
 
 
 def test_build_net_synthetic_one_airport_writes_header_only_flights(tmp_path):
@@ -367,6 +383,36 @@ def test_gains_out_is_a_directory_exits_1(tmp_path, config_file, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_gains_failed_write_leaves_out_as_it_was(tmp_path, config_file, capsys,
+                                                monkeypatch):
+    run_dir = tmp_path / "pb"
+    assert main(["simulate", "--config", str(config_file), "--policy", "pb",
+                 "--out", str(run_dir)]) == 0
+    reports = tmp_path / "reports"
+    reports.mkdir()
+    out = reports / "gains.csv"
+    args = ["gains", "--run", str(run_dir), "--baseline", str(run_dir), "--out", str(out)]
+    assert main(args) == 0
+    before = out.read_bytes()
+    written = []
+
+    def half_written(path, header, blocks):
+        written.append(path)
+        path.write_text(",".join(header) + "\r\nworld,")
+        raise OSError("no space left on device")
+    monkeypatch.setattr(net, "_write_blocks", half_written)
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert out.read_bytes() == before
+    # the table was written in a temporary directory of --out's directory,
+    # so that only that directory need be writable, and none is left behind
+    assert [p.parent.parent for p in written] == [reports]
+    assert [f.name for f in reports.iterdir()] == ["gains.csv"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["config.json", "pb", "reports"]
+
+
 @pytest.mark.parametrize("text,kind", [("[]", "list"), ("null", "NoneType"),
                                        ('"x"', "str"), ("5", "int")])
 def test_simulate_config_not_an_object_exits_1(tmp_path, capsys, text, kind):
@@ -526,6 +572,8 @@ BAD_RUNS = {
         p, lambda m: m["config"].update(n_agents=0))),
     "config not an object": ("manifest.json", lambda p: _edit_manifest(
         p, lambda m: m.update(config=[6, 2, 40]))),
+    "manifest nested too deep": ("manifest.json",
+                                 lambda p: p.write_text("[" * 100_000 + "]" * 100_000)),
     "node out of range": ("priors.csv", lambda p: _set_field(p, 1, 0, "40")),
     "period 0": ("sharing.csv", lambda p: _set_field(p, 1, 0, "0")),
     "cut in half": ("sharing.csv", _cut_in_half),

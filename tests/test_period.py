@@ -1,7 +1,7 @@
 """The per-period paths against the loops they replaced (tests/oracles.py):
-the allocators, the airport-level slot sums, the prior updates and the
-stability check of the epidemic step, each bit for bit, and whole runs with
-every oracle swapped in."""
+the allocators, the airport-level slot sums, the efficiency draws, the prior
+updates and the stability check of the epidemic step, each bit for bit, and
+whole runs with every oracle swapped in."""
 
 import math
 
@@ -17,10 +17,12 @@ from vaxalloc.epi import (STABILITY_BAND, CompartmentState, EpidemicInstabilityE
 from vaxalloc.harness import run_instance
 from vaxalloc.policy import (AllocationProblem, PolicyState, observe_and_update,
                              pb_allocate, solve_knapsack)
-from vaxalloc.scenario import ScenarioConfig, build_instance, draw_realized_rates
+from vaxalloc.scenario import (ScenarioConfig, build_instance, draw_mean_rates,
+                               draw_realized_rates)
 
 from oracles import (air_dot_bincount, allocate_knapsack_loop, allocate_pb_loop,
-                     draw_realized_rates_uniform, observe_and_update_masked,
+                     draw_mean_rates_uniform, draw_realized_rates_uniform,
+                     observe_and_update_masked,
                      pb_statics, solve_knapsack_loop, step_vaccinated_per_array,
                      totals_add_at)
 from worlds import random_airport_net
@@ -201,6 +203,21 @@ def test_realized_rates_match_uniform():
         got = draw_realized_rates(mean, eps, np.random.default_rng(seed))
         assert same_bits(got, draw_realized_rates_uniform(mean, eps,
                                                           np.random.default_rng(seed)))
+
+
+def test_mean_rates_match_uniform():
+    rng = np.random.default_rng(1308)
+    for _ in range(200):
+        k = int(rng.integers(1, 9))
+        n = int(rng.integers(k, 401))
+        base = np.choose(rng.integers(0, 3, k), [np.zeros(k), np.ones(k),
+                                                 rng.uniform(0, 1, k)])
+        agent_of = rng.integers(0, k, n)
+        eps = float(rng.choice([0.0, 0.5, rng.uniform(0, 0.5)]))
+        seed = int(rng.integers(2 ** 32))
+        got = draw_mean_rates(base, agent_of, eps, np.random.default_rng(seed))
+        assert same_bits(got, draw_mean_rates_uniform(base, agent_of, eps,
+                                                      np.random.default_rng(seed)))
 
 
 def test_observe_and_update_matches_masked():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from vaxalloc import net as netmod
+from vaxalloc import scenario
 from vaxalloc.scenario import (EfficiencyModel, ScenarioConfig,
-                               budgets, build_instance,
+                               budgets, build_instance, build_world,
                                capacity_to_mean_efficiency, draw_mean_rates,
                                draw_realized_rates, stream)
 
@@ -164,6 +165,16 @@ class TestBuildInstance:
         monkeypatch.setattr(netmod, "assign_airports", counting)
         build_instance(ScenarioConfig(n_nodes=200, n_agents=3, seed=4))
         assert len(calls) == 1
+
+    def test_world_is_build_world_of_the_world_stream(self):
+        cfg = ScenarioConfig(n_nodes=60, n_agents=3, seed=8)
+        inst = build_instance(cfg)
+        nodes, _, _, network = build_world(
+            cfg, np.random.SeedSequence(entropy=(8, scenario._STREAM_WORLD)))
+        assert np.array_equal(inst.populations, nodes.population)
+        assert np.array_equal(inst.agent_of, nodes.agent_id)
+        assert (inst.network.flows != network.flows).nnz == 0
+        assert inst.network.rho == network.rho
 
     def test_explicit_capacities_respected(self):
         cfg = ScenarioConfig(n_nodes=40, n_agents=2, seed=3,

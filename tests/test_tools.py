@@ -56,26 +56,33 @@ def same_runs(other_src):
 
 def test_same_runs_passes_on_the_same_sources():
     """tools/same_runs.py at n = 200 against this checkout's own src/: the
-    10 runs export the same bytes on both sides and exit 0."""
+    10 runs export and the network of build-net writes the same bytes on
+    both sides, and the tool exits 0."""
     rc, reports = same_runs(TOOLS.parent / "src")
     assert rc == 0
-    assert len(reports) == 10
-    assert all(r["same_bytes"] and r["equals"] and not r["differing_files"]
+    assert len(reports) == 11
+    assert [r["build_net"] for r in reports[10:]] == ["build-net_n200_seed901"]
+    assert all(r["same_bytes"] and r.get("equals", True) and not r["differing_files"]
                for r in reports)
 
 
 def test_same_runs_names_the_runs_that_differ(tmp_path):
-    """Against a copy of src/ with another scenario.EFFICIENCY_HI, every run
-    that vaccinates differs and is named, and the tool exits 1; `none` runs
-    never use an efficiency, so they stay the same."""
+    """Against a copy of src/ with another scenario.EFFICIENCY_HI and another
+    line end in the network's rho.txt, every run that vaccinates differs and
+    is named, and so does the network and its file, and the tool exits 1;
+    `none` runs never use an efficiency, so they stay the same."""
     shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    scenario = tmp_path / "src" / "vaxalloc" / "scenario.py"
-    text = scenario.read_text()
-    assert "\nEFFICIENCY_HI = 0.9\n" in text
-    scenario.write_text(text.replace("\nEFFICIENCY_HI = 0.9\n", "\nEFFICIENCY_HI = 0.8\n"))
+    for name, old, new in (("scenario", "\nEFFICIENCY_HI = 0.9\n", "\nEFFICIENCY_HI = 0.8\n"),
+                           ("net", 'repr(net.rho) + "\\n"', 'repr(net.rho) + "\\r\\n"')):
+        path = tmp_path / "src" / "vaxalloc" / f"{name}.py"
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
     rc, reports = same_runs(tmp_path / "src")
     assert rc == 1
+    assert reports.pop() == {"build_net": "build-net_n200_seed901", "same_bytes": False,
+                             "differing_files": ["rho.txt"]}
     differing = {r["run"] for r in reports if not r["same_bytes"]}
     assert differing == {f"n200_seed901_{policy}_sharing_{sharing}"
                          for policy in ("ts", "gy", "ma", "pb") for sharing in ("off", "on")}

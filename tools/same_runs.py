@@ -9,10 +9,12 @@ n = 200 seed 901 and n = 1000 seed 5, and `ts` and `pb` at n = 3000 seed 77,
 each with sharing off and on, with 5 agents and T = 104. Each side exports
 every run with its own `harness.export`; the two directories of each run are
 compared byte for byte, and both are read back with this checkout's
-`harness.import_result` and compared with `RunResult.equals`. --n keeps only
-the runs at the sizes given.
+`harness.import_result` and compared with `RunResult.equals`. Each side also
+writes the files of `vaxalloc build-net --synthetic` with 5 agents at n = 200
+seed 901 and n = 1000 seed 5, and the two directories of each are compared
+byte for byte. --n keeps only the runs and networks at the sizes given.
 
-Prints one JSON line per run and exits 1 if any run differs.
+Prints one JSON line per run and per network and exits 1 if any differs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import filecmp  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -35,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 ALL = ("ts", "gy", "ma", "pb", "none")
 # (n, seed, policies); each policy runs with sharing off and on
 SIZES = ((200, 901, ALL), (1000, 5, ALL), (3000, 77, ("ts", "pb")))
+# (n, seed) of each build-net --synthetic; at n = 3000 its edge list is 706 MB
+NETS = ((200, 901), (1000, 5))
 
 
 def runs(sizes) -> list[tuple]:
@@ -45,22 +51,39 @@ def runs(sizes) -> list[tuple]:
             for policy in policies for sharing in (False, True)]
 
 
+def nets(sizes) -> list[tuple]:
+    """(name, n, seed) of each fixed build-net --synthetic at the given sizes."""
+    return [(f"build-net_n{n}_seed{seed}", n, seed) for n, seed in NETS if n in sizes]
+
+
 def make(src: str, out: Path, sizes) -> None:
-    """Make and export each run with the vaxalloc under ``src``, into ``out``/name."""
+    """Make and export each run, and write each network, with the vaxalloc
+    under ``src``, into ``out``/name."""
     sys.path.insert(0, src)
-    from vaxalloc import harness, scenario
+    from vaxalloc import cli, harness, scenario
     for name, n, seed, policy, sharing in runs(sizes):
         cfg = scenario.ScenarioConfig(n_nodes=n, n_agents=5, horizon=104, seed=seed,
                                       policy=policy, sharing=sharing)
         harness.export(harness.run_instance(scenario.build_instance(cfg)), out / name)
+    for name, n, seed in nets(sizes):
+        with contextlib.redirect_stdout(io.StringIO()):  # its summary line
+            rc = cli.main(["build-net", "--synthetic", "--n-nodes", str(n), "--n-agents",
+                           "5", "--seed", str(seed), "--out", str(out / name)])
+        if rc:
+            raise SystemExit(f"{name} exited {rc}")
+
+
+def differing_files(this: Path, other: Path) -> list[str]:
+    """The files of two directories that differ or are on one side only."""
+    names = sorted({p.name for p in this.iterdir()} | {p.name for p in other.iterdir()})
+    return [f for f in names if not ((this / f).is_file() and (other / f).is_file()
+                                     and filecmp.cmp(this / f, other / f, shallow=False))]
 
 
 def compare(this: Path, other: Path) -> dict:
     """The files that differ or are on one side only, and RunResult.equals."""
     from vaxalloc.harness import import_result
-    names = sorted({p.name for p in this.iterdir()} | {p.name for p in other.iterdir()})
-    differing = [f for f in names if not ((this / f).is_file() and (other / f).is_file()
-                                          and filecmp.cmp(this / f, other / f, shallow=False))]
+    differing = differing_files(this, other)
     try:
         equals = import_result(this).equals(import_result(other))
     except ValueError as exc:  # the other side's export does not read back here
@@ -95,6 +118,11 @@ def main(argv=None) -> int:
             report = compare(*(side / name for side in sides))
             same &= report["same_bytes"] and report["equals"]
             print(json.dumps({"run": name, **report}), flush=True)
+        for name, *_ in nets(args.n):
+            differing = differing_files(*(side / name for side in sides))
+            same &= not differing
+            print(json.dumps({"build_net": name, "same_bytes": not differing,
+                              "differing_files": differing}), flush=True)
     return 0 if same else 1
 
 
