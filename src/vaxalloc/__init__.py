@@ -5,15 +5,15 @@ from .epi import CompartmentState, EpidemicInstabilityError, EpiParams, step, st
 from .harness import GainReport, RunResult, export, gains, import_result, replicate, run
 from .net import (AirFlowTable, AirportRecord, Airports, FlowMatrix, NodeRecord,
                   Nodes, build_network, synth_world)
-from .policy import AllocationProblem, PolicyState, solve_knapsack
+from .policy import PolicyState, solve_knapsack
 from .scenario import Instance, ScenarioConfig, build_instance
 from .sharing import SharingPlan, plan_sharing, redistribute
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AirFlowTable", "AirportRecord", "Airports", "AllocationProblem",
-    "CompartmentState", "EpiParams", "EpidemicInstabilityError", "FlowMatrix",
+    "AirFlowTable", "AirportRecord", "Airports", "CompartmentState", "EpiParams",
+    "EpidemicInstabilityError", "FlowMatrix",
     "GainReport", "Instance", "NodeRecord", "Nodes", "PolicyState", "RunResult",
     "ScenarioConfig", "SharingPlan", "build_instance",
     "build_network", "export", "gains", "import_result", "plan_sharing",

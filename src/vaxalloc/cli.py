@@ -20,10 +20,24 @@ from .policy import POLICIES
 from .scenario import WORLD_FIELDS, ScenarioConfig, build_world
 
 
+_FILES = ("nodes", "airports", "flights")
+# the build-net flags that only a synthetic world reads
+_DRAWN = (*(name for name in WORLD_FIELDS if name not in ("ground_range_km", "commute_fraction")),
+          "seed")
+
+
 def _cmd_build_net(args) -> int:
-    cfg = ScenarioConfig(**{name: getattr(args, name) for name in WORLD_FIELDS})
+    unread = [name for name in (_FILES if args.synthetic else _DRAWN)
+              if getattr(args, name) is not None]
+    if unread:
+        raise ValueError(", ".join("--" + name.replace("_", "-") for name in unread)
+                         + f" would be ignored {'with' if args.synthetic else 'without'}"
+                         " --synthetic")
+    # a world flag not given takes its ScenarioConfig default
+    cfg = ScenarioConfig(**{name: getattr(args, name) for name in (*WORLD_FIELDS, "seed")
+                            if getattr(args, name) is not None})
     if args.synthetic:
-        nodes, airports, table, network = build_world(cfg, args.seed)
+        nodes, airports, table, network = build_world(cfg, cfg.seed)
     else:
         if not (args.nodes and args.airports and args.flights):
             raise ValueError("--nodes, --airports and --flights are required "
@@ -123,10 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--airports")
     b.add_argument("--flights")
     b.add_argument("--synthetic", action="store_true")
+    # None unless given, so that _cmd_build_net can refuse a flag it would not read
     for name in WORLD_FIELDS:
-        value = getattr(ScenarioConfig, name)
-        b.add_argument("--" + name.replace("_", "-"), type=type(value), default=value)
-    b.add_argument("--seed", type=int, default=0)
+        b.add_argument("--" + name.replace("_", "-"), type=type(getattr(ScenarioConfig, name)))
+    b.add_argument("--seed", type=int)
     b.add_argument("--planar", action="store_true",
                    help="treat coordinates as planar km instead of degrees")
     b.add_argument("--out", required=True)

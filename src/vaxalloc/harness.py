@@ -20,10 +20,8 @@ from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
 from .net import _line_of, _read_columns, _reprs, _write_json, _write_table
-from .policy import PolicyState, loss_coefficients, pb_allocate, update_bounds, window_width
-# every agent's knapsack, on inputs run_instance checks once per run, under the
-# public name that perfbench/spans.py traces as policy.solve_knapsack
-from .policy import _allocate_knapsack as solve_knapsack
+from .policy import (PolicyState, loss_coefficients, pb_allocate, solve_knapsack,
+                     update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
@@ -105,30 +103,25 @@ def _totals(state: CompartmentState, populations: np.ndarray,
             np.bincount(per_agent, weights=weighted, minlength=4 * n_agents).reshape(n_agents, 4))
 
 
-# theta_hat of period t for each policy, from (policy state, seed, t); each entry looks its
-# estimator up in policy when called, so a replacement there (perfbench, a test) is what runs
+# the knapsack policies, each with its theta_hat of period t from (policy state, seed, t);
+# each entry looks its estimator up in policy when called, so a replacement there
+# (perfbench, a test) is what runs. pb and none estimate nothing: their theta_hat is zero.
 _ESTIMATES = {
     "ts": lambda pol, seed, t: polmod.ts_sample(pol.a, pol.b, stream(seed, scmod.STREAM_TS, t)),
     "gy": lambda pol, seed, t: polmod.gy_estimate(pol.a, pol.b),
     "ma": lambda pol, seed, t: polmod.ma_estimate(pol.obs_sum, pol.obs_count),
-    "pb": lambda pol, seed, t: np.zeros(pol.n),
-    "none": lambda pol, seed, t: np.zeros(pol.n),
 }
 
 
 class _Plan:
     """What a run works out once, before its first period: the agent coupling
-    (for ts, gy, ma or sharing on), each node's own-agent inflow (for the
-    knapsack), each agent's nodes and cost sum and the spill order of every
+    (for a knapsack policy or sharing on), each node's own-agent inflow (for
+    the knapsack), each agent's nodes and cost sum and the spill order of every
     node (for pb) and the key of the per-agent totals."""
 
     def __init__(self, inst: Instance):
         cfg, net = inst.config, inst.network
-        knapsack = cfg.policy in ("ts", "gy", "ma")
-        # the knapsack trusts the static costs and budgets in every period
-        # (bounds stay in [0, 1]), so they are checked once, so that NaN fails
-        if knapsack and not (np.all(inst.costs > 0) and np.all(inst.base_budgets >= 0)):
-            raise ValueError("costs must be positive, budgets nonnegative")
+        knapsack = cfg.policy in _ESTIMATES
         self.inst = inst
         self.coupling = (shmod.AgentCoupling(net, inst.agent_of, cfg.n_agents)
                          if knapsack or cfg.sharing else None)
@@ -150,9 +143,9 @@ def _period(plan: _Plan, pol: PolicyState, state: CompartmentState, b_eff: np.nd
     inst = plan.inst
     cfg, net = inst.config, inst.network
     bounds = update_bounds(pol, t)
-    theta_hat = _ESTIMATES[cfg.policy](pol, cfg.seed, t)
-    x = np.zeros(net.n)
+    theta_hat, x = np.zeros(net.n), np.zeros(net.n)
     if plan.inflow is not None:
+        theta_hat = _ESTIMATES[cfg.policy](pol, cfg.seed, t)
         losses = loss_coefficients(state, inst.params, net, theta_hat, plan.inflow)
         x = solve_knapsack(losses, inst.costs, b_eff, bounds, inst.agent_of)
     if plan.pb is not None:
@@ -239,8 +232,8 @@ def gains(result: RunResult, baseline: RunResult) -> GainReport:
 def replicate(config: ScenarioConfig, n: int) -> dict:
     """Run n instances seeded ``config.seed + i`` and aggregate.
 
-    For every policy but ``pb`` and ``none``, a paired ``pb`` run is made per
-    seed on the same instance, built once, so gains isolate the policy.
+    For a knapsack policy (one of ``_ESTIMATES``), a paired ``pb`` run is made
+    per seed on the same instance, built once, so gains isolate the policy.
     """
     if n < 1:
         raise ValueError("replication count must be >= 1")
@@ -252,7 +245,7 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
         inst = build_instance(cfg)
         res = run_instance(inst)
         entry = {"seed": sd, "final_totals": res.global_totals[-1].tolist()}
-        if config.policy not in ("pb", "none"):
+        if config.policy in _ESTIMATES:
             # build_instance never reads the policy
             base = run_instance(dataclasses.replace(
                 inst, config=cfg.replace(policy="pb")))

@@ -56,26 +56,6 @@ class PolicyState:
         self.alloc_csum[t] = self.alloc_csum[t - 1] + x
 
 
-@dataclass
-class AllocationProblem:
-    losses: np.ndarray
-    costs: np.ndarray
-    budget: float
-    bounds: np.ndarray
-
-    def __post_init__(self):
-        self.losses = np.asarray(self.losses, dtype=float)
-        self.costs = np.asarray(self.costs, dtype=float)
-        self.bounds = np.asarray(self.bounds, dtype=float)
-        # written so that NaN fails each check
-        if not np.all(self.costs > 0):
-            raise ValueError("costs must be positive")
-        if not self.budget >= 0:
-            raise ValueError("budget must be nonnegative")
-        if not np.all((self.bounds >= 0) & (self.bounds <= 1)):
-            raise ValueError("bounds must be in [0, 1]")
-
-
 def loss_coefficients(state: CompartmentState, params: EpiParams, net: FlowMatrix,
                       theta_hat: np.ndarray, inflow: np.ndarray) -> np.ndarray:
     """Coefficient of each node's allocation in its agent's one-period-ahead
@@ -126,21 +106,29 @@ def _fill_agents(x: np.ndarray, order: np.ndarray, agents: np.ndarray, caps: np.
             _fill(x, order[lo:hi], caps[lo:hi], costs[lo:hi], budget, dust)
 
 
-def solve_knapsack(problem: AllocationProblem) -> np.ndarray:
-    """Greedy fractional knapsack: fund nodes by increasing loss-to-cost ratio
-    (ties broken by ascending index) while the loss is negative and budget
-    remains; the last funded node gets the fractional remainder. Takes and
-    remainders within ``DUST`` are not funded."""
-    return _allocate_knapsack(problem.losses, problem.costs, np.array([problem.budget]),
-                              problem.bounds, np.zeros(problem.losses.size, dtype=np.intp))
+def solve_knapsack(losses: np.ndarray, costs: np.ndarray, budgets: np.ndarray,
+                   bounds: np.ndarray, agent_of: np.ndarray) -> np.ndarray:
+    """Greedy fractional knapsack of every agent a over its nodes
+    ``agent_of == a`` with budget ``budgets[a]``: fund nodes by increasing
+    loss-to-cost ratio (ties broken by ascending index) while the loss is
+    negative and budget remains, each up to its bound; the last funded node
+    gets the fractional remainder. Takes and remainders within ``DUST`` are
+    not funded. One sort by (agent, ratio, index), then each agent's segment
+    is filled from its own budget.
 
-
-def _allocate_knapsack(l: np.ndarray, c: np.ndarray, budgets: np.ndarray,
-                       ub: np.ndarray, agent_of: np.ndarray) -> np.ndarray:
-    """``solve_knapsack`` of every agent a over its nodes ``agent_of == a``
-    with budget ``budgets[a]``, on inputs checked as ``AllocationProblem``
-    checks them: one sort by (agent, ratio, index), then each agent's
-    segment filled from its own budget, in its own solve's order."""
+    ValueError unless costs > 0, budgets >= 0, 0 <= bounds <= 1 and every
+    ``agent_of`` indexes ``budgets``; NaN fails each check."""
+    l, c, budgets, ub = (np.asarray(v, dtype=float) for v in (losses, costs, budgets, bounds))
+    agent_of = np.asarray(agent_of)
+    # min and max carry a NaN through, so a comparison with it fails
+    if not c.min(initial=np.inf) > 0:
+        raise ValueError("costs must be positive")
+    if not budgets.min(initial=0.0) >= 0:
+        raise ValueError("budgets must be nonnegative")
+    if not (ub.min(initial=0.0) >= 0 and ub.max(initial=0.0) <= 1):
+        raise ValueError("bounds must be in [0, 1]")
+    if not (agent_of.min(initial=0) >= 0 and agent_of.max(initial=-1) < budgets.size):
+        raise ValueError(f"agent ids must index the {budgets.size} budgets")
     x = np.zeros(l.shape[0])
     # a bound within DUST is never funded, whatever budget remains
     candidates = np.flatnonzero((l < 0) & (ub > DUST))
@@ -207,13 +195,16 @@ def update_bounds(pol: PolicyState, t: int) -> np.ndarray:
 
 
 def window_width(populations: np.ndarray, net: FlowMatrix, horizon: int) -> np.ndarray:
-    """m_i = ceil(P_i / inflow_i); nodes with zero inflow are never renewed
-    and get the full horizon."""
+    """m_i = ceil(P_i / inflow_i), at most the horizon, which already reaches
+    back to period 1; nodes with zero inflow are never renewed and get the
+    full horizon."""
     populations = np.asarray(populations, dtype=float)
     inflow = net.inflow()
     m = np.full(populations.shape[0], horizon, dtype=int)
     pos = inflow > 0
-    m[pos] = np.ceil(populations[pos] / inflow[pos]).astype(int)
+    with np.errstate(over="ignore"):  # a subnormal inflow: inf, capped below
+        ratio = populations[pos] / inflow[pos]
+    m[pos] = np.ceil(np.minimum(ratio, horizon)).astype(int)
     return np.maximum(m, 1)
 
 

@@ -191,14 +191,6 @@ def capacity_to_mean_efficiency(capacities: np.ndarray) -> np.ndarray:
     return EFFICIENCY_LO + frac * (EFFICIENCY_HI - EFFICIENCY_LO)
 
 
-def draw_mean_rates(base_rates: np.ndarray, agent_of: np.ndarray, epsilon: float,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Per-node mean efficiency: a realized-rate draw around the owning
-    agent's base rate."""
-    base_rates = np.asarray(base_rates, dtype=float)
-    return draw_realized_rates(base_rates[np.asarray(agent_of, dtype=int)], epsilon, rng)
-
-
 def draw_realized_rates(mean_rates: np.ndarray, epsilon: float,
                         rng: np.random.Generator) -> np.ndarray:
     """One period's realized efficiencies: uniform around each node's mean,
@@ -217,7 +209,8 @@ def draw_realized_rates(mean_rates: np.ndarray, epsilon: float,
 
 def budgets(capacities: np.ndarray, populations: np.ndarray, agent_of: np.ndarray,
             multiplier: float = 1.0) -> np.ndarray:
-    """Per-agent per-period budget: multiplier * capacity * agent population."""
+    """Per-agent per-period budget: multiplier * capacity * agent population;
+    ValueError naming the first agent whose budget is not finite."""
     capacities = np.asarray(capacities, dtype=float)
     populations = np.asarray(populations, dtype=float)
     agent_of = np.asarray(agent_of, dtype=int)
@@ -225,7 +218,13 @@ def budgets(capacities: np.ndarray, populations: np.ndarray, agent_of: np.ndarra
         raise ValueError("budget multiplier must be positive")
     agent_pop = np.bincount(agent_of, weights=populations,
                             minlength=capacities.shape[0])
-    return multiplier * capacities * agent_pop
+    with np.errstate(over="ignore"):  # an overflow is refused below, by agent
+        out = multiplier * capacities * agent_pop
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        raise ValueError(f"budget of agent {bad[0]} is {float(out[bad[0]])}: "
+                         "budget_multiplier * capacity * population is not finite")
+    return out
 
 
 @dataclass
@@ -292,8 +291,9 @@ def build_instance(config: ScenarioConfig) -> Instance:
                                d=np.zeros(config.n_nodes), t=0)
 
     base = capacity_to_mean_efficiency(caps)
-    theta = draw_mean_rates(base, agent_of, config.epsilon,
-                            stream(seed, _STREAM_MEAN_RATES))
+    # each node's mean efficiency: a realized-rate draw around its agent's base rate
+    theta = draw_realized_rates(base[agent_of], config.epsilon,
+                                stream(seed, _STREAM_MEAN_RATES))
     eff = EfficiencyModel(mean_rates=theta, epsilon=config.epsilon)
 
     return Instance(

@@ -25,7 +25,7 @@ from vaxalloc import net
 from vaxalloc.epi import STABILITY_BAND, CompartmentState, EpidemicInstabilityError
 from vaxalloc.harness import _SCHEMA, RunResult
 from vaxalloc.net import pair_distances
-from vaxalloc.policy import DUST, AllocationProblem
+from vaxalloc.policy import DUST
 
 
 def cross_distances(lat1, lon1, lat2, lon2, planar=False):
@@ -667,22 +667,23 @@ def import_result_rows(directory):
 # updates replaced. Each adds in the same order as its replacement, so the
 # library matches them bit for bit.
 
-def solve_knapsack_loop(problem):
-    """policy.solve_knapsack with one Python step per funded node."""
-    l, c, ub = problem.losses, problem.costs, problem.bounds
+def solve_knapsack_loop(l, c, budget, ub):
+    """policy.solve_knapsack of one agent that owns every node, with losses
+    ``l``, costs ``c``, a budget and bounds ``ub``, by one Python step per
+    funded node."""
     x = np.zeros(l.shape[0])
     candidates = np.flatnonzero(l < 0)
-    if candidates.size == 0 or problem.budget <= 0:
+    if candidates.size == 0 or budget <= 0:
         return x
     order = candidates[np.lexsort((candidates, l[candidates] / c[candidates]))]
-    remaining = float(problem.budget)
+    remaining = float(budget)
     for idx in order:
         take = min(ub[idx], remaining / c[idx])
         if take <= DUST:
             continue
         x[idx] = take
         remaining -= take * c[idx]
-        if remaining <= DUST * problem.budget:
+        if remaining <= DUST * budget:
             break
     return x
 
@@ -693,8 +694,7 @@ def allocate_knapsack_loop(losses, costs, budgets, bounds, agent_of):
     x = np.zeros(len(losses))
     for a, budget in enumerate(budgets):
         idx = np.flatnonzero(agent_of == a)
-        x[idx] = solve_knapsack_loop(AllocationProblem(losses[idx], costs[idx],
-                                                       float(budget), bounds[idx]))
+        x[idx] = solve_knapsack_loop(losses[idx], costs[idx], float(budget), bounds[idx])
     return x
 
 
@@ -803,8 +803,8 @@ def draw_realized_rates_uniform(mean_rates, epsilon, rng):
 
 
 def draw_mean_rates_uniform(base_rates, agent_of, epsilon, rng):
-    """scenario.draw_mean_rates through rng.uniform around each node's agent
-    base rate, as the instance build drew it before it took the realized-rate
-    draw."""
+    """build_instance's draw of each node's mean efficiency through
+    rng.uniform around its agent's base rate, as the instance build drew it
+    before it took the realized-rate draw."""
     centers = np.asarray(base_rates, dtype=float)[np.asarray(agent_of, dtype=int)]
     return np.clip(rng.uniform(centers - epsilon, centers + epsilon), 0.0, 1.0)

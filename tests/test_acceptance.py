@@ -12,8 +12,8 @@ import scipy.sparse as sp
 from vaxalloc.epi import CompartmentState, EpiParams, step, step_vaccinated
 from vaxalloc.harness import export, gains, run
 from vaxalloc.net import FlowMatrix, build_network, synth_world
-from vaxalloc.policy import (AllocationProblem, PolicyState, loss_coefficients,
-                             observe_and_update, solve_knapsack, ts_sample)
+from vaxalloc.policy import (PolicyState, loss_coefficients, observe_and_update,
+                             solve_knapsack, ts_sample)
 from vaxalloc.scenario import ScenarioConfig
 from vaxalloc.sharing import redistribute
 
@@ -61,8 +61,7 @@ def test_criterion_2_knapsack_oracle():
         bounds = rng.integers(0, 101, n) * step_sz
         losses = rng.uniform(-5, 2, n)
         budget = float(rng.uniform(0.0, 0.9 * (costs * bounds).sum() + 1.0))
-        out = solve_knapsack(AllocationProblem(losses=losses, costs=costs,
-                                               budget=budget, bounds=bounds))
+        out = solve_knapsack(losses, costs, [budget], bounds, np.zeros(n, dtype=int))
         obj = float(losses @ out)
         opt = grid_knapsack_optimum(losses, costs, budget, bounds, step_sz)
         never_worse &= obj <= opt + 1e-12
@@ -145,9 +144,7 @@ def test_criterion_5_ts_learning():
         hits = 0
         for t in range(1, 501):
             th = ts_sample(pol.a, pol.b, rng)
-            prob = AllocationProblem(losses=-th, costs=[1.0, 1.0], budget=1.0,
-                                     bounds=[1.0, 1.0])
-            x = solve_knapsack(prob)
+            x = solve_knapsack(-th, [1.0, 1.0], [1.0], [1.0, 1.0], [0, 0])
             observe_and_update(pol, x, theta, rng)
             if 400 <= t <= 500 and x[0] > 0.5:
                 hits += 1

@@ -7,8 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from vaxalloc import harness, net
-from vaxalloc.cli import build_parser, main
+from vaxalloc import cli, harness, net
+from vaxalloc.cli import main
 from vaxalloc.scenario import ScenarioConfig, build_world
 
 
@@ -213,13 +213,65 @@ def test_build_net_rewrites_its_own_files(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["net"]
 
 
-def test_build_net_defaults_follow_scenario_config():
-    args = build_parser().parse_args(["build-net", "--out", "x"])
+def test_build_net_defaults_follow_scenario_config(tmp_path, monkeypatch):
+    """A world flag or --seed not given takes ScenarioConfig's default, in a
+    synthetic world and in a network built from files."""
+    worlds, networks = [], []
+
+    def recording_world(cfg, seed):
+        worlds.append((cfg, seed))
+        return build_world(cfg, seed)
+
+    def recording_network(*args, _fn=net.build_network, **kwargs):
+        networks.append(kwargs)
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(cli, "build_world", recording_world)
+    monkeypatch.setattr(net, "build_network", recording_network)
+    src = tmp_path / "src"
+    assert main(["build-net", "--synthetic", "--out", str(src)]) == 0
+    assert main(["build-net", "--nodes", str(src / "nodes.csv"),
+                 "--airports", str(src / "airports.csv"),
+                 "--flights", str(src / "airflows.csv"), "--out", str(tmp_path / "net")]) == 0
     defaults = ScenarioConfig()
+    (cfg, seed), = worlds
     for name in ("n_nodes", "n_agents", "grid_spacing_km", "pop_median", "pop_sigma",
                  "airport_density", "air_fraction", "ground_range_km",
                  "commute_fraction"):
-        assert getattr(args, name) == getattr(defaults, name)
+        assert getattr(cfg, name) == getattr(defaults, name)
+    assert seed == defaults.seed
+    assert (networks[-1]["D"], networks[-1]["alpha"]) == (defaults.ground_range_km,
+                                                          defaults.commute_fraction)
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--synthetic", "--nodes", "{src}/nodes.csv"], "--nodes"),
+    (["--synthetic", "--airports", "{src}/airports.csv", "--flights", "{src}/airflows.csv"],
+     "--airports, --flights"),
+    (["{files}", "--planar", "--n-nodes", "5000", "--seed", "9", "--pop-sigma", "3"],
+     "--n-nodes, --pop-sigma, --seed"),
+    (["{files}", "--n-agents", "2", "--grid-spacing-km", "10", "--pop-median", "5",
+      "--airport-density", "0.1", "--air-fraction", "0"],
+     "--n-agents, --grid-spacing-km, --pop-median, --airport-density, --air-fraction"),
+    (["--seed", "0"], "--seed"),
+])
+def test_build_net_refuses_flags_it_would_ignore(tmp_path, capsys, flags, named):
+    src = tmp_path / "src"
+    assert main(["build-net", "--synthetic", "--n-nodes", "30", "--n-agents", "2",
+                 "--out", str(src)]) == 0
+    capsys.readouterr()
+    files = ["--nodes", f"{src}/nodes.csv", "--airports", f"{src}/airports.csv",
+             "--flights", f"{src}/airflows.csv"]
+    argv = [arg for flag in flags
+            for arg in (files if flag == "{files}" else [flag.format(src=src)])]
+    out = tmp_path / "net"
+    assert main(["build-net", *argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    with_or_without = "with" if "--synthetic" in argv else "without"
+    assert err == f"error: {named} would be ignored {with_or_without} --synthetic\n"
+    assert not out.exists()
+    # the flags a world from files does read are accepted
+    assert main(["build-net", *files, "--ground-range-km", "80", "--commute-fraction", "0.2",
+                 "--out", str(out)]) == 0
 
 
 def _edges(path):
@@ -486,13 +538,17 @@ def test_missing_run_directory(tmp_path):
     ("initial_infected", 1.5),
     ("initial_infected", float("nan")),
     ("capacities", [0.0, 2.0]),
+    # valid, but budget_multiplier * capacity * population overflows to inf
+    ("budget_multiplier", 1e308),
 ])
 def test_simulate_bad_config_exits_1(tmp_path, capsys, key, value):
     cfg = ScenarioConfig(n_nodes=40, n_agents=2, horizon=6, seed=11).to_dict()
     cfg[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -19,6 +19,7 @@ from vaxalloc.epi import CompartmentState, step
 from vaxalloc.harness import (GainReport, RunResult, export, export_gains,
                               gains, import_result, replicate, run,
                               run_instance)
+from vaxalloc.policy import POLICIES
 from vaxalloc.scenario import ScenarioConfig, build_instance
 
 from oracles import (export_rows, import_result_rows, infected_flow_matrix_add_at,
@@ -57,13 +58,19 @@ class TestRun:
                                              ("base_budgets", np.nan),
                                              ("base_budgets", -1.0)])
     def test_knapsack_run_rejects_bad_static_input(self, field, value):
-        """The knapsack trusts the costs and budgets in every period, so a
-        knapsack run checks them once, NaN included."""
+        """solve_knapsack checks the costs and budgets on each call, so a
+        knapsack run refuses them, NaN included."""
         inst = build_instance(small_config(policy="ts"))
         bad = getattr(inst, field).copy()
         bad[0] = value
-        with pytest.raises(ValueError, match="costs must be positive"):
+        message = "costs must be positive" if field == "costs" else "budgets must be nonnegative"
+        with pytest.raises(ValueError, match=message):
             run_instance(dataclasses.replace(inst, **{field: bad}))
+
+    def test_estimates_list_the_knapsack_policies(self):
+        # every policy is a knapsack policy, with an estimate, or pb or none
+        assert set(POLICIES) == set(harness._ESTIMATES) | {"pb", "none"}
+        assert not {"pb", "none"} & set(harness._ESTIMATES)
 
     @pytest.mark.parametrize("policy", ["ts", "gy", "ma", "pb"])
     def test_deterministic_rerun(self, policy):
@@ -315,6 +322,11 @@ class TestReplicate:
             world.append(rep.world_cumulative_pct)
         assert out["final_totals_mean"] == np.array(finals).mean(axis=0).tolist()
         assert out["world_cumulative_gain_pct_mean"] == float(np.mean(world))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_pairs_each_knapsack_policy_with_pb(self, policy):
+        out = replicate(small_config(policy=policy, horizon=3), 1)
+        assert ("world_cumulative_gain_pct" in out["runs"][0]) == (policy in harness._ESTIMATES)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -15,10 +15,8 @@ from vaxalloc import policy as polmod
 from vaxalloc.epi import (STABILITY_BAND, CompartmentState, EpidemicInstabilityError,
                           EpiParams, step_vaccinated)
 from vaxalloc.harness import run_instance
-from vaxalloc.policy import (AllocationProblem, PolicyState, observe_and_update,
-                             pb_allocate, solve_knapsack)
-from vaxalloc.scenario import (ScenarioConfig, build_instance, draw_mean_rates,
-                               draw_realized_rates)
+from vaxalloc.policy import PolicyState, observe_and_update, pb_allocate, solve_knapsack
+from vaxalloc.scenario import ScenarioConfig, build_instance, draw_realized_rates
 
 from oracles import (air_dot_bincount, allocate_knapsack_loop, allocate_pb_loop,
                      draw_mean_rates_uniform, draw_realized_rates_uniform,
@@ -61,6 +59,7 @@ def random_budget(rng, total, spends=None):
 
 
 def random_knapsack(rng):
+    """One agent's knapsack as (losses, costs, budget, bounds)."""
     n = int(rng.integers(1, 401))
     costs = random_costs(rng, n)
     losses = -(10.0 ** rng.uniform(-9, 1, n)) * np.where(rng.random(n) < 0.8, 1, -1)
@@ -74,18 +73,19 @@ def random_knapsack(rng):
     order = np.lexsort((np.arange(n), losses / costs))
     order = order[losses[order] < 0]
     budget = random_budget(rng, costs.sum(), bounds[order] * costs[order])
-    return AllocationProblem(losses=losses, costs=costs, budget=budget, bounds=bounds)
+    return losses, costs, budget, bounds
 
 
 def test_knapsack_matches_loop():
     rng = np.random.default_rng(1301)
     funded = stopped_early = 0
     for _ in range(2000):
-        prob = random_knapsack(rng)
-        got, want = solve_knapsack(prob), solve_knapsack_loop(prob)
+        losses, costs, budget, bounds = prob = random_knapsack(rng)
+        got = solve_knapsack(losses, costs, [budget], bounds, np.zeros(losses.size, dtype=int))
+        want = solve_knapsack_loop(*prob)
         assert same_bits(got, want), prob
         funded += np.any(want > 0)
-        stopped_early += 0 < float(want @ prob.costs) < prob.budget
+        stopped_early += 0 < float(want @ costs) < budget
     # the problems reach both ends of the spend
     assert funded > 1000 and stopped_early > 100
 
@@ -102,15 +102,14 @@ def random_agents(rng):
     if k > 1 and rng.random() < 0.3:
         probs[1] = probs[0]
     if rng.random() < 0.3:
-        last = probs[-1]
-        probs[-1] = AllocationProblem(np.abs(last.losses), last.costs, last.budget,
-                                      last.bounds)
-    agent_of = rng.permutation(np.repeat(np.arange(k), [p.losses.size for p in probs]))
+        losses, *rest = probs[-1]
+        probs[-1] = (np.abs(losses), *rest)
+    agent_of = rng.permutation(np.repeat(np.arange(k), [p[0].size for p in probs]))
     columns = np.empty((3, agent_of.size))
-    for a, prob in enumerate(probs):
-        columns[:, agent_of == a] = prob.losses, prob.costs, prob.bounds
+    for a, (losses, costs, _, bounds) in enumerate(probs):
+        columns[:, agent_of == a] = losses, costs, bounds
     losses, costs, bounds = columns
-    budgets = np.array([p.budget for p in probs] + [float(costs.sum())])
+    budgets = np.array([p[2] for p in probs] + [float(costs.sum())])
     return losses, costs, budgets, bounds, agent_of
 
 
@@ -120,7 +119,7 @@ def test_allocate_knapsack_matches_loop():
     for _ in range(600):
         problem = random_agents(rng)
         want = allocate_knapsack_loop(*problem)
-        assert same_bits(polmod._allocate_knapsack(*problem), want), problem
+        assert same_bits(solve_knapsack(*problem), want), problem
         shared += np.unique(problem[-1][want > 0]).size > 1
     # most problems fund more than one agent
     assert shared > 200
@@ -215,7 +214,7 @@ def test_mean_rates_match_uniform():
         agent_of = rng.integers(0, k, n)
         eps = float(rng.choice([0.0, 0.5, rng.uniform(0, 0.5)]))
         seed = int(rng.integers(2 ** 32))
-        got = draw_mean_rates(base, agent_of, eps, np.random.default_rng(seed))
+        got = draw_realized_rates(base[agent_of], eps, np.random.default_rng(seed))
         assert same_bits(got, draw_mean_rates_uniform(base, agent_of, eps,
                                                       np.random.default_rng(seed)))
 

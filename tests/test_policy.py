@@ -1,3 +1,6 @@
+import types
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,8 +9,7 @@ from hypothesis import strategies as st
 
 from vaxalloc.epi import CompartmentState, EpiParams
 from vaxalloc.net import FlowMatrix
-from vaxalloc.policy import (DUST, AllocationProblem,
-                             PolicyState, gy_estimate, loss_coefficients,
+from vaxalloc.policy import (DUST, PolicyState, gy_estimate, loss_coefficients,
                              ma_estimate, observe_and_update,
                              pb_allocate, solve_knapsack, ts_sample,
                              update_bounds, window_width)
@@ -15,6 +17,11 @@ from vaxalloc.sharing import AgentCoupling
 
 from oracles import (direct_objective, grid_knapsack_optimum,
                      loss_coefficients_per_call, ma_estimate_lists, own_inflow, pb_statics)
+
+
+def solve_one(losses, costs, budget, bounds):
+    """solve_knapsack of one agent that owns every node."""
+    return solve_knapsack(losses, costs, [budget], bounds, np.zeros(len(losses), dtype=int))
 
 
 def random_net(n, rng, density=0.4):
@@ -101,38 +108,30 @@ class TestLossCoefficients:
 
 class TestKnapsack:
     def test_ratio_tie_broken_by_index(self):
-        prob = AllocationProblem(losses=[-10, -4, -2], costs=[5, 2, 4],
-                                 budget=6.0, bounds=[1, 1, 1])
-        out = solve_knapsack(prob)
+        losses = np.array([-10.0, -4.0, -2.0])
+        out = solve_one(losses, [5, 2, 4], 6.0, [1, 1, 1])
         assert np.allclose(out, [1.0, 0.5, 0.0])
-        assert float(prob.losses @ out) == pytest.approx(-12.0)
+        assert float(losses @ out) == pytest.approx(-12.0)
 
     def test_nonnegative_losses_get_nothing(self):
-        prob = AllocationProblem(losses=[0.0, 2.0, 5.0], costs=[1, 1, 1],
-                                 budget=100.0, bounds=[1, 1, 1])
-        assert np.all(solve_knapsack(prob) == 0.0)
+        assert np.all(solve_one([0.0, 2.0, 5.0], [1, 1, 1], 100.0, [1, 1, 1]) == 0.0)
 
     def test_budget_slack_fills_bounds(self):
         bounds = np.array([0.8, 0.5, 1.0])
-        prob = AllocationProblem(losses=[-3, -1, 2], costs=[10, 20, 5],
-                                 budget=1000.0, bounds=bounds)
-        out = solve_knapsack(prob)
+        out = solve_one([-3, -1, 2], [10, 20, 5], 1000.0, bounds)
         assert np.allclose(out, [0.8, 0.5, 0.0])
 
     def test_zero_budget(self):
-        prob = AllocationProblem(losses=[-1.0], costs=[1.0], budget=0.0,
-                                 bounds=[1.0])
-        assert np.all(solve_knapsack(prob) == 0.0)
+        assert np.all(solve_one([-1.0], [1.0], 0.0, [1.0]) == 0.0)
 
     @pytest.mark.parametrize("field,value", [("costs", [1.0, np.nan]),
                                              ("budget", np.nan),
                                              ("bounds", [0.5, np.nan])])
     def test_nan_is_rejected(self, field, value):
-        kwargs = dict(losses=[-1.0, -2.0], costs=[1.0, 1.0], budget=1.0,
-                      bounds=[1.0, 1.0])
+        kwargs = dict(costs=[1.0, 1.0], budget=1.0, bounds=[1.0, 1.0])
         kwargs[field] = value
         with pytest.raises(ValueError, match=field.rstrip("s")):
-            AllocationProblem(**kwargs)
+            solve_one([-1.0, -2.0], **kwargs)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_grid_oracle(self, seed):
@@ -143,9 +142,7 @@ class TestKnapsack:
         bounds = rng.integers(0, 101, n) * step
         losses = rng.uniform(-5, 1, n)
         budget = float(rng.uniform(0.5, 0.8 * costs.sum()))
-        prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
-                                 bounds=bounds)
-        out = solve_knapsack(prob)
+        out = solve_one(losses, costs, budget, bounds)
         obj = float(losses @ out)
         grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
         slack = step * np.abs(losses).max()
@@ -156,14 +153,12 @@ class TestKnapsack:
     def test_feasibility(self, seed):
         rng = np.random.default_rng(400 + seed)
         n = int(rng.integers(2, 15))
-        prob = AllocationProblem(losses=rng.uniform(-5, 1, n),
-                                 costs=rng.uniform(1, 100, n),
-                                 budget=float(rng.uniform(0, 200)),
-                                 bounds=rng.uniform(0, 1, n))
-        out = solve_knapsack(prob)
+        costs, budget, bounds = (rng.uniform(1, 100, n), float(rng.uniform(0, 200)),
+                                 rng.uniform(0, 1, n))
+        out = solve_one(rng.uniform(-5, 1, n), costs, budget, bounds)
         assert np.all(out >= 0)
-        assert np.all(out <= prob.bounds + 1e-12)
-        assert float(out @ prob.costs) <= prob.budget * (1 + 1e-9)
+        assert np.all(out <= bounds + 1e-12)
+        assert float(out @ costs) <= budget * (1 + 1e-9)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-5.0, 1.0), st.integers(1, 7), st.integers(0, 100)),
@@ -177,9 +172,7 @@ class TestKnapsack:
         step = 0.01
         bounds = steps * step
         budget = 0.5 + frac * (0.8 * costs.sum() - 0.5)
-        prob = AllocationProblem(losses=losses, costs=costs, budget=budget,
-                                 bounds=bounds)
-        obj = float(losses @ solve_knapsack(prob))
+        obj = float(losses @ solve_one(losses, costs, budget, bounds))
         grid_opt = grid_knapsack_optimum(losses, costs, budget, bounds, step)
         slack = step * np.abs(losses).max()
         assert obj <= grid_opt + 1e-12
@@ -196,9 +189,7 @@ class TestKnapsack:
         budget = 0.0
         for c, u in zip(costs[first], bounds[first]):
             budget += c * u
-        prob = AllocationProblem(losses=-costs * np.where(first, 2.0, 1.0),
-                                 costs=costs, budget=budget, bounds=bounds)
-        x = solve_knapsack(prob)
+        x = solve_one(-costs * np.where(first, 2.0, 1.0), costs, budget, bounds)
         assert not np.any((x > 0) & (x <= DUST))
 
 
@@ -333,6 +324,14 @@ class TestWindowWidth:
         m = window_width(np.array([1000.0, 1000.0]), self.make_net(250.0), 104)
         assert m[1] == 104
 
+    def test_subnormal_inflow_gets_horizon(self):
+        # P / inflow overflows to inf at node 0, which is capped, not cast
+        net = types.SimpleNamespace(inflow=lambda: np.array([5e-324, 1.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = window_width(np.array([1e10, 2.0, 3.0]), net, 104)
+        assert m.tolist() == [104, 2, 104]
+
 
 class TestObserveAndUpdate:
     def test_sure_success_and_failure(self):
@@ -381,9 +380,7 @@ def test_ts_learns_the_better_node():
         hits = 0
         for t in range(1, 501):
             th = ts_sample(pol.a, pol.b, rng)
-            prob = AllocationProblem(losses=-th, costs=[1.0, 1.0], budget=1.0,
-                                     bounds=[1.0, 1.0])
-            x = solve_knapsack(prob)
+            x = solve_one(-th, [1.0, 1.0], 1.0, [1.0, 1.0])
             observe_and_update(pol, x, theta, rng)
             if 400 <= t <= 500 and x[0] > 0.5:
                 hits += 1
@@ -398,9 +395,16 @@ def test_policy_state_starts_at_uniform_prior():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        AllocationProblem(losses=[-1], costs=[0.0], budget=1.0, bounds=[1])
-    with pytest.raises(ValueError):
-        AllocationProblem(losses=[-1], costs=[1.0], budget=-1.0, bounds=[1])
-    with pytest.raises(ValueError):
-        AllocationProblem(losses=[-1], costs=[1.0], budget=1.0, bounds=[1.5])
+    ok = dict(losses=[-1.0, -2.0], costs=[1.0, 1.0], budgets=[1.0, 1.0],
+              bounds=[1.0, 1.0], agent_of=[0, 1])
+    for field, value, message in [("costs", [1.0, 0.0], "costs"),
+                                  ("costs", [-1.0, 1.0], "costs"),
+                                  ("budgets", [1.0, -1.0], "budgets"),
+                                  ("bounds", [1.5, 1.0], "bounds"),
+                                  ("bounds", [1.0, -0.5], "bounds"),
+                                  ("agent_of", [0, 2], "agent ids"),
+                                  ("agent_of", [-1, 0], "agent ids"),
+                                  ("budgets", [1.0], "agent ids")]:
+        with pytest.raises(ValueError, match=message):
+            solve_knapsack(**{**ok, field: value})
+    assert np.array_equal(solve_knapsack(**ok), [1.0, 1.0])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,7 @@ from vaxalloc import net as netmod
 from vaxalloc import scenario
 from vaxalloc.scenario import (EfficiencyModel, ScenarioConfig,
                                budgets, build_instance, build_world,
-                               capacity_to_mean_efficiency, draw_mean_rates,
-                               draw_realized_rates, stream)
+                               capacity_to_mean_efficiency, draw_realized_rates, stream)
 
 
 class TestCapacityMapping:
@@ -37,20 +38,20 @@ class TestMeanRates:
     def test_zero_epsilon_exact(self):
         base = np.array([0.6, 0.8])
         agent_of = np.array([0, 0, 1, 1])
-        th = draw_mean_rates(base, agent_of, 0.0, np.random.default_rng(1))
+        th = draw_realized_rates(base[agent_of], 0.0, np.random.default_rng(1))
         assert np.array_equal(th, [0.6, 0.6, 0.8, 0.8])
 
     def test_clipped_support(self):
         base = np.array([0.9])
         agent_of = np.zeros(5000, dtype=int)
-        th = draw_mean_rates(base, agent_of, 0.3, np.random.default_rng(2))
+        th = draw_realized_rates(base[agent_of], 0.3, np.random.default_rng(2))
         assert th.min() >= 0.6 - 1e-12
         assert th.max() <= 1.0
 
     def test_empirical_mean(self):
         base = np.array([0.7])
         agent_of = np.zeros(100_000, dtype=int)
-        th = draw_mean_rates(base, agent_of, 0.2, np.random.default_rng(3))
+        th = draw_realized_rates(base[agent_of], 0.2, np.random.default_rng(3))
         assert abs(th.mean() - 0.7) < 0.01
 
 
@@ -93,6 +94,13 @@ class TestBudgets:
         pops = np.array([100.0, 200.0])
         b = budgets(np.array([1.0]), pops, np.zeros(2, dtype=int), 1.0)
         assert b[0] >= pops.sum()
+
+    def test_overflow_names_the_agent(self):
+        pops = np.array([100.0, 1e300, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="budget of agent 1 is inf"):
+                budgets(np.array([0.5, 0.5, 0.5]), pops, np.arange(3), 1e10)
 
 
 class TestConfig:
