@@ -20,14 +20,15 @@ from .policy import POLICIES
 from .scenario import WORLD_FIELDS, ScenarioConfig, build_world
 
 
-_FILES = ("nodes", "airports", "flights")
+# the build-net flags that only a world from files reads
+_FROM_FILES = ("nodes", "airports", "flights", "planar")
 # the build-net flags that only a synthetic world reads
 _DRAWN = (*(name for name in WORLD_FIELDS if name not in ("ground_range_km", "commute_fraction")),
           "seed")
 
 
 def _cmd_build_net(args) -> int:
-    unread = [name for name in (_FILES if args.synthetic else _DRAWN)
+    unread = [name for name in (_FROM_FILES if args.synthetic else _DRAWN)
               if getattr(args, name) is not None]
     if unread:
         raise ValueError(", ".join("--" + name.replace("_", "-") for name in unread)
@@ -46,7 +47,7 @@ def _cmd_build_net(args) -> int:
         airports = net.read_airports(args.airports)
         table = net.read_air_flows(args.flights, airports)
         network = net.build_network(nodes, airports, table, D=cfg.ground_range_km,
-                                    alpha=cfg.commute_fraction, planar=args.planar)
+                                    alpha=cfg.commute_fraction, planar=bool(args.planar))
 
     def write(out: Path) -> None:
         if args.synthetic:
@@ -141,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in WORLD_FIELDS:
         b.add_argument("--" + name.replace("_", "-"), type=type(getattr(ScenarioConfig, name)))
     b.add_argument("--seed", type=int)
-    b.add_argument("--planar", action="store_true",
+    b.add_argument("--planar", action="store_true", default=None,
                    help="treat coordinates as planar km instead of degrees")
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_build_net)

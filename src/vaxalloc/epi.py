@@ -35,9 +35,8 @@ class EpiParams:
     cfr: np.ndarray  # case fatality fraction of recoveries
 
     def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float)
-        self.gamma = np.asarray(self.gamma, dtype=float)
-        self.cfr = np.asarray(self.cfr, dtype=float)
+        self.beta, self.gamma, self.cfr = (np.asarray(v, dtype=float)
+                                           for v in (self.beta, self.gamma, self.cfr))
         if np.any(self.beta < 0):
             raise ValueError("transmission rates must be nonnegative")
         if np.any((self.gamma < 0) | (self.gamma > 1)):
@@ -55,10 +54,8 @@ class CompartmentState:
     t: int = 0
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
-        self.i = np.asarray(self.i, dtype=float)
-        self.r = np.asarray(self.r, dtype=float)
-        self.d = np.asarray(self.d, dtype=float)
+        self.s, self.i, self.r, self.d = (np.asarray(v, dtype=float)
+                                          for v in (self.s, self.i, self.r, self.d))
 
 
 def step(state: CompartmentState, params: EpiParams, net: FlowMatrix) -> CompartmentState:

@@ -4,7 +4,7 @@ gain metrics against the population baseline, replication, and run export."""
 from __future__ import annotations
 
 import dataclasses
-import json
+import math
 import os
 import shutil
 import tempfile
@@ -19,13 +19,15 @@ from . import policy as polmod
 from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
-from .net import _line_of, _read_columns, _reprs, _write_json, _write_table
+from .net import _line_of, _read_columns, _read_json, _reprs, _write_json, _write_table
 from .policy import (PolicyState, loss_coefficients, pb_allocate, solve_knapsack,
                      update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
 _SCHEMA = 2
+# the config fields that size a run's tables
+_SIZES = ("horizon", "n_agents", "n_nodes")
 # the (T, n) traces, each written as <name>.npy
 _TRACES = ("allocations", "theta_hat", "theta_obs", "bounds")
 
@@ -150,7 +152,7 @@ def _period(plan: _Plan, pol: PolicyState, state: CompartmentState, b_eff: np.nd
         x = solve_knapsack(losses, inst.costs, b_eff, bounds, inst.agent_of)
     if plan.pb is not None:
         x = pb_allocate(inst.costs, b_eff, bounds, inst.agent_of, *plan.pb)
-    theta_t = draw_realized_rates(inst.efficiency.mean_rates, inst.efficiency.epsilon,
+    theta_t = draw_realized_rates(inst.mean_rates, cfg.epsilon,
                                   stream(cfg.seed, scmod.STREAM_REALIZED, t))
     new_state = step_vaccinated(state, inst.params, net, x, theta_t)
     shared = (shmod.plan_sharing(new_state, inst.params, net, inst.agent_of,
@@ -361,6 +363,7 @@ def _write_run(result: RunResult, directory: Path) -> None:
 def _integers(path, name, values, lo, hi) -> np.ndarray:
     """``values``, column ``name`` of a CSV file, as int64, each checked to be
     an integer in [lo, hi]; a fault names the line of the first bad value."""
+    hi = min(hi, 2 ** 62)  # a size from JSON may be past int64
     bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
     if bad.size:
         raise ValueError(f"{path}: {name} = {values[bad[0]]:g} on line "
@@ -379,22 +382,25 @@ def _read_table(path, ids, columns, blank_as_nan=(), integers=()) -> list[np.nda
     data = _read_columns(path, {c: (lambda s: float(s or "nan")) if c in blank_as_nan
                                 else float for c in names})
     shape = [hi - lo + 1 for _, lo, hi in ids]
-    cell = np.zeros(data[0].size, dtype=np.int64)
-    for name, lo, hi in (*ids, *integers):  # before the scatter, in file order
+    # each row's C-order cell, capped at rows + 1, below which the first cell
+    # without one row lies: no product overflows, nothing grid-sized is made
+    cap = data[0].size + 1
+    cell = np.zeros(cap - 1, dtype=np.int64)
+    for name, lo, hi in (*ids, *integers):  # in file order
         col = _integers(path, name, data[names.index(name)], lo, hi)
         if (name, lo, hi) in ids:
-            cell = cell * (hi - lo + 1) + col - lo
-    out = np.empty((len(columns), int(np.prod(shape))))
-    out[:, cell] = data[len(ids):]
-    counts = np.bincount(cell, minlength=out.shape[1])
+            cell = np.minimum(cell * min(hi - lo + 1, cap) + np.minimum(col - lo, cap), cap)
+    counts = np.bincount(cell, minlength=cap + 1)[:min(math.prod(shape), cap)]
     wrong = np.flatnonzero(counts != 1)
     if wrong.size:
-        where = ", ".join(f"{name}={int(c) + lo}" for (name, lo, _), c
-                          in zip(ids, np.unravel_index(wrong[0], shape)))
+        where = ", ".join(f"{name}={int(c) + lo}" for (name, lo, _), c in zip(
+            ids, np.unravel_index(wrong[0], [min(d, cap) for d in shape])))
         rows = np.flatnonzero(cell == wrong[0])
         again = f", again on line {_line_of(path, rows[1])}" if rows.size > 1 else ""
         raise ValueError(f"{path}: the row for {where} appears {rows.size} times, "
                          f"not once{again}")
+    out = np.empty((len(columns), cap - 1))
+    out[:, cell] = data[len(ids):]
     return list(out.reshape(len(columns), *shape))
 
 
@@ -432,6 +438,22 @@ def _matches(path, name, got, want, source) -> None:
                          f"{float(got[t, i])!r}, not as in {source}")
 
 
+def _manifest_config(manifest) -> dict:
+    """The config of a run manifest, as exported, once ScenarioConfig accepts
+    it; it may leave out any field but the sizes that import_result reads."""
+    schema = manifest.get("schema") if isinstance(manifest, dict) else None
+    if schema == 1:
+        raise ValueError(f"schema 1 predates schema {_SCHEMA}, which holds the traces "
+                         "as .npy files; simulate the run again")
+    if schema != _SCHEMA:
+        raise ValueError(f"schema {schema!r} is not {_SCHEMA}")
+    config = manifest.get("config")
+    ScenarioConfig.from_dict(config)
+    if missing := [key for key in _SIZES if key not in config]:
+        raise ValueError(f"the config has no {missing[0]}")
+    return config
+
+
 def import_result(directory) -> RunResult:
     """Rebuild a RunResult from an exported directory.
 
@@ -442,24 +464,8 @@ def import_result(directory) -> RunResult:
     raises ValueError naming the file.
     """
     directory = Path(directory)
-    path = directory / "manifest.json"
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # decode, JSON or depth
-            raise ValueError(f"{path}: {exc}") from None
-    schema = manifest.get("schema") if isinstance(manifest, dict) else None
-    if schema == 1:
-        raise ValueError(f"{path}: schema 1 predates schema {_SCHEMA}, which holds "
-                         "the traces as .npy files; simulate the run again")
-    if schema != _SCHEMA:
-        raise ValueError(f"{path}: schema {schema!r} is not {_SCHEMA}")
-    config = manifest.get("config")
-    horizon, k, n = sizes = [config.get(key) if isinstance(config, dict) else None
-                             for key in ("horizon", "n_agents", "n_nodes")]
-    for key, value in zip(("horizon", "n_agents", "n_nodes"), sizes):
-        if type(value) is not int or value < 1:  # not a bool, as JSON's true is
-            raise ValueError(f"{path}: the config's {key} is {value!r}, not an integer >= 1")
+    config = _read_json(directory / "manifest.json", _manifest_config)
+    horizon, k, n = (config[key] for key in _SIZES)
     nodes = [("node_id", 0, n - 1)]
 
     path = directory / "nodes.csv"

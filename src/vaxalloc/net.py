@@ -109,7 +109,7 @@ class AirFlowTable:
 
     @property
     def entries(self) -> dict[tuple[int, int], float]:
-        """Every off-diagonal flow by (origin, destination), for the writers."""
+        """Every off-diagonal flow by (origin, destination)."""
         a, b = np.nonzero(~np.eye(len(self.ids), dtype=bool))
         return dict(zip(zip(self.ids[a].tolist(), self.ids[b].tolist()),
                         self.g[a, b].tolist()))
@@ -164,7 +164,12 @@ class FlowMatrix:
         # outflow from giving infinite rates
         self._divisor = np.where(outflow > 0, outflow, 1.0)
         self.rate_row_sum = (outflow > 0).astype(float)
-        self.rho = float(outflow.sum() / populations.sum())
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            self.rho = float(outflow.sum() / populations.sum())
+        bad = np.flatnonzero(~np.isfinite(outflow))
+        if bad.size or not math.isfinite(self.rho):
+            raise ValueError(f"outflow of node {bad[0]} is {outflow[bad[0]]}, not finite"
+                             if bad.size else f"rho is {self.rho}, not finite")
 
     def _air_dot(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(A @ v).T for h = H, (A.T @ v).T for h = H.T; v is n x c.
@@ -394,8 +399,9 @@ def radiation_flows(nodes: Nodes, neighborhoods: tuple[np.ndarray, np.ndarray],
     # x ** 2 is x * x, which now and then differs from it in the last bit
     src, dst, s_src = (alpha * np.float_power(pop, 2))[rows], pop[indices], s[rows]
     # scipy stores the indices as int32 when they fit, as for a COO build
-    mat = sp.csr_matrix((src * dst / (s_src * (dst + s_src)), indices, indptr),
-                        shape=(n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):  # FlowMatrix refuses a 0 / 0
+        flows = src * dst / (s_src * (dst + s_src))
+    mat = sp.csr_matrix((flows, indices, indptr), shape=(n, n))
     mat.eliminate_zeros()
     return mat
 
@@ -714,6 +720,15 @@ def _write_blocks(path, header, blocks) -> None:
         for columns in blocks:
             if text := "\r\n".join(map(",".join, zip(*columns))):
                 fh.writelines((text, "\r\n"))
+
+
+def _read_json(path, parse):
+    """``parse`` of the JSON in ``path``; any fault is a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (ValueError, RecursionError) as exc:  # decode, JSON, depth or parse
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_json(path, obj) -> None:

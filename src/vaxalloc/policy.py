@@ -133,7 +133,9 @@ def solve_knapsack(losses: np.ndarray, costs: np.ndarray, budgets: np.ndarray,
     # a bound within DUST is never funded, whatever budget remains
     candidates = np.flatnonzero((l < 0) & (ub > DUST))
     agents = agent_of[candidates]
-    order = candidates[np.lexsort((candidates, l[candidates] / c[candidates], agents))]
+    with np.errstate(over="ignore"):  # a loss over a subnormal cost is -inf: it sorts first
+        ratio = l[candidates] / c[candidates]
+    order = candidates[np.lexsort((candidates, ratio, agents))]
     _fill_agents(x, order, agents, ub[order], c[order], budgets.tolist(), DUST)
     return x
 

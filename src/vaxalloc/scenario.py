@@ -5,9 +5,9 @@ from a single config + seed."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +33,6 @@ STREAM_TRIALS = 12
 def stream(seed: int, *path: int) -> np.random.Generator:
     """Counter-style deterministic substream of the master seed."""
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *path)))
-
-
-@dataclass
-class EfficiencyModel:
-    mean_rates: np.ndarray
-    epsilon: float
-
-    def __post_init__(self):
-        self.mean_rates = np.asarray(self.mean_rates, dtype=float)
-        if np.any((self.mean_rates < 0) | (self.mean_rates > 1)):
-            raise ValueError("mean efficiency rates must be in [0, 1]")
-        if not 0 <= self.epsilon <= 0.5:
-            raise ValueError("uncertainty level must be in [0, 0.5]")
 
 
 # name: smallest allowed value
@@ -76,7 +63,7 @@ def _check_real(name: str, value, low: float, high: float, low_open: bool) -> No
     """A finite real number in [low, high], or (low, high] if low_open."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past the float range
         raise ValueError(f"{name} must be finite, got {value!r}")
     if value > high or value < low or (low_open and value == low):
         interval = f"{'(' if low_open else '['}{low:g}, {high:g}]"
@@ -167,11 +154,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (ValueError, RecursionError) as exc:  # decode, JSON, depth or field
-                raise ValueError(f"{path}: {exc}") from None
+        return netmod._read_json(path, cls.from_dict)
 
     def replace(self, **kwargs) -> "ScenarioConfig":
         return dataclasses.replace(self, **kwargs)
@@ -197,8 +180,6 @@ def draw_realized_rates(mean_rates: np.ndarray, epsilon: float,
     clipped into [0, 1]. Drawn for every node so allocation choices never
     shift the stream."""
     mean_rates = np.asarray(mean_rates, dtype=float)
-    if epsilon < 0:
-        raise ValueError("uncertainty level must be nonnegative")
     low = mean_rates - epsilon
     # rng.uniform(low, high) draws low + (high - low) * u, one double u per
     # node; drawing u with rng.random takes the same stream at a third of
@@ -214,8 +195,6 @@ def budgets(capacities: np.ndarray, populations: np.ndarray, agent_of: np.ndarra
     capacities = np.asarray(capacities, dtype=float)
     populations = np.asarray(populations, dtype=float)
     agent_of = np.asarray(agent_of, dtype=int)
-    if multiplier <= 0:
-        raise ValueError("budget multiplier must be positive")
     agent_pop = np.bincount(agent_of, weights=populations,
                             minlength=capacities.shape[0])
     with np.errstate(over="ignore"):  # an overflow is refused below, by agent
@@ -240,7 +219,7 @@ class Instance:
     capacities: np.ndarray
     base_budgets: np.ndarray
     costs: np.ndarray
-    efficiency: EfficiencyModel
+    mean_rates: np.ndarray  # each node's mean efficiency, in [0, 1]
 
 
 # the ScenarioConfig fields a world is built from; build-net takes each as a flag
@@ -292,12 +271,11 @@ def build_instance(config: ScenarioConfig) -> Instance:
 
     base = capacity_to_mean_efficiency(caps)
     # each node's mean efficiency: a realized-rate draw around its agent's base rate
-    theta = draw_realized_rates(base[agent_of], config.epsilon,
-                                stream(seed, _STREAM_MEAN_RATES))
-    eff = EfficiencyModel(mean_rates=theta, epsilon=config.epsilon)
+    mean_rates = draw_realized_rates(base[agent_of], config.epsilon,
+                                     stream(seed, _STREAM_MEAN_RATES))
 
     return Instance(
         config=config, populations=populations, agent_of=agent_of,
         network=network, params=params, initial=initial, capacities=caps,
         base_budgets=budgets(caps, populations, agent_of, config.budget_multiplier),
-        costs=populations.copy(), efficiency=eff)
+        costs=populations.copy(), mean_rates=mean_rates)

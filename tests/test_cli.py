@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 import math
 import shutil
@@ -6,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vaxalloc import cli, harness, net
 from vaxalloc.cli import main
@@ -253,6 +258,7 @@ def test_build_net_defaults_follow_scenario_config(tmp_path, monkeypatch):
       "--airport-density", "0.1", "--air-fraction", "0"],
      "--n-agents, --grid-spacing-km, --pop-median, --airport-density, --air-fraction"),
     (["--seed", "0"], "--seed"),
+    (["--synthetic", "--planar"], "--planar"),
 ])
 def test_build_net_refuses_flags_it_would_ignore(tmp_path, capsys, flags, named):
     src = tmp_path / "src"
@@ -329,6 +335,37 @@ def test_build_net_gravity_overflow_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "gravity total" in err
     assert not (tmp_path / "net").exists()
+
+
+def _nan_world_run(tmp_path) -> list[str]:
+    path = tmp_path / "config.json"
+    ScenarioConfig(n_nodes=40, n_agents=2, horizon=4, pop_median=1e-300,
+                   air_fraction=0.0).save(path)
+    return ["simulate", "--config", str(path)]
+
+
+def _nan_world_files(tmp_path) -> list[str]:
+    for name, text in (("nodes", "id,lat,lon,population,agent_id\n0,0,0,1e-300,0\n"
+                                 "1,0,30,1e-300,0\n2,30,0,2e-300,1\n"),
+                       ("airports", "id,lat,lon\n7,0,0\n9,30,30\n"),
+                       ("flights", "origin,destination,flow\n7,9,0\n")):
+        (tmp_path / f"{name}.csv").write_text(text)
+    return ["build-net", "--nodes", str(tmp_path / "nodes.csv"), "--airports",
+            str(tmp_path / "airports.csv"), "--flights", str(tmp_path / "flights.csv"),
+            "--planar"]
+
+
+@pytest.mark.parametrize("command", [_nan_world_run, _nan_world_files])
+def test_nan_world_exits_1(tmp_path, capsys, command):
+    # populations near 1e-300: the radiation denominator S_i (P_j + S_i)
+    # underflows to 0, so a ground flow is 0 / 0
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([*command(tmp_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: outflow of node 0 is nan, not finite\n"
+    assert not out.exists()
 
 
 def test_build_net_missing_inputs(tmp_path, capsys):
@@ -669,8 +706,8 @@ BAD_RUNS = {
 RUN_LINE_FAULTS = {
     "field unparsable": "'abc' on line 2, column budget_in, is not a number",
     "not UTF-8 before the header": "byte 0xff on line 1 is not UTF-8 text",
-    "horizon 3.7": "the config's horizon is 3.7, not an integer >= 1",
-    "horizon true": "the config's horizon is True, not an integer >= 1",
+    "horizon 3.7": "horizon must be an integer, got 3.7",
+    "horizon true": "horizon must be an integer, got True",
     "agent out of range": "agent_id = 2 on line 2 is not an integer in 0..1",
     "prior not an integer": "a = 2.5 on line 2 is not an integer in 0..9007199254740992",
 }
@@ -692,3 +729,61 @@ def test_gains_bad_run_directory_exits_1(tmp_path, config_file, capsys, case):
     assert name in err
     if case in RUN_LINE_FAULTS:
         assert RUN_LINE_FAULTS[case] in err
+
+
+# a config edit: a key set to a JSON value, or a key deleted
+_DELETE = object()
+_FIELDS = [f.name for f in dataclasses.fields(ScenarioConfig)]
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(), inner, max_size=3), max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A pb run of 20 nodes over 3 periods, and a scratch copy of it."""
+    root = tmp_path_factory.mktemp("manifests")
+    harness.export(harness.run(ScenarioConfig(n_nodes=20, n_agents=2, horizon=3,
+                                              policy="pb", seed=3)), root / "good")
+    shutil.copytree(root / "good", root / "bad")
+    return root / "good", root / "bad"
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(_FIELDS) | st.text(max_size=8),
+       value=st.just(_DELETE) | _JSON)
+@example(key="policy", value=5)
+@example(key="epsilon", value=-3.0)
+@example(key="seed", value=-1)
+@example(key="sharing", value="yes")
+@example(key="bogus", value=1)
+# sizes far beyond the tables: their grids are never allocated
+@example(key="horizon", value=10 ** 12)
+@example(key="n_nodes", value=10 ** 30)
+@example(key="n_agents", value=10 ** 400)
+@example(key="epsilon", value=10 ** 400)
+@example(key="horizon", value=_DELETE)
+def test_gains_corrupted_manifest(tiny_run, key, value):
+    good, bad = tiny_run
+    manifest = json.loads((good / "manifest.json").read_text())
+    config = manifest["config"]
+    if value is _DELETE:
+        config.pop(key, None)
+    else:
+        config[key] = value
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        ScenarioConfig.from_dict(config)
+        accepted = True
+    except ValueError:
+        accepted = False
+    err = io.StringIO()
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(err)):
+        warnings.simplefilter("error")
+        rc = main(["gains", "--run", str(bad), "--baseline", str(good)])
+    err = err.getvalue()
+    assert rc in (0, 1) and err.count("\n") == (rc == 1)
+    assert rc == 1 or accepted
+    if not accepted:
+        assert err.startswith("error: ") and "manifest.json" in err

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import itertools
 import json
 import random
 import tempfile
@@ -566,6 +567,44 @@ def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     with pytest.raises(ValueError) as exc:
         harness._read_table(path, [("a", 0, 1)], ["b"], integers=[("b", 0, 9)])
     assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), grid=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)),
+                                     min_size=1, max_size=3))
+def test_read_table_names_the_first_cell_without_one_row(data, grid):
+    """Over a grid of up to 3 ids, each from lo over d values, the first cell
+    in C order whose rows are not exactly one is named with its count, and
+    a table with one row a cell reads back scattered onto the grid."""
+    cells = data.draw(st.lists(st.tuples(*(st.integers(lo, lo + d - 1) for lo, d in grid)),
+                               max_size=12))
+    counts = {c: cells.count(c) for c in set(cells)}
+    first = next((c for c in itertools.product(*(range(lo, lo + d) for lo, d in grid))
+                  if counts.get(c, 0) != 1), None)
+    ids = [(f"i{j}", lo, lo + d - 1) for j, (lo, d) in enumerate(grid)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("\n".join([",".join([name for name, _, _ in ids] + ["v"])]
+                                  + [",".join(map(str, (*c, k))) for k, c in enumerate(cells)]
+                                  + [""]))
+        if first is None:
+            (values,) = harness._read_table(path, ids, ["v"])
+            for k, c in enumerate(cells):
+                assert values[tuple(i - lo for i, (lo, _) in zip(c, grid))] == k
+        else:
+            where = ", ".join(f"i{j}={i}" for j, i in enumerate(first))
+            with pytest.raises(ValueError, match=f"the row for {where} appears "
+                                                 f"{counts.get(first, 0)} times"):
+                harness._read_table(path, ids, ["v"])
+
+
+def test_read_table_of_a_vast_grid_allocates_none_of_it(tmp_path):
+    # a manifest may give any size: 10 ** 30 periods, or an id range past int64
+    path = tmp_path / "t.csv"
+    path.write_text("t,a,b\n0,0,1\n0,1,2\n")
+    for ids in ([("t", 0, 10 ** 30), ("a", 0, 1)], [("t", 0, 0), ("a", 0, 10 ** 400)]):
+        with pytest.raises(ValueError, match="appears 0 times"):
+            harness._read_table(path, ids, ["b"])
 
 
 def test_export_peak_memory(tmp_path):

@@ -113,6 +113,14 @@ class TestKnapsack:
         assert np.allclose(out, [1.0, 0.5, 0.0])
         assert float(losses @ out) == pytest.approx(-12.0)
 
+    def test_subnormal_cost_funded_first_by_index_without_warning(self):
+        # -2 / 5e-324 and -3 / 5e-324 overflow to -inf: both sort ahead of
+        # node 0, and the tie goes to the lower index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = solve_one([-1.0, -2.0, -3.0], [1.0, 5e-324, 5e-324], 5e-324, [1, 1, 1])
+        assert out.tolist() == [0.0, 1.0, 0.0]
+
     def test_nonnegative_losses_get_nothing(self):
         assert np.all(solve_one([0.0, 2.0, 5.0], [1, 1, 1], 100.0, [1, 1, 1]) == 0.0)
 

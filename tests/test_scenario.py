@@ -5,8 +5,7 @@ import pytest
 
 from vaxalloc import net as netmod
 from vaxalloc import scenario
-from vaxalloc.scenario import (EfficiencyModel, ScenarioConfig,
-                               budgets, build_instance, build_world,
+from vaxalloc.scenario import (ScenarioConfig, budgets, build_instance, build_world,
                                capacity_to_mean_efficiency, draw_realized_rates, stream)
 
 
@@ -125,15 +124,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({"n_nodes": 10, "bogus": 1})
 
+    def test_int_past_the_float_range_is_not_finite(self):
+        # a JSON integer of 400 digits: math.isfinite would overflow on it
+        with pytest.raises(ValueError, match="pop_median must be finite"):
+            ScenarioConfig.from_dict({"pop_median": 10 ** 400})
+
     def test_capacities_in_half_open_unit_interval(self):
         for caps in ([0.0, 0.5], [0.5, 1.5]):
             with pytest.raises(ValueError, match="capacities"):
                 ScenarioConfig(n_agents=2, capacities=caps)
         assert ScenarioConfig(n_agents=2, capacities=[0.5, 1.0]).capacities == [0.5, 1.0]
-
-    def test_efficiency_model_validation(self):
-        with pytest.raises(ValueError):
-            EfficiencyModel(mean_rates=np.array([1.2]), epsilon=0.1)
 
 
 class TestBuildInstance:
@@ -143,7 +143,7 @@ class TestBuildInstance:
         b = build_instance(cfg)
         assert np.array_equal(a.populations, b.populations)
         assert np.array_equal(a.params.beta, b.params.beta)
-        assert np.array_equal(a.efficiency.mean_rates, b.efficiency.mean_rates)
+        assert np.array_equal(a.mean_rates, b.mean_rates)
         assert np.array_equal(a.base_budgets, b.base_budgets)
         assert (a.network.flows != b.network.flows).nnz == 0
 
@@ -157,8 +157,7 @@ class TestBuildInstance:
         inst = build_instance(cfg)
         assert inst.populations.shape == (60,)
         assert set(inst.agent_of) == {0, 1, 2}
-        assert np.all((inst.efficiency.mean_rates >= 0)
-                      & (inst.efficiency.mean_rates <= 1))
+        assert np.all((inst.mean_rates >= 0) & (inst.mean_rates <= 1))
         assert np.all(inst.params.beta >= 0.2) and np.all(inst.params.beta <= 0.5)
         assert np.all(inst.costs == inst.populations)
         assert np.allclose(inst.initial.s + inst.initial.i, 1.0)
