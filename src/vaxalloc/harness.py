@@ -9,6 +9,7 @@ import os
 import shutil
 import tempfile
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from tokenize import TokenError
@@ -276,8 +277,8 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # export / import
 #
-# The four (T, n) traces are .npy files of little-endian float64 in C order.
-# The other tables are CSV, written by net._write_table and read by
+# The four (T, n) traces are .npy files of little-endian float64 in C order;
+# an imported result maps them copy-on-write (_read_trace). The other tables are CSV, written by net._write_table and read by
 # net._read_columns a column at a time. A float is written as the repr of the
 # Python float, which reads back to the same bits; each distinct value of a
 # column is formatted once (net._reprs).
@@ -404,25 +405,47 @@ def _read_table(path, ids, columns, blank_as_nan=(), integers=()) -> list[np.nda
     return list(out.reshape(len(columns), *shape))
 
 
+# the .npy format versions whose header numpy reads with a public function
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
 def _read_trace(path, shape, upper) -> np.ndarray:
     """The float64 array of ``shape`` in the .npy file at ``path``, each value
     v with 0 <= v <= ``upper``, a number or an array of ``shape``. Any fault
-    raises ValueError naming the file."""
-    try:
-        with open(path, "rb") as fh:
-            arr = np.lib.format.read_array(fh, allow_pickle=False)
-            trailing = fh.read(1)
-    except (ValueError, TypeError, SyntaxError, TokenError) as exc:
-        # what the .npy reader raises on a cut file, a bad header or an
-        # object array
-        raise ValueError(f"{path}: not a readable .npy array ({exc})") from None
-    if arr.dtype != np.dtype("<f8") or arr.shape != shape:
-        raise ValueError(f"{path}: {arr.dtype.str} of shape {arr.shape}, not <f8 "
-                         f"of shape {shape}")
-    if trailing:
-        raise ValueError(f"{path}: bytes follow the array")
-    bad = ~((arr >= 0) & (arr <= upper))  # NaN and infinities fail too
-    if bad.any():
+    raises ValueError naming the file.
+
+    The header and the file's length are checked before anything of the size
+    the header claims is made; the data is then mapped copy-on-write, so the
+    array is writable and a write never reaches the file."""
+    nbytes = 8 * math.prod(shape)
+    with open(path, "rb") as fh:
+        try:
+            with warnings.catch_warnings():
+                # the reader warns when it has to rewrite a header to parse it
+                warnings.simplefilter("error")
+                version = np.lib.format.read_magic(fh)
+                if version not in _NPY_HEADERS:
+                    raise ValueError(f"format version {version} is not 1.0 or 2.0")
+                got, fortran_order, dtype = _NPY_HEADERS[version](fh)
+        except (ValueError, SyntaxError, TokenError, Warning) as exc:
+            # what the reader raises on a cut file or a bad header; some of its
+            # messages run over several lines
+            raise ValueError(f"{path}: not a readable .npy array "
+                             f"({str(exc).splitlines()[0]})") from None
+        if dtype != np.dtype("<f8") or got != shape:
+            raise ValueError(f"{path}: {dtype.str} of shape {got}, not <f8 "
+                             f"of shape {shape}")
+        offset = fh.tell()
+        data = os.fstat(fh.fileno()).st_size - offset
+        if data != nbytes:
+            raise ValueError(f"{path}: {data} bytes of data, not the {nbytes} of the array")
+        arr = np.memmap(fh, dtype="<f8", mode="c", offset=offset, shape=shape,
+                        order="F" if fortran_order else "C").view(np.ndarray)
+    # min and max are NaN if a value is, and NaN fails every comparison
+    if not (arr.min() >= 0 and (arr.max() <= upper if np.isscalar(upper)
+                                else (arr <= upper).all())):
+        bad = ~((arr >= 0) & (arr <= upper))
         t, i = np.argwhere(bad)[0]
         raise ValueError(f"{path}: {float(arr[t, i])!r} of t = {t + 1}, node {i} is "
                          f"not in [0, {upper if np.isscalar(upper) else 'its bound'}]")
@@ -462,6 +485,10 @@ def import_result(directory) -> RunResult:
     column that disagrees with the table it repeats, or a trace that is not
     a (T, n) float64 array with 0 <= x <= bound <= 1 and 0 <= theta <= 1
     raises ValueError naming the file.
+
+    The four traces are copy-on-write maps of the directory's .npy files: the
+    directory may be replaced (``export`` renames a new one into place) while
+    the result is in use, but a .npy file must not be cut short in place.
     """
     directory = Path(directory)
     config = _read_json(directory / "manifest.json", _manifest_config)

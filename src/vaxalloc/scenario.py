@@ -35,8 +35,10 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *path)))
 
 
-# name: smallest allowed value
-_INT_FIELDS = {"n_nodes": 1, "n_agents": 1, "horizon": 1, "seed": 0}
+# name: (smallest, largest allowed value); a size must fit numpy's index type
+_SIZE_MAX = int(np.iinfo(np.intp).max)
+_INT_FIELDS = {"n_nodes": (1, _SIZE_MAX), "n_agents": (1, _SIZE_MAX),
+               "horizon": (1, _SIZE_MAX), "seed": (0, math.inf)}
 # name: (low, high, low excluded)
 _REAL_FIELDS = {
     "grid_spacing_km": (0.0, math.inf, True),
@@ -102,12 +104,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in _INT_FIELDS.items():
+        for name, (low, high) in _INT_FIELDS.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value!r}")
+            if value > high:
+                raise ValueError(f"{name} must be <= {high}, got {value!r}")
         for name, bounds in _REAL_FIELDS.items():
             _check_real(name, getattr(self, name), *bounds)
         for name, bounds in _RANGE_FIELDS.items():

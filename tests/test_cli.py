@@ -516,15 +516,28 @@ def test_simulate_config_not_an_object_exits_1(tmp_path, capsys, text, kind):
 
 
 @pytest.mark.parametrize("content", [b"{bad", b"\xff", b"[1]", b'{"seed": -1}',
-                                     b'{"seeds": 1}', b"[" * 100_000 + b"]" * 100_000],
+                                     b'{"seeds": 1}', b"[" * 100_000 + b"]" * 100_000,
+                                     b'{"n_nodes": 1' + b"0" * 30 + b"}"],
                          ids=["not JSON", "not UTF-8", "not an object", "negative seed",
-                              "unknown key", "nested too deep"])
+                              "unknown key", "nested too deep", "n_nodes past intp"])
 def test_simulate_config_fault_names_the_file(tmp_path, capsys, content):
     path = tmp_path / "bad.json"
     path.write_bytes(content)
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8 TiB")])
+def test_out_of_memory_exits_1(tmp_path, config_file, capsys, monkeypatch, exc):
+    def synth_world(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(net, "synth_world", synth_world)
+    assert main(["simulate", "--config", str(config_file),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: out of memory{f': {exc}' if str(exc) else ''}\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -577,6 +590,9 @@ def test_missing_run_directory(tmp_path):
     ("capacities", [0.0, 2.0]),
     # valid, but budget_multiplier * capacity * population overflows to inf
     ("budget_multiplier", 1e308),
+    # sizes no numpy array can have
+    ("n_nodes", 10 ** 30),
+    ("horizon", 2 ** 63),
 ])
 def test_simulate_bad_config_exits_1(tmp_path, capsys, key, value):
     cfg = ScenarioConfig(n_nodes=40, n_agents=2, horizon=6, seed=11).to_dict()
@@ -636,6 +652,33 @@ def _set_value(path, value):
         arr[0, 0] = value
         return arr
     _edit_trace(path, edit)
+
+
+def _npy_header(path):
+    """(shape, fortran_order, dtype) of the .npy file at ``path``, and the
+    offset of its data."""
+    with open(path, "rb") as fh:
+        version = np.lib.format.read_magic(fh)
+        header = {(1, 0): np.lib.format.read_array_header_1_0,
+                  (2, 0): np.lib.format.read_array_header_2_0}[version](fh)
+        return header, fh.tell()
+
+
+def _write_npy(path, shape, data, descr="<f8", fortran_order=False):
+    """A .npy file whose header claims ``descr`` of ``shape``, then ``data``."""
+    with open(path, "wb") as fh:
+        np.lib.format.write_array_header_2_0(
+            fh, {"descr": descr, "fortran_order": fortran_order, "shape": shape})
+        fh.write(data)
+
+
+def _claim_shape(shape_of):
+    """Rewrite a trace's header to claim <f8 of ``shape_of(T, n)``, followed by
+    64 bytes."""
+    def corrupt(path):
+        ((t, n), _, _), _ = _npy_header(path)
+        _write_npy(path, shape_of(t, n), b"\0" * 64)
+    return corrupt
 
 
 def _as_npz(path):
@@ -699,6 +742,11 @@ BAD_RUNS = {
     "trace an .npz archive": ("theta_hat.npy", _as_npz),
     "trace with bytes after it": ("bounds.npy",
                                   lambda p: p.write_bytes(p.read_bytes() + b"\0" * 8)),
+    # headers that claim far more than the file holds: nothing of their size is made
+    "trace header of T x 10**12": ("theta_hat.npy", _claim_shape(lambda t, n: (t, 10 ** 12))),
+    "trace header of 10**12 x 10**12": ("theta_obs.npy",
+                                        _claim_shape(lambda t, n: (10 ** 12, 10 ** 12))),
+    "trace one row short": ("allocations.npy", lambda p: _edit_trace(p, lambda a: a[:-1])),
 }
 
 
@@ -723,7 +771,9 @@ def test_gains_bad_run_directory_exits_1(tmp_path, config_file, capsys, case):
     name, corrupt = BAD_RUNS[case]
     corrupt(bad / name)
     capsys.readouterr()
-    assert main(["gains", "--run", str(bad), "--baseline", str(good)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gains", "--run", str(bad), "--baseline", str(good)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert name in err
@@ -787,3 +837,106 @@ def test_gains_corrupted_manifest(tiny_run, key, value):
     assert rc == 1 or accepted
     if not accepted:
         assert err.startswith("error: ") and "manifest.json" in err
+
+
+def _valid_traces(directory, shape) -> bool:
+    """Whether the four traces in ``directory`` are what import_result
+    accepts, judged by np.load: <f8 arrays of ``shape`` that end their files,
+    with 0 <= x <= bound <= 1 and 0 <= theta <= 1."""
+    arrays = {}
+    for name in harness._TRACES:
+        path = directory / f"{name}.npy"
+        try:
+            with open(path, "rb") as fh:
+                arr = np.load(fh, allow_pickle=False)
+                ends = fh.tell() == path.stat().st_size
+        except Exception:
+            return False
+        if not (isinstance(arr, np.ndarray) and arr.dtype.str == "<f8"
+                and arr.shape == shape and ends):
+            return False
+        arrays[name] = arr
+    in_unit = all(((a >= 0) & (a <= 1)).all() for a in arrays.values())
+    return in_unit and bool((arrays["allocations"] <= arrays["bounds"]).all())
+
+
+# one corruption of a .npy file: cut at a byte, a header byte set, bytes
+# appended, a new header over the old data (cut to the size it claims if
+# "fit"), or one entry set to a value out of its range
+_SHAPES = (st.just((3, 20)) | st.just((20, 3)) | st.just((2, 20))
+           | st.lists(st.integers(-2, 10 ** 13), max_size=3).map(tuple))
+_DESCRS = st.sampled_from(["<f8", ">f8", "=f8", "<f4", "<i8", "|b1", "<c16", "|V8",
+                           "<U2", "O", [("x", "<f8")]])
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10 ** 4)),
+    st.tuples(st.just("header byte"), st.integers(0, 127), st.integers(0, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("header"), _SHAPES, _DESCRS, st.booleans(), st.booleans()),
+    st.tuples(st.just("value"), st.integers(0, 59),
+              st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, "over"])))
+
+
+def _mutate(path, mutation, upper) -> None:
+    raw = path.read_bytes()
+    kind, *args = mutation
+    if kind == "cut":
+        path.write_bytes(raw[:args[0] % len(raw)])
+    elif kind == "header byte":
+        i, byte = args
+        path.write_bytes(raw[:i] + bytes([byte]) + raw[i + 1:])
+    elif kind == "append":
+        path.write_bytes(raw + args[0])
+    elif kind == "header":
+        shape, descr, fortran_order, fit = args
+        data = raw[_npy_header(path)[1]:]
+        if fit:
+            data = data[:max(0, math.prod(shape)) * np.dtype(descr).itemsize]
+        _write_npy(path, shape, data, descr, fortran_order)
+    else:
+        index, value = args
+        arr = np.load(path)
+        t, i = divmod(index, arr.shape[1])
+        arr[t, i] = np.nextafter(upper[t, i], np.inf) if value == "over" else value
+        np.save(path, arr)
+
+
+@pytest.fixture(scope="module")
+def tiny_traces(tiny_run):
+    """The tiny run, and a copy of it whose traces a test may corrupt."""
+    good, _ = tiny_run
+    bad = good.parent / "traces"
+    shutil.copytree(good, bad)
+    return good, bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(harness._TRACES), mutation=_MUTATIONS)
+# headers that claim far more than the file holds, and one row short
+@example(name="theta_hat", mutation=("header", (3, 10 ** 12), "<f8", False, False))
+@example(name="theta_obs", mutation=("header", (10 ** 12, 10 ** 12), "<f8", False, False))
+@example(name="allocations", mutation=("header", (2, 20), "<f8", False, True))
+# the same data in Fortran order: other values, still in range for theta
+@example(name="theta_hat", mutation=("header", (3, 20), "<f8", True, False))
+def test_gains_corrupted_trace(tiny_traces, name, mutation):
+    """`gains` on a run with one .npy trace corrupted: exit 0 or 1, at most
+    one stderr line, which names the file, no warning, and exit 0 only if the
+    traces are still valid by np.load's reading of them."""
+    good, bad = tiny_traces
+    path = bad / f"{name}.npy"
+    shutil.copyfile(good / path.name, path)
+    upper = np.load(good / "bounds.npy") if name == "allocations" else np.ones((3, 20))
+    _mutate(path, mutation, upper)
+    err = io.StringIO()
+    try:
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            rc = main(["gains", "--run", str(bad), "--baseline", str(good)])
+        err = err.getvalue()
+        assert rc in (0, 1) and err.count("\n") == (rc == 1)
+        if rc == 1:
+            assert err.startswith("error: ") and path.name in err
+        else:
+            assert _valid_traces(bad, (3, 20))
+    finally:
+        shutil.copyfile(good / path.name, path)

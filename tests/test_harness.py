@@ -621,6 +621,65 @@ def test_export_peak_memory(tmp_path):
     assert peak < 4e6
 
 
+def test_import_peak_memory_is_below_one_trace(tmp_path):
+    # n = 2000, T = 104: the traces are mapped from their files, not read into
+    # new arrays, so the peak stays below one trace's 1.66 MB; reading the
+    # four took 7.35 MB
+    res = hand_made_result(2000, 104, 5, np.random.default_rng(3).random(211))
+    export(res, tmp_path / "run")
+    import_result(tmp_path / "run")  # the first call's lazy imports are not the import's
+    tracemalloc.start()
+    try:
+        back = import_result(tmp_path / "run")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.equals(res)
+    assert peak < res.allocations.nbytes
+
+
+def _trace_files(directory) -> dict:
+    return {name: (Path(directory) / f"{name}.npy").read_bytes() for name in harness._TRACES}
+
+
+def test_imported_traces_are_writable_and_never_write_their_files(tmp_path):
+    res = hand_made_result(600, 5, 2, np.random.default_rng(4).random(31))
+    export(res, tmp_path / "run")
+    before = _trace_files(tmp_path / "run")
+    back = import_result(tmp_path / "run")
+    for name in harness._TRACES:
+        arr = getattr(back, name)
+        assert type(arr) is np.ndarray and arr.flags.writeable
+        arr[...] = 0.5
+    assert all((getattr(back, name) == 0.5).all() for name in harness._TRACES)
+    assert _trace_files(tmp_path / "run") == before
+    assert import_result(tmp_path / "run").equals(res)
+
+
+def test_held_import_survives_an_overwrite_of_its_directory(tmp_path):
+    # export renames a new directory into place and deletes the old one; the
+    # held result's pages, none read before, still come from the old files
+    res = hand_made_result(600, 10, 3, np.random.default_rng(5).random(97))
+    other = hand_made_result(600, 10, 3, np.random.default_rng(6).random(89))
+    export(res, tmp_path / "run")
+    held = import_result(tmp_path / "run")
+    export(other, tmp_path / "run", overwrite=True)
+    assert held.equals(res)
+    assert import_result(tmp_path / "run").equals(other)
+
+
+def test_fortran_order_traces_import_equal(tmp_path):
+    res = hand_made_result(30, 4, 2, np.random.default_rng(1).random(17))
+    export(res, tmp_path / "run")
+    for name in harness._TRACES:
+        path = tmp_path / "run" / f"{name}.npy"
+        np.save(path, np.asfortranarray(np.load(path)))
+        with open(path, "rb") as fh:
+            np.lib.format.read_magic(fh)
+            assert np.lib.format.read_array_header_1_0(fh)[1]  # fortran_order
+    assert import_result(tmp_path / "run").equals(res)
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), n=st.integers(1, 20), horizon=st.integers(1, 5),
        k=st.integers(1, 4))

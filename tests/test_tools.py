@@ -13,7 +13,7 @@ def test_layers_times_a_small_world():
     """tools/layers.py at n = 200, in a fresh process: one JSON object with
     the build and run times, the self time of every world-build layer and
     the distances each search computed, and the export and import times of
-    the run's result."""
+    the run's result and the traced peak of one import."""
     out = subprocess.run([sys.executable, str(TOOLS / "layers.py"), "200", "--builds", "2",
                           "--runs", "1"], capture_output=True, text=True, check=True).stdout
     report = json.loads(out)
@@ -21,6 +21,8 @@ def test_layers_times_a_small_world():
     assert 0 < report["build_s_median"] < report["run_s_median"]
     assert 0 < report["import_s_median"] < report["run_s_median"]
     assert 0 < report["export_s_median"] < report["run_s_median"]
+    # the traces are mapped, so one import holds less than their 0.67 MB
+    assert 0 < report["import_traced_peak_mb"] < 4 * 200 * 104 * 8 / 1e6
     for layer in ("synth_world", "ground_neighborhoods", "radiation_flows",
                   "assign_airports", "flow_matrix", "build_network"):
         assert report["traced_calls"][f"net.{layer}"] == 1

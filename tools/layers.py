@@ -10,7 +10,8 @@ beside this script, so that one copy of the script can time two checkouts).
 After a warm-up build, run, export and import at n = 40 it times --builds
 untraced builds and --runs runs, then --runs exports of the last run's
 result, each into a fresh temporary directory, and --runs imports of them,
-each after gc.collect(). Then it makes one build and run with the span
+each after gc.collect(), and the tracemalloc peak of one more import of the
+first (import_traced_peak_mb). Then it makes one build and run with the span
 tracer of perfbench/spans.py installed for the self time and call count of
 each traced function, and counts the distances each caller of
 net.pair_distances computed.
@@ -42,6 +43,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from collections import Counter, defaultdict  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -60,6 +62,17 @@ def timed(fn, repeat: int) -> tuple[list[float], object]:
         value = fn()
         out.append(time.perf_counter() - start)
     return out, value
+
+
+def traced_peak_mb(fn) -> float:
+    """The tracemalloc peak of one call of fn, in MB of 10**6 bytes."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def median(times: list[float]) -> float | None:
@@ -118,6 +131,7 @@ def main(argv=None) -> dict:
         to_export, to_import = iter(dirs), iter(dirs)
         exports, _ = timed(lambda: harness.export(result, next(to_export)), args.runs)
         imports, _ = timed(lambda: harness.import_result(next(to_import)), args.runs)
+        import_peak = traced_peak_mb(lambda: harness.import_result(dirs[0])) if dirs else None
     del result
 
     distances = Counter()
@@ -142,6 +156,7 @@ def main(argv=None) -> dict:
         "build_s_median": median(builds), "build_s_runs": builds,
         "run_s_median": median(runs), "run_s_runs": runs,
         "export_s_median": median(exports), "import_s_median": median(imports),
+        "import_traced_peak_mb": import_peak,
         "traced_self_s": dict(sorted(self_s.items())), "traced_calls": dict(sorted(calls.items())),
         "distances": dict(sorted(distances.items())),
         "peak_rss_mb": peak_rss_mb(),
