@@ -278,10 +278,11 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
 # export / import
 #
 # The four (T, n) traces are .npy files of little-endian float64 in C order;
-# an imported result maps them copy-on-write (_read_trace). The other tables are CSV, written by net._write_table and read by
-# net._read_columns a column at a time. A float is written as the repr of the
-# Python float, which reads back to the same bits; each distinct value of a
-# column is formatted once (net._reprs).
+# an imported result maps them copy-on-write (_read_trace). The other tables
+# are CSV, written by net._write_table and read by net._read_columns a column
+# at a time. A float is written as the repr of the Python float, which reads
+# back to the same bits; each distinct value of a column is formatted once
+# (net._reprs).
 
 def check_out_dir(directory, overwrite: bool = False) -> Path:
     """Path(directory); OSError unless absent or a directory, empty unless ``overwrite``."""
