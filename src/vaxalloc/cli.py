@@ -14,6 +14,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, net
 from .epi import EpidemicInstabilityError
 from .policy import POLICIES
@@ -178,11 +180,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # other faults exit 1
+            return args.func(args)
     except EpidemicInstabilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -362,59 +362,49 @@ def _write_run(result: RunResult, directory: Path) -> None:
                               for p in (result.priors_a, result.priors_b))))
 
 
-def _integers(path, name, values, lo, hi) -> np.ndarray:
-    """``values``, column ``name`` of a CSV file, as int64, each checked to be
-    an integer in [lo, hi]; a fault names the line of the first bad value."""
-    hi = min(hi, 2 ** 62)  # a size from JSON may be past int64
-    bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
-    if bad.size:
-        raise ValueError(f"{path}: {name} = {values[bad[0]]:g} on line "
-                         f"{_line_of(path, bad[0])} is not an integer in {lo}..{hi}")
-    return values.astype(np.int64)
+def _blank_as_nan(field: str) -> float:
+    """A field's number, NaN if it is empty; a NaN in the text does not parse."""
+    if field and math.isnan(value := float(field)):
+        raise ValueError(field)
+    return value if field else math.nan
 
 
 def _read_table(path, ids, columns, blank_as_nan=(), integers=()) -> list[np.ndarray]:
-    """The float ``columns`` of a CSV table, each scattered into an array over
-    the grid of its ``ids``, given as (name, lo, hi). Each id, and each value
-    of a column named in ``integers``, given the same way, must be an integer
-    in its range, and each grid cell must have exactly one row, in any order.
-    Fields in ``blank_as_nan`` read an empty field as NaN. Every fault raises
-    ValueError naming the file and, where a row is at fault, its line."""
+    """The ``columns`` of a CSV table as arrays over the grid of its ``ids``,
+    given as (name, lo, hi), each cell in one row, in C order, as ``export``
+    writes them. Each id is an integer in its range, and so is each value of
+    an ``integers`` column, given the same way, which comes back as int64;
+    ``blank_as_nan`` columns read an empty field as NaN. Every fault
+    raises ValueError naming the file and, where a row is at fault, its line."""
     names = [name for name, _, _ in ids] + list(columns)
-    data = _read_columns(path, {c: (lambda s: float(s or "nan")) if c in blank_as_nan
-                                else float for c in names})
-    shape = [hi - lo + 1 for _, lo, hi in ids]
-    # each row's C-order cell, capped at rows + 1, below which the first cell
-    # without one row lies: no product overflows, nothing grid-sized is made
-    cap = data[0].size + 1
-    cell = np.zeros(cap - 1, dtype=np.int64)
+    data = _read_columns(path, {c: _blank_as_nan if c in blank_as_nan else float for c in names})
     for name, lo, hi in (*ids, *integers):  # in file order
-        col = _integers(path, name, data[names.index(name)], lo, hi)
-        if (name, lo, hi) in ids:
-            cell = np.minimum(cell * min(hi - lo + 1, cap) + np.minimum(col - lo, cap), cap)
-    counts = np.bincount(cell, minlength=cap + 1)[:min(math.prod(shape), cap)]
-    wrong = np.flatnonzero(counts != 1)
-    if wrong.size:
-        where = ", ".join(f"{name}={int(c) + lo}" for (name, lo, _), c in zip(
-            ids, np.unravel_index(wrong[0], [min(d, cap) for d in shape])))
-        rows = np.flatnonzero(cell == wrong[0])
-        again = f", again on line {_line_of(path, rows[1])}" if rows.size > 1 else ""
-        raise ValueError(f"{path}: the row for {where} appears {rows.size} times, "
-                         f"not once{again}")
-    out = np.empty((len(columns), cap - 1))
-    out[:, cell] = data[len(ids):]
-    return list(out.reshape(len(columns), *shape))
-
-
-# the .npy format versions whose header numpy reads with a public function
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
+        values, hi = data[names.index(name)], min(hi, 2 ** 62)  # no float past int64 casts
+        bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
+        if bad.size:
+            raise ValueError(f"{path}: {name} = {values[bad[0]]:g} on line "
+                             f"{_line_of(path, bad[0])} is not an integer in {lo}..{hi}")
+        data[names.index(name)] = values.astype(np.int64)
+    shape = [hi - lo + 1 for _, lo, hi in ids]
+    rows, cells = data[0].size, math.prod(shape)
+    # the ids of the cells in C order up to the one after the last row; capping
+    # each side at rows + 1 changes none of them, and makes nothing grid-sized
+    want = [w + lo for w, (_, lo, _) in zip(np.unravel_index(
+        np.arange(min(rows + 1, cells)), [min(d, rows + 1) for d in shape]), ids)]
+    wrong = np.flatnonzero(np.any([d[:cells] != w[:rows] for d, w in zip(data, want)], axis=0))
+    at = wrong[0] if wrong.size else min(rows, cells)  # the first row or cell without its match
+    if at < max(rows, cells):
+        cell = (", ".join(f"{name}={w[at]}" for (name, _, _), w in zip(ids, want))
+                if at < cells else f"any of the grid's {cells} cells")
+        raise ValueError(f"{path}: the row on line {_line_of(path, at)} is not the row for {cell}"
+                         if at < rows else f"{path}: the table ends before the row for {cell}")
+    return [d.reshape(shape) for d in data[len(ids):]]
 
 
 def _read_trace(path, shape, upper) -> np.ndarray:
-    """The float64 array of ``shape`` in the .npy file at ``path``, each value
-    v with 0 <= v <= ``upper``, a number or an array of ``shape``. Any fault
-    raises ValueError naming the file.
+    """The float64 array of ``shape`` that ``np.save`` wrote at ``path``
+    (format 1.0, C order), each value v with 0 <= v <= ``upper``, a number or
+    an array of ``shape``. Any fault raises ValueError naming the file.
 
     The header and the file's length are checked before anything of the size
     the header claims is made; the data is then mapped copy-on-write, so the
@@ -425,24 +415,22 @@ def _read_trace(path, shape, upper) -> np.ndarray:
             with warnings.catch_warnings():
                 # the reader warns when it has to rewrite a header to parse it
                 warnings.simplefilter("error")
-                version = np.lib.format.read_magic(fh)
-                if version not in _NPY_HEADERS:
-                    raise ValueError(f"format version {version} is not 1.0 or 2.0")
-                got, fortran_order, dtype = _NPY_HEADERS[version](fh)
+                if (version := np.lib.format.read_magic(fh)) != (1, 0):
+                    raise ValueError(f"format version {version} is not 1.0")
+                got, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         except (ValueError, SyntaxError, TokenError, Warning) as exc:
             # what the reader raises on a cut file or a bad header; some of its
             # messages run over several lines
             raise ValueError(f"{path}: not a readable .npy array "
                              f"({str(exc).splitlines()[0]})") from None
-        if dtype != np.dtype("<f8") or got != shape:
-            raise ValueError(f"{path}: {dtype.str} of shape {got}, not <f8 "
-                             f"of shape {shape}")
+        if dtype != np.dtype("<f8") or got != shape or fortran_order:
+            raise ValueError(f"{path}: {dtype.str} of shape {got} in {'CF'[fortran_order]} "
+                             f"order, not <f8 of shape {shape} in C order")
         offset = fh.tell()
         data = os.fstat(fh.fileno()).st_size - offset
         if data != nbytes:
             raise ValueError(f"{path}: {data} bytes of data, not the {nbytes} of the array")
-        arr = np.memmap(fh, dtype="<f8", mode="c", offset=offset, shape=shape,
-                        order="F" if fortran_order else "C").view(np.ndarray)
+        arr = np.memmap(fh, dtype="<f8", mode="c", offset=offset, shape=shape).view(np.ndarray)
     # min and max are NaN if a value is, and NaN fails every comparison
     if not (arr.min() >= 0 and (arr.max() <= upper if np.isscalar(upper)
                                 else (arr <= upper).all())):
@@ -481,11 +469,11 @@ def _manifest_config(manifest) -> dict:
 def import_result(directory) -> RunResult:
     """Rebuild a RunResult from an exported directory.
 
-    Rows may come in any order. A wrong schema, a missing column, a field
-    that does not parse, an id out of range, a missing or repeated row, a
-    column that disagrees with the table it repeats, or a trace that is not
-    a (T, n) float64 array with 0 <= x <= bound <= 1 and 0 <= theta <= 1
-    raises ValueError naming the file.
+    The directory must be as ``export`` writes it: a wrong schema, a missing
+    column, a field that does not parse, a row out of place, missing or
+    extra, a t = 0 budget that is not empty, a column that disagrees with the
+    table it repeats, or a trace that ``_read_trace`` refuses raises
+    ValueError naming the file.
 
     The four traces are copy-on-write maps of the directory's .npy files: the
     directory may be replaced (``export`` renames a new one into place) while
@@ -508,8 +496,10 @@ def import_result(directory) -> RunResult:
         path, [("t", 0, horizon), ("agent_id", 0, k - 1)],
         ["S", "I", "R", "D", "budget", "budget_effective"],
         blank_as_nan=("budget", "budget_effective"))
-    if np.isnan(budgets[1:]).any() or np.isnan(budgets_eff[1:]).any():
-        raise ValueError(f"{path}: a budget after t = 0 is empty or NaN")
+    wrong = np.isnan([budgets, budgets_eff]) != (np.arange(horizon + 1) == 0)[:, None]
+    if (bad := np.flatnonzero(wrong.any(axis=0))).size:
+        raise ValueError(f"{path}: the budgets on line {_line_of(path, bad[0])} must be "
+                         f"{'empty at t = 0' if bad[0] < k else 'numbers after t = 0'}")
 
     shape = (horizon, n)
     bounds = _read_trace(directory / "bounds.npy", shape, 1.0)
@@ -531,12 +521,11 @@ def import_result(directory) -> RunResult:
                                      integers=[("a", 0, 2 ** 53), ("b", 0, 2 ** 53)])
 
     return RunResult(
-        config=config, populations=populations, agent_of=agents.astype(np.int64),
+        config=config, populations=populations, agent_of=agents,
         global_totals=global_totals, agent_totals=np.stack(totals, axis=-1),
         budgets=budgets[1:], budgets_effective=budgets_eff[1:],
         allocations=allocations, theta_hat=theta_hat, theta_obs=theta_obs,
-        bounds=bounds, sharing_ratios=ratios, priors_a=priors_a.astype(np.int64),
-        priors_b=priors_b.astype(np.int64))
+        bounds=bounds, sharing_ratios=ratios, priors_a=priors_a, priors_b=priors_b)
 
 
 def export_gains(report: GainReport, path) -> None:

@@ -139,8 +139,10 @@ class FlowMatrix:
     def __init__(self, ground: sp.spmatrix, cell: np.ndarray, g: np.ndarray,
                  populations: np.ndarray):
         populations = np.asarray(populations, dtype=float)
-        if populations.sum() <= 0:
-            raise ValueError("total population is zero")
+        with np.errstate(over="ignore"):  # refused below if not finite
+            total = populations.sum()
+        if not 0 < total < math.inf:
+            raise ValueError(f"total population is {total}, not positive and finite")
         n = populations.shape[0]
         self.n = n
         self.populations = populations
@@ -165,7 +167,7 @@ class FlowMatrix:
         self._divisor = np.where(outflow > 0, outflow, 1.0)
         self.rate_row_sum = (outflow > 0).astype(float)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
-            self.rho = float(outflow.sum() / populations.sum())
+            self.rho = float(outflow.sum() / total)
         bad = np.flatnonzero(~np.isfinite(outflow))
         if bad.size or not math.isfinite(self.rho):
             raise ValueError(f"outflow of node {bad[0]} is {outflow[bad[0]]}, not finite"
@@ -395,12 +397,12 @@ def radiation_flows(nodes: Nodes, neighborhoods: tuple[np.ndarray, np.ndarray],
         at = np.flatnonzero(counts == k)
         s[at] = pop[indices[indptr[at][:, None] + np.arange(k)]].sum(axis=1)
     rows = np.repeat(np.arange(n), counts)
-    # float_power squares with pow, as the scalar P_i ** 2 does; the array
-    # x ** 2 is x * x, which now and then differs from it in the last bit
-    src, dst, s_src = (alpha * np.float_power(pop, 2))[rows], pop[indices], s[rows]
-    # scipy stores the indices as int32 when they fit, as for a COO build
-    with np.errstate(divide="ignore", invalid="ignore"):  # FlowMatrix refuses a 0 / 0
+    with np.errstate(all="ignore"):  # FlowMatrix refuses a flow that is not finite
+        # float_power squares with pow, as the scalar P_i ** 2 does; the array
+        # x ** 2 is x * x, which now and then differs from it in the last bit
+        src, dst, s_src = (alpha * np.float_power(pop, 2))[rows], pop[indices], s[rows]
         flows = src * dst / (s_src * (dst + s_src))
+    # scipy stores the indices as int32 when they fit, as for a COO build
     mat = sp.csr_matrix((flows, indices, indptr), shape=(n, n))
     mat.eliminate_zeros()
     return mat
@@ -532,11 +534,13 @@ def synth_world(n_nodes: int, n_agents: int, *,
         raise ValueError("node and agent counts must be >= 1")
     if n_agents > n_nodes:
         raise ValueError("more agents than nodes")
-    n_airports = max(1, int(round(airport_density * n_nodes)))
+    n_airports = max(1, int(round(min(airport_density * n_nodes, n_nodes + 1))))
     if n_airports > n_nodes:
         raise ValueError("more airports than nodes")
     rng = np.random.default_rng(seed)
     ncols = int(math.ceil(math.sqrt(n_nodes)))
+    if not math.isfinite(2.0 * ncols * grid_spacing_km):  # so that no distance overflows
+        raise ValueError(f"grid_spacing_km {grid_spacing_km!r} is too large for {n_nodes} nodes")
     xs = (np.arange(n_nodes) % ncols) * grid_spacing_km
     ys = (np.arange(n_nodes) // ncols) * grid_spacing_km
     pops = rng.lognormal(mean=math.log(pop_median), sigma=pop_sigma, size=n_nodes)

@@ -31,7 +31,11 @@ class AgentCoupling:
 
     def __init__(self, net: FlowMatrix, agent_of: np.ndarray, n_agents: int):
         agent_of = np.asarray(agent_of)
-        self.c = net.rates_t_dot(agent_of[:, None] == np.arange(n_agents))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below if not finite
+            self.c = net.rates_t_dot(agent_of[:, None] == np.arange(n_agents))
+        if (bad := np.flatnonzero(~np.isfinite(self.c).all(axis=1))).size:
+            raise ValueError(f"agent coupling of node {bad[0]} is not finite: an outflow "
+                             "is too close to 0 to divide by")
         self.key = (agent_of[:, None] * n_agents + np.arange(n_agents)).ravel()
 
 

@@ -5,16 +5,20 @@ import io
 import json
 import math
 import shutil
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vaxalloc import cli, harness, net
+from vaxalloc import cli, harness, net, scenario
 from vaxalloc.cli import main
-from vaxalloc.scenario import ScenarioConfig, build_world
+from vaxalloc.policy import POLICIES
+from vaxalloc.scenario import ScenarioConfig, build_instance, build_world
 
 
 @pytest.fixture
@@ -337,11 +341,15 @@ def test_build_net_gravity_overflow_exits_1(tmp_path, capsys):
     assert not (tmp_path / "net").exists()
 
 
-def _nan_world_run(tmp_path) -> list[str]:
+def _nan_world_run(tmp_path, pop_median=1e-300) -> list[str]:
     path = tmp_path / "config.json"
-    ScenarioConfig(n_nodes=40, n_agents=2, horizon=4, pop_median=1e-300,
+    ScenarioConfig(n_nodes=40, n_agents=2, horizon=4, pop_median=pop_median,
                    air_fraction=0.0).save(path)
     return ["simulate", "--config", str(path)]
+
+
+def _overflow_world_run(tmp_path) -> list[str]:
+    return _nan_world_run(tmp_path, pop_median=1e200)
 
 
 def _nan_world_files(tmp_path) -> list[str]:
@@ -355,10 +363,11 @@ def _nan_world_files(tmp_path) -> list[str]:
             "--planar"]
 
 
-@pytest.mark.parametrize("command", [_nan_world_run, _nan_world_files])
+@pytest.mark.parametrize("command", [_nan_world_run, _nan_world_files, _overflow_world_run])
 def test_nan_world_exits_1(tmp_path, capsys, command):
     # populations near 1e-300: the radiation denominator S_i (P_j + S_i)
-    # underflows to 0, so a ground flow is 0 / 0
+    # underflows to 0, so a ground flow is 0 / 0; near 1e200, P_i^2 P_j
+    # overflows, and a flow is inf / inf
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -366,6 +375,40 @@ def test_nan_world_exits_1(tmp_path, capsys, command):
     assert rc == 1
     assert capsys.readouterr().err == "error: outflow of node 0 is nan, not finite\n"
     assert not out.exists()
+
+
+# worlds that simulate refuses although their configs pass the checks: outflows
+# near the subnormal range, whose agent coupling overflows; a grid whose
+# distances overflow; an airport count past the float range
+REFUSED_WORLDS = {
+    "subnormal outflows, ts": ({"n_nodes": 200, "commute_fraction": 5e-324,
+                                "air_fraction": 5e-324, "policy": "ts"}, "agent coupling"),
+    "subnormal outflows, gy": ({"n_nodes": 200, "commute_fraction": 1e-320,
+                                "air_fraction": 0.0, "policy": "gy"}, "agent coupling"),
+    "grid past the float range": ({"n_nodes": 10, "n_agents": 1,
+                                   "grid_spacing_km": 5.992310449541053e307},
+                                  "grid_spacing_km 5.992310449541053e+307 is too large"),
+    "airports past the float range": ({"n_nodes": 10, "n_agents": 1,
+                                       "airport_density": 1.7976931348623157e308},
+                                      "more airports than nodes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_WORLDS))
+def test_simulate_refused_world_exits_1(tmp_path, capsys, case):
+    fields, fault = REFUSED_WORLDS[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(fields))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and fault in err
+        assert not (tmp_path / "run").exists()
+        if fault == "agent coupling":  # pb without sharing builds no coupling
+            assert main(["simulate", "--config", str(path), "--policy", "pb",
+                         "--out", str(tmp_path / "pb")]) == 0
 
 
 def test_build_net_missing_inputs(tmp_path, capsys):
@@ -687,6 +730,17 @@ def _as_npz(path):
         np.savez(fh, arr)
 
 
+def _as_version_2(path):
+    """The same array under a format 2.0 header, which np.load reads too."""
+    ((shape, _, _), offset) = _npy_header(path)
+    _write_npy(path, shape, path.read_bytes()[offset:])
+
+
+def _reverse_rows(path):
+    header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+    path.write_bytes(b"\r\n".join([header, *rows[::-1], b""]))
+
+
 BAD_RUNS = {
     "schema": ("manifest.json",
                lambda p: _edit_manifest(p, lambda m: m.update(schema=99))),
@@ -716,6 +770,8 @@ BAD_RUNS = {
     "row missing": ("sharing.csv", lambda p: _edit_lines(p, lambda ls: ls.pop(-2))),
     "row twice": ("sharing.csv",
                   lambda p: _edit_lines(p, lambda ls: ls.insert(1, ls[1]))),
+    "row extra": ("global.csv", lambda p: _edit_lines(p, lambda ls: ls.insert(-1, ls[-2]))),
+    "rows in reverse order": ("agents.csv", _reverse_rows),
     "column missing": ("sharing.csv", lambda p: _set_field(p, 0, 5, "eff")),
     "field unparsable": ("sharing.csv", lambda p: _set_field(p, 1, 3, "abc")),
     "not UTF-8 before the header": ("sharing.csv",
@@ -724,6 +780,8 @@ BAD_RUNS = {
                            lambda p: p.write_bytes(p.read_bytes() + b"1,0,\xff\r\n")),
     "agent out of range": ("nodes.csv", lambda p: _set_field(p, 1, 2, "2")),
     "budget empty": ("agents.csv", lambda p: _set_field(p, 3, 6, "")),
+    "budget at t = 0": ("agents.csv", lambda p: _set_field(p, 1, 6, "123.0")),
+    "budget NaN at t = 0": ("agents.csv", lambda p: _set_field(p, 2, 7, "nan")),
     "prior not an integer": ("priors.csv", lambda p: _set_field(p, 1, 1, "2.5")),
     "budget_out not budget_in * ratio": ("sharing.csv",
                                          lambda p: _set_field(p, 1, 4, "-1e9")),
@@ -747,6 +805,10 @@ BAD_RUNS = {
     "trace header of 10**12 x 10**12": ("theta_obs.npy",
                                         _claim_shape(lambda t, n: (10 ** 12, 10 ** 12))),
     "trace one row short": ("allocations.npy", lambda p: _edit_trace(p, lambda a: a[:-1])),
+    # what np.load reads but np.save does not write for a (T, n) float64 array
+    "trace in Fortran order": ("bounds.npy",
+                               lambda p: np.save(p, np.asfortranarray(np.load(p)))),
+    "trace with a 2.0 header": ("theta_hat.npy", _as_version_2),
 }
 
 
@@ -758,6 +820,15 @@ RUN_LINE_FAULTS = {
     "horizon true": "horizon must be an integer, got True",
     "agent out of range": "agent_id = 2 on line 2 is not an integer in 0..1",
     "prior not an integer": "a = 2.5 on line 2 is not an integer in 0..9007199254740992",
+    "row missing": "the table ends before the row for t=6, agent_id=1",
+    "row twice": "the row on line 3 is not the row for t=1, agent_id=1",
+    "row extra": "the row on line 9 is not the row for any of the grid's 7 cells",
+    "rows in reverse order": "the row on line 2 is not the row for t=0, agent_id=0",
+    "budget empty": "the budgets on line 4 must be numbers after t = 0",
+    "budget at t = 0": "the budgets on line 2 must be empty at t = 0",
+    "budget NaN at t = 0": "'nan' on line 3, column budget_effective, is not a number",
+    "trace in Fortran order": "<f8 of shape (6, 40) in F order, not <f8 of shape (6, 40) in C",
+    "trace with a 2.0 header": "format version (2, 0) is not 1.0",
 }
 
 
@@ -840,9 +911,10 @@ def test_gains_corrupted_manifest(tiny_run, key, value):
 
 
 def _valid_traces(directory, shape) -> bool:
-    """Whether the four traces in ``directory`` are what import_result
+    """Whether the four traces in ``directory`` may be what import_result
     accepts, judged by np.load: <f8 arrays of ``shape`` that end their files,
-    with 0 <= x <= bound <= 1 and 0 <= theta <= 1."""
+    with 0 <= x <= bound <= 1 and 0 <= theta <= 1. Import also asks for the
+    format 1.0 header in C order that np.save writes."""
     arrays = {}
     for name in harness._TRACES:
         path = directory / f"{name}.npy"
@@ -915,7 +987,8 @@ def tiny_traces(tiny_run):
 @example(name="theta_hat", mutation=("header", (3, 10 ** 12), "<f8", False, False))
 @example(name="theta_obs", mutation=("header", (10 ** 12, 10 ** 12), "<f8", False, False))
 @example(name="allocations", mutation=("header", (2, 20), "<f8", False, True))
-# the same data in Fortran order: other values, still in range for theta
+# the same data in Fortran order, or under a 2.0 header: np.load reads both, import neither
+@example(name="theta_hat", mutation=("header", (3, 20), "<f8", False, False))
 @example(name="theta_hat", mutation=("header", (3, 20), "<f8", True, False))
 def test_gains_corrupted_trace(tiny_traces, name, mutation):
     """`gains` on a run with one .npy trace corrupted: exit 0 or 1, at most
@@ -940,3 +1013,66 @@ def test_gains_corrupted_trace(tiny_traces, name, mutation):
             assert _valid_traces(bad, (3, 20))
     finally:
         shutil.copyfile(good / path.name, path)
+
+
+def _allowed(low, high, low_open):
+    """The floats ScenarioConfig accepts in [low, high], or (low, high]."""
+    return st.floats(low, min(high, sys.float_info.max), exclude_min=low_open)
+
+
+@st.composite
+def _configs(draw):
+    """A config with every field drawn over the range ScenarioConfig accepts,
+    extreme values included, at n <= 60 and T <= 12. Each real field is its
+    default about half the time, so that not nearly every config is one no
+    world can be built from; the agents are at most one more than the nodes."""
+    n = draw(st.integers(1, 60))
+    k = draw(st.integers(1, n + 1))
+    config = {"n_nodes": n, "n_agents": k, "horizon": draw(st.integers(1, 12)),
+              "seed": draw(st.integers(0, 2 ** 64)), "policy": draw(st.sampled_from(POLICIES)),
+              "sharing": draw(st.booleans()),
+              "capacities": draw(st.none() | st.lists(_allowed(0.0, 1.0, True),
+                                                      min_size=k, max_size=k))}
+    default = ScenarioConfig().to_dict()
+    config.update({name: draw(st.just(default[name]) | _allowed(*bounds))
+                   for name, bounds in scenario._REAL_FIELDS.items()})
+    config.update({name: draw(st.just(default[name]) | st.lists(
+        _allowed(*bounds), min_size=2, max_size=2).map(sorted))
+        for name, bounds in scenario._RANGE_FIELDS.items()})
+    return config
+
+
+@settings(max_examples=400, deadline=None)
+@given(config=_configs())
+# the worlds of test_simulate_refused_world_exits_1 and of test_nan_world_exits_1
+@example(config={"n_nodes": 200, "commute_fraction": 5e-324, "air_fraction": 5e-324,
+                 "policy": "ts"})
+@example(config={"n_nodes": 200, "commute_fraction": 1e-320, "air_fraction": 0.0,
+                 "policy": "gy"})
+@example(config={"n_nodes": 200, "pop_median": 1e200, "air_fraction": 0.0})
+@example(config={"n_nodes": 10, "n_agents": 1, "grid_spacing_km": 5.992310449541053e307})
+@example(config={"n_nodes": 10, "n_agents": 1, "airport_density": 1.7976931348623157e308})
+def test_simulate_fuzz(config):
+    """`simulate` on any config the checks accept: exit 0, 1 or 2, at most
+    one stderr line, no warning; an exit 0 imports back with finite totals,
+    and an exit 2 comes only from an instance with max beta + rho > 1,
+    max gamma + rho > 1 or rho > 1 (the README's exit codes)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "run"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            rc = main(["simulate", "--config", str(path), "--out", str(out)])
+            err = err.getvalue()
+            assert rc in (0, 1, 2) and err.count("\n") == (rc != 0)
+            if rc == 0:
+                res = harness.import_result(out)
+                assert np.isfinite(res.global_totals).all()
+                assert np.isfinite(res.agent_totals).all()
+            if rc == 2:
+                inst = build_instance(ScenarioConfig.from_dict(config))
+                beta, gamma = inst.params.beta.max(), inst.params.gamma.max()
+                rho = inst.network.rho
+                assert beta + rho > 1 or gamma + rho > 1 or rho > 1, err

@@ -3,6 +3,8 @@ import dataclasses
 import itertools
 import json
 import random
+import re
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -527,15 +529,20 @@ class TestColumnWiseIO:
         pops = [line.split(",")[1] for line in lines[1:]]
         assert pops.count("0.0") > 1 and pops.count("-0.0") > 1
 
-    def test_shuffled_rows_import_equal(self, tmp_path):
-        res = run(small_config(policy="ts", sharing=True))
-        export(res, tmp_path / "out")
+    def test_shuffled_rows_are_refused(self, tmp_path):
+        # import reads each table's rows in the order export writes them, and
+        # names the first row out of that order
+        export(run(small_config(policy="ts", sharing=True)), tmp_path / "good")
         for name in CSV_FILES:
-            path = tmp_path / "out" / name
+            shutil.copytree(tmp_path / "good", tmp_path / name)
+            path = tmp_path / name / name
             header, *rows = path.read_bytes().split(b"\r\n")[:-1]
             random.Random(5).shuffle(rows)
             path.write_bytes(b"\r\n".join([header, *rows, b""]))
-        assert_bit_equal(import_result(tmp_path / "out"), res)
+            with pytest.raises(ValueError) as exc:
+                import_result(tmp_path / name)
+            assert re.match(f"{re.escape(str(path))}: the row on line \\d+ is not the row for ",
+                            str(exc.value))
 
 
 @pytest.mark.parametrize("text,fault", [
@@ -550,8 +557,9 @@ class TestColumnWiseIO:
     (b"a,b\n\n0,2\n\n5,3\n", "a = 5 on line 5 is not an integer in 0..1"),
     (b"a,b\r\n\r\n1,2\r\n0.5,3\r\n", "a = 0.5 on line 4 is not an integer in 0..1"),
     (b"a,b\r\n\r\n0,2\r\n1,3\r\n\r\n0,4\r\n",
-     "the row for a=0 appears 2 times, not once, again on line 6"),
-    (b"a,b\n\n0,2\n", "the row for a=1 appears 0 times, not once"),
+     "the row on line 6 is not the row for any of the grid's 2 cells"),
+    (b"a,b\n\n0,2\n", "the table ends before the row for a=1"),
+    (b"a,b\n1,2\n\n0,3\n", "the row on line 2 is not the row for a=0"),
     (b"a,b\n\n0,2\n\n1,12\n", "b = 12 on line 5 is not an integer in 0..9"),
     (b"a,b\r\n\r\n0,2.5\r\n\r\n1,3\r\n", "b = 2.5 on line 3 is not an integer in 0..9"),
     (b"a,b\n1,3\n\n\n0,-1\n0,-2\n", "b = -1 on line 5 is not an integer in 0..9"),
@@ -560,8 +568,8 @@ def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     """A short row, a field that does not parse and bytes that are not
     UTF-8 name the file and the line they are on, across blank lines and
     any line ending; a byte past the reader's first chunk too. So do an id
-    or an integer value out of its range and a repeated row, whose message
-    names the line of the repeat."""
+    or an integer value out of its range, a row out of export's order and a
+    row past the last cell; a table that ends early names the missing cell."""
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     with pytest.raises(ValueError) as exc:
@@ -569,41 +577,52 @@ def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(data=st.data(), grid=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)),
                                      min_size=1, max_size=3))
 def test_read_table_names_the_first_cell_without_one_row(data, grid):
-    """Over a grid of up to 3 ids, each from lo over d values, the first cell
-    in C order whose rows are not exactly one is named with its count, and
-    a table with one row a cell reads back scattered onto the grid."""
-    cells = data.draw(st.lists(st.tuples(*(st.integers(lo, lo + d - 1) for lo, d in grid)),
-                               max_size=12))
-    counts = {c: cells.count(c) for c in set(cells)}
-    first = next((c for c in itertools.product(*(range(lo, lo + d) for lo, d in grid))
-                  if counts.get(c, 0) != 1), None)
+    """Over a grid of up to 3 ids, each from lo over d values, a table reads
+    back only when its rows are the cells in C order, one each. Otherwise the
+    fault is the first one a walk along the whole grid meets: the line of a
+    row that is not its cell's or is past the last cell, or the first cell
+    whose row the table ends before."""
+    order = list(itertools.product(*(range(lo, lo + d) for lo, d in grid)))
+    anything = st.lists(st.tuples(*(st.integers(lo, lo + d - 1) for lo, d in grid)),
+                        max_size=12)
+    cells = data.draw(st.permutations(order) | anything | st.builds(
+        lambda k, more: order[:k] + more, st.integers(0, len(order)), anything))
     ids = [(f"i{j}", lo, lo + d - 1) for j, (lo, d) in enumerate(grid)]
+    first = next((row for row, (got, want) in enumerate(zip(cells, order)) if got != want),
+                 min(len(cells), len(order)))
+
+    def where(cell):
+        return ", ".join(f"i{j}={i}" for j, i in enumerate(cell))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         path.write_text("\n".join([",".join([name for name, _, _ in ids] + ["v"])]
                                   + [",".join(map(str, (*c, k))) for k, c in enumerate(cells)]
                                   + [""]))
-        if first is None:
+        if cells == order:
             (values,) = harness._read_table(path, ids, ["v"])
-            for k, c in enumerate(cells):
-                assert values[tuple(i - lo for i, (lo, _) in zip(c, grid))] == k
-        else:
-            where = ", ".join(f"i{j}={i}" for j, i in enumerate(first))
-            with pytest.raises(ValueError, match=f"the row for {where} appears "
-                                                 f"{counts.get(first, 0)} times"):
-                harness._read_table(path, ids, ["v"])
+            assert values.shape == tuple(d for _, d in grid)
+            assert values.ravel().tolist() == list(range(len(order)))
+            return
+        with pytest.raises(ValueError) as exc:
+            harness._read_table(path, ids, ["v"])
+        cell = (where(order[first]) if first < len(order)
+                else f"any of the grid's {len(order)} cells")
+        fault = (f"the row on line {first + 2} is not the row for {cell}" if first < len(cells)
+                 else f"the table ends before the row for {cell}")
+        assert str(exc.value) == f"{path}: {fault}"
 
 
 def test_read_table_of_a_vast_grid_allocates_none_of_it(tmp_path):
     # a manifest may give any size: 10 ** 30 periods, or an id range past int64
     path = tmp_path / "t.csv"
     path.write_text("t,a,b\n0,0,1\n0,1,2\n")
-    for ids in ([("t", 0, 10 ** 30), ("a", 0, 1)], [("t", 0, 0), ("a", 0, 10 ** 400)]):
-        with pytest.raises(ValueError, match="appears 0 times"):
+    for ids, missing in (([("t", 0, 10 ** 30), ("a", 0, 1)], "t=1, a=0"),
+                         ([("t", 0, 0), ("a", 0, 10 ** 400)], "t=0, a=2")):
+        with pytest.raises(ValueError, match=f"the table ends before the row for {missing}$"):
             harness._read_table(path, ids, ["b"])
 
 
@@ -666,18 +685,6 @@ def test_held_import_survives_an_overwrite_of_its_directory(tmp_path):
     export(other, tmp_path / "run", overwrite=True)
     assert held.equals(res)
     assert import_result(tmp_path / "run").equals(other)
-
-
-def test_fortran_order_traces_import_equal(tmp_path):
-    res = hand_made_result(30, 4, 2, np.random.default_rng(1).random(17))
-    export(res, tmp_path / "run")
-    for name in harness._TRACES:
-        path = tmp_path / "run" / f"{name}.npy"
-        np.save(path, np.asfortranarray(np.load(path)))
-        with open(path, "rb") as fh:
-            np.lib.format.read_magic(fh)
-            assert np.lib.format.read_array_header_1_0(fh)[1]  # fortran_order
-    assert import_result(tmp_path / "run").equals(res)
 
 
 @settings(max_examples=50, deadline=None)
