@@ -7,6 +7,7 @@ import dataclasses
 import math
 import os
 import shutil
+import sys
 import tempfile
 import time
 import warnings
@@ -26,11 +27,14 @@ from .policy import (PolicyState, loss_coefficients, pb_allocate, solve_knapsack
 from .scenario import (Instance, ScenarioConfig, build_instance,
                        draw_realized_rates, stream)
 
-_SCHEMA = 2
+_SCHEMA = 3
 # the config fields that size a run's tables
 _SIZES = ("horizon", "n_agents", "n_nodes")
 # the (T, n) traces, each written as <name>.npy
 _TRACES = ("allocations", "theta_hat", "theta_obs", "bounds")
+# the dtype of each array written as <name>.npy: the traces and the per-node arrays
+_ARRAYS = {**dict.fromkeys(_TRACES, "<f8"), "populations": "<f8", "agent_of": "<i8",
+           "priors_a": "<i8", "priors_b": "<i8"}
 
 
 @dataclass
@@ -277,12 +281,12 @@ def replicate(config: ScenarioConfig, n: int) -> dict:
 # ---------------------------------------------------------------------------
 # export / import
 #
-# The four (T, n) traces are .npy files of little-endian float64 in C order;
-# an imported result maps them copy-on-write (_read_trace). The other tables
-# are CSV, written by net._write_table and read by net._read_columns a column
-# at a time. A float is written as the repr of the Python float, which reads
-# back to the same bits; each distinct value of a column is formatted once
-# (net._reprs).
+# The four (T, n) traces and the four per-node arrays are .npy files of
+# little-endian float64 or int64 in C order; an imported result maps them
+# copy-on-write (_read_npy). The per-period tables are CSV, written by
+# net._write_table and read by net._read_columns a column at a time. A float
+# is written as the repr of the Python float, which reads back to the same
+# bits; each distinct value of a column is formatted once (net._reprs).
 
 def check_out_dir(directory, overwrite: bool = False) -> Path:
     """Path(directory); OSError unless absent or a directory, empty unless ``overwrite``."""
@@ -295,8 +299,8 @@ def check_out_dir(directory, overwrite: bool = False) -> Path:
 
 
 def export(result: RunResult, directory, overwrite: bool = False) -> None:
-    """Write the run to a directory: a manifest, CSV tables and the four
-    (T, n) traces as .npy files.
+    """Write the run to a directory: a manifest, the per-period CSV tables
+    and the traces and per-node arrays as .npy files.
 
     Refuses to touch a non-empty directory unless ``overwrite`` is set. The
     files go to a temporary sibling directory, renamed into place once
@@ -324,61 +328,36 @@ def _write_run(result: RunResult, directory: Path) -> None:
     _write_json(directory / "manifest.json", {"schema": _SCHEMA, "config": result.config})
 
     horizon, k = result.horizon, result.n_agents
-    node_ids = list(map(str, range(result.populations.shape[0])))
     # (t, agent) of each agents.csv row; sharing.csv's rows are those from t = 1
     t, agent = (list(map(str, c.tolist())) for c in (np.repeat(np.arange(horizon + 1), k),
                                                       np.tile(np.arange(k), horizon + 1)))
-
-    _write_table(directory / "nodes.csv", ["node_id", "population", "agent_id"],
-                 (node_ids, _reprs(result.populations),
-                  map(str, np.asarray(result.agent_of, dtype=np.int64).tolist())))
 
     totals = _reprs(result.global_totals)
     _write_table(directory / "global.csv", ["t", "S", "I", "R", "D"],
                  (map(str, range(horizon + 1)), *(totals[c::4] for c in range(4))))
 
     totals = _reprs(result.agent_totals)
-    budgets, beffs = map(_reprs, (result.budgets, result.budgets_effective))
-    _write_table(directory / "agents.csv",
-                 ["t", "agent_id", "S", "I", "R", "D", "budget", "budget_effective"],
-                 (t, agent, *(totals[c::4] for c in range(4)), [""] * k + budgets,
-                  [""] * k + beffs))
+    _write_table(directory / "agents.csv", ["t", "agent_id", "S", "I", "R", "D"],
+                 (t, agent, *(totals[c::4] for c in range(4))))
 
-    for name in _TRACES:
-        np.save(directory / f"{name}.npy",
-                np.ascontiguousarray(getattr(result, name), dtype="<f8"),
-                allow_pickle=False)
-
-    with np.errstate(all="ignore"):  # as a Python float product, no warning
-        b_out = np.multiply(result.budgets, result.sharing_ratios, dtype=float)
     _write_table(directory / "sharing.csv",
-                 ["t", "agent_id", "ratio", "budget_in", "budget_out",
-                  "budget_effective"],
-                 (t[k:], agent[k:], _reprs(result.sharing_ratios), budgets, _reprs(b_out),
-                  beffs))
+                 ["t", "agent_id", "budget", "ratio", "budget_effective"],
+                 (t[k:], agent[k:], *map(_reprs, (result.budgets, result.sharing_ratios,
+                                                  result.budgets_effective))))
 
-    _write_table(directory / "priors.csv", ["node_id", "a", "b"],
-                 (node_ids, *(map(str, np.asarray(p, dtype=np.int64).tolist())
-                              for p in (result.priors_a, result.priors_b))))
-
-
-def _blank_as_nan(field: str) -> float:
-    """A field's number, NaN if it is empty; a NaN in the text does not parse."""
-    if field and math.isnan(value := float(field)):
-        raise ValueError(field)
-    return value if field else math.nan
+    for name, dtype in _ARRAYS.items():
+        np.save(directory / f"{name}.npy",
+                np.ascontiguousarray(getattr(result, name), dtype=dtype), allow_pickle=False)
 
 
-def _read_table(path, ids, columns, blank_as_nan=(), integers=()) -> list[np.ndarray]:
-    """The ``columns`` of a CSV table as arrays over the grid of its ``ids``,
-    given as (name, lo, hi), each cell in one row, in C order, as ``export``
-    writes them. Each id is an integer in its range, and so is each value of
-    an ``integers`` column, given the same way, which comes back as int64;
-    ``blank_as_nan`` columns read an empty field as NaN. Every fault
+def _read_table(path, ids, columns) -> list[np.ndarray]:
+    """The float ``columns`` of a CSV table as arrays over the grid of its
+    ``ids``, given as (name, lo, hi), each cell in one row, in C order, as
+    ``export`` writes them; each id is an integer in its range. Every fault
     raises ValueError naming the file and, where a row is at fault, its line."""
     names = [name for name, _, _ in ids] + list(columns)
-    data = _read_columns(path, {c: _blank_as_nan if c in blank_as_nan else float for c in names})
-    for name, lo, hi in (*ids, *integers):  # in file order
+    data = _read_columns(path, dict.fromkeys(names, float))
+    for name, lo, hi in ids:  # in file order
         values, hi = data[names.index(name)], min(hi, 2 ** 62)  # no float past int64 casts
         bad = np.flatnonzero(~((values >= lo) & (values <= hi) & (values == np.floor(values))))
         if bad.size:
@@ -401,15 +380,16 @@ def _read_table(path, ids, columns, blank_as_nan=(), integers=()) -> list[np.nda
     return [d.reshape(shape) for d in data[len(ids):]]
 
 
-def _read_trace(path, shape, upper) -> np.ndarray:
-    """The float64 array of ``shape`` that ``np.save`` wrote at ``path``
-    (format 1.0, C order), each value v with 0 <= v <= ``upper``, a number or
-    an array of ``shape``. Any fault raises ValueError naming the file.
+def _read_npy(path, shape, dtype, lo, hi) -> np.ndarray:
+    """The array of ``shape`` and ``dtype`` that ``np.save`` wrote at ``path``
+    (format 1.0, C order), each value v with lo <= v <= hi, ``hi`` a number
+    or an array of ``shape``. Any fault raises ValueError naming the file.
 
     The header and the file's length are checked before anything of the size
     the header claims is made; the data is then mapped copy-on-write, so the
     array is writable and a write never reaches the file."""
-    nbytes = 8 * math.prod(shape)
+    dtype = np.dtype(dtype)
+    nbytes = dtype.itemsize * math.prod(shape)
     with open(path, "rb") as fh:
         try:
             with warnings.catch_warnings():
@@ -417,46 +397,36 @@ def _read_trace(path, shape, upper) -> np.ndarray:
                 warnings.simplefilter("error")
                 if (version := np.lib.format.read_magic(fh)) != (1, 0):
                     raise ValueError(f"format version {version} is not 1.0")
-                got, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+                got, fortran_order, descr = np.lib.format.read_array_header_1_0(fh)
         except (ValueError, SyntaxError, TokenError, Warning) as exc:
             # what the reader raises on a cut file or a bad header; some of its
             # messages run over several lines
             raise ValueError(f"{path}: not a readable .npy array "
                              f"({str(exc).splitlines()[0]})") from None
-        if dtype != np.dtype("<f8") or got != shape or fortran_order:
-            raise ValueError(f"{path}: {dtype.str} of shape {got} in {'CF'[fortran_order]} "
-                             f"order, not <f8 of shape {shape} in C order")
+        if descr != dtype or got != shape or fortran_order:
+            raise ValueError(f"{path}: {descr.str} of shape {got} in {'CF'[fortran_order]} "
+                             f"order, not {dtype.str} of shape {shape} in C order")
         offset = fh.tell()
         data = os.fstat(fh.fileno()).st_size - offset
         if data != nbytes:
             raise ValueError(f"{path}: {data} bytes of data, not the {nbytes} of the array")
-        arr = np.memmap(fh, dtype="<f8", mode="c", offset=offset, shape=shape).view(np.ndarray)
+        arr = np.memmap(fh, dtype=dtype, mode="c", offset=offset, shape=shape).view(np.ndarray)
     # min and max are NaN if a value is, and NaN fails every comparison
-    if not (arr.min() >= 0 and (arr.max() <= upper if np.isscalar(upper)
-                                else (arr <= upper).all())):
-        bad = ~((arr >= 0) & (arr <= upper))
-        t, i = np.argwhere(bad)[0]
-        raise ValueError(f"{path}: {float(arr[t, i])!r} of t = {t + 1}, node {i} is "
-                         f"not in [0, {upper if np.isscalar(upper) else 'its bound'}]")
+    if not (arr.min() >= lo and (arr.max() <= hi if np.isscalar(hi) else (arr <= hi).all())):
+        at = tuple(np.argwhere(~((arr >= lo) & (arr <= hi)))[0])
+        where = f"t = {at[0] + 1}, node {at[1]}" if arr.ndim == 2 else f"node {at[0]}"
+        top = repr(hi) if np.isscalar(hi) else "its bound"
+        raise ValueError(f"{path}: {arr[at].item()!r} of {where} is not in [{lo!r}, {top}]")
     return arr
-
-
-def _matches(path, name, got, want, source) -> None:
-    """Raise ValueError naming the file unless ``got`` equals ``want``, NaN == NaN."""
-    bad = np.flatnonzero(~((got == want) | (np.isnan(got) & np.isnan(want))))
-    if bad.size:
-        t, i = divmod(int(bad[0]), got.shape[1])
-        raise ValueError(f"{path}: {name} of t = {t + 1}, id {i} is "
-                         f"{float(got[t, i])!r}, not as in {source}")
 
 
 def _manifest_config(manifest) -> dict:
     """The config of a run manifest, as exported, once ScenarioConfig accepts
     it; it may leave out any field but the sizes that import_result reads."""
     schema = manifest.get("schema") if isinstance(manifest, dict) else None
-    if schema == 1:
-        raise ValueError(f"schema 1 predates schema {_SCHEMA}, which holds the traces "
-                         "as .npy files; simulate the run again")
+    if schema in (1, 2):
+        raise ValueError(f"schema {schema} predates schema {_SCHEMA}, which holds every "
+                         "per-node array as a .npy file; simulate the run again")
     if schema != _SCHEMA:
         raise ValueError(f"schema {schema!r} is not {_SCHEMA}")
     config = manifest.get("config")
@@ -471,61 +441,37 @@ def import_result(directory) -> RunResult:
 
     The directory must be as ``export`` writes it: a wrong schema, a missing
     column, a field that does not parse, a row out of place, missing or
-    extra, a t = 0 budget that is not empty, a column that disagrees with the
-    table it repeats, or a trace that ``_read_trace`` refuses raises
-    ValueError naming the file.
+    extra, or a .npy array that ``_read_npy`` refuses raises ValueError
+    naming the file.
 
-    The four traces are copy-on-write maps of the directory's .npy files: the
+    The .npy arrays are copy-on-write maps of the directory's files: the
     directory may be replaced (``export`` renames a new one into place) while
     the result is in use, but a .npy file must not be cut short in place.
     """
     directory = Path(directory)
     config = _read_json(directory / "manifest.json", _manifest_config)
     horizon, k, n = (config[key] for key in _SIZES)
-    nodes = [("node_id", 0, n - 1)]
-
-    path = directory / "nodes.csv"
-    populations, agents = _read_table(path, nodes, ["population", "agent_id"],
-                                      integers=[("agent_id", 0, k - 1)])
+    agents = ("agent_id", 0, k - 1)
 
     global_totals = np.stack(_read_table(directory / "global.csv", [("t", 0, horizon)],
                                          ["S", "I", "R", "D"]), axis=-1)
+    agent_totals = np.stack(_read_table(directory / "agents.csv", [("t", 0, horizon), agents],
+                                        ["S", "I", "R", "D"]), axis=-1)
+    budgets, ratios, budgets_eff = _read_table(directory / "sharing.csv",
+                                               [("t", 1, horizon), agents],
+                                               ["budget", "ratio", "budget_effective"])
 
-    path = directory / "agents.csv"
-    *totals, budgets, budgets_eff = _read_table(
-        path, [("t", 0, horizon), ("agent_id", 0, k - 1)],
-        ["S", "I", "R", "D", "budget", "budget_effective"],
-        blank_as_nan=("budget", "budget_effective"))
-    wrong = np.isnan([budgets, budgets_eff]) != (np.arange(horizon + 1) == 0)[:, None]
-    if (bad := np.flatnonzero(wrong.any(axis=0))).size:
-        raise ValueError(f"{path}: the budgets on line {_line_of(path, bad[0])} must be "
-                         f"{'empty at t = 0' if bad[0] < k else 'numbers after t = 0'}")
-
-    shape = (horizon, n)
-    bounds = _read_trace(directory / "bounds.npy", shape, 1.0)
-    allocations = _read_trace(directory / "allocations.npy", shape, bounds)
-    theta_hat, theta_obs = (_read_trace(directory / f"{name}.npy", shape, 1.0)
-                            for name in ("theta_hat", "theta_obs"))
-
-    path = directory / "sharing.csv"
-    ratios, b_in, b_out, b_eff = _read_table(
-        path, [("t", 1, horizon), ("agent_id", 0, k - 1)],
-        ["ratio", "budget_in", "budget_out", "budget_effective"])
-    _matches(path, "budget_in", b_in, budgets[1:], "agents.csv")
-    _matches(path, "budget_effective", b_eff, budgets_eff[1:], "agents.csv")
-    with np.errstate(all="ignore"):  # as the export's Python product, no warning
-        _matches(path, "budget_out", b_out, b_in * ratios, "budget_in * ratio")
-
-    path = directory / "priors.csv"
-    priors_a, priors_b = _read_table(path, nodes, ["a", "b"],
-                                     integers=[("a", 0, 2 ** 53), ("b", 0, 2 ** 53)])
-
-    return RunResult(
-        config=config, populations=populations, agent_of=agents,
-        global_totals=global_totals, agent_totals=np.stack(totals, axis=-1),
-        budgets=budgets[1:], budgets_effective=budgets_eff[1:],
-        allocations=allocations, theta_hat=theta_hat, theta_obs=theta_obs,
-        bounds=bounds, sharing_ratios=ratios, priors_a=priors_a, priors_b=priors_b)
+    def array(name, lo, hi):
+        shape = (horizon, n) if name in _TRACES else (n,)
+        return _read_npy(directory / f"{name}.npy", shape, _ARRAYS[name], lo, hi)
+    bounds = array("bounds", 0, 1.0)
+    return RunResult(  # a population is positive and finite
+        config=config, populations=array("populations", math.ulp(0.0), sys.float_info.max),
+        agent_of=array("agent_of", 0, k - 1), global_totals=global_totals,
+        agent_totals=agent_totals, budgets=budgets, budgets_effective=budgets_eff,
+        allocations=array("allocations", 0, bounds), theta_hat=array("theta_hat", 0, 1.0),
+        theta_obs=array("theta_obs", 0, 1.0), bounds=bounds, sharing_ratios=ratios,
+        priors_a=array("priors_a", 0, 2 ** 53), priors_b=array("priors_b", 0, 2 ** 53))
 
 
 def export_gains(report: GainReport, path) -> None:

@@ -154,7 +154,12 @@ class FlowMatrix:
         if np.any(empty):
             raise ValueError(f"node {int(np.flatnonzero(empty)[0])} lies in an "
                              "airport polygon of zero population")
-        denom = polygon_pop[:, None] + polygon_pop[None, :]
+        with np.errstate(over="ignore"):  # refused below if not finite
+            denom = polygon_pop[:, None] + polygon_pop[None, :]
+        if (bad := np.argwhere(denom == math.inf)).size:
+            a, b = bad[0]
+            raise ValueError(f"the population of airport polygon {a} plus that of polygon "
+                             f"{b} is inf, past the float range")
         # a pair of slots without nodes has no flow to carry
         self.h = np.divide(self.g, denom, out=np.zeros_like(self.g), where=denom > 0)
         self._slot_keys: dict[int, np.ndarray] = {}
@@ -393,9 +398,13 @@ def radiation_flows(nodes: Nodes, neighborhoods: tuple[np.ndarray, np.ndarray],
     # S_i, summed row by row of a (nodes x k) gather for each degree k: numpy
     # sums a row in the same pairwise order as the 1-D pop[nbr].sum()
     s = np.zeros(n)
-    for k in np.unique(counts[counts > 0]):
-        at = np.flatnonzero(counts == k)
-        s[at] = pop[indices[indptr[at][:, None] + np.arange(k)]].sum(axis=1)
+    with np.errstate(over="ignore"):  # refused below if not finite
+        for k in np.unique(counts[counts > 0]):
+            at = np.flatnonzero(counts == k)
+            s[at] = pop[indices[indptr[at][:, None] + np.arange(k)]].sum(axis=1)
+    if (bad := np.flatnonzero(s == math.inf)).size:
+        raise ValueError(f"the population around node {bad[0]} sums to inf, past the "
+                         "float range")
     rows = np.repeat(np.arange(n), counts)
     with np.errstate(all="ignore"):  # FlowMatrix refuses a flow that is not finite
         # float_power squares with pow, as the scalar P_i ** 2 does; the array

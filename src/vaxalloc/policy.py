@@ -81,18 +81,20 @@ def _fill(x: np.ndarray, order: np.ndarray, caps: np.ndarray, costs: np.ndarray,
     in the loop's order, so every remainder is the loop's bit for bit."""
     floor = dust * budget
     remains = np.subtract.accumulate(np.concatenate(([budget], caps * costs)))
-    full = (remains[:-1] / costs >= caps) & (remains[1:] > floor)
-    k = int(np.argmin(full)) if not full.all() else full.size
-    x[order[:k]] += caps[:k]
-    remaining = remains[k]
-    for j in range(k, order.size):
-        take = min(caps[j], remaining / costs[j])
-        if take <= dust:
-            continue
-        x[order[j]] += take
-        remaining -= take * costs[j]
-        if remaining <= floor:
-            break
+    # a remainder over a tiny cost may overflow to inf: it buys the whole cap
+    with np.errstate(over="ignore"):
+        full = (remains[:-1] / costs >= caps) & (remains[1:] > floor)
+        k = int(np.argmin(full)) if not full.all() else full.size
+        x[order[:k]] += caps[:k]
+        remaining = remains[k]
+        for j in range(k, order.size):
+            take = min(caps[j], remaining / costs[j])
+            if take <= dust:
+                continue
+            x[order[j]] += take
+            remaining -= take * costs[j]
+            if remaining <= floor:
+                break
 
 
 def _fill_agents(x: np.ndarray, order: np.ndarray, agents: np.ndarray, caps: np.ndarray,

@@ -88,7 +88,11 @@ def redistribute(budgets: np.ndarray, ratios: np.ndarray, infected_flows: np.nda
     if not np.all(budgets >= 0):
         raise ValueError("budgets must be nonnegative")
     offered = budgets * ratios
-    weights = infected_flows / capacities[:, None]  # [receiver, offerer]
+    with np.errstate(over="ignore"):  # refused below if not finite
+        weights = infected_flows / capacities[:, None]  # [receiver, offerer]
+    if (bad := np.argwhere(weights == np.inf)).size:
+        raise ValueError(f"the infected flow into agent {bad[0][0]} over its capacity "
+                         f"{float(capacities[bad[0][0]])!r} is past the float range")
     denom = weights.sum(axis=0)
     out = budgets * (1.0 - ratios)
     live = denom > 0

@@ -534,29 +534,35 @@ def step_vaccinated_three_products(state, params, net, x, theta_obs):
     return s1, i1, r1, d1
 
 
-def write_npy(path, arr):
-    """A float64 array as a .npy 1.0 file built by hand: the magic string,
-    the header length, the header dict padded with spaces to a multiple of 64
-    bytes with its newline, then the little-endian C-order values."""
-    header = f"{{'descr': '<f8', 'fortran_order': False, 'shape': {arr.shape!r}, }}"
+def write_npy(path, arr, descr="<f8"):
+    """An array as a .npy 1.0 file of ``descr`` (little-endian float64 or
+    int64) built by hand: the magic string, the header length, the header
+    dict padded with spaces to a multiple of 64 bytes with its newline, then
+    the C-order values."""
+    header = f"{{'descr': '{descr}', 'fortran_order': False, 'shape': {arr.shape!r}, }}"
     header += " " * (-(len(header) + 11) % 64) + "\n"
     with open(path, "wb") as fh:
         fh.write(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header))
-                 + header.encode("latin1") + arr.astype("<f8").tobytes())
+                 + header.encode("latin1") + arr.astype(descr).tobytes())
 
 
-def read_npy(path):
-    """The array of a .npy 1.0 file of little-endian float64 in C order, read
-    by hand. It checks nothing."""
+def read_npy(path, descr="<f8"):
+    """The array of a .npy 1.0 file of ``descr`` (little-endian float64 or
+    int64) in C order, read by hand, in native byte order. It checks nothing."""
     data = Path(path).read_bytes()
     size = struct.unpack("<H", data[8:10])[0]
     shape = ast.literal_eval(data[10:10 + size].decode("latin1"))["shape"]
-    return np.frombuffer(data[10 + size:], dtype="<f8").astype(float).reshape(shape)
+    return np.frombuffer(data[10 + size:], dtype=descr).astype(descr[1:]).reshape(shape)
+
+
+# the .npy files of a run directory and their dtypes
+RUN_ARRAYS = {"allocations": "<f8", "theta_hat": "<f8", "theta_obs": "<f8", "bounds": "<f8",
+              "populations": "<f8", "agent_of": "<i8", "priors_a": "<i8", "priors_b": "<i8"}
 
 
 def export_rows(result, directory):
     """Run export one csv row and one numpy-scalar lookup per cell, with the
-    traces through write_npy: the writer that harness.export must match byte
+    arrays through write_npy: the writer that harness.export must match byte
     for byte."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -566,7 +572,6 @@ def export_rows(result, directory):
         fh.write("\n")
     horizon = result.horizon
     k = result.n_agents
-    n = result.populations.shape[0]
 
     def table(name, header):
         fh = open(directory / name, "w", newline="", encoding="utf-8")
@@ -574,46 +579,29 @@ def export_rows(result, directory):
         w.writerow(header)
         return fh, w
 
-    fh, w = table("nodes.csv", ["node_id", "population", "agent_id"])
-    with fh:
-        for i in range(n):
-            w.writerow([i, repr(float(result.populations[i])),
-                        int(result.agent_of[i])])
     fh, w = table("global.csv", ["t", "S", "I", "R", "D"])
     with fh:
         for ti, row in zip(range(horizon + 1), result.global_totals):
             w.writerow([ti] + [repr(float(v)) for v in row])
-    fh, w = table("agents.csv", ["t", "agent_id", "S", "I", "R", "D", "budget",
-                                 "budget_effective"])
+    fh, w = table("agents.csv", ["t", "agent_id", "S", "I", "R", "D"])
     with fh:
         for t in range(horizon + 1):
             for a in range(k):
-                budget = repr(float(result.budgets[t - 1, a])) if t >= 1 else ""
-                beff = (repr(float(result.budgets_effective[t - 1, a]))
-                        if t >= 1 else "")
-                w.writerow([t, a] + [repr(float(v)) for v in result.agent_totals[t, a]]
-                           + [budget, beff])
-    for name in ("allocations", "theta_hat", "theta_obs", "bounds"):
-        write_npy(directory / f"{name}.npy", getattr(result, name))
-    fh, w = table("sharing.csv", ["t", "agent_id", "ratio", "budget_in",
-                                  "budget_out", "budget_effective"])
+                w.writerow([t, a] + [repr(float(v)) for v in result.agent_totals[t, a]])
+    fh, w = table("sharing.csv", ["t", "agent_id", "budget", "ratio", "budget_effective"])
     with fh:
         for t in range(1, horizon + 1):
             row = t - 1
             for a in range(k):
-                ratio = float(result.sharing_ratios[row, a])
-                b_in = float(result.budgets[row, a])
-                w.writerow([t, a, repr(ratio), repr(b_in), repr(b_in * ratio),
-                            repr(float(result.budgets_effective[row, a]))])
-    fh, w = table("priors.csv", ["node_id", "a", "b"])
-    with fh:
-        for i in range(n):
-            w.writerow([i, int(result.priors_a[i]), int(result.priors_b[i])])
+                w.writerow([t, a] + [repr(float(getattr(result, name)[row, a])) for name in
+                                     ("budgets", "sharing_ratios", "budgets_effective")])
+    for name, descr in RUN_ARRAYS.items():
+        write_npy(directory / f"{name}.npy", getattr(result, name), descr)
 
 
 def import_result_rows(directory):
     """Run import through csv.DictReader and float() per field, one row at a
-    time, with the traces through read_npy: the reader that
+    time, with the arrays through read_npy: the reader that
     harness.import_result must match bit for bit and dtype for dtype. It
     checks nothing."""
     directory = Path(directory)
@@ -626,39 +614,26 @@ def import_result_rows(directory):
         with open(directory / name, newline="", encoding="utf-8") as fh:
             return list(csv.DictReader(fh))
 
-    nodes = rows("nodes.csv")
-    n = len(nodes)
-    populations = np.array([float(r["population"]) for r in nodes])
-    agent_of = np.array([int(r["agent_id"]) for r in nodes], dtype=int)
     global_totals = np.zeros((horizon + 1, 4))
     for r in rows("global.csv"):
         global_totals[int(r["t"])] = [float(r[c]) for c in ("S", "I", "R", "D")]
     agent_totals = np.zeros((horizon + 1, k, 4))
-    budgets = np.zeros((horizon, k))
-    budgets_eff = np.zeros((horizon, k))
     for r in rows("agents.csv"):
-        t, a = int(r["t"]), int(r["agent_id"])
-        agent_totals[t, a] = [float(r[c]) for c in ("S", "I", "R", "D")]
-        if t >= 1:
-            budgets[t - 1, a] = float(r["budget"])
-            budgets_eff[t - 1, a] = float(r["budget_effective"])
-    allocations, theta_hat, theta_obs, bounds = (
-        read_npy(directory / f"{name}.npy")
-        for name in ("allocations", "theta_hat", "theta_obs", "bounds"))
+        agent_totals[int(r["t"]), int(r["agent_id"])] = [float(r[c])
+                                                         for c in ("S", "I", "R", "D")]
+    budgets = np.zeros((horizon, k))
     ratios = np.zeros((horizon, k))
+    budgets_eff = np.zeros((horizon, k))
     for r in rows("sharing.csv"):
-        ratios[int(r["t"]) - 1, int(r["agent_id"])] = float(r["ratio"])
-    priors_a = np.zeros(n, dtype=np.int64)
-    priors_b = np.zeros(n, dtype=np.int64)
-    for r in rows("priors.csv"):
-        priors_a[int(r["node_id"])] = int(r["a"])
-        priors_b[int(r["node_id"])] = int(r["b"])
+        t, a = int(r["t"]) - 1, int(r["agent_id"])
+        budgets[t, a] = float(r["budget"])
+        ratios[t, a] = float(r["ratio"])
+        budgets_eff[t, a] = float(r["budget_effective"])
+    arrays = {name: read_npy(directory / f"{name}.npy", descr)
+              for name, descr in RUN_ARRAYS.items()}
     return RunResult(
-        config=config, populations=populations, agent_of=agent_of,
-        global_totals=global_totals, agent_totals=agent_totals,
-        budgets=budgets, budgets_effective=budgets_eff, allocations=allocations,
-        theta_hat=theta_hat, theta_obs=theta_obs, bounds=bounds,
-        sharing_ratios=ratios, priors_a=priors_a, priors_b=priors_b)
+        config=config, global_totals=global_totals, agent_totals=agent_totals,
+        budgets=budgets, budgets_effective=budgets_eff, sharing_ratios=ratios, **arrays)
 
 
 # ---------------------------------------------------------------------------

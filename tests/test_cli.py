@@ -379,7 +379,9 @@ def test_nan_world_exits_1(tmp_path, capsys, command):
 
 # worlds that simulate refuses although their configs pass the checks: outflows
 # near the subnormal range, whose agent coupling overflows; a grid whose
-# distances overflow; an airport count past the float range
+# distances overflow; an airport count past the float range; populations whose
+# neighbourhood or airport-polygon sums overflow; a capacity so small that the
+# infected flow over it overflows
 REFUSED_WORLDS = {
     "subnormal outflows, ts": ({"n_nodes": 200, "commute_fraction": 5e-324,
                                 "air_fraction": 5e-324, "policy": "ts"}, "agent coupling"),
@@ -391,6 +393,16 @@ REFUSED_WORLDS = {
     "airports past the float range": ({"n_nodes": 10, "n_agents": 1,
                                        "airport_density": 1.7976931348623157e308},
                                       "more airports than nodes"),
+    "neighbourhood population past the float range": (
+        {"n_nodes": 9, "n_agents": 2, "horizon": 3, "pop_median": 5e307, "pop_sigma": 0.0,
+         "air_fraction": 0.0}, "the population around node 0 sums to inf"),
+    "polygon populations past the float range": (
+        {"n_nodes": 2, "n_agents": 2, "horizon": 3, "pop_median": 8e307, "pop_sigma": 0.0},
+        "the population of airport polygon 0 plus that of polygon 0 is inf"),
+    "infected flow over a capacity past the float range": (
+        {"n_nodes": 20, "n_agents": 2, "horizon": 3, "sharing": True,
+         "capacities": [1e-323, 0.5]},
+        "the infected flow into agent 0 over its capacity 1e-323 is past the float range"),
 }
 
 
@@ -685,16 +697,16 @@ def _edit_manifest(path, edit):
     path.write_text(json.dumps(manifest))
 
 
-def _edit_trace(path, edit):
+def _edit_npy(path, edit):
     arr = np.load(path)
     np.save(path, edit(arr))
 
 
 def _set_value(path, value):
     def edit(arr):
-        arr[0, 0] = value
+        arr.flat[0] = value
         return arr
-    _edit_trace(path, edit)
+    _edit_npy(path, edit)
 
 
 def _npy_header(path):
@@ -746,6 +758,8 @@ BAD_RUNS = {
                lambda p: _edit_manifest(p, lambda m: m.update(schema=99))),
     "schema 1": ("manifest.json",
                  lambda p: _edit_manifest(p, lambda m: m.update(schema=1))),
+    "schema 2": ("manifest.json",
+                 lambda p: _edit_manifest(p, lambda m: m.update(schema=2))),
     "config lacks n_nodes": ("manifest.json", lambda p: _edit_manifest(
         p, lambda m: m["config"].pop("n_nodes"))),
     "horizon 3.7": ("manifest.json", lambda p: _edit_manifest(
@@ -764,7 +778,6 @@ BAD_RUNS = {
         p, lambda m: m.update(config=[6, 2, 40]))),
     "manifest nested too deep": ("manifest.json",
                                  lambda p: p.write_text("[" * 100_000 + "]" * 100_000)),
-    "node out of range": ("priors.csv", lambda p: _set_field(p, 1, 0, "40")),
     "period 0": ("sharing.csv", lambda p: _set_field(p, 1, 0, "0")),
     "cut in half": ("sharing.csv", _cut_in_half),
     "row missing": ("sharing.csv", lambda p: _edit_lines(p, lambda ls: ls.pop(-2))),
@@ -772,24 +785,27 @@ BAD_RUNS = {
                   lambda p: _edit_lines(p, lambda ls: ls.insert(1, ls[1]))),
     "row extra": ("global.csv", lambda p: _edit_lines(p, lambda ls: ls.insert(-1, ls[-2]))),
     "rows in reverse order": ("agents.csv", _reverse_rows),
-    "column missing": ("sharing.csv", lambda p: _set_field(p, 0, 5, "eff")),
+    "column missing": ("sharing.csv", lambda p: _set_field(p, 0, 4, "eff")),
     "field unparsable": ("sharing.csv", lambda p: _set_field(p, 1, 3, "abc")),
     "not UTF-8 before the header": ("sharing.csv",
                                     lambda p: p.write_bytes(b"\xff" + p.read_bytes())),
     "not UTF-8 in a row": ("sharing.csv",
                            lambda p: p.write_bytes(p.read_bytes() + b"1,0,\xff\r\n")),
-    "agent out of range": ("nodes.csv", lambda p: _set_field(p, 1, 2, "2")),
-    "budget empty": ("agents.csv", lambda p: _set_field(p, 3, 6, "")),
-    "budget at t = 0": ("agents.csv", lambda p: _set_field(p, 1, 6, "123.0")),
-    "budget NaN at t = 0": ("agents.csv", lambda p: _set_field(p, 2, 7, "nan")),
-    "prior not an integer": ("priors.csv", lambda p: _set_field(p, 1, 1, "2.5")),
-    "budget_out not budget_in * ratio": ("sharing.csv",
-                                         lambda p: _set_field(p, 1, 4, "-1e9")),
+    "budget empty": ("sharing.csv", lambda p: _set_field(p, 3, 2, "")),
+    "populations missing": ("populations.npy", lambda p: p.unlink()),
+    "population 0": ("populations.npy", lambda p: _set_value(p, 0.0)),
+    "agent out of range": ("agent_of.npy", lambda p: _set_value(p, 2)),
+    "agent_of float": ("agent_of.npy",
+                       lambda p: _edit_npy(p, lambda a: a.astype(np.float64))),
+    "prior not an integer": ("priors_a.npy",
+                             lambda p: _edit_npy(p, lambda a: a.astype(np.float64))),
+    "node out of range": ("priors_b.npy", lambda p: _edit_npy(p, lambda a: np.append(a, 1))),
+    "prior past 2**53": ("priors_b.npy", lambda p: _set_value(p, 2 ** 53 + 1)),
     "trace missing": ("theta_obs.npy", lambda p: p.unlink()),
     "trace cut in half": ("allocations.npy", _cut_in_half),
     "trace float32": ("theta_hat.npy",
-                      lambda p: _edit_trace(p, lambda a: a.astype(np.float32))),
-    "trace shape": ("bounds.npy", lambda p: _edit_trace(p, lambda a: a[:, :-1])),
+                      lambda p: _edit_npy(p, lambda a: a.astype(np.float32))),
+    "trace shape": ("bounds.npy", lambda p: _edit_npy(p, lambda a: a[:, :-1])),
     "trace NaN": ("theta_obs.npy", lambda p: _set_value(p, np.nan)),
     "trace negative": ("theta_hat.npy", lambda p: _set_value(p, -1e-300)),
     "x over its bound": ("allocations.npy", lambda p: _set_value(
@@ -804,7 +820,7 @@ BAD_RUNS = {
     "trace header of T x 10**12": ("theta_hat.npy", _claim_shape(lambda t, n: (t, 10 ** 12))),
     "trace header of 10**12 x 10**12": ("theta_obs.npy",
                                         _claim_shape(lambda t, n: (10 ** 12, 10 ** 12))),
-    "trace one row short": ("allocations.npy", lambda p: _edit_trace(p, lambda a: a[:-1])),
+    "trace one row short": ("allocations.npy", lambda p: _edit_npy(p, lambda a: a[:-1])),
     # what np.load reads but np.save does not write for a (T, n) float64 array
     "trace in Fortran order": ("bounds.npy",
                                lambda p: np.save(p, np.asfortranarray(np.load(p)))),
@@ -814,19 +830,22 @@ BAD_RUNS = {
 
 # the line and the field or byte that a fault in a line of a run table is named by
 RUN_LINE_FAULTS = {
-    "field unparsable": "'abc' on line 2, column budget_in, is not a number",
+    "field unparsable": "'abc' on line 2, column ratio, is not a number",
+    "column missing": "header lacks column budget_effective",
+    "schema 2": "schema 2 predates schema 3",
     "not UTF-8 before the header": "byte 0xff on line 1 is not UTF-8 text",
     "horizon 3.7": "horizon must be an integer, got 3.7",
     "horizon true": "horizon must be an integer, got True",
-    "agent out of range": "agent_id = 2 on line 2 is not an integer in 0..1",
-    "prior not an integer": "a = 2.5 on line 2 is not an integer in 0..9007199254740992",
+    "population 0": "0.0 of node 0 is not in [5e-324, 1.7976931348623157e+308]",
+    "agent out of range": "2 of node 0 is not in [0, 1]",
+    "prior not an integer": "<f8 of shape (40,) in C order, not <i8 of shape (40,) in C order",
+    "node out of range": "<i8 of shape (41,) in C order, not <i8 of shape (40,) in C order",
+    "prior past 2**53": "9007199254740993 of node 0 is not in [0, 9007199254740992]",
     "row missing": "the table ends before the row for t=6, agent_id=1",
     "row twice": "the row on line 3 is not the row for t=1, agent_id=1",
     "row extra": "the row on line 9 is not the row for any of the grid's 7 cells",
     "rows in reverse order": "the row on line 2 is not the row for t=0, agent_id=0",
-    "budget empty": "the budgets on line 4 must be numbers after t = 0",
-    "budget at t = 0": "the budgets on line 2 must be empty at t = 0",
-    "budget NaN at t = 0": "'nan' on line 3, column budget_effective, is not a number",
+    "budget empty": "'' on line 4, column budget, is not a number",
     "trace in Fortran order": "<f8 of shape (6, 40) in F order, not <f8 of shape (6, 40) in C",
     "trace with a 2.0 header": "format version (2, 0) is not 1.0",
 }
@@ -910,13 +929,25 @@ def test_gains_corrupted_manifest(tiny_run, key, value):
         assert err.startswith("error: ") and "manifest.json" in err
 
 
-def _valid_traces(directory, shape) -> bool:
-    """Whether the four traces in ``directory`` may be what import_result
-    accepts, judged by np.load: <f8 arrays of ``shape`` that end their files,
-    with 0 <= x <= bound <= 1 and 0 <= theta <= 1. Import also asks for the
-    format 1.0 header in C order that np.save writes."""
+# the least and the greatest value of each .npy array of the tiny run (K = 2),
+# the allocations' greatest being their bounds
+_RANGES = {**dict.fromkeys(harness._TRACES, (0.0, 1.0)),
+           "populations": (5e-324, sys.float_info.max), "agent_of": (0, 1),
+           "priors_a": (0, 2 ** 53), "priors_b": (0, 2 ** 53)}
+
+
+def _shape(name, horizon=3, n=20) -> tuple:
+    return (horizon, n) if name in harness._TRACES else (n,)
+
+
+def _valid_arrays(directory) -> bool:
+    """Whether the eight .npy arrays of the tiny run in ``directory`` may be
+    what import_result accepts, judged by np.load: arrays of their dtype and
+    shape that end their files, each value in its range, NaN in none, and
+    x <= bound. Import also asks for the format 1.0 header in C order that
+    np.save writes."""
     arrays = {}
-    for name in harness._TRACES:
+    for name, descr in harness._ARRAYS.items():
         path = directory / f"{name}.npy"
         try:
             with open(path, "rb") as fh:
@@ -924,28 +955,32 @@ def _valid_traces(directory, shape) -> bool:
                 ends = fh.tell() == path.stat().st_size
         except Exception:
             return False
-        if not (isinstance(arr, np.ndarray) and arr.dtype.str == "<f8"
-                and arr.shape == shape and ends):
+        if not (isinstance(arr, np.ndarray) and arr.dtype.str == descr
+                and arr.shape == _shape(name) and ends):
             return False
         arrays[name] = arr
-    in_unit = all(((a >= 0) & (a <= 1)).all() for a in arrays.values())
-    return in_unit and bool((arrays["allocations"] <= arrays["bounds"]).all())
+    in_range = all(((a >= _RANGES[name][0]) & (a <= _RANGES[name][1])).all()
+                   for name, a in arrays.items())
+    return in_range and bool((arrays["allocations"] <= arrays["bounds"]).all())
 
 
 # one corruption of a .npy file: cut at a byte, a header byte set, bytes
 # appended, a new header over the old data (cut to the size it claims if
-# "fit"), or one entry set to a value out of its range
-_SHAPES = (st.just((3, 20)) | st.just((20, 3)) | st.just((2, 20))
+# "fit"), or one entry set to a value out of its range ("under", "over") or
+# to a float, which makes an integer array one of float64
+_SHAPES = (st.just((3, 20)) | st.just((20, 3)) | st.just((2, 20)) | st.just((20,))
+           | st.just((19,)) | st.just((3,))
            | st.lists(st.integers(-2, 10 ** 13), max_size=3).map(tuple))
-_DESCRS = st.sampled_from(["<f8", ">f8", "=f8", "<f4", "<i8", "|b1", "<c16", "|V8",
-                           "<U2", "O", [("x", "<f8")]])
+_DESCRS = st.sampled_from(["<f8", ">f8", "=f8", "<f4", "<i8", ">i8", "<u8", "<i4", "|b1",
+                           "<c16", "|V8", "<U2", "O", [("x", "<f8")]])
 _MUTATIONS = st.one_of(
     st.tuples(st.just("cut"), st.integers(0, 10 ** 4)),
     st.tuples(st.just("header byte"), st.integers(0, 127), st.integers(0, 255)),
     st.tuples(st.just("append"), st.binary(min_size=1, max_size=64)),
     st.tuples(st.just("header"), _SHAPES, _DESCRS, st.booleans(), st.booleans()),
     st.tuples(st.just("value"), st.integers(0, 59),
-              st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, "over"])))
+              st.sampled_from([math.nan, math.inf, -math.inf, -5e-324, 0.5, "under",
+                               "over"])))
 
 
 def _mutate(path, mutation, upper) -> None:
@@ -967,37 +1002,64 @@ def _mutate(path, mutation, upper) -> None:
     else:
         index, value = args
         arr = np.load(path)
-        t, i = divmod(index, arr.shape[1])
-        arr[t, i] = np.nextafter(upper[t, i], np.inf) if value == "over" else value
+        i = index % arr.size
+        lowest = _RANGES[path.stem][0]
+        if value == "under":
+            value = np.nextafter(lowest, -np.inf) if arr.dtype.kind == "f" else lowest - 1
+        elif value == "over":
+            with np.errstate(over="ignore"):  # past the greatest float is inf
+                top = upper.flat[i]
+                value = np.nextafter(top, np.inf) if arr.dtype.kind == "f" else top + 1
+        elif arr.dtype.kind == "i":
+            arr = arr.astype(np.float64)
+        arr.flat[i] = value
         np.save(path, arr)
 
 
 @pytest.fixture(scope="module")
-def tiny_traces(tiny_run):
-    """The tiny run, and a copy of it whose traces a test may corrupt."""
+def tiny_arrays(tiny_run):
+    """The tiny run, and a copy of it whose .npy arrays a test may corrupt."""
     good, _ = tiny_run
-    bad = good.parent / "traces"
+    bad = good.parent / "arrays"
     shutil.copytree(good, bad)
     return good, bad
 
 
-@settings(max_examples=150, deadline=None)
-@given(name=st.sampled_from(harness._TRACES), mutation=_MUTATIONS)
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(list(harness._ARRAYS)), mutation=_MUTATIONS)
 # headers that claim far more than the file holds, and one row short
 @example(name="theta_hat", mutation=("header", (3, 10 ** 12), "<f8", False, False))
 @example(name="theta_obs", mutation=("header", (10 ** 12, 10 ** 12), "<f8", False, False))
 @example(name="allocations", mutation=("header", (2, 20), "<f8", False, True))
+@example(name="priors_a", mutation=("header", (10 ** 15,), "<i8", False, False))
 # the same data in Fortran order, or under a 2.0 header: np.load reads both, import neither
 @example(name="theta_hat", mutation=("header", (3, 20), "<f8", False, False))
 @example(name="theta_hat", mutation=("header", (3, 20), "<f8", True, False))
-def test_gains_corrupted_trace(tiny_traces, name, mutation):
-    """`gains` on a run with one .npy trace corrupted: exit 0 or 1, at most
-    one stderr line, which names the file, no warning, and exit 0 only if the
-    traces are still valid by np.load's reading of them."""
-    good, bad = tiny_traces
+# a wrong dtype over the same bytes, a wrong shape, a cut file, values out of
+# range and NaN in each per-node array
+@example(name="populations", mutation=("header", (20,), "<i8", False, True))
+@example(name="agent_of", mutation=("header", (20,), "<f8", False, True))
+@example(name="priors_b", mutation=("header", (19,), "<i8", False, True))
+@example(name="agent_of", mutation=("cut", 150))
+@example(name="populations", mutation=("value", 3, "under"))
+@example(name="populations", mutation=("value", 4, "over"))
+@example(name="populations", mutation=("value", 5, math.nan))
+@example(name="agent_of", mutation=("value", 6, "over"))
+@example(name="agent_of", mutation=("value", 7, "under"))
+@example(name="agent_of", mutation=("value", 8, math.nan))
+@example(name="priors_a", mutation=("value", 9, "over"))
+@example(name="priors_b", mutation=("value", 10, "under"))
+@example(name="priors_a", mutation=("value", 11, math.nan))
+def test_gains_corrupted_trace(tiny_arrays, name, mutation):
+    """`gains` on a run with one .npy array corrupted, a trace or a per-node
+    array: exit 0 or 1, at most one stderr line, which names the file, no
+    warning, and exit 0 only if the arrays are still valid by np.load's
+    reading of them."""
+    good, bad = tiny_arrays
     path = bad / f"{name}.npy"
     shutil.copyfile(good / path.name, path)
-    upper = np.load(good / "bounds.npy") if name == "allocations" else np.ones((3, 20))
+    upper = (np.load(good / "bounds.npy") if name == "allocations"
+             else np.full(_shape(name), _RANGES[name][1]))
     _mutate(path, mutation, upper)
     err = io.StringIO()
     try:
@@ -1010,7 +1072,7 @@ def test_gains_corrupted_trace(tiny_traces, name, mutation):
         if rc == 1:
             assert err.startswith("error: ") and path.name in err
         else:
-            assert _valid_traces(bad, (3, 20))
+            assert _valid_arrays(bad)
     finally:
         shutil.copyfile(good / path.name, path)
 
@@ -1052,11 +1114,21 @@ def _configs(draw):
 @example(config={"n_nodes": 200, "pop_median": 1e200, "air_fraction": 0.0})
 @example(config={"n_nodes": 10, "n_agents": 1, "grid_spacing_km": 5.992310449541053e307})
 @example(config={"n_nodes": 10, "n_agents": 1, "airport_density": 1.7976931348623157e308})
+@example(config={"n_nodes": 9, "n_agents": 2, "horizon": 3, "pop_median": 5e307,
+                 "pop_sigma": 0.0, "air_fraction": 0.0})
+@example(config={"n_nodes": 2, "n_agents": 2, "horizon": 3, "pop_median": 8e307,
+                 "pop_sigma": 0.0})
+@example(config={"n_nodes": 20, "n_agents": 2, "horizon": 3, "sharing": True,
+                 "capacities": [1e-323, 0.5]})
+@example(config={"n_nodes": 2, "n_agents": 1, "horizon": 1, "policy": "ts",
+                 "pop_median": 0.21875, "capacity_sigma": 38.0,
+                 "budget_multiplier": 8.409881327460952e307})
 def test_simulate_fuzz(config):
     """`simulate` on any config the checks accept: exit 0, 1 or 2, at most
-    one stderr line, no warning; an exit 0 imports back with finite totals,
-    and an exit 2 comes only from an instance with max beta + rho > 1,
-    max gamma + rho > 1 or rho > 1 (the README's exit codes)."""
+    one stderr line, no warning; an exit 1 names its fault, not a bare numpy
+    floating-point message; an exit 0 imports back with finite totals, and
+    an exit 2 comes only from an instance with max beta + rho > 1, max
+    gamma + rho > 1 or rho > 1 (the README's exit codes)."""
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "run"
         path.write_text(json.dumps(config))
@@ -1067,6 +1139,7 @@ def test_simulate_fuzz(config):
             rc = main(["simulate", "--config", str(path), "--out", str(out)])
             err = err.getvalue()
             assert rc in (0, 1, 2) and err.count("\n") == (rc != 0)
+            assert " encountered in " not in err, err
             if rc == 0:
                 res = harness.import_result(out)
                 assert np.isfinite(res.global_totals).all()

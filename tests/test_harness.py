@@ -430,8 +430,8 @@ class TestExport:
         res.budgets_effective[:] = 8.0
         export(res, tmp_path / "out")
         lines = (tmp_path / "out" / "sharing.csv").read_text().splitlines()
-        assert lines[0] == "t,agent_id,ratio,budget_in,budget_out,budget_effective"
-        assert lines[1] == "1,0,0.2,10.0,2.0,8.0"
+        assert lines[0] == "t,agent_id,budget,ratio,budget_effective"
+        assert lines[1] == "1,0,10.0,0.2,8.0"
 
     def test_global_csv_rows_parse_to_totals(self, tmp_path):
         res = run(small_config(policy="ts", sharing=True))
@@ -447,20 +447,22 @@ class TestExport:
 RESULT_ARRAYS = ("populations", "agent_of", "global_totals", "agent_totals",
                  "budgets", "budgets_effective", "allocations", "theta_hat",
                  "theta_obs", "bounds", "sharing_ratios", "priors_a", "priors_b")
-CSV_FILES = ("nodes.csv", "global.csv", "agents.csv", "sharing.csv", "priors.csv")
+CSV_FILES = ("global.csv", "agents.csv", "sharing.csv")
 RUN_FILES = ("manifest.json", *CSV_FILES, "allocations.npy", "theta_hat.npy",
-             "theta_obs.npy", "bounds.npy")
+             "theta_obs.npy", "bounds.npy", "populations.npy", "agent_of.npy",
+             "priors_a.npy", "priors_b.npy")
 
 
 def hand_made_result(n, horizon, k, values, traces=None):
-    """A RunResult whose float arrays cycle through ``values``, and its four
-    traces through ``traces`` (by default ``values``), x equal to the bound."""
+    """A RunResult whose float arrays cycle through ``values``, its
+    populations through the positive ones and its four traces through
+    ``traces`` (by default ``values``), x equal to the bound."""
     def floats(*shape, of=values):
         return np.resize(np.asarray(of, dtype=float), shape).copy()
     traces = values if traces is None else traces
     return RunResult(
         config={"horizon": horizon, "n_agents": k, "n_nodes": n},
-        populations=floats(n), agent_of=np.arange(n) % k,
+        populations=floats(n, of=[v for v in values if v > 0]), agent_of=np.arange(n) % k,
         global_totals=floats(horizon + 1, 4),
         agent_totals=floats(horizon + 1, k, 4), budgets=floats(horizon, k),
         budgets_effective=floats(horizon, k),
@@ -521,13 +523,13 @@ class TestColumnWiseIO:
         assert "-0.0" in (tmp_path / "cols" / "agents.csv").read_text()
 
     def test_signed_zeros_with_repeats(self, tmp_path):
-        # five values over eight nodes: the population column and every
-        # period's traces hold 0.0 and -0.0, each more than once
+        # five values over six budgets and eight nodes: the budget column and
+        # every period's traces hold 0.0 and -0.0, each more than once
         res = hand_made_result(8, 3, 2, [0.0, -0.0, 0.0, -0.0, 0.25])
         self.check(res, tmp_path)
-        lines = (tmp_path / "cols" / "nodes.csv").read_text().splitlines()
-        pops = [line.split(",")[1] for line in lines[1:]]
-        assert pops.count("0.0") > 1 and pops.count("-0.0") > 1
+        lines = (tmp_path / "cols" / "sharing.csv").read_text().splitlines()
+        budgets = [line.split(",")[2] for line in lines[1:]]
+        assert budgets.count("0.0") > 1 and budgets.count("-0.0") > 1
 
     def test_shuffled_rows_are_refused(self, tmp_path):
         # import reads each table's rows in the order export writes them, and
@@ -560,20 +562,20 @@ class TestColumnWiseIO:
      "the row on line 6 is not the row for any of the grid's 2 cells"),
     (b"a,b\n\n0,2\n", "the table ends before the row for a=1"),
     (b"a,b\n1,2\n\n0,3\n", "the row on line 2 is not the row for a=0"),
-    (b"a,b\n\n0,2\n\n1,12\n", "b = 12 on line 5 is not an integer in 0..9"),
-    (b"a,b\r\n\r\n0,2.5\r\n\r\n1,3\r\n", "b = 2.5 on line 3 is not an integer in 0..9"),
-    (b"a,b\n1,3\n\n\n0,-1\n0,-2\n", "b = -1 on line 5 is not an integer in 0..9"),
+    (b"a,b\n\n0,2\n\n-1,12\n", "a = -1 on line 5 is not an integer in 0..1"),
+    (b"a,b\r\n\r\nnan,2.5\r\n", "a = nan on line 3 is not an integer in 0..1"),
+    (b"a,b\n0,3\n\n\ninf,-1\n", "a = inf on line 5 is not an integer in 0..1"),
 ])
 def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     """A short row, a field that does not parse and bytes that are not
     UTF-8 name the file and the line they are on, across blank lines and
     any line ending; a byte past the reader's first chunk too. So do an id
-    or an integer value out of its range, a row out of export's order and a
+    that is not an integer in its range, a row out of export's order and a
     row past the last cell; a table that ends early names the missing cell."""
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     with pytest.raises(ValueError) as exc:
-        harness._read_table(path, [("a", 0, 1)], ["b"], integers=[("b", 0, 9)])
+        harness._read_table(path, [("a", 0, 1)], ["b"])
     assert str(exc.value).startswith(f"{path}: ") and fault in str(exc.value)
 
 
@@ -701,7 +703,7 @@ def test_export_import_round_trip(data, n, horizon, k):
     lower, upper = traces(), traces()
     res = RunResult(
         config={"horizon": horizon, "n_agents": k, "n_nodes": n, "seed": 0},
-        populations=floats(n),
+        populations=floats(n, lo=5e-324),
         agent_of=data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, k - 1))),
         global_totals=floats(horizon + 1, 4), agent_totals=floats(horizon + 1, k, 4),
         budgets=floats(horizon, k), budgets_effective=floats(horizon, k),

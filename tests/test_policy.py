@@ -121,6 +121,13 @@ class TestKnapsack:
             out = solve_one([-1.0, -2.0, -3.0], [1.0, 5e-324, 5e-324], 5e-324, [1, 1, 1])
         assert out.tolist() == [0.0, 1.0, 0.0]
 
+    def test_budget_over_tiny_cost_buys_the_cap_without_overflow_error(self):
+        # 8e307 / 1e-5 overflows to inf, which buys the whole cap; the CLI
+        # runs with floating-point errors raised
+        with np.errstate(all="raise"):
+            out = solve_one([-1.0, -2.0], [1e-5, 2e-5], 8e307, [0.5, 1.0])
+        assert out.tolist() == [0.5, 1.0]
+
     def test_nonnegative_losses_get_nothing(self):
         assert np.all(solve_one([0.0, 2.0, 5.0], [1, 1, 1], 100.0, [1, 1, 1]) == 0.0)
 

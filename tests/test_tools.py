@@ -50,6 +50,19 @@ def test_layers_times_one_build_net(tmp_path):
     assert 20 < report["peak_rss_mb"] < 2000  # numpy and scipy alone take tens of MB
 
 
+def copy_src(tmp_path, edits):
+    """A copy of src/ under ``tmp_path`` with each (module, old, new) text
+    edit made once."""
+    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for name, old, new in edits:
+        path = tmp_path / "src" / "vaxalloc" / f"{name}.py"
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+    return tmp_path / "src"
+
+
 def same_runs(other_src):
     proc = subprocess.run([sys.executable, str(TOOLS / "same_runs.py"), str(other_src),
                            "--n", "200"], capture_output=True, text=True)
@@ -73,15 +86,9 @@ def test_same_runs_names_the_runs_that_differ(tmp_path):
     line end in the network's rho.txt, every run that vaccinates differs and
     is named, and so does the network and its file, and the tool exits 1;
     `none` runs never use an efficiency, so they stay the same."""
-    shutil.copytree(TOOLS.parent / "src", tmp_path / "src",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    for name, old, new in (("scenario", "\nEFFICIENCY_HI = 0.9\n", "\nEFFICIENCY_HI = 0.8\n"),
-                           ("net", 'repr(net.rho) + "\\n"', 'repr(net.rho) + "\\r\\n"')):
-        path = tmp_path / "src" / "vaxalloc" / f"{name}.py"
-        text = path.read_text()
-        assert text.count(old) == 1
-        path.write_text(text.replace(old, new))
-    rc, reports = same_runs(tmp_path / "src")
+    rc, reports = same_runs(copy_src(tmp_path, (
+        ("scenario", "\nEFFICIENCY_HI = 0.9\n", "\nEFFICIENCY_HI = 0.8\n"),
+        ("net", 'repr(net.rho) + "\\n"', 'repr(net.rho) + "\\r\\n"'))))
     assert rc == 1
     assert reports.pop() == {"build_net": "build-net_n200_seed901", "same_bytes": False,
                              "differing_files": ["rho.txt"]}
@@ -90,3 +97,21 @@ def test_same_runs_names_the_runs_that_differ(tmp_path):
                          for policy in ("ts", "gy", "ma", "pb") for sharing in ("off", "on")}
     assert all(r["equals"] == (r["run"] not in differing) and
                bool(r["differing_files"]) == (r["run"] in differing) for r in reports)
+
+
+def test_same_runs_allows_other_bytes_only_across_a_schema_change(tmp_path):
+    """Against a copy of src/ whose manifests carry one more key, every run
+    reads back equal but its manifest.json differs: the tool exits 1 while
+    both sides write the same schema, and 0 once the copy writes and reads
+    schema 4."""
+    manifest = ('{"schema": _SCHEMA, "config": result.config}',
+                '{"schema": _SCHEMA, "config": result.config, "note": 1}')
+    for schema, code in ((3, 1), (4, 0)):
+        rc, reports = same_runs(copy_src(tmp_path / str(schema), (
+            ("harness", *manifest), ("harness", "\n_SCHEMA = 3\n", f"\n_SCHEMA = {schema}\n"))))
+        assert rc == code
+        runs = reports[:10]
+        assert all(r["schemas"] == [3, schema] and r["equals"] and not r["same_bytes"]
+                   and r["differing_files"] == ["manifest.json"] for r in runs)
+        assert reports[10:] == [{"build_net": "build-net_n200_seed901", "same_bytes": True,
+                                 "differing_files": []}]
