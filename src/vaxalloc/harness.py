@@ -21,7 +21,8 @@ from . import policy as polmod
 from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
-from .net import _line_of, _read_columns, _read_json, _reprs, _write_json, _write_table
+from .net import (_line_of, _read_columns, _read_json, _reprs, _write_json, _write_table,
+                  membership)
 from .policy import (PolicyState, loss_coefficients, pb_allocate, solve_knapsack,
                      update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
@@ -91,23 +92,13 @@ class GainReport:
     world_last_period_pct: float
 
 
-def _totals_key(agent_of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The bins of the entries of an n x 4 array of S, I, R, D, flattened: the
-    (agent, compartment) bin 4 * agent + compartment, and the compartment."""
-    agent_of = np.asarray(agent_of)
-    return (4 * agent_of[:, None] + np.arange(4)).ravel(), np.tile(np.arange(4), agent_of.size)
-
-
-def _totals(state: CompartmentState, populations: np.ndarray,
-            key: tuple[np.ndarray, np.ndarray], n_agents: int) -> tuple[np.ndarray, np.ndarray]:
-    """Global and per-agent S, I, R, D persons; ``key`` is ``_totals_key``."""
-    comps = np.stack([state.s, state.i, state.r, state.d], axis=1)
-    weighted = (comps * populations[:, None]).ravel()
-    # bincount adds each bin in node order from 0.0, as sum(axis=0) adds a
-    # column and np.add.at an agent's, so the sums are the same
-    per_agent, compartment = key
-    return (np.bincount(compartment, weights=weighted, minlength=4),
-            np.bincount(per_agent, weights=weighted, minlength=4 * n_agents).reshape(n_agents, 4))
+def _totals(state: CompartmentState, populations: np.ndarray, world,
+            members) -> tuple[np.ndarray, np.ndarray]:
+    """Global and per-agent S, I, R, D persons, from the one-row membership
+    ``world`` of every node and the agent membership ``members``
+    (net.membership); each sum adds its nodes in node order."""
+    weighted = np.stack([state.s, state.i, state.r, state.d], axis=1) * populations[:, None]
+    return (world @ weighted)[0], members @ weighted
 
 
 # the knapsack policies, each with its theta_hat of period t from (policy state, seed, t);
@@ -124,7 +115,8 @@ class _Plan:
     """What a run works out once, before its first period: the agent coupling
     (for a knapsack policy or sharing on), each node's own-agent inflow (for
     the knapsack), each agent's nodes and cost sum and the spill order of every
-    node (for pb) and the key of the per-agent totals."""
+    node (for pb) and the memberships of the world and the agents, for the
+    totals."""
 
     def __init__(self, inst: Instance):
         cfg, net = inst.config, inst.network
@@ -133,12 +125,14 @@ class _Plan:
         self.coupling = (shmod.AgentCoupling(net, inst.agent_of, cfg.n_agents)
                          if knapsack or cfg.sharing else None)
         self.inflow = self.coupling.c[np.arange(net.n), inst.agent_of] if knapsack else None
+        self.world = membership(np.zeros(net.n, np.intp), 1)
+        self.members = (self.coupling.members if self.coupling
+                        else membership(inst.agent_of, cfg.n_agents))
         self.pb = None
         if cfg.policy == "pb":
             nodes = [np.flatnonzero(inst.agent_of == a) for a in range(cfg.n_agents)]
             self.pb = (nodes, np.array([inst.costs[idx].sum() for idx in nodes]),
                        np.lexsort((np.arange(net.n), -inst.costs, inst.agent_of)))
-        self.key = _totals_key(inst.agent_of)
 
 
 def _period(plan: _Plan, pol: PolicyState, state: CompartmentState, b_eff: np.ndarray,
@@ -190,7 +184,8 @@ def run_instance(inst: Instance) -> RunResult:
         budgets_effective=np.zeros((horizon, k)), sharing_ratios=np.zeros((horizon, k)),
         priors_a=pol.a, priors_b=pol.b, **{name: np.zeros((horizon, n)) for name in _TRACES})
     state, b_eff = inst.initial, inst.base_budgets
-    res.global_totals[0], res.agent_totals[0] = _totals(state, inst.populations, plan.key, k)
+    res.global_totals[0], res.agent_totals[0] = _totals(state, inst.populations,
+                                                        plan.world, plan.members)
     for t in range(1, horizon + 1):
         row = t - 1
         res.budgets_effective[row] = b_eff
@@ -200,7 +195,8 @@ def run_instance(inst: Instance) -> RunResult:
         res.theta_obs[row] = np.where(x > 0, theta_t, 0.0)
         if shared is not None:
             res.sharing_ratios[row], b_eff = shared.ratios, shared.budgets_out
-        res.global_totals[t], res.agent_totals[t] = _totals(state, inst.populations, plan.key, k)
+        res.global_totals[t], res.agent_totals[t] = _totals(state, inst.populations,
+                                                            plan.world, plan.members)
     res.priors_a, res.priors_b = pol.a.copy(), pol.b.copy()
     res.wall_clock = time.perf_counter() - t_start
     return res
@@ -353,8 +349,9 @@ def _write_run(result: RunResult, directory: Path) -> None:
 def _read_table(path, ids, columns) -> list[np.ndarray]:
     """The float ``columns`` of a CSV table as arrays over the grid of its
     ``ids``, given as (name, lo, hi), each cell in one row, in C order, as
-    ``export`` writes them; each id is an integer in its range. Every fault
-    raises ValueError naming the file and, where a row is at fault, its line."""
+    ``export`` writes them; each id is an integer in its range and each value
+    finite. Every fault raises ValueError naming the file and, where a row is
+    at fault, its line."""
     names = [name for name, _, _ in ids] + list(columns)
     data = _read_columns(path, dict.fromkeys(names, float))
     for name, lo, hi in ids:  # in file order
@@ -364,6 +361,10 @@ def _read_table(path, ids, columns) -> list[np.ndarray]:
             raise ValueError(f"{path}: {name} = {values[bad[0]]:g} on line "
                              f"{_line_of(path, bad[0])} is not an integer in {lo}..{hi}")
         data[names.index(name)] = values.astype(np.int64)
+    for name, values in zip(columns, data[len(ids):]):
+        if (bad := np.flatnonzero(~np.isfinite(values))).size:
+            raise ValueError(f"{path}: {name} = {values[bad[0]]:g} on line "
+                             f"{_line_of(path, bad[0])} is not finite")
     shape = [hi - lo + 1 for _, lo, hi in ids]
     rows, cells = data[0].size, math.prod(shape)
     # the ids of the cells in C order up to the one after the last row; capping

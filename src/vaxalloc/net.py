@@ -162,7 +162,7 @@ class FlowMatrix:
                              f"{b} is inf, past the float range")
         # a pair of slots without nodes has no flow to carry
         self.h = np.divide(self.g, denom, out=np.zeros_like(self.g), where=denom > 0)
-        self._slot_keys: dict[int, np.ndarray] = {}
+        self._members = membership(self.cell, self.g.shape[0])  # the slot membership Z^T
         outflow = (np.asarray(self.ground.sum(axis=1)).ravel()
                    + self._air_dot(self.h, np.ones((n, 1)))[0])
         self.outflow = outflow
@@ -181,20 +181,12 @@ class FlowMatrix:
     def _air_dot(self, h: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(A @ v).T for h = H, (A.T @ v).T for h = H.T; v is n x c.
 
-        Works on c x n rows, so that every step runs along contiguous
-        memory. Each slot sum adds its nodes in node order, and the h
-        product sees an m x 2c C-ordered array, as a product over the
-        columns of [v, P v] would."""
-        vt = v.T
-        c = vt.shape[0]
-        m = h.shape[0]
-        key = self._slot_keys.get(c)
-        if key is None:
-            # bin j * m + slot for row j of the 2c x n stack
-            key = self._slot_keys[c] = (self.cell + m * np.arange(2 * c)[:, None]).ravel()
-        stacked = np.concatenate((vt, vt * self.populations))
-        by_slot = np.bincount(key, weights=stacked.ravel(), minlength=2 * c * m)
-        w = (h @ np.ascontiguousarray(by_slot.reshape(2 * c, m).T)).T
+        The slot sums are one product of Z^T with [v, P v], which adds each
+        slot's nodes in node order and gives the h product an m x 2c
+        C-ordered array. The result is c x n, so that the gathers run along
+        contiguous memory."""
+        c = v.shape[1]
+        w = (h @ (self._members @ np.hstack((v, v * self.populations[:, None])))).T
         out = w[:c].take(self.cell, axis=1)
         out *= self.populations
         out += w[c:].take(self.cell, axis=1)
@@ -257,6 +249,16 @@ def _slots(cell: np.ndarray, populations: np.ndarray,
     order = np.argsort(cell, kind="stable")
     members = np.split(order, np.searchsorted(cell[order], np.arange(1, m)))
     return members, np.array([float(populations[idx].sum()) for idx in members])
+
+
+def membership(group: np.ndarray, size: int) -> sp.csr_matrix:
+    """The size x n 0/1 matrix Z^T whose row g holds the nodes i of
+    group[i] = g in ascending order. A product Z^T @ V adds each row's
+    entries in node order from 0.0, as np.bincount does."""
+    group = np.asarray(group)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=size))))
+    return sp.csr_matrix((np.ones(group.size), np.argsort(group, kind="stable"), indptr),
+                         shape=(size, group.size))
 
 
 def pair_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
@@ -588,10 +590,10 @@ def synth_world(n_nodes: int, n_agents: int, *,
 
 
 def _read_columns(path, types: dict) -> list[np.ndarray]:
-    """The named columns of a CSV file, each an array of its type: int, float, or
-    a converter of a field's text to a float. The header is the first line not
-    blank; blank lines are skipped and fields may be quoted. Every fault raises
-    one ValueError naming the file and, for a fault in a line, the line."""
+    """The named columns of a CSV file, each an array of its type, int or float.
+    The header is the first line not blank; blank lines are skipped and fields
+    may be quoted. Every fault raises one ValueError naming the file and, for a
+    fault in a line, the line."""
     raw = Path(path).read_bytes()
     try:
         lines = io.StringIO(raw.decode("utf-8"), newline="")
@@ -619,12 +621,8 @@ def _fields(line: str) -> list[str]:
 
 def _parse(lines, header: list, types: dict) -> np.ndarray:
     """The ``types`` columns of CSV ``lines`` under ``header``, a structured array."""
-    at = [header.index(c) for c in types]
-    return np.loadtxt(lines, usecols=at, **_CSV,
-                      dtype=[(c, kind if kind in (int, float) else float)
-                             for c, kind in types.items()],
-                      converters={i: kind for i, kind in zip(at, types.values())
-                                  if kind not in (int, float)})
+    return np.loadtxt(lines, usecols=[header.index(c) for c in types], **_CSV,
+                      dtype=list(types.items()))
 
 
 def _fault(lines, header: list, types: dict) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epi import CompartmentState, EpiParams
-from .net import FlowMatrix
+from .net import FlowMatrix, membership
 
 
 @dataclass
@@ -27,7 +27,7 @@ class AgentCoupling:
     """The static part of the sharing split, built once per run: ``c`` =
     rates.T @ Z for the n x K agent mask Z (c[j, k] sums p_ij over i in V_k,
     the rate at which node j's infections reach agent k's nodes), and
-    ``key``, the (agent of j, k) bin of each entry of ``c`` in C order."""
+    ``members``, the agent membership Z^T (net.membership)."""
 
     def __init__(self, net: FlowMatrix, agent_of: np.ndarray, n_agents: int):
         agent_of = np.asarray(agent_of)
@@ -36,7 +36,7 @@ class AgentCoupling:
         if (bad := np.flatnonzero(~np.isfinite(self.c).all(axis=1))).size:
             raise ValueError(f"agent coupling of node {bad[0]} is not finite: an outflow "
                              "is too close to 0 to divide by")
-        self.key = (agent_of[:, None] * n_agents + np.arange(n_agents)).ravel()
+        self.members = membership(agent_of, n_agents)
 
 
 def infected_flow_matrix(state: CompartmentState, net: FlowMatrix,
@@ -44,10 +44,7 @@ def infected_flow_matrix(state: CompartmentState, net: FlowMatrix,
     """into[k', k] = rho * sum over j in V_k' of I_j c[j, k], added in node
     order: the infected flow from agent k' into agent k's nodes, the
     diagonal being each agent's flow into its own nodes."""
-    k = coupling.c.shape[1]
-    into = np.bincount(coupling.key, weights=(state.i[:, None] * coupling.c).ravel(),
-                       minlength=k * k)
-    return net.rho * into.reshape(k, k)
+    return net.rho * (coupling.members @ (state.i[:, None] * coupling.c))
 
 
 def infection_split(state: CompartmentState, params: EpiParams, agent_of: np.ndarray,

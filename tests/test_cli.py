@@ -792,6 +792,9 @@ BAD_RUNS = {
     "not UTF-8 in a row": ("sharing.csv",
                            lambda p: p.write_bytes(p.read_bytes() + b"1,0,\xff\r\n")),
     "budget empty": ("sharing.csv", lambda p: _set_field(p, 3, 2, "")),
+    "S nan": ("agents.csv", lambda p: _set_field(p, 3, 2, "nan")),
+    "budget_effective inf": ("sharing.csv", lambda p: _set_field(p, 2, 4, "inf")),
+    "R -inf": ("global.csv", lambda p: _set_field(p, 2, 3, "-inf")),
     "populations missing": ("populations.npy", lambda p: p.unlink()),
     "population 0": ("populations.npy", lambda p: _set_value(p, 0.0)),
     "agent out of range": ("agent_of.npy", lambda p: _set_value(p, 2)),
@@ -846,6 +849,9 @@ RUN_LINE_FAULTS = {
     "row extra": "the row on line 9 is not the row for any of the grid's 7 cells",
     "rows in reverse order": "the row on line 2 is not the row for t=0, agent_id=0",
     "budget empty": "'' on line 4, column budget, is not a number",
+    "S nan": "agents.csv: S = nan on line 4 is not finite",
+    "budget_effective inf": "sharing.csv: budget_effective = inf on line 3 is not finite",
+    "R -inf": "global.csv: R = -inf on line 3 is not finite",
     "trace in Fortran order": "<f8 of shape (6, 40) in F order, not <f8 of shape (6, 40) in C",
     "trace with a 2.0 header": "format version (2, 0) is not 1.0",
 }
@@ -1075,6 +1081,92 @@ def test_gains_corrupted_trace(tiny_arrays, name, mutation):
             assert _valid_arrays(bad)
     finally:
         shutil.copyfile(good / path.name, path)
+
+
+# one corruption of a CSV table of a run: cut at a byte, a line dropped,
+# repeated or given a blank line before it, two columns swapped or one dropped
+# (in the header, the data rows or both), or one field set to a text
+_FIELD_TEXTS = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1e999",
+                                "1.7976931348623157e308", "-1e308", "5e-324", "-0.0", "1e18",
+                                "0.5", "-1", "", "abc", "1,2", '"3"'])
+_LINES = st.sampled_from(["header", "rows", "both"])
+_TABLE_MUTATIONS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 10 ** 4)),
+    st.tuples(st.sampled_from(["drop", "repeat", "blank"]), st.integers(0, 20)),
+    st.tuples(st.just("swap"), _LINES, st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("drop column"), _LINES, st.integers(0, 5)),
+    st.tuples(st.just("value"), st.integers(0, 20), st.integers(0, 5), _FIELD_TEXTS))
+
+
+def _mutate_table(path, mutation) -> None:
+    raw = path.read_bytes()
+    kind, *args = mutation
+    if kind == "cut":
+        path.write_bytes(raw[:args[0] % (len(raw) + 1)])
+        return
+    lines = raw.split(b"\r\n")[:-1]
+    rows = [line.split(b",") for line in lines]
+    width = len(rows[0])
+    if kind in ("drop", "repeat", "blank"):
+        i = args[0] % len(lines)
+        lines[i:i + 1] = {"drop": [], "repeat": [lines[i]] * 2, "blank": [b"", lines[i]]}[kind]
+    elif kind == "value":
+        line, column, text = args
+        rows[line % len(rows)][column % width] = text.encode()
+        lines = [b",".join(row) for row in rows]
+    else:
+        which, *at = args
+        at = [c % width for c in at]
+        for row in {"header": rows[:1], "rows": rows[1:], "both": rows}[which]:
+            if kind == "swap":
+                row[at[0]], row[at[1]] = row[at[1]], row[at[0]]
+            else:
+                del row[at[0]]
+        lines = [b",".join(row) for row in rows]
+    path.write_bytes(b"\r\n".join([*lines, b""]))
+
+
+@pytest.fixture(scope="module")
+def tiny_tables(tiny_run):
+    """The tiny run, and a copy of it whose CSV tables a test may corrupt."""
+    good, _ = tiny_run
+    bad = good.parent / "tables"
+    shutil.copytree(good, bad)
+    return good, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(["global.csv", "agents.csv", "sharing.csv"]),
+       mutation=_TABLE_MUTATIONS)
+# a value that is not finite in each table
+@example(name="agents.csv", mutation=("value", 3, 2, "nan"))
+@example(name="sharing.csv", mutation=("value", 2, 4, "inf"))
+@example(name="global.csv", mutation=("value", 2, 3, "-inf"))
+def test_gains_corrupted_table(tiny_tables, name, mutation):
+    """`gains` on a run with one CSV table corrupted: exit 0 or 1, at most
+    one stderr line, which names the file, no warning, and exit 0 only if
+    every value of the run's tables is finite."""
+    good, bad = tiny_tables
+    path = bad / name
+    shutil.copyfile(good / name, path)
+    _mutate_table(path, mutation)
+    err = io.StringIO()
+    try:
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            rc = main(["gains", "--run", str(bad), "--baseline", str(good)])
+        err = err.getvalue()
+        assert rc in (0, 1) and err.count("\n") == (rc == 1)
+        if rc == 1:
+            assert err.startswith("error: ") and name in err
+        else:
+            res = harness.import_result(bad)
+            assert all(np.isfinite(getattr(res, field)).all()
+                       for field in ("global_totals", "agent_totals", "budgets",
+                                     "budgets_effective", "sharing_ratios"))
+    finally:
+        shutil.copyfile(good / name, path)
 
 
 def _allowed(low, high, low_open):

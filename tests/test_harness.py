@@ -22,6 +22,7 @@ from vaxalloc.epi import CompartmentState, step
 from vaxalloc.harness import (GainReport, RunResult, export, export_gains,
                               gains, import_result, replicate, run,
                               run_instance)
+from vaxalloc.net import membership
 from vaxalloc.policy import POLICIES
 from vaxalloc.scenario import ScenarioConfig, build_instance
 
@@ -222,8 +223,8 @@ def test_run_allocates_every_agent_in_one_call_per_period(monkeypatch):
 
 
 def test_totals_match_add_at():
-    """The per-agent totals sum by bincount, bit for bit as np.add.at sums
-    them, over magnitudes from 1e-300 to 1e300."""
+    """The per-agent totals sum by the agent membership, bit for bit as
+    np.add.at sums them, over magnitudes from 1e-300 to 1e300."""
     rng = np.random.default_rng(17)
     for _ in range(200):
         n = int(rng.integers(1, 3001))
@@ -231,16 +232,18 @@ def test_totals_match_add_at():
         s, i, r, d, pop = 10.0 ** rng.uniform(-150, 150, (5, n))
         state = CompartmentState(s=s, i=i, r=r, d=d, t=0)
         agent_of = rng.integers(0, k, n)
-        got = harness._totals(state, pop, harness._totals_key(agent_of), k)
+        got = harness._totals(state, pop, membership(np.zeros(n, int), 1),
+                              membership(agent_of, k))
         want = totals_add_at(state, pop, agent_of, k)
         for a, b in zip(got, want):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_world_totals_match_sum_over_nodes():
-    """The world totals sum by bincount, bit for bit as sum(axis=0) sums the
-    n x 4 array of persons: with signs mixed over magnitudes from 1e-150 to
-    1e150, with a column of zeros and one of -0.0, and at 200,000 nodes."""
+    """The world totals sum by the one-row membership, bit for bit as
+    sum(axis=0) sums the n x 4 array of persons: with signs mixed over
+    magnitudes from 1e-150 to 1e150, with a column of zeros and one of -0.0,
+    and at 200,000 nodes."""
     rng = np.random.default_rng(18)
     for n in [*rng.integers(1, 5001, 150).tolist(), 200_000]:
         s, i, r, d = 10.0 ** rng.uniform(-75, 75, (4, n)) * rng.choice([-1.0, 1.0], (4, n))
@@ -248,7 +251,8 @@ def test_world_totals_match_sum_over_nodes():
         for zero in ((), ("r",), ("r", "d")):
             comps = {"s": s, "i": i, "r": r, "d": d, **dict(zip(zero, (0.0 * pop, -0.0 * pop)))}
             state = CompartmentState(**comps, t=0)
-            got, _ = harness._totals(state, pop, harness._totals_key(np.zeros(n, int)), 1)
+            everyone = membership(np.zeros(n, int), 1)
+            got, _ = harness._totals(state, pop, everyone, everyone)
             want = (np.stack([comps[c] for c in "sird"], axis=1) * pop[:, None]).sum(axis=0)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -565,13 +569,16 @@ class TestColumnWiseIO:
     (b"a,b\n\n0,2\n\n-1,12\n", "a = -1 on line 5 is not an integer in 0..1"),
     (b"a,b\r\n\r\nnan,2.5\r\n", "a = nan on line 3 is not an integer in 0..1"),
     (b"a,b\n0,3\n\n\ninf,-1\n", "a = inf on line 5 is not an integer in 0..1"),
+    (b"a,b\n\n0,2\n\n1,nan\n", "b = nan on line 5 is not finite"),
+    (b"a,b\r\n0,-inf\r\n1,2\r\n", "b = -inf on line 2 is not finite"),
 ])
 def test_read_table_names_the_line_of_a_fault(tmp_path, text, fault):
     """A short row, a field that does not parse and bytes that are not
     UTF-8 name the file and the line they are on, across blank lines and
     any line ending; a byte past the reader's first chunk too. So do an id
-    that is not an integer in its range, a row out of export's order and a
-    row past the last cell; a table that ends early names the missing cell."""
+    that is not an integer in its range, a value that is not finite, a row
+    out of export's order and a row past the last cell; a table that ends
+    early names the missing cell."""
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     with pytest.raises(ValueError) as exc:

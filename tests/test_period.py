@@ -171,7 +171,7 @@ def random_net_many_slots(rng):
 
 @pytest.mark.parametrize("c", [1, 3, 10])
 def test_air_dot_matches_per_column_bincount(c):
-    """The slot sums over a (column, slot) key against one bincount per
+    """The slot sums of one membership product against one bincount per
     column, for H and H.T, with v in either memory order; and the products
     built on them against the sums they stand for."""
     rng = np.random.default_rng(1303 + c)
@@ -341,8 +341,8 @@ def test_run_equals_run_on_the_oracles(monkeypatch, policy, sharing):
     monkeypatch.setattr(harness, "step_vaccinated", step_vaccinated_per_array)
     monkeypatch.setattr(harness, "draw_realized_rates", draw_realized_rates_uniform)
     inst = build_instance(cfg)
-    monkeypatch.setattr(harness, "_totals", lambda state, pop, key, k: totals_add_at(
-        state, pop, inst.agent_of, k))
+    monkeypatch.setattr(harness, "_totals", lambda state, pop, world, members: totals_add_at(
+        state, pop, inst.agent_of, cfg.n_agents))
     slow = run_instance(inst)
     assert np.any(fast.allocations > 0) == (policy != "none")
     assert fast.equals(slow)

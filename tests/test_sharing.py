@@ -211,8 +211,8 @@ def test_plan_sharing_end_to_end():
 
 
 def test_infected_flow_matrix_sums_as_add_at():
-    """The (agent of j, k) sums by bincount, bit for bit as np.add.at sums
-    them, over couplings from 1e-300 to 1e300."""
+    """The (agent of j, k) sums by the agent membership, bit for bit as
+    np.add.at sums them, over couplings from 1e-300 to 1e300."""
     rng = np.random.default_rng(33)
     for _ in range(200):
         n = int(rng.integers(1, 3001))
