@@ -22,7 +22,7 @@ from . import scenario as scmod
 from . import sharing as shmod
 from .epi import CompartmentState, step_vaccinated
 from .net import (_line_of, _read_columns, _read_json, _reprs, _write_json, _write_table,
-                  membership)
+                  membership, row_sums)
 from .policy import (PolicyState, loss_coefficients, pb_allocate, solve_knapsack,
                      update_bounds, window_width)
 from .scenario import (Instance, ScenarioConfig, build_instance,
@@ -130,8 +130,9 @@ class _Plan:
                         else membership(inst.agent_of, cfg.n_agents))
         self.pb = None
         if cfg.policy == "pb":
-            nodes = [np.flatnonzero(inst.agent_of == a) for a in range(cfg.n_agents)]
-            self.pb = (nodes, np.array([inst.costs[idx].sum() for idx in nodes]),
+            z = self.members  # int64 node lists: int32 ones slow pb_allocate's indexing
+            self.pb = (np.split(z.indices.astype(np.intp), z.indptr[1:-1]),
+                       row_sums(z.indptr, z.indices, inst.costs),
                        np.lexsort((np.arange(net.n), -inst.costs, inst.agent_of)))
 
 

@@ -149,7 +149,8 @@ class FlowMatrix:
         self.ground = sp.csr_matrix(ground, shape=(n, n))
         self.cell = np.asarray(cell, dtype=np.intp)
         self.g = np.asarray(g, dtype=float)
-        _, polygon_pop = _slots(self.cell, populations, self.g.shape[0])
+        z = self._members = membership(self.cell, self.g.shape[0])  # the slot membership Z^T
+        polygon_pop = row_sums(z.indptr, z.indices, populations)
         empty = polygon_pop[self.cell] <= 0
         if np.any(empty):
             raise ValueError(f"node {int(np.flatnonzero(empty)[0])} lies in an "
@@ -162,9 +163,9 @@ class FlowMatrix:
                              f"{b} is inf, past the float range")
         # a pair of slots without nodes has no flow to carry
         self.h = np.divide(self.g, denom, out=np.zeros_like(self.g), where=denom > 0)
-        self._members = membership(self.cell, self.g.shape[0])  # the slot membership Z^T
-        outflow = (np.asarray(self.ground.sum(axis=1)).ravel()
-                   + self._air_dot(self.h, np.ones((n, 1)))[0])
+        with np.errstate(over="ignore"):  # refused below if not finite
+            outflow = (np.asarray(self.ground.sum(axis=1)).ravel()
+                       + self._air_dot(self.h, np.ones((n, 1)))[0])
         self.outflow = outflow
         # a row without outflow holds only zeros, so any divisor leaves it 0;
         # dividing, not multiplying by 1 / outflow, keeps a subnormal
@@ -242,15 +243,6 @@ class FlowMatrix:
         return rates
 
 
-def _slots(cell: np.ndarray, populations: np.ndarray,
-           m: int) -> tuple[list[np.ndarray], np.ndarray]:
-    """Ascending node indices of each of the m airport slots, and each slot's
-    population summed over them in that order."""
-    order = np.argsort(cell, kind="stable")
-    members = np.split(order, np.searchsorted(cell[order], np.arange(1, m)))
-    return members, np.array([float(populations[idx].sum()) for idx in members])
-
-
 def membership(group: np.ndarray, size: int) -> sp.csr_matrix:
     """The size x n 0/1 matrix Z^T whose row g holds the nodes i of
     group[i] = g in ascending order. A product Z^T @ V adds each row's
@@ -259,6 +251,18 @@ def membership(group: np.ndarray, size: int) -> sp.csr_matrix:
     indptr = np.concatenate(([0], np.cumsum(np.bincount(group, minlength=size))))
     return sp.csr_matrix((np.ones(group.size), np.argsort(group, kind="stable"), indptr),
                          shape=(size, group.size))
+
+
+def row_sums(indptr: np.ndarray, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[indices[indptr[r]:indptr[r + 1]]].sum() for every row r, 0.0 for
+    an empty one, summed row by row of a (rows x k) gather for each row length
+    k: numpy sums a row in the same pairwise order as the 1-D sum."""
+    counts = np.diff(indptr)
+    out = np.zeros(counts.size)
+    for k in np.unique(counts[counts > 0]):
+        at = np.flatnonzero(counts == k)
+        out[at] = values[indices[indptr[at][:, None] + np.arange(k)]].sum(axis=1)
+    return out
 
 
 def pair_distances(lat1, lon1, lat2, lon2, planar: bool = False) -> np.ndarray:
@@ -396,18 +400,12 @@ def radiation_flows(nodes: Nodes, neighborhoods: tuple[np.ndarray, np.ndarray],
     pop = nodes.population
     n = len(nodes)
     indptr, indices = neighborhoods
-    counts = np.diff(indptr)
-    # S_i, summed row by row of a (nodes x k) gather for each degree k: numpy
-    # sums a row in the same pairwise order as the 1-D pop[nbr].sum()
-    s = np.zeros(n)
     with np.errstate(over="ignore"):  # refused below if not finite
-        for k in np.unique(counts[counts > 0]):
-            at = np.flatnonzero(counts == k)
-            s[at] = pop[indices[indptr[at][:, None] + np.arange(k)]].sum(axis=1)
+        s = row_sums(indptr, indices, pop)
     if (bad := np.flatnonzero(s == math.inf)).size:
         raise ValueError(f"the population around node {bad[0]} sums to inf, past the "
                          "float range")
-    rows = np.repeat(np.arange(n), counts)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
     with np.errstate(all="ignore"):  # FlowMatrix refuses a flow that is not finite
         # float_power squares with pow, as the scalar P_i ** 2 does; the array
         # x ** 2 is x * x, which now and then differs from it in the last bit
@@ -487,20 +485,27 @@ def air_flows(cell: np.ndarray, g: np.ndarray,
     order."""
     pop = np.asarray(populations, dtype=float)
     n, m = pop.shape[0], g.shape[0]
-    members, polygon_pop = _slots(cell, pop, m)
+    slots = membership(cell, m)
+    polygon_pop = row_sums(slots.indptr, slots.indices, pop)
     sends = g > 0
-    indptr = np.concatenate(([0], np.cumsum((sends @ np.bincount(cell, minlength=m))[cell])))
+    indptr = np.concatenate(([0], np.cumsum((sends @ np.diff(slots.indptr))[cell])))
     data = np.empty(indptr[-1])
     # int32 as scipy picks for a COO -> CSR build of this shape; the CSR
     # constructor widens both index arrays if nnz needs int64
     indices = np.empty(indptr[-1], dtype=np.int32 if n <= np.iinfo(np.int32).max
                        else np.int64)
-    for a, src in enumerate(members):
+    for a, src in enumerate(np.split(slots.indices, slots.indptr[1:-1])):
         dst = np.flatnonzero(sends[a, cell])
         pos = indptr[src][:, None] + np.arange(len(dst))
-        data[pos] = (g[a, cell[dst]] * (pop[src][:, None] + pop[dst][None, :])
-                     / (polygon_pop[a] + polygon_pop[cell[dst]]))
+        with np.errstate(over="ignore"):  # refused below if not finite
+            data[pos] = (g[a, cell[dst]] * (pop[src][:, None] + pop[dst][None, :])
+                         / (polygon_pop[a] + polygon_pop[cell[dst]]))
         indices[pos] = dst
+    # no entry is negative or NaN, so the first maximum is the first inf if any
+    if data.size and data[at := np.argmax(data)] == math.inf:
+        i = np.searchsorted(indptr, at, side="right") - 1
+        raise ValueError(f"the air flow from node {i} to node {indices[at]} is inf, "
+                         "past the float range")
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
@@ -513,6 +518,18 @@ def build_network(nodes: Nodes, airports: Airports, air_table: AirFlowTable,
     for these nodes and airports, and is not computed again."""
     if not np.array_equal(air_table.ids, np.sort(airports.ids)):
         raise ValueError("the air table must list exactly the airports' ids")
+    # so that no difference of coordinates, nor a planar distance, overflows
+    with np.errstate(over="ignore"):  # refused below if not finite
+        lat, lon = (np.ptp(c) if c.size else 0.0
+                    for c in map(np.append, (nodes.lat, nodes.lon), (airports.lat, airports.lon)))
+        diagonal = np.hypot(lat, lon) if planar else 0.0
+    for name, span in (("lat", lat), ("lon", lon)):
+        if span == math.inf:
+            raise ValueError(f"the {name} column of the nodes and airports spans more than "
+                             "the float range")
+    if diagonal == math.inf:
+        raise ValueError("the planar distance across the nodes and airports is past the "
+                         "float range")
     nbrs = ground_neighborhoods(nodes, D, planar=planar)
     ground = radiation_flows(nodes, nbrs, alpha)
     if nearest is None:

@@ -1241,3 +1241,93 @@ def test_simulate_fuzz(config):
                 beta, gamma = inst.params.beta.max(), inst.params.gamma.max()
                 rho = inst.network.rho
                 assert beta + rho > 1 or gamma + rho > 1 or rho > 1, err
+
+
+# texts a build-net input field may be set to besides those of a run's
+# tables: coordinates and flows at the ends of the float range, a subnormal,
+# and ids of the world's nodes and airports and of none
+_NET_TEXTS = st.sampled_from(["1e308", "-1e308", "1e-320", "-1e-320", "0", "1", "2", "99",
+                              "-5", "1e300"])
+_NET_MUTATIONS = st.one_of(_TABLE_MUTATIONS, st.tuples(
+    st.just("value"), st.integers(0, 20), st.integers(0, 5), _NET_TEXTS))
+_NET_FILES = ("nodes.csv", "airports.csv", "airflows.csv")
+# coordinates whose span overflows, and an air flow that overflows in the
+# explicit matrix although every outflow is finite
+_SPAN_OVERFLOW = {
+    "nodes.csv": ("text", "id,lat,lon,population,agent_id\n0,0,1e308,100,0\n1,0,-1e308,100,0\n"),
+    "airports.csv": ("text", "id,lat,lon\n0,0,0\n"),
+    "airflows.csv": ("text", "origin,destination,flow\n")}
+_AIR_OVERFLOW = {
+    "nodes.csv": ("text", "id,lat,lon,population,agent_id\n0,0,0,50000,0\n1,0,1000,50000,0\n"),
+    "airports.csv": ("text", "id,lat,lon\n0,0,0\n1,0,1000\n"),
+    "airflows.csv": ("text", "origin,destination,flow\n0,1,1e308\n")}
+
+
+@pytest.fixture(scope="module")
+def tiny_world(tmp_path_factory):
+    """The input files of a world of 15 nodes, 2 agents and 3 airports."""
+    good = tmp_path_factory.mktemp("world")
+    assert main(["build-net", "--synthetic", "--n-nodes", "15", "--n-agents", "2",
+                 "--airport-density", "0.2", "--out", str(good)]) == 0
+    return good
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.dictionaries(st.sampled_from(_NET_FILES), _NET_MUTATIONS, min_size=1),
+       planar=st.booleans(), ground_range_km=st.none() | _allowed(0.0, math.inf, True))
+@example(mutations=_SPAN_OVERFLOW, planar=False, ground_range_km=None)
+@example(mutations=_SPAN_OVERFLOW, planar=True, ground_range_km=None)
+@example(mutations=_AIR_OVERFLOW, planar=False, ground_range_km=None)
+@example(mutations=_AIR_OVERFLOW, planar=True, ground_range_km=None)
+# two nodes whose planar distance overflows, though each coordinate's span is finite
+@example(mutations={"nodes.csv": ("text", "id,lat,lon,population,agent_id\n"
+                                          "0,0,0,100,0\n1,1.7e308,1.7e308,100,0\n")},
+         planar=True, ground_range_km=None)
+def test_build_net_fuzz(tiny_world, mutations, planar, ground_range_km):
+    """`build-net` on its three input files, one to three of them corrupted,
+    with --planar or not and any --ground-range-km: exit 0 or 1, at most one
+    stderr line, no bare numpy floating-point message and no warning; an
+    exit 0 writes a finite rho."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name in _NET_FILES:
+            shutil.copyfile(tiny_world / name, tmp / name)
+        for name, mutation in mutations.items():
+            if mutation[0] == "text":
+                (tmp / name).write_text(mutation[1])
+            else:
+                _mutate_table(tmp / name, mutation)
+        argv = ["build-net", "--nodes", str(tmp / "nodes.csv"),
+                "--airports", str(tmp / "airports.csv"),
+                "--flights", str(tmp / "airflows.csv"), "--out", str(tmp / "net")]
+        argv += ["--planar"] * planar
+        if ground_range_km is not None:
+            argv += ["--ground-range-km", repr(ground_range_km)]
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()),
+              contextlib.redirect_stderr(err)):
+            warnings.simplefilter("error")
+            rc = main(argv)
+        err = err.getvalue()
+        assert rc in (0, 1) and err.count("\n") == (rc == 1)
+        assert " encountered in " not in err, err
+        if rc == 1:
+            assert err.startswith("error: ")
+        else:
+            assert math.isfinite(float((tmp / "net" / "rho.txt").read_text()))
+
+
+@pytest.mark.parametrize("planar", [False, True])
+@pytest.mark.parametrize("files,message", [
+    (_SPAN_OVERFLOW, "the lon column of the nodes and airports spans more than the float range"),
+    (_AIR_OVERFLOW, "the air flow from node 0 to node 1 is inf, past the float range")])
+def test_build_net_overflow_exits_1(tmp_path, capsys, files, message, planar):
+    for name, (_, text) in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "net"
+    assert main(["build-net", "--nodes", str(tmp_path / "nodes.csv"),
+                 "--airports", str(tmp_path / "airports.csv"),
+                 "--flights", str(tmp_path / "airflows.csv"), "--out", str(out)]
+                + ["--planar"] * planar) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

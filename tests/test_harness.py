@@ -28,7 +28,7 @@ from vaxalloc.scenario import ScenarioConfig, build_instance
 
 from oracles import (export_rows, import_result_rows, infected_flow_matrix_add_at,
                      infection_split_add_at, loss_coefficients_per_call, per_agent,
-                     totals_add_at)
+                     pb_statics, totals_add_at)
 
 
 def small_config(**kwargs):
@@ -255,6 +255,26 @@ def test_world_totals_match_sum_over_nodes():
             got, _ = harness._totals(state, pop, everyone, everyone)
             want = (np.stack([comps[c] for c in "sird"], axis=1) * pop[:, None]).sum(axis=0)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("sharing", [False, True])
+def test_plan_pb_statics_match_the_oracle(sharing):
+    """pb's node lists, with their dtype, its cost sums and its spill order,
+    taken from the agent membership, bit for bit as pb_statics makes them:
+    with an agent of no nodes and costs of mixed signs from 1e-150 to 1e150."""
+    inst = build_instance(small_config(policy="pb", n_nodes=3000, n_agents=6,
+                                       sharing=sharing))
+    rng = np.random.default_rng(36)
+    inst.agent_of = rng.choice([0, 1, 2, 3, 5], inst.agent_of.size)
+    inst.costs = 10.0 ** rng.uniform(-150, 150, inst.costs.size) \
+        * rng.choice([-1.0, 1.0], inst.costs.size)
+    (nodes, totals, order), (want_nodes, want_totals, want_order) = \
+        harness._Plan(inst).pb, pb_statics(inst.costs, inst.agent_of, 6)
+    assert len(nodes) == len(want_nodes)
+    for got, want in zip(nodes, want_nodes):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(totals.view(np.uint64), want_totals.view(np.uint64))
+    assert order.dtype == want_order.dtype and np.array_equal(order, want_order)
 
 
 def assert_same_learning(fast, explicit):
